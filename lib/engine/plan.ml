@@ -22,7 +22,7 @@ let bound_positions bound (a : Atom.t) =
       | Term.Var v -> if VarSet.mem v bound then n + 1 else n)
     0 a.Atom.args
 
-let compile ~card (r : Rule.t) =
+let compile ?first ~card (r : Rule.t) =
   let atoms = Array.of_list (Rule.positive_atoms r) in
   let n = Array.length atoms in
   if n <= 1 then identity n
@@ -32,22 +32,27 @@ let compile ~card (r : Rule.t) =
     let taken = Array.make n false in
     let bound = ref VarSet.empty in
     for k = 0 to n - 1 do
-      let best = ref (-1) in
-      let best_score = ref infinity in
-      for i = 0 to n - 1 do
-        if not taken.(i) then begin
-          let score =
-            float_of_int cards.(i)
-            /. float_of_int (1 + bound_positions !bound atoms.(i))
-          in
-          (* strict [<] keeps ties in textual order: determinism *)
-          if score < !best_score then begin
-            best := i;
-            best_score := score
-          end
-        end
-      done;
-      let i = !best in
+      let i =
+        match first with
+        | Some f when k = 0 -> f
+        | _ ->
+          let best = ref (-1) in
+          let best_score = ref infinity in
+          for i = 0 to n - 1 do
+            if not taken.(i) then begin
+              let score =
+                float_of_int cards.(i)
+                /. float_of_int (1 + bound_positions !bound atoms.(i))
+              in
+              (* strict [<] keeps ties in textual order: determinism *)
+              if score < !best_score then begin
+                best := i;
+                best_score := score
+              end
+            end
+          done;
+          !best
+      in
       taken.(i) <- true;
       order.(k) <- i;
       bound := List.fold_left (fun s v -> VarSet.add v s) !bound (atom_vars atoms.(i))
@@ -66,9 +71,9 @@ let compile ~card (r : Rule.t) =
    columns: the cardinality-greedy [order] already decided which atom
    is built (indexed) at each position, so the mask is the remaining
    planner choice. *)
-let key_masks (r : Rule.t) t =
+let key_masks ?(bound = []) (r : Rule.t) t =
   let atoms = Array.of_list (Rule.positive_atoms r) in
-  let bound = ref VarSet.empty in
+  let bound = ref (VarSet.of_list bound) in
   Array.map
     (fun i ->
       let a = atoms.(i) in

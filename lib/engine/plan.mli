@@ -29,16 +29,19 @@ type t = {
 val identity : int -> t
 (** Textual order over [n] atoms. *)
 
-val compile : card:(string -> int) -> Rule.t -> t
+val compile : ?first:int -> card:(string -> int) -> Rule.t -> t
 (** Plan a rule's positive body against cardinality estimates.
     [card p] is the (active + inactive) fact count of predicate [p];
     unknown predicates estimate to [0] and therefore evaluate first,
-    which short-circuits the join immediately. *)
+    which short-circuits the join immediately.  [first] pins the atom
+    at that positive-atom index to join position 0 — a seed-first plan
+    for joining a few given facts against the rest. *)
 
-val key_masks : Rule.t -> t -> int array
+val key_masks : ?bound:string list -> Rule.t -> t -> int array
 (** Per join position, the bitmask of argument positions bound at
     probe time — constants plus variables bound by earlier atoms in
-    plan order.  These are the hash-join key columns the matcher
+    plan order, plus the [bound] variables (bound before the join
+    starts) at every position.  These are the hash-join key columns the matcher
     builds and probes indexes on ({!Database.ensure_index}): the
     greedy cardinality order chooses the build side (the atom indexed
     at each position), the mask chooses its key columns.  A mask of

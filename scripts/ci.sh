@@ -11,9 +11,9 @@
 # chase bench smoke (writes BENCH_chase.json: wall-clock at domains=1
 # vs 4, admission overhead, incremental maintenance vs cold re-chase,
 # snapshot/restore vs cold chase; fails if parallel, incremental or
-# restored state ever diverges), the join-engine identity smoke (a
-# bundled app under the hash and nested engines must fingerprint
-# identically), and the documentation gate
+# restored state ever diverges), the join-engine identity smoke (both
+# bundled aggregation apps under the hash and nested engines must
+# fingerprint identically), and the documentation gate
 # (doc-comment lint always; `dune build @doc` + HTML artifact when
 # odoc is installed). Run from anywhere.
 set -euo pipefail
@@ -30,14 +30,18 @@ dune exec bench/main.exe -- chase-smoke
 
 # join-engine identity: the columnar hash-join chase and the nested-loop
 # escape hatch must produce byte-identical output (facts, provenance,
-# explanations) on a bundled app
-fp_hash="$(dune exec bin/profile.exe -- company-control --join hash --fingerprint | sed -n 's/^fingerprint: //p')"
-fp_nested="$(dune exec bin/profile.exe -- company-control --join nested --fingerprint | sed -n 's/^fingerprint: //p')"
-if [ -z "$fp_hash" ] || [ "$fp_hash" != "$fp_nested" ]; then
-  echo "ci: join-engine fingerprints diverge (hash=$fp_hash nested=$fp_nested)" >&2
-  exit 1
-fi
-echo "ci: join-engine identity ok ($fp_hash)"
+# explanations) on both bundled aggregation apps — company control's
+# recursive sum, and the stress test's sums that are superseded and
+# then summed again
+for app in company-control stress-test; do
+  fp_hash="$(dune exec bin/profile.exe -- "$app" --join hash --fingerprint | sed -n 's/^fingerprint: //p')"
+  fp_nested="$(dune exec bin/profile.exe -- "$app" --join nested --fingerprint | sed -n 's/^fingerprint: //p')"
+  if [ -z "$fp_hash" ] || [ "$fp_hash" != "$fp_nested" ]; then
+    echo "ci: $app: join-engine fingerprints diverge (hash=$fp_hash nested=$fp_nested)" >&2
+    exit 1
+  fi
+  echo "ci: $app: join-engine identity ok ($fp_hash)"
+done
 
 # documentation: lint is unconditional; rendering needs odoc, which
 # not every CI image carries — skip rendering gracefully when absent
