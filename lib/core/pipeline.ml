@@ -312,9 +312,11 @@ let explain_answer ?(strategy = `Primary) ?(degraded = false) ?obs ?parent t
       finish_explanation ~span ~degraded t qa.qa_fact (proof, []))
 
 let identity t =
-  (* stable across processes: the program's canonical rendering plus
-     the glossary spec are everything that shapes a materialization and
-     its explanations; compilation artifacts (analysis, templates) are
-     derived from these deterministically *)
+  (* stable across processes: the program's canonical rendering, the
+     glossary spec and the engine revision are everything that shapes a
+     materialization and its explanations; compilation artifacts
+     (analysis, templates) are derived from these deterministically *)
   Digest.to_hex
-    (Digest.string (Program.to_string t.program ^ "\x00" ^ Glossary.to_string t.glossary))
+    (Digest.string
+       (Program.to_string t.program ^ "\x00" ^ Glossary.to_string t.glossary ^ "\x00"
+      ^ string_of_int Chase.revision))

@@ -60,7 +60,9 @@ val reason :
 val incrementable : t -> bool
 (** Whether {!add_facts} / {!retract_facts} can maintain a
     materialization of this pipeline's program in place rather than
-    re-chasing from scratch ({!Chase.incrementable}). *)
+    re-chasing from scratch ({!Chase.incrementable}).  When [true], an
+    update still re-chases if it meets a sum group that fell back below
+    its threshold, and then leaves its input mutated. *)
 
 val add_facts :
   ?domains:int ->
@@ -221,7 +223,8 @@ val explain_answer :
 
 val identity : t -> string
 (** Stable hex digest of the pipeline's {e semantic} inputs — the
-    program's canonical rendering and the glossary spec.  Two pipelines
+    program's canonical rendering, the glossary spec and the engine's
+    {!Ekg_engine.Chase.revision}.  Two pipelines
     with equal identity materialize identical instances and verbalize
     identical explanations, so the persistent session store stamps
     every snapshot with this digest and refuses to warm-restore a
