@@ -571,11 +571,7 @@ let query_lane_bench () =
         ql_app = app;
         ql_query = Atom.to_string atom;
         ql_mask = mask;
-        ql_mode =
-          (match qr.Ekg_core.Pipeline.q_mode with
-          | `Magic -> "magic"
-          | `Full -> "full"
-          | `Edb -> "edb");
+        ql_mode = Ekg_core.Pipeline.mode_name qr.Ekg_core.Pipeline.q_mode;
         ql_edb_facts = List.length edb;
         ql_full_facts = full.Ekg_engine.Chase.derived_count;
         ql_scoped_facts = qr.Ekg_core.Pipeline.q_derived;

@@ -120,10 +120,7 @@ let run_magic ~budget ~domains pipeline edb qtext =
                 | Error _ -> None))
         in
         Printf.printf "query: %s  (shape %s/%s, mode %s%s)\n" qtext pred mask
-          (match qr.Pipeline.q_mode with
-          | `Magic -> "magic"
-          | `Full -> "full"
-          | `Edb -> "edb")
+          (Pipeline.mode_name qr.Pipeline.q_mode)
           (match qr.Pipeline.q_fallback with
           | None -> ""
           | Some r -> ", fallback: " ^ r);

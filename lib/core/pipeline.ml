@@ -162,21 +162,25 @@ let explain_query ?strategy ?obs ?parent t result source =
   | Error e -> Error e
   | Ok atom -> explain_atom ?strategy ?obs ?parent t result atom
 
-(* --- the goal-directed query lane ------------------------------------------- *)
+(* --- the query lane --------------------------------------------------------- *)
 
 type specialization =
   | Sp_magic of Magic.specialized
   | Sp_full of string
   | Sp_edb
 
+let unknown_pred t pred =
+  if List.mem pred (Program.preds t.program) then None
+  else Some ("unknown predicate: " ^ pred)
+
 let specialize t ~pred ~mask =
-  if not (List.mem pred (Program.preds t.program)) then
-    Error ("unknown predicate: " ^ pred)
-  else if not (Program.is_intensional t.program pred) then Ok Sp_edb
-  else
+  match unknown_pred t pred with
+  | Some e -> Error e
+  | None when not (Program.is_intensional t.program pred) -> Ok Sp_edb
+  | None -> (
     match Magic.specialize t.program ~pred ~mask with
     | Ok sp -> Ok (Sp_magic sp)
-    | Error reason -> Ok (Sp_full reason)
+    | Error reason -> Ok (Sp_full reason))
 
 type query_answer = {
   qa_fact : Fact.t;
@@ -184,9 +188,17 @@ type query_answer = {
   qa_binding : Subst.t;
 }
 
+type query_mode = [ `Materialized | `Magic | `Full | `Edb ]
+
+let mode_name : query_mode -> string = function
+  | `Materialized -> "materialized"
+  | `Magic -> "magic"
+  | `Full -> "full"
+  | `Edb -> "edb"
+
 type query_result = {
   q_answers : query_answer list;
-  q_mode : [ `Magic | `Full | `Edb ];
+  q_mode : query_mode;
   q_fallback : string option;
   q_scoped : Chase.result option;
   q_sp : Magic.specialized option;
@@ -200,6 +212,29 @@ let sort_answers answers =
   List.sort
     (fun a b -> String.compare (Fact.to_string a.qa_fact) (Fact.to_string b.qa_fact))
     answers
+
+(* the answers [atom] matches in a completed instance: one indexed
+   lookup, in the source vocabulary, ordered canonically *)
+let answers_in (res : Chase.result) atom =
+  Query.ask res.Chase.db atom
+  |> List.map (fun (f, binding) ->
+         { qa_fact = f; qa_internal = f; qa_binding = binding })
+  |> sort_answers
+
+let query_materialized t (res : Chase.result) (atom : Atom.t) =
+  match unknown_pred t atom.Atom.pred with
+  | Some e -> Error e
+  | None ->
+    Ok
+      {
+        q_answers = answers_in res atom;
+        q_mode = `Materialized;
+        q_fallback = None;
+        q_scoped = Some res;
+        q_sp = None;
+        q_rounds = 0;
+        q_derived = 0;
+      }
 
 let edb_scan edb (atom : Atom.t) =
   let answers =
@@ -238,14 +273,9 @@ let query ?stats ?domains ?budget ?obs ?parent t spec edb (atom : Atom.t) =
     match Chase.run_checked ?stats ?domains ?budget ?obs ?parent t.program edb with
     | Error _ as e -> e
     | Ok res ->
-      let answers =
-        Query.ask res.db atom
-        |> List.map (fun (f, binding) ->
-               { qa_fact = f; qa_internal = f; qa_binding = binding })
-      in
       Ok
         {
-          q_answers = sort_answers answers;
+          q_answers = answers_in res atom;
           q_mode = `Full;
           q_fallback = Some reason;
           q_scoped = Some res;

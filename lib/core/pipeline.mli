@@ -148,13 +148,16 @@ val explain_query :
   (explanation list, string) result
 (** Parse an atom (e.g. ["control(\"B\", \"D\")"]) and explain it. *)
 
-(** {1 The goal-directed query lane}
+(** {1 The query lane}
 
-    Point queries are answered without the session's full
-    materialization: the program is magic-sets-specialized for the
-    query's bound/free pattern ({!Magic.specialize}), the scoped chase
-    runs over the extensional facts plus the demand seeds, and answers
-    plus proofs are projected back onto the source vocabulary. *)
+    Point queries take one of two paths.  Over a completed
+    materialization they are one indexed lookup
+    ({!query_materialized}).  Without one, they never build it: the
+    program is magic-sets-specialized for the query's bound/free
+    pattern ({!Magic.specialize}), the scoped chase runs over the
+    extensional facts plus the demand seeds, and answers plus proofs
+    are projected back onto the source vocabulary ({!query}).  Both
+    paths return the same answers in the same order. *)
 
 type specialization =
   | Sp_magic of Magic.specialized
@@ -176,15 +179,39 @@ type query_answer = {
   qa_binding : Subst.t;  (** the query variables' binding *)
 }
 
+type query_mode = [ `Materialized | `Magic | `Full | `Edb ]
+(** Where a query's answers came from: a lookup on a completed
+    materialization, a magic-sets scoped chase, a private full chase,
+    or a scan of the extensional facts. *)
+
+val mode_name : query_mode -> string
+(** ["materialized"], ["magic"], ["full"] or ["edb"] — the tag the
+    service puts on the wire and in its wide events. *)
+
 type query_result = {
   q_answers : query_answer list;  (** sorted by rendered fact — stable paging *)
-  q_mode : [ `Magic | `Full | `Edb ];
+  q_mode : query_mode;
   q_fallback : string option;     (** why goal-direction was unavailable *)
-  q_scoped : Chase.result option; (** the instance answers were read from *)
+  q_scoped : Chase.result option;
+      (** the instance answers were read from and proofs are extracted
+          from; [None] for EDB scans *)
   q_sp : Magic.specialized option;
-  q_rounds : int;
-  q_derived : int;
+  q_rounds : int;    (** chase rounds the query ran; 0 for a lookup *)
+  q_derived : int;   (** facts the query derived; 0 for a lookup *)
 }
+
+val query_materialized :
+  t -> Chase.result -> Atom.t -> (query_result, string) result
+(** Answer one query atom by a lookup on a completed materialization of
+    this pipeline's program ({!Query.ask}): no chase, [`Materialized]
+    mode, [q_rounds] and [q_derived] both [0], and [q_scoped] is the
+    given result, so {!explain_answer} reads the same provenance
+    {!explain_atom} does.  The answers, bindings and their order equal
+    {!query}'s over the materialization's extensional facts.  The
+    lookup only reads the result's postings and activation bitmap (it
+    builds no lazy join index), so it is safe off any lock on a result
+    no one mutates, such as one the service published copy-on-write.
+    [Error] means the predicate does not exist in the program. *)
 
 val query :
   ?stats:Ekg_obs.Metrics.t ->
@@ -198,12 +225,12 @@ val query :
   Atom.t ->
   (query_result, Chase.error) result
 (** Answer one concrete query atom over the given extensional facts,
-    per the pre-computed [specialization].  Never touches a served
-    materialization: the magic and full modes each run a private chase
-    (budget/deadline and parallelism arguments pass straight through),
-    and the EDB mode only scans.  A rewritten program that fails to
-    stratify falls back to the full mode transparently, recorded in
-    [q_fallback]. *)
+    per the pre-computed [specialization] — the path for a session with
+    no materialization, which it never builds or waits on: the magic
+    and full modes each run a private chase (budget/deadline and
+    parallelism arguments pass straight through), and the EDB mode
+    only scans.  A rewritten program that fails to stratify falls back
+    to the full mode transparently, recorded in [q_fallback]. *)
 
 val explain_answer :
   ?strategy:[ `Primary | `Shortest ] ->
@@ -215,7 +242,8 @@ val explain_answer :
   query_answer ->
   (explanation, string) result
 (** Template-backed explanation of one query answer, extracted from the
-    scoped instance's provenance and — for magic-mode results —
+    provenance of [q_scoped] (the scoped instance, or the
+    materialization a lookup read) and — for magic-mode results —
     projected back onto the source program ({!Magic.unadorn_proof})
     before the proof mapper runs, so the explanation reads exactly as
     it would against the full materialization.  [degraded] renders

@@ -8,9 +8,10 @@ type cached_explanation = {
   preds : string list;  (* predicates whose change invalidates the entry *)
 }
 
-(* one concrete query's cached result, generation-stamped: an entry
+(* one concrete query's cached answers, generation-stamped: an entry
    whose [ca_gen] no longer matches the session's [update_gen] must
-   never serve *)
+   never serve.  [ca_result] never holds its scoped instance
+   ([q_scoped = None]): that instance's database copies the whole EDB *)
 type cached_answers = {
   ca_result : Pipeline.query_result;
   ca_gen : int;
@@ -79,6 +80,7 @@ let recovered_sessions_metric = "ekg_store_recovered_sessions_total"
 
 (* the query lane's series, declared at startup by the router *)
 let query_requests_metric = "ekg_query_requests_total"
+let query_materialized_metric = "ekg_query_materialized_total"
 let query_rewrite_hits_metric = "ekg_query_rewrite_cache_hits_total"
 let query_rewrite_misses_metric = "ekg_query_rewrite_cache_misses_total"
 let query_answer_hits_metric = "ekg_query_answer_cache_hits_total"
@@ -660,14 +662,17 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
   (match committed with Ok _ -> schedule_snapshot t session | Error _ -> ());
   committed
 
-(* --- the goal-directed query lane --------------------------------------------
+(* --- the query lane ----------------------------------------------------------
 
-   Point queries never touch the served materialization: the program is
-   magic-sets-specialized per query shape (cached in an LRU keyed
-   predicate + mask), a private scoped chase runs over a snapshot of
-   the EDB mirror, and concrete answers are cached generation-stamped.
-   A dormant session stays dormant — in particular a query never
-   triggers (or waits on) a cold full materialization. *)
+   A hot session answers a point query with one lookup on its served
+   materialization.  A published result is immutable (updates swap in
+   a copy-on-write copy) and the lookup reads only postings and the
+   activation bitmap, never the lazily built join indexes, so it runs
+   off the lock, as explanations do.  A dormant session never builds or
+   waits on a materialization: the program is magic-sets-specialized
+   per query shape (cached in an LRU keyed predicate + mask), a private
+   scoped chase runs over a snapshot of the EDB mirror, and concrete
+   answers are cached generation-stamped. *)
 
 let max_query_shapes = 64
 let max_answers_per_shape = 8
@@ -692,19 +697,17 @@ let lru_trim tbl cap used =
     match victim with Some (k, _) -> Hashtbl.remove tbl k | None -> ()
   done
 
-let mode_tag = function `Magic -> "magic" | `Full -> "full" | `Edb -> "edb"
-
 let note_query_event (result : Pipeline.query_result) ~cache_hit =
   Ekg_obs.Log.Ctx.put "cache_hit" (Ekg_obs.Log.Bool cache_hit);
   Ekg_obs.Log.Ctx.put "chase_source"
-    (Ekg_obs.Log.Str (mode_tag result.Pipeline.q_mode));
+    (Ekg_obs.Log.Str (Pipeline.mode_name result.Pipeline.q_mode));
   Ekg_obs.Log.Ctx.put "chase_rounds"
     (Ekg_obs.Log.Int result.Pipeline.q_rounds);
   Ekg_obs.Log.Ctx.put "chase_facts"
     (Ekg_obs.Log.Int result.Pipeline.q_derived)
 
-let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
-    (atom : Atom.t) =
+let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
+    (session : session) (atom : Atom.t) =
   let pred = atom.Atom.pred in
   let mask = Magic.adornment atom in
   let shape_key = pred ^ "/" ^ mask in
@@ -716,43 +719,59 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
       query_seconds_metric
       (Ekg_obs.Clock.now_s () -. t0)
   in
-  count query_requests_metric "Point queries served by the goal-directed lane";
+  count query_requests_metric "Point queries served by the query lane";
   let prelim =
     with_lock session.lock (fun () ->
         let now = Unix.gettimeofday () in
         session.last_used <- now;
         session.query_count <- session.query_count + 1;
-        let gen = session.update_gen in
-        let edb = session.edb in
-        match Hashtbl.find_opt session.query_cache shape_key with
-        | Some entry -> (
-          entry.qe_used <- now;
-          (* a stale-generation answer must never serve: drop on sight *)
-          (match Hashtbl.find_opt entry.qe_answers answer_key with
-          | Some c when c.ca_gen <> gen ->
-            Hashtbl.remove entry.qe_answers answer_key
-          | _ -> ());
-          match Hashtbl.find_opt entry.qe_answers answer_key with
-          | Some c ->
-            c.ca_used <- now;
-            `Hit c.ca_result
-          | None -> `Run (entry.qe_spec, true, gen, edb))
+        match session.chase with
+        | Some res -> `Materialized res
         | None -> (
-          match Pipeline.specialize session.pipeline ~pred ~mask with
-          | Error e -> `Unknown e
-          | Ok spec ->
-            Hashtbl.replace session.query_cache shape_key
-              {
-                qe_pred = pred;
-                qe_spec = spec;
-                qe_used = now;
-                qe_answers = Hashtbl.create 4;
-              };
-            lru_trim session.query_cache max_query_shapes (fun e -> e.qe_used);
-            `Run (spec, false, gen, edb)))
+          let gen = session.update_gen in
+          let edb = session.edb in
+          match Hashtbl.find_opt session.query_cache shape_key with
+          | Some entry -> (
+            entry.qe_used <- now;
+            (* a stale-generation answer must never serve: drop on sight *)
+            (match Hashtbl.find_opt entry.qe_answers answer_key with
+            | Some c when c.ca_gen <> gen ->
+              Hashtbl.remove entry.qe_answers answer_key
+            | _ -> ());
+            match Hashtbl.find_opt entry.qe_answers answer_key with
+            | Some c when not explain ->
+              c.ca_used <- now;
+              `Hit c.ca_result
+            | Some _ | None ->
+              (* explanations need the scoped instance, which the cache
+                 does not keep: re-run *)
+              `Run (entry.qe_spec, true, gen, edb))
+          | None -> (
+            match Pipeline.specialize session.pipeline ~pred ~mask with
+            | Error e -> `Unknown e
+            | Ok spec ->
+              Hashtbl.replace session.query_cache shape_key
+                {
+                  qe_pred = pred;
+                  qe_spec = spec;
+                  qe_used = now;
+                  qe_answers = Hashtbl.create 4;
+                };
+              lru_trim session.query_cache max_query_shapes (fun e ->
+                  e.qe_used);
+              `Run (spec, false, gen, edb))))
   in
   match prelim with
   | `Unknown e -> Error (`Unknown_pred e)
+  | `Materialized res -> (
+    match Pipeline.query_materialized session.pipeline res atom with
+    | Error e -> Error (`Unknown_pred e)
+    | Ok result ->
+      count query_materialized_metric
+        "Point queries answered by a lookup on the served materialization";
+      note_query_event result ~cache_hit:false;
+      finish ();
+      Ok { qo_result = result; qo_rewrite_cached = false; qo_answer_cached = false })
   | `Hit result ->
     count query_rewrite_hits_metric
       "Query shapes answered from a cached specialization";
@@ -795,7 +814,11 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
             match Hashtbl.find_opt session.query_cache shape_key with
             | Some entry ->
               Hashtbl.replace entry.qe_answers answer_key
-                { ca_result = result; ca_gen = gen; ca_used = Unix.gettimeofday () };
+                {
+                  ca_result = { result with Pipeline.q_scoped = None };
+                  ca_gen = gen;
+                  ca_used = Unix.gettimeofday ();
+                };
               lru_trim entry.qe_answers max_answers_per_shape (fun c -> c.ca_used)
             | None -> ());
       note_query_event result ~cache_hit:false;

@@ -20,13 +20,15 @@ type cached_explanation = {
 
 type cached_answers = {
   ca_result : Pipeline.query_result;
+      (** answers and bindings only: [q_scoped] is always [None], since
+          a scoped instance's database copies the whole EDB *)
   ca_gen : int;    (** update generation the result was computed under *)
   mutable ca_used : float;  (** answer-LRU clock *)
 }
-(** One concrete query's cached result.  Generation-stamped: an entry
-    whose [ca_gen] no longer matches the session's [update_gen] must
-    never serve, and is dropped eagerly by invalidation or lazily at
-    lookup. *)
+(** One concrete query's cached answers on a dormant session.
+    Generation-stamped: an entry whose [ca_gen] no longer matches the
+    session's [update_gen] must never serve, and is dropped eagerly by
+    invalidation or lazily at lookup. *)
 
 type query_entry = {
   qe_pred : string;  (** queried predicate — the invalidation key *)
@@ -66,8 +68,9 @@ type session = {
       (** cached materialization.  Published results are immutable:
           {!update_facts} mutates a private {!Chase.copy_result} copy
           and swaps this pointer on success, so readers that obtained
-          the result via {!materialize} may keep using it without the
-          session lock. *)
+          the result via {!materialize}, or read this field under the
+          lock as {!query} does, may keep using it without the session
+          lock. *)
   explain_cache : (string * string, cached_explanation) Hashtbl.t;
       (** finished explanations keyed by (strategy, query text);
           entries survive fact updates that cannot affect them *)
@@ -104,8 +107,14 @@ val recovered_sessions_metric : string
     from snapshots at startup. *)
 
 val query_requests_metric : string
-(** ["ekg_query_requests_total"] — point queries served by the
-    goal-directed lane. *)
+(** ["ekg_query_requests_total"] — point queries served by the query
+    lane, on either path. *)
+
+val query_materialized_metric : string
+(** ["ekg_query_materialized_total"] — point queries answered by a
+    lookup on the session's served materialization.  Only that path
+    advances it; the rewrite and answer cache series count the dormant
+    path alone. *)
 
 val query_rewrite_hits_metric : string
 val query_rewrite_misses_metric : string
@@ -309,30 +318,43 @@ type query_outcome = {
 
 val query :
   ?budget:Chase.budget ->
+  ?explain:bool ->
   ?tracer:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
   t ->
   session ->
   Atom.t ->
   (query_outcome, [ `Unknown_pred of string | `Chase of Chase.error ]) result
-(** Answer a point query through the goal-directed lane — the
-    [GET|POST /v1/sessions/:id/query] handler.  The session's program
-    is magic-sets-specialized for the query's bound/free shape
-    ({!Pipeline.specialize}, cached in a per-session LRU), a private
-    scoped chase runs over a snapshot of the EDB mirror, and the
-    concrete answer set is cached stamped with the session's update
-    generation.  The served materialization is never consulted and
-    never created: a dormant session stays dormant, so a point query
-    neither triggers nor waits on a cold full materialization.
+(** Answer a point query — the [GET|POST /v1/sessions/:id/query]
+    handler.  The path is picked from the session's state, read under
+    its lock:
 
-    [budget] bounds the scoped chase exactly as in {!materialize}
-    (deadline trips surface as [`Chase (Budget_exceeded _)] with
-    partial progress); the {!Fault.Slow_chase} fault applies here too.
+    - {b Hot} (a published materialization): one lookup on it
+      ({!Pipeline.query_materialized}), [`Materialized] mode, 0 rounds
+      and 0 derived facts.  It relies on the published result being
+      immutable (see [chase]), so it runs off the lock, as explanations
+      do.  No chase runs, so neither [budget] nor the
+      {!Fault.Slow_chase} fault applies, and the rewrite and answer
+      caches are neither read nor filled.
+    - {b Dormant}: the session's program is magic-sets-specialized for
+      the query's bound/free shape ({!Pipeline.specialize}, cached in a
+      per-session LRU), a private scoped chase runs over a snapshot of
+      the EDB mirror, and the concrete answers are cached stamped with
+      the session's update generation.  A query never builds or waits
+      on a materialization, so a dormant session stays dormant.
+      [budget] bounds the scoped chase exactly as in {!materialize}
+      (deadline trips surface as [`Chase (Budget_exceeded _)] with
+      partial progress); the {!Fault.Slow_chase} fault applies here
+      too.  The cache keeps answers and bindings, not the scoped
+      instance, so with [explain] (default [false]: the caller will
+      not call {!Pipeline.explain_answer}) a cached answer is
+      recomputed and counts as a miss.
+
     [`Unknown_pred] means the predicate does not exist in the session's
-    program — a client error.  Contributes [chase_source]
-    (["magic"]/["full"]/["edb"]), [cache_hit], [chase_rounds] and
-    [chase_facts] to the request's wide event and advances the
-    [ekg_query_*] series. *)
+    program — a client error, on either path.  Contributes
+    [chase_source] (["materialized"]/["magic"]/["full"]/["edb"]),
+    [cache_hit], [chase_rounds] and [chase_facts] to the request's wide
+    event and advances the [ekg_query_*] series. *)
 
 val note_explain : session -> unit
 (** Bump the session's explanation-request counter. *)

@@ -101,7 +101,9 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
     (fun (name, help) -> Ekg_obs.Metrics.declare_counter obs ~help name)
     [
       ( Registry.query_requests_metric,
-        "Point queries served by the goal-directed lane" );
+        "Point queries served by the query lane" );
+      ( Registry.query_materialized_metric,
+        "Point queries answered by a lookup on the served materialization" );
       ( Registry.query_rewrite_hits_metric,
         "Query shapes answered from a cached specialization" );
       ( Registry.query_rewrite_misses_metric,
@@ -553,13 +555,14 @@ let explain_get st ~trace_id ~deadline_s (session : Registry.session)
             Option.iter (Registry.set_trace session) !root;
             resp)))
 
-(* --- the goal-directed query lane --------------------------------------------
+(* --- the query lane ----------------------------------------------------------
 
-   [GET|POST /v1/sessions/:id/query]: point queries answered by
-   magic-sets specialization + a scoped chase over the session's EDB —
-   never by (or waiting on) the served materialization.  The atom
-   grammar is the explain endpoints' one; variables are the free
-   positions ("control(\"A\", X)" asks who A controls). *)
+   [GET|POST /v1/sessions/:id/query]: point queries answered by one
+   lookup on a hot session's served materialization, or — on a dormant
+   session, which a query never materializes or waits on — by
+   magic-sets specialization + a scoped chase over the session's EDB.
+   The atom grammar is the explain endpoints' one; variables are the
+   free positions ("control(\"A\", X)" asks who A controls). *)
 
 let explain_mode_of = function
   | None | Some "none" -> Ok `None
@@ -600,8 +603,8 @@ let query_lane st ~trace_id ~deadline_s (session : Registry.session) ~query
               @@ fun span ->
               root := Some span;
               match
-                Registry.query ~budget ~tracer:st.tracer ~parent:span
-                  st.registry session atom
+                Registry.query ~budget ~explain:(emode <> `None)
+                  ~tracer:st.tracer ~parent:span st.registry session atom
               with
               | Error (`Unknown_pred e) ->
                 Errors.response Errors.Invalid_atom ("query: " ^ e)
@@ -648,11 +651,7 @@ let query_lane st ~trace_id ~deadline_s (session : Registry.session) ~query
                         "query", Json.str qtext;
                         "trace_id", Json.str trace_id;
                         ( "mode",
-                          Json.str
-                            (match result.Pipeline.q_mode with
-                            | `Magic -> "magic"
-                            | `Full -> "full"
-                            | `Edb -> "edb") );
+                          Json.str (Pipeline.mode_name result.Pipeline.q_mode) );
                       ]
                      @ (match result.Pipeline.q_fallback with
                        | None -> []

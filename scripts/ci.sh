@@ -2,8 +2,10 @@
 # Tier-1 gate plus the server smoke test (which also scrapes the
 # Prometheus /metrics exposition and executes the live fact-update
 # walkthrough of examples/incremental_walkthrough.md), the query-lane
-# smoke (magic-sets point queries, answer-cache warm-up, update
-# invalidation and the ekg_query_* series over loopback HTTP), the
+# smoke (magic-sets point queries on a dormant session, answer-cache
+# warm-up, lookups on the served materialization once the session is
+# hot, update invalidation and the ekg_query_* series over loopback
+# HTTP), the
 # restart-recovery smoke (kill + restart on the same --store-dir;
 # explanations must be served again without re-running the chase), the
 # scale-harness smoke (tiny-N generate -> serve -> CDC replay ->

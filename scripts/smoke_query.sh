@@ -3,11 +3,13 @@
 # over loopback HTTP (the magic lane must answer without materializing
 # the session), assert the answer cache warms on the identical
 # re-query, fetch template explanations inline (?explain=full), check
-# GET explain speaks the same atom grammar and paged envelope, reject
-# a malformed atom with the invalid_atom code, then apply a live fact
-# update and assert the cached answers are invalidated: the retracted
-# consequence disappears from a fresh (uncached) answer set and the
-# re-add brings it back.  Finally scrape the ekg_query_* series.
+# GET explain speaks the same atom grammar and paged envelope (and
+# materializes the session, after which a query is a lookup on the
+# served materialization: the materialized lane), reject a malformed
+# atom with the invalid_atom code, then apply a live fact update and
+# assert the hot answers follow it: the retracted consequence
+# disappears from a fresh (uncached) answer set and the re-add brings
+# it back.  Finally scrape the ekg_query_* series.
 # Usage: smoke_query.sh [path/to/serve.exe]
 set -euo pipefail
 
@@ -72,6 +74,14 @@ printf '%s' "$BODY" | grep -q '"explanations"' \
 printf '%s' "$BODY" | grep -q '"next_cursor"' \
   || fail "GET explain is missing the paged envelope" "$BODY"
 
+# 4b. the explanation materialized the session: the same point query is
+#     now a lookup on the served materialization
+BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
+printf '%s' "$BODY" | grep -q '"mode":"materialized"' \
+  || fail "query on the hot session did not take the materialized lane" "$BODY"
+printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
+  || fail "materialized lane is missing control(A, D)" "$BODY"
+
 # 5. a malformed atom answers 400 with the machine-readable code, on
 #    both read endpoints
 for endpoint in query explain; do
@@ -85,11 +95,14 @@ for endpoint in query explain; do
 done
 
 # 6. live update invalidation: retract E's stake (the sum drops below
-#    the control threshold), and a fresh — not cached — answer set no
-#    longer carries control(A, D); the re-add restores it
+#    the control threshold), and a fresh — not cached — answer set, read
+#    from the updated materialization, no longer carries control(A, D);
+#    the re-add restores it
 curl -fsS -X DELETE -d '{"facts":["own(\"E\", \"D\", 0.25)"]}' \
   "$BASE/facts" >/dev/null
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
+printf '%s' "$BODY" | grep -q '"mode":"materialized"' \
+  || fail "query after the retraction left the materialized lane" "$BODY"
 printf '%s' "$BODY" | grep -q '"cached":false' \
   || fail "update did not invalidate the cached answers" "$BODY"
 printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
@@ -97,13 +110,16 @@ printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
 curl -fsS -X POST -d '{"facts":["own(\"E\", \"D\", 0.25)"]}' \
   "$BASE/facts" >/dev/null
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
+printf '%s' "$BODY" | grep -q '"mode":"materialized"' \
+  || fail "query after the re-add left the materialized lane" "$BODY"
 printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
   || fail "re-added consequence did not come back" "$BODY"
 
 # 7. the lane's counter series are present and advanced
 METRICS="$(curl -fsS -H 'Accept: text/plain' "http://127.0.0.1:$PORT/v1/metrics")"
 for series in ekg_query_requests_total ekg_query_rewrite_cache_hits_total \
-              ekg_query_answer_cache_hits_total ekg_query_cache_invalidations_total; do
+              ekg_query_answer_cache_hits_total ekg_query_cache_invalidations_total \
+              ekg_query_materialized_total; do
   printf '%s\n' "$METRICS" | grep -q "^$series" \
     || fail "/v1/metrics is missing mandatory series $series" "$METRICS"
   printf '%s\n' "$METRICS" | grep -q "^$series 0$" \
@@ -112,4 +128,4 @@ done
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
-echo "smoke-query: ok (magic lane, caches, invalidation, invalid_atom, metrics)"
+echo "smoke-query: ok (magic lane, caches, materialized lane, invalidation, invalid_atom, metrics)"

@@ -1817,6 +1817,423 @@ let test_query_wide_events () =
       (Json.mem_bool "cache_hit" warm = Some true)
   | l -> Alcotest.failf "expected 3 wide events, got %d" (List.length l)
 
+(* --- the materialized lane ---------------------------------------------------- *)
+
+let answer_facts j =
+  List.filter_map (Json.mem_str "fact")
+    (Option.value ~default:[] (Option.bind (Json.member "answers" j) Json.get_arr))
+
+let answer_texts j =
+  List.filter_map
+    (fun a -> Option.bind (Json.member "explanation" a) (Json.mem_str "text"))
+    (Option.value ~default:[] (Option.bind (Json.member "answers" j) Json.get_arr))
+
+let get_explain st id query =
+  Router.handle st
+    (request ~query:[ "query", query ] Http.GET [ "v1"; "sessions"; id; "explain" ])
+
+let mode_of j = Option.value ~default:"" (Json.mem_str "mode" j)
+
+let test_query_lane_switch () =
+  let st, lines = capturing_state () in
+  create_closure_session st;
+  let ask () = json_of (query_get st "s1" [ "query", {|path("a", X)|} ]) in
+  let dormant = ask () in
+  check string' "dormant session: magic lane" "magic" (mode_of dormant);
+  check int' "GET explain materializes" 200
+    (get_explain st "s1" {|path("a", "c")|}).Http.status;
+  let hot = ask () in
+  check string' "hot session: materialized lane" "materialized" (mode_of hot);
+  check bool' "same total" true
+    (Json.mem_int "total" hot = Json.mem_int "total" dormant);
+  check Alcotest.(list string) "same answers" (answer_facts dormant) (answer_facts hot);
+  check bool' "no rounds" true (Json.mem_int "rounds" hot = Some 0);
+  check bool' "no derived facts" true (Json.mem_int "derived_facts" hot = Some 0);
+  check bool' "not a cache hit" true (Json.mem_bool "cached" hot = Some false);
+  (* live updates reach the hot answer: the lookup reads the published
+     materialization *)
+  check int' "edge added" 200
+    (Router.handle st
+       (request ~body:{|{"facts":["e(\"c\", \"d\")"]}|} Http.POST
+          [ "v1"; "sessions"; "s1"; "facts" ]))
+      .Http.status;
+  let grown = ask () in
+  check string' "still materialized" "materialized" (mode_of grown);
+  check bool' "the new consequence appears" true (Json.mem_int "total" grown = Some 3);
+  check int' "edge removed" 200
+    (Router.handle st
+       (request ~body:{|{"facts":["e(\"b\", \"c\")"]}|} Http.DELETE
+          [ "v1"; "sessions"; "s1"; "facts" ]))
+      .Http.status;
+  let shrunk = ask () in
+  check Alcotest.(list string) "the broken chain is gone"
+    [ {|path("a", "b")|} ] (answer_facts shrunk);
+  let unknown = query_get st "s1" [ "query", {|zzz("q")|} ] in
+  check int' "unknown predicate on a hot session" 400 unknown.Http.status;
+  check bool' "still invalid_atom" true (envelope_code unknown = Some "invalid_atom");
+  (* only the materialized lane advances its series, and it leaves the
+     dormant lane's cache counters alone *)
+  let obs = Router.obs st in
+  let value name = Option.value ~default:0. (Ekg_obs.Metrics.value obs name) in
+  check (Alcotest.float 0.) "three lookups" 3. (value Registry.query_materialized_metric);
+  check (Alcotest.float 0.) "one rewrite miss, from the dormant query" 1.
+    (value Registry.query_rewrite_misses_metric);
+  check (Alcotest.float 0.) "one answer miss, from the dormant query" 1.
+    (value Registry.query_answer_misses_metric);
+  check (Alcotest.float 0.) "no answer hits" 0. (value Registry.query_answer_hits_metric);
+  let events = List.filter_map (fun l -> Result.to_option (Json.parse l)) (lines ()) in
+  match
+    List.filter
+      (fun j -> Json.mem_str "endpoint" j = Some "GET /v1/sessions/:id/query")
+      events
+  with
+  | _dormant :: hot_event :: _ ->
+    check bool' "wide event: materialized source" true
+      (Json.mem_str "chase_source" hot_event = Some "materialized");
+    check bool' "wide event: no rounds" true
+      (Json.mem_int "chase_rounds" hot_event = Some 0);
+    check bool' "wide event: not a cache hit" true
+      (Json.mem_bool "cache_hit" hot_event = Some false)
+  | _ -> Alcotest.fail "expected the query wide events"
+
+let test_query_hot_session_runs_no_chase () =
+  (* the fault stretches every chase to 5 s; a hot session's query runs
+     none, so a 50 ms deadline holds (the dormant 504 is
+     [test_query_deadline_504]) *)
+  let st = Router.make_state ~fault:(Fault.Slow_chase 5.0) () in
+  create_closure_session st;
+  let session = Option.get (Registry.find (Router.registry st) "s1") in
+  (* materializing through the registry would pay the fault too: chase
+     beside it and publish the result *)
+  (match Ekg_core.Pipeline.reason session.Registry.pipeline session.Registry.edb with
+  | Ok res -> session.Registry.chase <- Some res
+  | Error e -> Alcotest.failf "chase: %s" e);
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Router.handle st
+      (request
+         ~headers:[ "x-ekg-deadline-ms", "50" ]
+         ~query:[ "query", {|path("a", X)|} ]
+         Http.GET
+         [ "v1"; "sessions"; "s1"; "query" ])
+  in
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  check int' "200 within the deadline" 200 r.Http.status;
+  check string' "materialized lane" "materialized" (mode_of (json_of r));
+  check bool' "answered without the fault window" true (elapsed_ms < 1000.)
+
+let test_query_evicted_session_back_to_magic () =
+  with_store_dir @@ fun dir ->
+  let st =
+    Router.make_state ~store:(open_store_exn dir)
+      ~snapshot_mode:Ekg_store.Snapshotter.Sync ~max_hot_sessions:1 ()
+  in
+  create_closure_session st;
+  create_closure_session st;
+  let mode id = mode_of (json_of (query_get st id [ "query", {|path("a", X)|} ])) in
+  check int' "s1 explained" 200 (get_explain st "s1" {|path("a", "c")|}).Http.status;
+  check string' "hot s1: materialized" "materialized" (mode "s1");
+  check int' "s2 explained" 200 (get_explain st "s2" {|path("a", "c")|}).Http.status;
+  check string' "evicted s1: magic again" "magic" (mode "s1");
+  check string' "hot s2: materialized" "materialized" (mode "s2");
+  Registry.stop_persistence (Router.registry st)
+
+let test_query_cache_keeps_no_instance () =
+  (* a cached answer set must not pin its scoped instance, whose
+     database copies the whole EDB; explanations then re-run the chase *)
+  let st = Router.make_state () in
+  create_closure_session st;
+  let ask params = json_of (query_get st "s1" (("query", {|path("a", X)|}) :: params)) in
+  let first = ask [ "explain", "full" ] in
+  check int' "two explained answers" 2 (List.length (answer_texts first));
+  check bool' "plain re-query is cached" true (Json.mem_bool "cached" (ask []) = Some true);
+  let again = ask [ "explain", "full" ] in
+  check bool' "explained re-query recomputes" true
+    (Json.mem_bool "cached" again = Some false);
+  check Alcotest.(list string) "same explanations" (answer_texts first) (answer_texts again);
+  let session = Option.get (Registry.find (Router.registry st) "s1") in
+  let entries =
+    Hashtbl.fold
+      (fun _ (e : Registry.query_entry) acc ->
+        Hashtbl.fold (fun _ c acc -> c :: acc) e.Registry.qe_answers acc)
+      session.Registry.query_cache []
+  in
+  check bool' "answers cached" true (entries <> []);
+  List.iter
+    (fun (c : Registry.cached_answers) ->
+      check bool' "no scoped instance cached" true
+        (Option.is_none c.Registry.ca_result.Ekg_core.Pipeline.q_scoped))
+    entries
+
+let test_query_hot_lookup_races_updates () =
+  (* the lookup runs off the session lock on the published result; a
+     writer domain swapping in updated copies meanwhile must never let
+     a reader see anything but a whole generation *)
+  let reg = Registry.create (Metrics.create ()) in
+  let session = registry_inline_session reg closure_program in
+  ignore (materialize_exn reg session);
+  let cd = parse_atom_exn {|e("c", "d")|} and q = parse_atom_exn {|path("a", X)|} in
+  let facts () =
+    match Registry.query reg session q with
+    | Ok o ->
+      let r = o.Registry.qo_result in
+      ( r.Ekg_core.Pipeline.q_mode,
+        List.map
+          (fun (qa : Ekg_core.Pipeline.query_answer) ->
+            Ekg_engine.Fact.to_string qa.Ekg_core.Pipeline.qa_fact)
+          r.Ekg_core.Pipeline.q_answers )
+    | Error _ -> Alcotest.fail "hot query failed"
+  in
+  let before = [ {|path("a", "b")|}; {|path("a", "c")|} ] in
+  let after = before @ [ {|path("a", "d")|} ] in
+  let finished = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            for _ = 1 to 100 do
+              List.iter
+                (fun op ->
+                  (match Registry.update_facts reg session op [ cd ] with
+                  | Ok _ -> ()
+                  | Error e -> failwith (Ekg_engine.Chase.error_to_string e));
+                  (* leave readers a window on each generation *)
+                  Unix.sleepf 0.0002)
+                [ `Add; `Retract ]
+            done))
+  in
+  let torn = ref 0 and saw_after = ref false in
+  while not (Atomic.get finished) do
+    let mode, answers = facts () in
+    if answers = after then saw_after := true;
+    if mode <> `Materialized || (answers <> before && answers <> after) then incr torn
+  done;
+  Domain.join writer;
+  check int' "every read saw a whole generation on the lookup" 0 !torn;
+  check bool' "reads overlapped the updates" true !saw_after;
+  check bool' "ends where it started" true (snd (facts ()) = before)
+
+(* --- materialized lane = magic lane ------------------------------------------
+
+   A hot session answers a query by a lookup on its served
+   materialization, a dormant one by a scoped chase over the EDB mirror
+   ({!Ekg_core.Pipeline.query}).  After any sequence of live updates the
+   two must agree exactly: same rendered facts, bindings and order, for
+   every query shape, and each answer's explanation must be the one
+   GET /explain serves. *)
+
+module Dl = struct
+  open Ekg_datalog
+
+  let nodes = 5
+  let node i = Term.str (Printf.sprintf "n%d" (i mod nodes))
+
+  (* ownership on a 0.1 grid up to [tenths]/10, cycles and self-stakes
+     included *)
+  let own ~tenths (i, j, k) =
+    Atom.make "own"
+      [ node i; node j; Term.num (float_of_int (1 + (k mod tenths)) /. 10.) ]
+
+  let stress (i, j, k) =
+    let v = Term.num (float_of_int (1 + (k / 4 mod 10))) in
+    match k mod 4 with
+    | 0 -> Atom.make "shock" [ node i; v ]
+    | 1 -> Atom.make "hasCapital" [ node i; v ]
+    | 2 -> Atom.make "longTermDebts" [ node i; node j; v ]
+    | _ -> Atom.make "shortTermDebts" [ node i; node j; v ]
+
+  (* the magic lane refuses existential heads and answers through its
+     full fallback; the labelled nulls must render alike on both lanes *)
+  let existential =
+    {|
+x1: own(X, Y, S), S > 0.5 -> control(X, Y).
+x2: control(X, Y) -> keyPerson(Y, P).
+@goal(keyPerson).
+|}
+
+  type case = {
+    spec : Registry.spec;
+    goal : string;
+    goal_arity : int;
+    edb_pred : string;
+    edb_arity : int;
+    fixed : Atom.t list;  (** always in the initial base *)
+    fact : int * int * int -> Atom.t;
+  }
+
+  let company_control =
+    {
+      spec = Registry.App "company-control";
+      goal = "control";
+      goal_arity = 2;
+      edb_pred = "own";
+      edb_arity = 3;
+      fixed = List.init nodes (fun i -> Atom.make "company" [ node i ]);
+      fact = own ~tenths:10;
+    }
+
+  (* stakes up to 0.5 keep the integrated-participation walks short:
+     around cycles of larger stakes, every query's scoped chase derives
+     thousands of pathOwn products before they fall below 0.01 *)
+  let close_link =
+    {
+      company_control with
+      spec = Registry.App "close-link";
+      goal = "closeLink";
+      fixed = [];
+      fact = own ~tenths:5;
+    }
+
+  let stress_test =
+    {
+      spec = Registry.App "stress-test";
+      goal = "default";
+      goal_arity = 1;
+      edb_pred = "hasCapital";
+      edb_arity = 2;
+      fixed = List.init nodes (fun i -> Atom.make "hasCapital" [ node i; Term.num 5. ]);
+      fact = stress;
+    }
+
+  let existential_head =
+    {
+      company_control with
+      spec = Registry.Inline { program = existential; glossary = None };
+      goal = "keyPerson";
+      fixed = [];
+    }
+
+  (* every source bound in each goal position in turn, all free, and
+     every source bound on one extensional predicate *)
+  let queries c =
+    let vars n = List.init n (fun i -> Term.var (Printf.sprintf "V%d" i)) in
+    let bound_at pos i =
+      List.mapi (fun p t -> if p = pos then node i else t) (vars c.goal_arity)
+    in
+    List.concat
+      (List.init nodes (fun i ->
+           Atom.make c.edb_pred (node i :: List.tl (vars c.edb_arity))
+           :: List.init c.goal_arity (fun pos -> Atom.make c.goal (bound_at pos i))))
+    @ [ Atom.make c.goal (vars c.goal_arity) ]
+
+  let render (qr : Ekg_core.Pipeline.query_result) =
+    List.map
+      (fun (qa : Ekg_core.Pipeline.query_answer) ->
+        Ekg_engine.Fact.to_string qa.Ekg_core.Pipeline.qa_fact
+        ^ " "
+        ^ String.concat ","
+            (List.map
+               (fun (v, c) -> v ^ "=" ^ Term.to_string (Term.Cst c))
+               (Subst.to_list qa.Ekg_core.Pipeline.qa_binding)))
+      qr.Ekg_core.Pipeline.q_answers
+
+  let texts = function
+    | Ok (e : Ekg_core.Pipeline.explanation) ->
+      Some [ e.Ekg_core.Pipeline.text; e.Ekg_core.Pipeline.deterministic_text ]
+    | Error _ -> None
+
+  let check_hot reg (s : Registry.session) c =
+    let res = Option.get s.Registry.chase in
+    let pipeline = s.Registry.pipeline in
+    List.iter
+      (fun (q : Atom.t) ->
+        let qs = Atom.to_string q in
+        let hot =
+          match Registry.query reg s q with
+          | Ok o -> o.Registry.qo_result
+          | Error _ -> QCheck2.Test.fail_reportf "%s: hot query failed" qs
+        in
+        if hot.Ekg_core.Pipeline.q_mode <> `Materialized then
+          QCheck2.Test.fail_reportf "%s: hot session did not take the lookup" qs;
+        let reference =
+          match
+            Ekg_core.Pipeline.specialize pipeline ~pred:q.Atom.pred
+              ~mask:(Ekg_engine.Magic.adornment q)
+          with
+          | Error e -> QCheck2.Test.fail_reportf "%s: %s" qs e
+          | Ok spec -> (
+            match Ekg_core.Pipeline.query pipeline spec s.Registry.edb q with
+            | Ok r -> r
+            | Error e ->
+              QCheck2.Test.fail_reportf "%s: %s" qs (Ekg_engine.Chase.error_to_string e))
+        in
+        if render hot <> render reference then
+          QCheck2.Test.fail_reportf "%s:\n materialized: %s\n %s: %s" qs
+            (String.concat "; " (render hot))
+            (Ekg_core.Pipeline.mode_name reference.Ekg_core.Pipeline.q_mode)
+            (String.concat "; " (render reference));
+        List.iter
+          (fun (qa : Ekg_core.Pipeline.query_answer) ->
+            let served =
+              match
+                Ekg_core.Pipeline.explain_atom pipeline res
+                  (Ekg_engine.Fact.atom qa.Ekg_core.Pipeline.qa_fact)
+              with
+              | Ok [ e ] -> texts (Ok e)
+              | Ok _ | Error _ -> None
+            in
+            if texts (Ekg_core.Pipeline.explain_answer pipeline hot qa) <> served then
+              QCheck2.Test.fail_reportf "%s: explanation of %s differs from GET /explain" qs
+                (Ekg_engine.Fact.to_string qa.Ekg_core.Pipeline.qa_fact))
+          hot.Ekg_core.Pipeline.q_answers)
+      (queries c)
+
+  let raw = QCheck2.Gen.(triple (int_bound (nodes - 1)) (int_bound (nodes - 1)) (int_bound 39))
+
+  let print (base, ops) =
+    let show (i, j, k) = Printf.sprintf "(%d,%d,%d)" i j k in
+    Printf.sprintf "base [%s]; ops [%s]"
+      (String.concat " " (List.map show base))
+      (String.concat " "
+         (List.map (fun (add, r) -> (if add then "+" else "-") ^ show r) ops))
+
+  let prop name c =
+    QCheck2.Test.make ~name:(name ^ " lookup = magic lane") ~count:40
+      ~print
+      QCheck2.Gen.(pair (list_size (int_range 0 10) raw) (list_size (int_range 1 5) (pair bool raw)))
+      (fun (base, ops) ->
+        let reg = Registry.create (Metrics.create ()) in
+        let s =
+          match Registry.add reg c.spec with
+          | Ok s -> s
+          | Error e -> QCheck2.Test.fail_reportf "add: %s" e
+        in
+        let update op atoms =
+          match Registry.update_facts reg s op atoms with
+          | Ok _ -> ()
+          | Error e ->
+            QCheck2.Test.fail_reportf "update: %s" (Ekg_engine.Chase.error_to_string e)
+        in
+        (* swap the generated base in while the session is dormant *)
+        update `Retract s.Registry.edb;
+        update `Add (c.fixed @ List.map c.fact base);
+        (match Registry.materialize reg s with
+        | Ok _ -> ()
+        | Error e ->
+          QCheck2.Test.fail_reportf "materialize: %s" (Ekg_engine.Chase.error_to_string e));
+        check_hot reg s c;
+        List.iter
+          (fun (add, ((i, j, k) as r)) ->
+            (if add then update `Add [ c.fact r ]
+             else
+               match s.Registry.edb with
+               | [] -> ()
+               | edb -> update `Retract [ List.nth edb ((i + (nodes * j) + k) mod List.length edb) ]);
+            check_hot reg s c)
+          ops;
+        true)
+end
+
+let dl_properties =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      Dl.prop "company control" Dl.company_control;
+      Dl.prop "close link" Dl.close_link;
+      Dl.prop "stress test" Dl.stress_test;
+      Dl.prop "existential head" Dl.existential_head;
+    ]
+
 let test_explain_get_parity () =
   (* GET explain shares the POST endpoint's grammar, cache and the
      paged read envelope *)
@@ -2382,7 +2799,17 @@ let () =
           Alcotest.test_case "deadline 504" `Quick test_query_deadline_504;
           Alcotest.test_case "wide events" `Quick test_query_wide_events;
           Alcotest.test_case "GET explain parity" `Quick test_explain_get_parity;
-        ] );
+          Alcotest.test_case "materialized once hot" `Quick test_query_lane_switch;
+          Alcotest.test_case "hot session runs no chase" `Quick
+            test_query_hot_session_runs_no_chase;
+          Alcotest.test_case "evicted session back to magic" `Quick
+            test_query_evicted_session_back_to_magic;
+          Alcotest.test_case "answer cache keeps no instance" `Quick
+            test_query_cache_keeps_no_instance;
+          Alcotest.test_case "hot lookups race live updates" `Quick
+            test_query_hot_lookup_races_updates;
+        ]
+        @ dl_properties );
       ( "persistence",
         [
           Alcotest.test_case "warm restore after restart" `Quick
