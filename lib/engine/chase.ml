@@ -964,8 +964,10 @@ let run_exn ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent progra
    Additions warm-start the semi-naive loop (new facts are the delta);
    retractions run DRed over the provenance DAG: over-delete the cone
    of consequences reachable from a retracted fact, then re-derive
-   whatever still has an alternative proof by fully re-evaluating the
-   rules deriving the deleted predicates.  Stratified negation is
+   whatever still has an alternative proof by probing the rules
+   deriving the deleted facts with their heads bound to those facts'
+   values (a full evaluation where no probe can stand in for it: see
+   [run_stratum] in [apply_incremental]).  Stratified negation is
    handled per stratum: once a negated predicate has changed, the
    negating rule's previous conclusions are over-deleted and the rule
    re-evaluates in full, so deletions can enable later-stratum facts
@@ -981,6 +983,8 @@ type update = {
   upd_retracted : int;
   upd_rederived : int;
   upd_changed_preds : string list;
+  upd_overdeleted : int;
+  upd_full_passes : int;
 }
 
 (* 2: aggregate inputs fold in ascending order *)
@@ -1162,26 +1166,30 @@ let rechase ?domains ?max_rounds ?budget (program : Program.t) ~base ~before ~se
   match run_checked ?domains ?max_rounds ?budget program base with
   | Error _ as e -> e
   | Ok fresh ->
-    (* observable diff for the update report: compare rendered active
-       instances (both small relative to the chase itself) *)
-    let dump facts =
-      let tbl = Hashtbl.create 256 in
-      List.iter (fun (f : Fact.t) -> Hashtbl.replace tbl (Fact.to_string f) ()) facts;
-      tbl
-    in
-    let before = dump before and after = dump (Database.active_all fresh.db) in
-    let count_missing a b =
-      Hashtbl.fold (fun k () n -> if Hashtbl.mem b k then n else n + 1) a 0
+    (* observable diff for the update report: the facts active on both
+       sides, found by the fresh database's own key lookup (predicate
+       and argument values) — each side holds a fact at most once *)
+    let kept =
+      List.fold_left
+        (fun n (f : Fact.t) ->
+          match Database.find_exact fresh.db f.Fact.pred f.Fact.args with
+          | Some g when Database.is_active fresh.db g.Fact.id -> n + 1
+          | Some _ | None -> n)
+        0 before
     in
     Ok
       ( fresh,
         {
           upd_incremental = false;
           upd_rounds = fresh.rounds;
-          upd_added = count_missing after before;
-          upd_retracted = count_missing before after;
+          upd_added = Database.active_size fresh.db - kept;
+          upd_retracted = List.length before - kept;
           upd_rederived = 0;
           upd_changed_preds = affected_preds program seeds;
+          upd_overdeleted = 0;
+          (* the cold chase's first round of every stratum *)
+          upd_full_passes =
+            List.length (List.filter (fun r -> not (Rule.has_agg r)) program.Program.rules);
         } )
 
 let seed_preds (res : result) ~adds ~retract_ids =
@@ -1240,22 +1248,30 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
   let deleted_preds = Hashtbl.create 8 in
   let changed_preds = Hashtbl.create 8 in
   let retracted_total = ref 0 in
+  let overdeleted = ref 0 in
+  let full_passes = ref 0 in
   let rederived = ref 0 in
   let added = ref 0 in
   let derived_this_update = ref 0 in
   let total_new_rounds = ref 0 in
   let overflow = ref false in
   let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
-  (* premise -> consumers, over every derivation recorded so far.  Facts
-     inserted during this update never need the index: deletions only
-     target facts that predate their stratum's evaluation. *)
+  (* premise -> consumers, over every derivation recorded before the
+     first insertion.  Facts inserted during this update never need the
+     index: deletions only target facts that predate their stratum's
+     evaluation.  Only retractions and negated atoms delete, so other
+     updates skip the walk over the provenance. *)
   let consumers = Hashtbl.create 256 in
-  Provenance.iter prov (fun id (d : Provenance.derivation) ->
-      List.iter
-        (fun p ->
-          let prior = Option.value ~default:[] (Hashtbl.find_opt consumers p) in
-          Hashtbl.replace consumers p (id :: prior))
-        d.Provenance.premises);
+  if
+    retract_ids <> []
+    || List.exists (List.exists (fun r -> Rule.negative_atoms r <> [])) strata
+  then
+    Provenance.iter prov (fun id (d : Provenance.derivation) ->
+        List.iter
+          (fun p ->
+            let prior = Option.value ~default:[] (Hashtbl.find_opt consumers p) in
+            Hashtbl.replace consumers p (id :: prior))
+          d.Provenance.premises);
   (* DRed over-deletion: everything reachable from the roots through
      any recorded derivation loses its support.  The cone runs through
      superseded aggregates too: they stay in the chase graph and facts
@@ -1281,6 +1297,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
         Intvec.push st.log id;
         Hashtbl.replace deleted id ();
         incr retracted_total;
+        incr overdeleted;
         let f = Database.fact db id in
         Hashtbl.replace deleted_preds f.Fact.pred ();
         Hashtbl.replace changed_preds f.Fact.pred ()
@@ -1452,15 +1469,39 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
         (fun r -> if Rule.has_agg r then Some (r, ref 0, List.memq r neg_affected) else None)
         rules
     in
-    (* plain rules that must re-evaluate in full on the stratum's first
-       round: negation-affected ones, and every rule that could supply
-       an alternative proof for an over-deleted predicate *)
-    let full_rules =
+    (* plain rules the stratum's first round re-evaluates beyond the
+       delta: negation-affected ones, whose conclusions all fell, and
+       every rule that could supply an alternative proof for an
+       over-deleted fact.  The latter probe their join once per
+       distinct head key of the facts still lost (retraction roots
+       included: a rule may derive what is no longer extensional),
+       which yields every match the full pass would hand back for them;
+       the rest of the full pass only re-finds conclusions that never
+       fell.  The full pass remains where no probe can stand in for it:
+       negation-affected rules, rules whose head variables no positive
+       atom binds, and the nested reference engine. *)
+    let rederiving =
       List.filter
         (fun (r : Rule.t) ->
           Hashtbl.mem deleted_preds (Rule.head_pred r)
           || List.memq r neg_affected)
         plain
+    in
+    let probed, full_rules =
+      List.partition
+        (fun (r : Rule.t) ->
+          strategy = Matcher.Hash
+          && (not (List.memq r neg_affected))
+          && Matcher.head_bound_vars r <> [])
+        rederiving
+    in
+    let lost =
+      if probed = [] then []
+      else
+        Hashtbl.fold (fun id () acc -> id :: acc) deleted retract_ids
+        |> List.filter (fun id -> not (Database.is_active db id))
+        |> List.sort_uniq Int.compare
+        |> List.map (Database.fact db)
     in
     let pending = ref (List.filter (Database.is_active db) !newly_active) in
     let first = ref true in
@@ -1468,14 +1509,14 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
     while !continue && (not !overflow) && Atomic.get stop = None do
       if check_budget () then ()
       else begin
-        let full = if !first then full_rules else [] in
+        let rederive = if !first then rederiving else [] in
         let delta_ids = !pending in
         let aggs_due =
           List.exists
             (fun (_, cursor, neg) -> (!first && neg) || !cursor < Intvec.length st.log)
             aggs
         in
-        if full = [] && delta_ids = [] && not aggs_due then continue := false
+        if rederive = [] && delta_ids = [] && not aggs_due then continue := false
         else begin
           incr total_new_rounds;
           if !total_new_rounds > max_rounds then overflow := true
@@ -1499,27 +1540,42 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
               in
               let card = Database.pred_card db in
               (* one thunk list per rule, in stratum rule order, exactly
-                 like a cold round: full evaluation for the re-derivation
-                 rules, semi-naive seed passes for the rest *)
+                 like a cold round: a full evaluation, or the semi-naive
+                 seed passes followed by the re-derivation probes *)
               let rule_tasks =
                 List.filter_map
                   (fun (r : Rule.t) ->
                     let plan = Plan.compile ~card r in
-                    let evaluated = (!first && List.memq r full)
-                                    || Option.is_some delta_filter in
-                    if evaluated then
-                      ignore (Matcher.prepare ~strategy db r plan);
-                    if !first && List.memq r full then
+                    let full = List.memq r rederive && List.memq r full_rules in
+                    let probe = List.memq r rederive && List.memq r probed in
+                    if full || probe || Option.is_some delta_filter then
+                      ignore
+                        (Matcher.prepare ~strategy
+                           ?bound:(if probe then Some (Matcher.head_bound_vars r) else None)
+                           db r plan);
+                    if full then begin
+                      incr full_passes;
                       Some
                         (r, Matcher.full_tasks ~strategy ?interrupt ~plan
                               ~partitions db r)
+                    end
                     else
-                      match delta_filter with
-                      | Some d ->
-                        Some
-                          (r, Matcher.delta_tasks ~strategy ?interrupt ~plan
-                                ~partitions ~delta:d db r)
-                      | None -> None)
+                      let seeded =
+                        match delta_filter with
+                        | Some d ->
+                          Matcher.delta_tasks ~strategy ?interrupt ~plan
+                            ~partitions ~delta:d db r
+                        | None -> []
+                      in
+                      let probes =
+                        if probe then
+                          Matcher.head_probe_tasks ?interrupt ~plan ~partitions
+                            ?delta:delta_filter ~heads:lost db r
+                        else []
+                      in
+                      match seeded @ probes with
+                      | [] -> None
+                      | tasks -> Some (r, tasks))
                   plain
               in
               let flat =
@@ -1673,6 +1729,8 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
               upd_retracted = !retracted_total - !rederived;
               upd_rederived = !rederived;
               upd_changed_preds = changed;
+              upd_overdeleted = !overdeleted;
+              upd_full_passes = !full_passes;
             } )
     end
 

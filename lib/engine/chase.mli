@@ -269,12 +269,24 @@ val run_exn :
     the stored provenance DAG: first {e over-delete} the cone of
     consequences reachable from a retracted fact through any recorded
     derivation, then {e re-derive} every over-deleted fact that still
-    has a surviving alternative proof by fully re-evaluating the rules
-    deriving the deleted predicates.  Stratified negation is handled
+    has a surviving alternative proof.  Re-derivation is proportional
+    to what fell: on its stratum's first round, each plain rule
+    deriving an over-deleted fact (or a retracted one) binds the head
+    variables its positive body binds to that fact's values and probes
+    its hash join once per distinct key
+    ({!Matcher.head_probe_tasks}), and the semi-naive tail propagates
+    whatever came back.  A rule is evaluated over the whole instance
+    instead only where no probe can stand in for it: when its negated
+    premises changed, when no positive atom binds any head variable,
+    and under the nested reference engine ([EKG_JOIN=nested]);
+    {!update} counts those passes.  Stratified negation is handled
     stratum-by-stratum: when a predicate that some rule negates has
     changed, that rule's previous conclusions are over-deleted and the
     rule is fully re-evaluated, so a deletion can {e enable} facts in a
-    later stratum (and an addition can disable them).
+    later stratum (and an addition can disable them).  The premise →
+    consumers index the over-deletion walks is built from the
+    provenance before the first insertion, and only when the update
+    can delete: it retracts, or some rule has a negated atom.
 
     The contract, checked by property tests: after any sequence of
     updates, the active instance is {e content-identical}
@@ -354,6 +366,13 @@ type update = {
           of an aggregate rule that re-aggregated any group counts as
           changed, since the group's value may have moved where no fact
           did *)
+  upd_overdeleted : int;
+      (** facts the DRed over-deletion deactivated, retraction roots
+          included, whether or not they came back; 0 on a re-chase *)
+  upd_full_passes : int;
+      (** plain-rule evaluations over the whole instance during the
+          update: 0 for an incremental update whose re-derivation took
+          head-bound probes; every plain rule on a re-chase *)
 }
 
 val incrementable : Program.t -> bool

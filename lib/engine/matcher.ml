@@ -678,9 +678,11 @@ let touched_groups ?interrupt ~changed db (r : Rule.t) =
     (Rule.positive_atoms body);
   GroupSet.elements !keys
 
-(* One group's matches: the full pass under the same plan with the
-   group key pre-bound, so they come out in the full pass's order —
-   exactly the subsequence it would have produced for this key. *)
+(* The matches whose [vars] take the values [key] — one group's, or
+   (plain rule, head variables) one re-derivation key's: the full pass
+   under the same plan with the key pre-bound, so they come out in the
+   full pass's order — exactly the subsequence it would have produced
+   for this key. *)
 let probe_group ?interrupt ?plan db body group_vars key =
   hash_matches ?interrupt ?plan
     ~bound:(List.map2 (fun v x -> (v, Database.value_id db x)) group_vars key)
@@ -754,14 +756,62 @@ let match_agg_rule ?(strategy = strategy_of_env ()) ?interrupt ?plan ?groups db
         else None)
     grouped
 
+let head_bound_vars (r : Rule.t) =
+  let body_vars = List.concat_map Atom.vars (Rule.positive_atoms r) in
+  List.filter (fun v -> List.mem v body_vars) (Atom.vars r.head)
+
+(* Re-derivation probes.  A match can derive a head fact only if the
+   head variables its body binds take that fact's values, so the lost
+   facts' distinct keys over those variables (distinct as interned ids,
+   which identify numerically equal [Int]/[Num] values) cover every
+   match the full pass would hand back for them, each probe in the
+   full pass's order.  Matches using a delta fact are dropped — the
+   round's delta passes produce them. *)
+let head_probe_tasks ?interrupt ?plan ?(partitions = 1) ?delta ~heads db (r : Rule.t) =
+  let vars = head_bound_vars r in
+  let pred = Rule.head_pred r and arity = List.length r.head.Atom.args in
+  let seen = Hashtbl.create 16 in
+  let keys =
+    List.filter_map
+      (fun (f : Fact.t) ->
+        if f.Fact.pred <> pred || Array.length f.Fact.args <> arity then None
+        else
+          match Subst.match_atom Subst.empty ~pattern:r.head f.Fact.args with
+          | None -> None (* clashes with a head constant or repeated variable *)
+          | Some s ->
+            let key = group_key vars s in
+            let ids = List.map (Database.value_id db) key in
+            if Hashtbl.mem seen ids then None
+            else begin
+              Hashtbl.add seen ids ();
+              Some key
+            end)
+      heads
+  in
+  let fresh =
+    match delta with
+    | None -> Fun.const true
+    | Some d -> fun m -> not (List.exists d.mem m.used_facts)
+  in
+  let probe key = List.filter fresh (probe_group ?interrupt ?plan db r vars key) in
+  let keys = Array.of_list keys in
+  let nkeys = Array.length keys in
+  let chunks = min (max 1 partitions) nkeys in
+  List.init chunks (fun c () ->
+      let lo = c * nkeys / chunks and hi = (c + 1) * nkeys / chunks in
+      List.concat_map probe (Array.to_list (Array.sub keys lo (hi - lo))))
+
 (* Sequential-phase index preparation: ensure the hash indexes every
    join position will probe, so the (parallel, pure-read) match phase
    never builds.  For an aggregating rule, [changed] selects the pass
    about to run: absent, the full pass; present, the touched-group
-   discovery seeded from those facts and the group probes.  Returns
-   the number of indexes that did extension work — the chase's
-   [join_builds] counter. *)
-let prepare ?(strategy = strategy_of_env ()) ?changed db (r : Rule.t) (plan : Plan.t) =
+   discovery seeded from those facts and the group probes.  For a plain
+   rule, [bound] adds the indexes of the probes that pre-bind those
+   variables — a superset of the full pass's.  Returns the number of
+   indexes that did extension work — the chase's [join_builds]
+   counter. *)
+let prepare ?(strategy = strategy_of_env ()) ?changed ?bound db (r : Rule.t)
+    (plan : Plan.t) =
   let ensure ?bound rule order =
     let nodes, _, _ = compile_nodes ?bound db rule order in
     Array.fold_left
@@ -777,7 +827,7 @@ let prepare ?(strategy = strategy_of_env ()) ?changed db (r : Rule.t) (plan : Pl
   in
   match strategy, r.agg, changed with
   | Nested, _, _ -> 0
-  | Hash, None, _ -> ensure r plan.Plan.order
+  | Hash, None, _ -> ensure ?bound r plan.Plan.order
   | Hash, Some _, None ->
     let _, body, _ = agg_parts r in
     ensure body plan.Plan.order

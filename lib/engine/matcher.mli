@@ -102,14 +102,41 @@ val full_tasks :
     of a stratum, partitioned like {!delta_tasks}; concatenating the
     results in task order equals [match_rule] without [delta]. *)
 
+val head_bound_vars : Rule.t -> string list
+(** The head variables some positive body atom binds, in head order —
+    the key of {!head_probe_tasks}.  Variables bound only by an
+    assignment (close link's [W = W1 * W2]) are not among them. *)
+
+val head_probe_tasks :
+  ?interrupt:(unit -> bool) ->
+  ?plan:Plan.t -> ?partitions:int -> ?delta:delta ->
+  heads:Fact.t list -> Database.t -> Rule.t -> (unit -> match_result list) list
+(** Re-derivation of a plain rule by head-bound probes, under the
+    [Hash] engine: every match of the rule whose head could be one of
+    the [heads] facts.  Facts of another predicate, or that do not
+    unify with the head's constants and repeated variables, are
+    skipped; the rest are keyed by their values at {!head_bound_vars},
+    and each distinct key runs one hash join under [plan] with those
+    variables pre-bound (the indexes of {!prepare} [~bound]).  A probe's
+    matches are the full pass's matches with that key, in the full
+    pass's order; together they include every match deriving one of
+    [heads], and possibly other facts that share a key.  With [delta],
+    matches using a delta fact are left out: the round's {!delta_tasks}
+    produce those.  [partitions] splits the keys into contiguous chunks,
+    one task each; concatenating the results in task order is
+    independent of the chunking.  [[]] when no fact yields a key. *)
+
 val prepare :
-  ?strategy:strategy -> ?changed:int list -> Database.t -> Rule.t -> Plan.t -> int
+  ?strategy:strategy -> ?changed:int list -> ?bound:string list ->
+  Database.t -> Rule.t -> Plan.t -> int
 (** Ensure the hash indexes the rule's join positions will probe
     ({!Database.ensure_index} on each {!Plan.key_masks} mask).  For an
     aggregating rule, [changed] names the pass about to run: absent,
     the full pass under [plan]; present, the {!touched_groups}
     discovery seeded from [changed] and the group probes of
-    {!match_agg_rule} [~groups].  {e Mutates the database}: call from a
+    {!match_agg_rule} [~groups].  For a plain rule, [bound] also covers
+    the {!head_probe_tasks} probes pre-binding those variables (the
+    full pass's indexes included).  {e Mutates the database}: call from a
     sequential step, never concurrently with match tasks.  Returns the
     number of indexes built or extended.  No-op (0) under [Nested]. *)
 

@@ -536,10 +536,26 @@ let record_update t (upd : Chase.update) =
     retracted_facts_metric
     (float_of_int upd.Chase.upd_retracted)
 
+(* ground atoms under [Atom.equal], which identifies numerically equal
+   [Int] and [Num] arguments — as [Value.hash] does *)
+module AtomTbl = Hashtbl.Make (struct
+  type t = Atom.t
+
+  let equal = Atom.equal
+
+  let hash (a : Atom.t) =
+    List.fold_left
+      (fun h (t : Term.t) ->
+        (h * 31)
+        + match t with Term.Cst v -> Ekg_kernel.Value.hash v | Term.Var v -> Hashtbl.hash v)
+      (Hashtbl.hash a.Atom.pred) a.Atom.args
+end)
+
 (* update the dormant EDB mirror only — nothing is materialized yet, so
    there is nothing to maintain; the next materialization sees the new
    base.  Validation mirrors the engine's: ground additions, known
-   extensional retractions. *)
+   extensional retractions.  One pass over the mirror against a table
+   of the request's atoms. *)
 let update_edb_only (session : session) op atoms =
   let program = session.pipeline.Pipeline.program in
   match
@@ -560,50 +576,68 @@ let update_edb_only (session : session) op atoms =
         upd_retracted = retracted;
         upd_rederived = 0;
         upd_changed_preds = changed;
+        upd_overdeleted = 0;
+        upd_full_passes = 0;
       }
     in
+    (* request atom -> whether the mirror holds it *)
+    let held = AtomTbl.create (2 * List.length atoms) in
+    List.iter (fun a -> AtomTbl.replace held a false) atoms;
     match op with
     | `Add ->
       (* dedupe against the mirror and within the request itself — a
-         repeated atom must not enter the base twice *)
+         repeated atom must not enter the base twice; fresh atoms are
+         appended in request order *)
+      List.iter (fun e -> if AtomTbl.mem held e then AtomTbl.replace held e true) session.edb;
       let fresh =
-        List.rev
-          (List.fold_left
-             (fun acc a ->
-               if
-                 List.exists (Atom.equal a) session.edb
-                 || List.exists (Atom.equal a) acc
-               then acc
-               else a :: acc)
-             [] atoms)
+        List.filter
+          (fun a ->
+            if AtomTbl.find held a then false
+            else begin
+              AtomTbl.replace held a true;
+              true
+            end)
+          atoms
       in
       session.edb <- session.edb @ fresh;
       Ok (upd ~added:(List.length fresh) ~retracted:0)
     | `Retract -> (
-      match
-        List.find_opt
-          (fun a -> not (List.exists (Atom.equal a) session.edb))
-          atoms
-      with
+      let removed = ref 0 in
+      let kept =
+        List.filter
+          (fun e ->
+            if AtomTbl.mem held e then begin
+              AtomTbl.replace held e true;
+              incr removed;
+              false
+            end
+            else true)
+          session.edb
+      in
+      match List.find_opt (fun a -> not (AtomTbl.find held a)) atoms with
       | Some missing ->
         Error
           (Chase.Unknown_fact
              ("fact not in the extensional database: " ^ Atom.to_string missing))
       | None ->
-        let before = List.length session.edb in
-        session.edb <-
-          List.filter
-            (fun e -> not (List.exists (Atom.equal e) atoms))
-            session.edb;
-        Ok (upd ~added:0 ~retracted:(before - List.length session.edb))))
+        session.edb <- kept;
+        Ok (upd ~added:0 ~retracted:!removed)))
 
+(* Each committed update logs its phases next to its counts: the
+   copy-on-write copy, the engine's pass, and the EDB mirror rebuild
+   (or, dormant, the mirror edit that is the whole update). *)
 let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
+  let clock_ms () = Ekg_obs.Clock.now_s () *. 1000. in
   let committed =
     with_lock session.lock (fun () ->
       session.last_used <- Unix.gettimeofday ();
       let outcome =
         match session.chase with
-        | None -> update_edb_only session op atoms
+        | None -> (
+          let t0 = clock_ms () in
+          match update_edb_only session op atoms with
+          | Ok upd -> Ok (upd, "dormant", 0., 0., clock_ms () -. t0)
+          | Error e -> Error e)
         | Some res -> (
           let apply =
             match op with
@@ -620,23 +654,27 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
              explanation cache exactly as they were.  The
              non-incrementable fallback re-chases without touching its
              input, so it needs no copy. *)
+          let t0 = clock_ms () in
           let target =
             if Pipeline.incrementable session.pipeline then
               Chase.copy_result res
             else res
           in
+          let t1 = clock_ms () in
           match
             apply ~domains:t.chase_domains ~budget session.pipeline target atoms
           with
           | Ok (res', upd) ->
+            let t2 = clock_ms () in
             session.chase <- Some res';
             (* the engine's view of the base is now authoritative *)
             session.edb <- Chase.edb_atoms res';
-            Ok upd
-          | Error _ as e -> e)
+            let path = if upd.Chase.upd_incremental then "incremental" else "rechase" in
+            Ok (upd, path, t1 -. t0, t2 -. t1, clock_ms () -. t2)
+          | Error e -> Error e)
       in
       match outcome with
-      | Ok upd ->
+      | Ok (upd, path, copy_ms, apply_ms, mirror_ms) ->
         session.update_gen <- session.update_gen + 1;
         invalidate_cache_locked session upd.Chase.upd_changed_preds;
         let dropped =
@@ -647,13 +685,17 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
             ~help:"Cached query answers dropped by fact updates"
             query_invalidations_metric (float_of_int dropped);
         record_update t upd;
-        Ekg_obs.Log.Ctx.put "chase_rounds"
-          (Ekg_obs.Log.Int upd.Chase.upd_rounds);
-        Ekg_obs.Log.Ctx.put "facts_added" (Ekg_obs.Log.Int upd.Chase.upd_added);
-        Ekg_obs.Log.Ctx.put "facts_retracted"
-          (Ekg_obs.Log.Int upd.Chase.upd_retracted);
-        Ekg_obs.Log.Ctx.put "incremental"
-          (Ekg_obs.Log.Bool upd.Chase.upd_incremental);
+        let open Ekg_obs.Log in
+        Ctx.put "chase_rounds" (Int upd.Chase.upd_rounds);
+        Ctx.put "facts_added" (Int upd.Chase.upd_added);
+        Ctx.put "facts_retracted" (Int upd.Chase.upd_retracted);
+        Ctx.put "facts_overdeleted" (Int upd.Chase.upd_overdeleted);
+        Ctx.put "full_passes" (Int upd.Chase.upd_full_passes);
+        Ctx.put "incremental" (Bool upd.Chase.upd_incremental);
+        Ctx.put "update_path" (Str path);
+        Ctx.put "update_copy_ms" (Float copy_ms);
+        Ctx.put "update_apply_ms" (Float apply_ms);
+        Ctx.put "update_mirror_ms" (Float mirror_ms);
         Ok upd
       | Error _ as e -> e)
   in

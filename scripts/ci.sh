@@ -15,7 +15,10 @@
 # snapshot/restore vs cold chase; fails if parallel, incremental or
 # restored state ever diverges), the join-engine identity smoke (both
 # bundled aggregation apps under the hash and nested engines must
-# fingerprint identically), and the documentation gate
+# fingerprint identically), the engine's incremental and property
+# suites once more under the nested reference engine (whose DRed keeps
+# the full re-derivation pass the hash engine replaces with head-bound
+# probes), and the documentation gate
 # (doc-comment lint always; `dune build @doc` + HTML artifact when
 # odoc is installed). Run from anywhere.
 set -euo pipefail
@@ -45,6 +48,12 @@ for app in company-control stress-test; do
   echo "ci: $app: join-engine identity ok ($fp_hash)"
 done
 
+# both re-derivation paths: the default run above took the hash
+# engine's head-bound probes; the nested engine keeps the full pass,
+# the oracle the probes are checked against
+EKG_JOIN=nested dune exec test/test_engine.exe -- test incremental
+EKG_JOIN=nested dune exec test/test_engine.exe -- test properties
+
 # documentation: lint is unconditional; rendering needs odoc, which
 # not every CI image carries — skip rendering gracefully when absent
 bash scripts/doc_lint.sh
@@ -65,4 +74,4 @@ else
   echo "ci: odoc not installed; skipped @doc rendering (doc lint still enforced)"
 fi
 
-echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + docs)"
+echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + nested re-derivation + docs)"

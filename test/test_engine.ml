@@ -1967,6 +1967,103 @@ path(X, X) -> false.
   check string' "original untouched by the rejected update" before
     (Database.fingerprint res.Chase.db)
 
+(* --- re-derivation by head-bound probes ------------------------------------
+
+   Under the hash engine DRed re-derives an over-deleted fact by
+   probing the rules deriving it with their head bound to its values;
+   the nested engine, the reference, keeps the full pass.  Each test
+   checks content identity with a cold chase, and the pass count the
+   engine in use must report. *)
+
+let probing = Matcher.strategy_of_env () = Matcher.Hash
+
+let check_no_full_pass msg (upd : Chase.update) =
+  if probing then check int' msg 0 upd.Chase.upd_full_passes
+  else check bool' (msg ^ " (nested: full pass)") true (upd.Chase.upd_full_passes >= 1)
+
+let test_rederive_through_second_rule () =
+  let src = {|
+r1: e1(X, Y) -> link(X, Y).
+r2: e2(X, Z), e3(Z, Y) -> link(X, Y).
+r3: link(X, Y) -> seen(X, Y).
+@goal(seen).
+|}
+  in
+  let f p x y = Atom.make p [ Term.str x; Term.str y ] in
+  let base = [ f "e1" "a" "b"; f "e2" "a" "m"; f "e3" "m" "b"; f "e1" "c" "d" ] in
+  let program, res = run_atoms src base in
+  let res', upd = update_exn (Chase.retract_facts program res [ f "e1" "a" "b" ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check int' "e1, link and seen over-deleted" 3 upd.Chase.upd_overdeleted;
+  check int' "link and seen re-derived" 2 upd.Chase.upd_rederived;
+  check int' "only the retracted fact is gone" 1 upd.Chase.upd_retracted;
+  check_no_full_pass "re-derived by probes" upd;
+  check bool' "link(a, b) back through r2" true
+    (List.mem {|link("a", "b")|} (actives res' "link"));
+  check_matches_cold "re-derivation = cold chase" program res'
+    (List.tl base)
+
+let test_rederive_second_round () =
+  (* path(a, c) has one derivation, through path(a, b), which falls
+     with e(a, b) and comes back through e(a, x), e(x, b) on the first
+     round; path(a, c) returns only on the second, from that delta *)
+  let base = [ edge "a" "b"; edge "b" "c"; edge "a" "x"; edge "x" "b" ] in
+  let program, res = run_atoms tc_src base in
+  let res', upd = update_exn (Chase.retract_facts program res [ edge "a" "b" ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check bool' "path(a, b) and path(a, c) re-derived" true (upd.Chase.upd_rederived >= 2);
+  check bool' "a second round ran" true (upd.Chase.upd_rounds >= 2);
+  check_no_full_pass "re-derived by probes" upd;
+  check bool' "path(a, c) restored" true
+    (List.mem {|path("a", "c")|} (actives res' "path"));
+  check_matches_cold "second-round re-derivation = cold chase" program res'
+    (List.tl base)
+
+let test_rederive_repeated_head_variable () =
+  let src = {|
+sigma1: own(X, Y) -> control(X, Y).
+sigma2: company(X) -> control(X, X).
+@goal(control).
+|}
+  in
+  let own x y = Atom.make "own" [ Term.str x; Term.str y ] in
+  let company x = Atom.make "company" [ Term.str x ] in
+  let base = [ company "a"; own "a" "b"; own "a" "a" ] in
+  let program, res = run_atoms src base in
+  let sigma2 = List.find (fun (r : Rule.t) -> r.Rule.id = "sigma2") program.Program.rules in
+  let fact x y =
+    match Database.find_exact res.Chase.db "control" [| Value.str x; Value.str y |] with
+    | Some f -> f
+    | None -> Alcotest.failf "control(%s, %s) missing" x y
+  in
+  check int' "control(a, b) does not unify with control(X, X): no probe" 0
+    (List.length (Matcher.head_probe_tasks ~heads:[ fact "a" "b" ] res.Chase.db sigma2));
+  check int' "control(a, a) does: one probe" 1
+    (List.length (Matcher.head_probe_tasks ~heads:[ fact "a" "a" ] res.Chase.db sigma2));
+  let res', upd = update_exn (Chase.retract_facts program res [ own "a" "b" ]) in
+  check int' "control(a, b) not re-derived" 0 upd.Chase.upd_rederived;
+  check_no_full_pass "no full pass" upd;
+  check_matches_cold "retraction = cold chase" program res' [ company "a"; own "a" "a" ];
+  let res'', upd = update_exn (Chase.retract_facts program res' [ own "a" "a" ]) in
+  check int' "control(a, a) back through sigma2" 1 upd.Chase.upd_rederived;
+  check_no_full_pass "re-derived by a probe" upd;
+  check_matches_cold "second retraction = cold chase" program res'' [ company "a" ]
+
+let test_rederive_unbound_head_keeps_full_pass () =
+  (* V is bound only by the assignment: no probe can key on it *)
+  let src = {|
+e(X, W), V = W + 1 -> next(V).
+@goal(next).
+|}
+  in
+  let e x w = Atom.make "e" [ Term.str x; Term.int w ] in
+  let program, res = run_atoms src [ e "a" 1; e "b" 1 ] in
+  let res', upd = update_exn (Chase.retract_facts program res [ e "a" 1 ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check bool' "full pass kept" true (upd.Chase.upd_full_passes >= 1);
+  check int' "next(2) back through e(b, 1)" 1 upd.Chase.upd_rederived;
+  check_matches_cold "retraction = cold chase" program res' [ e "b" 1 ]
+
 (* every active derived fact of an updated result must still carry a
    well-founded proof over active facts, grounded in the EDB.  The one
    inactive fact a proof may use is a superseded aggregate: monotonic
@@ -2407,6 +2504,60 @@ ok(Y) -> flagged(Y).
   check_matches_cold "retraction = cold chase" program res5
     [ e "a" 0.6; e "b" (-0.3); e "c" 0.5; e "f" (-0.5) ]
 
+(* Close link under retraction-heavy traffic: W = W1 * W2 binds a head
+   variable only through an assignment, and W >= 0.01 and W >= 0.2 cut.
+   Random ownership graphs over at most 8 companies, cycles allowed,
+   stakes on a 0.1 grid up to 0.5 so product chains stay short; most
+   of the pool starts present, so toggles mostly retract.  After every
+   update the instance equals a cold chase, every proof is
+   well-founded, and (hash engine) no rule ran a full pass. *)
+let prop_close_link_rederivation =
+  let own x y s =
+    Atom.make "own" [ str_i x; str_i y; Term.num (float_of_int s /. 10.) ]
+  in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 2 14) (triple (int_range 0 7) (int_range 0 7) (int_range 1 5))
+      >>= fun raw ->
+      let pool =
+        Array.of_list
+          (List.sort_uniq Atom.compare
+             (List.filter_map (fun (x, y, s) -> if x = y then None else Some (own x y s)) raw))
+      in
+      let n = Array.length pool in
+      map2
+        (fun base toggles ->
+          { fixed = []; pool; base = Array.of_list base;
+            toggles = (if n = 0 then [] else List.map (fun t -> t mod n) toggles) })
+        (list_repeat n (frequency [ (4, pure true); (1, pure false) ]))
+        (list_size (int_range 1 8) (int_range 0 1000)))
+  in
+  QCheck2.Test.make ~name:"close-link re-derivation by head-bound probes = cold chase"
+    ~count:60 ~print:print_scenario gen (fun s ->
+      let program = Ekg_apps.Close_link.program in
+      let present = Array.copy s.base in
+      match Chase.run program (scenario_facts s present) with
+      | Error _ -> false
+      | Ok res ->
+        let res = ref res in
+        List.for_all
+          (fun i ->
+            let update = if present.(i) then Chase.retract_facts else Chase.add_facts in
+            present.(i) <- not present.(i);
+            match update program !res [ s.pool.(i) ] with
+            | Error _ -> false
+            | Ok (r, upd) -> (
+              res := r;
+              upd.Chase.upd_incremental
+              && ((not probing) || upd.Chase.upd_full_passes = 0)
+              &&
+              match Chase.run program (scenario_facts s present) with
+              | Error _ -> false
+              | Ok cold ->
+                Database.fingerprint cold.Chase.db = Database.fingerprint r.Chase.db
+                && proofs_well_founded r))
+          s.toggles)
+
 let agg_programs =
   [
     ("company control", company_control_src, control_scenario_gen, `Incremental);
@@ -2440,6 +2591,7 @@ let qsuite =
       prop_unlimited_budget_is_identity;
       prop_incremental_equals_cold;
       prop_incremental_negation_equals_cold;
+      prop_close_link_rederivation;
     ]
   @ List.map QCheck_alcotest.to_alcotest agg_properties
 
@@ -2551,6 +2703,14 @@ let () =
             test_copy_result_isolated;
           Alcotest.test_case "copy_result isolates inconsistency" `Quick
             test_copy_result_isolates_inconsistency;
+          Alcotest.test_case "re-derived through a second rule" `Quick
+            test_rederive_through_second_rule;
+          Alcotest.test_case "re-derived on the second round" `Quick
+            test_rederive_second_round;
+          Alcotest.test_case "repeated head variable skips the probe" `Quick
+            test_rederive_repeated_head_variable;
+          Alcotest.test_case "unbound head keeps the full pass" `Quick
+            test_rederive_unbound_head_keeps_full_pass;
         ] );
       ( "constraints",
         [

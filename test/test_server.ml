@@ -1082,6 +1082,76 @@ let test_registry_duplicate_add_deduped () =
   | Ok upd -> check int' "re-adding is a no-op" 0 upd.Ekg_engine.Chase.upd_added
   | Error e -> Alcotest.failf "re-add: %s" (Ekg_engine.Chase.error_to_string e)
 
+(* The dormant mirror edit against the list code it replaced, kept here
+   as the reference: for random batches — repeats, re-adds, numerically
+   equal [Int]/[Num] atoms, retractions of missing atoms — the mirror
+   (order and representation), the counts and the error agree. *)
+let reference_mirror_edit mirror op atoms =
+  let open Ekg_datalog in
+  match op with
+  | `Add ->
+    let fresh =
+      List.rev
+        (List.fold_left
+           (fun acc a ->
+             if List.exists (Atom.equal a) mirror || List.exists (Atom.equal a) acc
+             then acc
+             else a :: acc)
+           [] atoms)
+    in
+    Ok (mirror @ fresh, List.length fresh, 0)
+  | `Retract -> (
+    match List.find_opt (fun a -> not (List.exists (Atom.equal a) mirror)) atoms with
+    | Some missing ->
+      Error ("fact not in the extensional database: " ^ Atom.to_string missing)
+    | None ->
+      let kept = List.filter (fun e -> not (List.exists (Atom.equal e) atoms)) mirror in
+      Ok (kept, 0, List.length mirror - List.length kept))
+
+let prop_dormant_mirror_edit =
+  let open Ekg_datalog in
+  let atom_gen =
+    QCheck2.Gen.(
+      map2
+        (fun pred v -> Atom.make pred [ Term.cst v ])
+        (oneofl [ "p"; "q" ])
+        (oneof
+           [
+             map Ekg_kernel.Value.int (int_range 0 3);
+             map (fun i -> Ekg_kernel.Value.num (float_of_int i)) (int_range 0 3);
+             pure (Ekg_kernel.Value.num 1.5);
+             pure (Ekg_kernel.Value.str "a");
+           ]))
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple (list_size (int_range 0 12) atom_gen) bool (list_size (int_range 0 8) atom_gen))
+  in
+  let render l = String.concat " " (List.map Atom.to_string l) in
+  let print (mirror, add, atoms) =
+    Printf.sprintf "mirror: %s\n%s: %s" (render mirror)
+      (if add then "add" else "retract")
+      (render atoms)
+  in
+  QCheck2.Test.make ~name:"dormant mirror edit = list reference" ~count:300 ~print gen
+    (fun (mirror, add, atoms) ->
+      let reg = Registry.create (Metrics.create ()) in
+      let session =
+        registry_inline_session reg "p(X) -> r(X).\nq(X) -> r(X).\n@goal(r).\n"
+      in
+      session.Registry.edb <- mirror;
+      let op = if add then `Add else `Retract in
+      match
+        (Registry.update_facts reg session op atoms, reference_mirror_edit mirror op atoms)
+      with
+      | Ok upd, Ok (expected, added, retracted) ->
+        render session.Registry.edb = render expected
+        && upd.Ekg_engine.Chase.upd_added = added
+        && upd.Ekg_engine.Chase.upd_retracted = retracted
+      | Error (Ekg_engine.Chase.Unknown_fact got), Error expected ->
+        got = expected && render session.Registry.edb = render mirror
+      | _ -> false)
+
 let test_registry_stale_generation_not_cached () =
   (* an explanation computed before an update committed must not be
      stored after the update's invalidation ran *)
@@ -1546,6 +1616,102 @@ let test_chase_span_utilization_labels () =
   check bool' "workers label" true (contains body {|"workers":"2"|});
   check bool' "busy clock label" true (contains body "worker_busy_ms");
   check bool' "utilization label" true (contains body "utilization")
+
+(* Every fact update logs its path, its phases and what its
+   re-derivation cost.  Close link re-derives by head-bound probes (the
+   nested reference engine keeps the full pass); a retraction that
+   enables a negated rule re-evaluates that rule in full; an
+   existential head re-chases; a dormant session edits its mirror. *)
+let test_wide_event_update_fields () =
+  let st, lines = capturing_state () in
+  let session program =
+    let created =
+      Router.handle st
+        (request
+           ~body:(Json.to_string (Json.Obj [ "program", Json.str program ]))
+           Http.POST [ "v1"; "sessions" ])
+    in
+    check int' "session created" 201 created.Http.status;
+    match Json.mem_str "id" (body_json created) with
+    | Some id -> id
+    | None -> Alcotest.fail "no session id"
+  in
+  let materialize id =
+    check int' "materialized" 200
+      (Router.handle st (request Http.GET [ "v1"; "sessions"; id; "fingerprint" ]))
+        .Http.status
+  in
+  let update meth id fact =
+    let r =
+      Router.handle st
+        (request
+           ~body:(Json.to_string (Json.Obj [ "facts", Json.Arr [ Json.str fact ] ]))
+           meth [ "v1"; "sessions"; id; "facts" ])
+    in
+    check int' ("update " ^ fact) 200 r.Http.status;
+    match List.rev (lines ()) with
+    | line :: _ -> (
+      match Json.parse line with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "wide event is not JSON (%s): %s" e line)
+    | [] -> Alcotest.fail "no wide event"
+  in
+  let has_ms k j =
+    match Json.member k j with Some (Json.Num ms) -> ms >= 0. | _ -> false
+  in
+  let close_link =
+    session
+      {|
+cl1: own(X, Y, W) -> pathOwn(X, Y, W).
+cl2: pathOwn(X, Z, W1), own(Z, Y, W2), W = W1 * W2, W >= 0.01 -> pathOwn(X, Y, W).
+cl3: pathOwn(X, Y, W), W >= 0.2 -> closeLink(X, Y).
+@goal(closeLink).
+own("A", "B", 0.5). own("B", "C", 0.6). own("A", "C", 0.3).
+|}
+  in
+  materialize close_link;
+  let j = update Http.DELETE close_link {|own("B", "C", 0.6)|} in
+  check bool' "close link: incremental" true (Json.mem_str "update_path" j = Some "incremental");
+  check bool' "close link: over-deleted" true
+    (match Json.mem_int "facts_overdeleted" j with Some n -> n >= 1 | None -> false);
+  (if Ekg_engine.Matcher.strategy_of_env () = Ekg_engine.Matcher.Hash then
+     check bool' "close link: no full pass" true (Json.mem_int "full_passes" j = Some 0));
+  List.iter
+    (fun k -> check bool' ("close link: " ^ k) true (has_ms k j))
+    [ "update_copy_ms"; "update_apply_ms"; "update_mirror_ms" ];
+  let negation =
+    session
+      {|
+cand(X), not blocked(X) -> winner(X).
+block(X) -> blocked(X).
+@goal(winner).
+cand("x"). block("x").
+|}
+  in
+  materialize negation;
+  let j = update Http.DELETE negation {|block("x")|} in
+  check bool' "negation: incremental" true (Json.mem_str "update_path" j = Some "incremental");
+  check bool' "negation: the enabled rule's full pass" true
+    (match Json.mem_int "full_passes" j with Some n -> n >= 1 | None -> false);
+  let existential =
+    session
+      {|
+emp(X) -> worksFor(X, D).
+worksFor(X, D) -> staffed(X).
+@goal(staffed).
+emp("a"). emp("b").
+|}
+  in
+  materialize existential;
+  let j = update Http.DELETE existential {|emp("b")|} in
+  check bool' "existential head: rechase" true (Json.mem_str "update_path" j = Some "rechase");
+  check bool' "existential head: not incremental" true
+    (Json.mem_bool "incremental" j = Some false);
+  let dormant = session "e(X, Y) -> path(X, Y).\n@goal(path).\ne(\"a\", \"b\").\n" in
+  let j = update Http.POST dormant {|e("b", "c")|} in
+  check bool' "dormant" true (Json.mem_str "update_path" j = Some "dormant");
+  check bool' "dormant: one fact added" true (Json.mem_int "facts_added" j = Some 1);
+  check bool' "dormant: mirror edit timed" true (has_ms "update_mirror_ms" j)
 
 (* --- goal-directed query lane ------------------------------------------------ *)
 
@@ -2785,6 +2951,7 @@ let () =
             test_registry_duplicate_add_deduped;
           Alcotest.test_case "stale generation not cached" `Quick
             test_registry_stale_generation_not_cached;
+          QCheck_alcotest.to_alcotest prop_dormant_mirror_edit;
         ] );
       ( "query lane",
         [
@@ -2840,6 +3007,8 @@ let () =
             test_wide_event_chase_fields;
           Alcotest.test_case "chase span utilization labels" `Quick
             test_chase_span_utilization_labels;
+          Alcotest.test_case "update path, phases and passes" `Quick
+            test_wide_event_update_fields;
           Alcotest.test_case "legacy trace redirect" `Quick
             test_legacy_trace_redirect;
         ] );
