@@ -1,26 +1,21 @@
-(* [chase-smoke] — parallel-chase smoke benchmark: runs a set of chase
-   workloads at domains = 1 and domains = N, checks the outputs are
-   byte-identical, and writes BENCH_chase.json with wall-clock,
-   speedup and facts/sec per section.
-
-   The headline workload ("fanout-joins") is built for the fan-out: 8
-   independent 4-atom cyclic joins whose match phase dwarfs the
-   sequential insert phase.  The recursive workloads (control chains,
-   debt cascades) have small per-round deltas and mostly measure that
-   the parallel protocol does not regress them. *)
+(* [chase-smoke] — the engine-layer smoke benchmark: admission and
+   observability overhead on a control chain, incremental maintenance
+   and the hash-join core on the fanout workload (8 independent 4-atom
+   cyclic joins whose match phase dwarfs the insert phase), the
+   goal-directed query lane and snapshot persistence.  Writes
+   BENCH_chase.json, and fails when any section's output diverges from
+   its reference. *)
 
 open Ekg_datalog
 open Ekg_apps
 open Ekg_datagen
 
-let domains_n = 4
 let reps = 2
 
 (* A synthetic workload of [preds] independent cyclic joins:
    ri: ei(X,Y), ei(Y,Z), ei(Z,W), ei(W,X) -> cyci(X).
    Each rule enumerates a large intermediate join for a small result
-   set, and no rule feeds another, so round one carries [preds]
-   balanced parallel tasks. *)
+   set, and no rule feeds another. *)
 let fanout_source ~preds ~nodes ~edges =
   let rng = Ekg_kernel.Prng.create 2025 in
   let buf = Buffer.create (preds * edges * 24) in
@@ -52,54 +47,23 @@ type workload = {
   edb : Atom.t list;
 }
 
-let workloads () =
-  let rng = Ekg_kernel.Prng.create 190 in
-  let fanout_program, fanout_edb =
-    fanout_workload ~preds:8 ~nodes:140 ~edges:1400 ()
-  in
-  let chain = Owners.chain rng ~hops:40 in
-  let cascade = Debts.dual_cascade rng ~depth:30 in
-  [
-    { w_name = "fanout-joins"; program = fanout_program; edb = fanout_edb };
-    {
-      w_name = "control-chain-40";
-      program = Company_control.program;
-      edb = chain.Owners.edb;
-    };
-    {
-      w_name = "stress-cascade-30";
-      program = Stress_test.program;
-      edb = cascade.Debts.edb;
-    };
-  ]
+let fanout_joins () =
+  let program, edb = fanout_workload ~preds:8 ~nodes:140 ~edges:1400 () in
+  { w_name = "fanout-joins"; program; edb }
 
-let run_once ~domains w =
+let control_chain () =
+  let chain = Owners.chain (Ekg_kernel.Prng.create 190) ~hops:40 in
+  { w_name = "control-chain-40"; program = Company_control.program; edb = chain.Owners.edb }
+
+let run_once w =
   let t0 = Unix.gettimeofday () in
-  let result = Ekg_engine.Chase.run_exn ~domains w.program w.edb in
+  let result = Ekg_engine.Chase.run_exn w.program w.edb in
   (result, Unix.gettimeofday () -. t0)
-
-let best ~domains w =
-  let rec go n ((_, best_s) as acc) =
-    if n = 0 then acc
-    else
-      let (_, wall) as run = run_once ~domains w in
-      go (n - 1) (if wall < best_s then run else acc)
-  in
-  go (reps - 1) (run_once ~domains w)
 
 (* the full externally visible output: facts, ids, provenance and the
    chase graph — byte equality here is the determinism contract *)
 let fingerprint (result : Ekg_engine.Chase.result) =
   Ekg_engine.Io.result_to_json result ^ Ekg_engine.Export.chase_graph_dot result
-
-type section_out = {
-  s_name : string;
-  derived : int;
-  rounds : int;
-  wall_1 : float;
-  wall_n : float;
-  identical : bool;
-}
 
 (* --- admission-control overhead --------------------------------------------
 
@@ -318,14 +282,12 @@ let incremental_maintenance w =
     | Error e ->
       failwith ("chase-smoke: incremental: " ^ Ekg_engine.Chase.error_to_string e)
   in
-  let res, cold_s = run_once ~domains:1 w in
+  let res, cold_s = run_once w in
   let base_fp = Ekg_engine.Database.fingerprint res.Ekg_engine.Chase.db in
   let t0 = Unix.gettimeofday () in
   let res_add, _ = exn (Ekg_engine.Chase.add_facts w.program res adds) in
   let add_s = Unix.gettimeofday () -. t0 in
-  let cold_grown =
-    Ekg_engine.Chase.run_exn ~domains:1 w.program (w.edb @ List.rev adds)
-  in
+  let cold_grown = Ekg_engine.Chase.run_exn w.program (w.edb @ List.rev adds) in
   let grown_ok =
     Ekg_engine.Database.fingerprint res_add.Ekg_engine.Chase.db
     = Ekg_engine.Database.fingerprint cold_grown.Ekg_engine.Chase.db
@@ -411,7 +373,7 @@ let persistence_bench dir =
       in
       let edb = persist_edb rng app in
       let program = pipeline.Ekg_core.Pipeline.program in
-      let chase () = Ekg_engine.Chase.run_exn ~domains:1 program edb in
+      let chase () = Ekg_engine.Chase.run_exn program edb in
       (* chase, snapshot and restore all take the best of the same
          number of samples so the comparison is symmetric *)
       let preps = 5 and batch = 3 in
@@ -542,7 +504,7 @@ let query_lane_bench () =
           failwith
             ("chase-smoke: query-lane: " ^ Ekg_engine.Chase.error_to_string e)
       in
-      let run_full () = Ekg_engine.Chase.run_exn ~domains:1 program edb in
+      let run_full () = Ekg_engine.Chase.run_exn program edb in
       let qr = run_query () in
       let full = run_full () in
       (* identity gate: lane answers == filtering the full materialization *)
@@ -595,8 +557,7 @@ let query_lane_bench () =
 (* --- join core --------------------------------------------------------------
 
    The columnar hash-join engine (PR 8) against the nested-loop
-   baseline it replaced, single-threaded — the speedup is pure
-   engine-core improvement, no parallelism involved.  Gated on the two
+   baseline it replaced.  Gated on the two
    engines producing byte-identical output (facts, ids, provenance,
    chase graph), and accompanied by a build/probe microbenchmark over
    the columnar storage itself. *)
@@ -609,7 +570,7 @@ type join_section = {
   j_identical : bool;
 }
 
-(* "fanout-joins" wall at domains=1 recorded in BENCH_chase.json by the
+(* "fanout-joins" wall recorded in BENCH_chase.json by the
    posting-list engine before this release (PR 7, commit 075b8f3) — the
    fixed reference the join-core acceptance gate compares against. *)
 let pr7_baseline_wall_s = 1.337615
@@ -631,13 +592,13 @@ let join_bench () =
   let sections =
     List.map
       (fun (name, program, edb) ->
-        (* best of [reps + 1] runs per engine, like the parallel
-           sections: the identity check wants any run's output, the
-           wall-clock wants the least load-noise *)
+        (* best of [reps + 1] runs per engine: the identity check
+           wants any run's output, the wall-clock wants the least
+           load-noise *)
         let timed strategy =
           let once () =
             let t0 = Unix.gettimeofday () in
-            let r = Chase.run_exn ~domains:1 ~join:strategy program edb in
+            let r = Chase.run_exn ~join:strategy program edb in
             (r, Unix.gettimeofday () -. t0)
           in
           let rec go n ((_, best_s) as acc) =
@@ -702,41 +663,10 @@ let join_bench () =
   ( sections,
     { jm_rows = rows; jm_build_ms = build_ms; jm_probes = probes; jm_probe_ns = probe_ns } )
 
-let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections =
+let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane =
   let join_sections, micro = joins in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_compared\": [1, %d],\n" domains_n);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  let headline =
-    List.fold_left
-      (fun acc s -> max acc (s.wall_1 /. s.wall_n))
-      0. sections
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"headline_speedup\": %.3f,\n" headline);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"deterministic\": %b,\n"
-       (List.for_all (fun s -> s.identical) sections));
-  Buffer.add_string buf "  \"sections\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"derived_facts\": %d, \"rounds\": %d, \
-            \"wall_s_domains1\": %.6f, \"wall_s_domains%d\": %.6f, \
-            \"speedup\": %.3f, \"facts_per_sec_domains%d\": %.0f, \
-            \"identical_output\": %b}%s\n"
-           s.s_name s.derived s.rounds s.wall_1 domains_n s.wall_n
-           (s.wall_1 /. s.wall_n) domains_n
-           (float_of_int s.derived /. s.wall_n)
-           s.identical
-           (if i = List.length sections - 1 then "" else ",")))
-    sections;
-  Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  \"admission_overhead\": {\"workload\": \"control-chain-40\", \
@@ -790,7 +720,7 @@ let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections =
   Buffer.add_string buf
     (Printf.sprintf "    \"headline_speedup_vs_nested\": %.2f,\n"
        (headline_join.j_nested_s /. headline_join.j_hash_s));
-  (* fanout-joins wall at domains=1 as committed by the previous
+  (* fanout-joins wall as committed by the previous
      release's BENCH_chase.json — the baseline the acceptance gate
      compares against.  The nested engine in this binary is already
      faster than that baseline (its insert path shares this PR's
@@ -879,43 +809,16 @@ let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections =
 
 let run () =
   Bench_util.section "chase-smoke"
-    "Parallel chase: domains=1 vs domains=N wall-clock + determinism";
-  let sections =
-    List.map
-      (fun w ->
-        let r1, wall_1 = best ~domains:1 w in
-        let rn, wall_n = best ~domains:domains_n w in
-        let identical = fingerprint r1 = fingerprint rn in
-        Printf.printf
-          "  %-20s d=1 %8.3f ms   d=%d %8.3f ms   speedup %5.2fx   %s\n"
-          w.w_name (wall_1 *. 1000.) domains_n (wall_n *. 1000.)
-          (wall_1 /. wall_n)
-          (if identical then "bit-identical" else "OUTPUT DIVERGED");
-        {
-          s_name = w.w_name;
-          derived = r1.Ekg_engine.Chase.derived_count;
-          rounds = r1.Ekg_engine.Chase.rounds;
-          wall_1;
-          wall_n;
-          identical;
-        })
-      (workloads ())
-  in
+    "Engine layers: budget and telemetry overhead, incremental, join core, query lane, persistence";
   let overhead =
-    let w =
-      List.find (fun w -> w.w_name = "control-chain-40") (workloads ())
-    in
-    let o = admission_overhead w in
+    let o = admission_overhead (control_chain ()) in
     Printf.printf
       "  %-20s p50 %7.3f -> %7.3f ms   p99 %7.3f -> %7.3f ms (budget polling)\n"
       "admission-overhead" o.p50_plain o.p50_budget o.p99_plain o.p99_budget;
     o
   in
   let obs =
-    let w =
-      List.find (fun w -> w.w_name = "control-chain-40") (workloads ())
-    in
-    let o = observability_overhead w in
+    let o = observability_overhead (control_chain ()) in
     Printf.printf
       "  %-20s wide event %6.0f ns (noop %3.0f ns)   lock pair %5.1f ns \
        (plain %5.1f, noop %5.1f)\n"
@@ -930,8 +833,7 @@ let run () =
     o
   in
   let incr =
-    let w = List.find (fun w -> w.w_name = "fanout-joins") (workloads ()) in
-    let i = incremental_maintenance w in
+    let i = incremental_maintenance (fanout_joins ()) in
     Printf.printf
       "  %-20s cold %8.3f ms   add[%d] %8.3f ms   retract[%d] %8.3f ms   %s\n"
       "incremental" i.i_cold_ms i.i_batch i.i_add_ms i.i_batch i.i_retract_ms
@@ -993,11 +895,8 @@ let run () =
   in
   let path = "BENCH_chase.json" in
   Bench_util.write_file_atomic path
-    (json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections);
-  Printf.printf "  wrote %s (machine reports %d recommended domains)\n" path
-    (Domain.recommended_domain_count ());
-  if not (List.for_all (fun s -> s.identical) sections) then
-    failwith "chase-smoke: parallel output diverged from sequential";
+    (json_out ~overhead ~obs ~incr ~persist ~joins ~qlane);
+  Printf.printf "  wrote %s\n" path;
   if not (List.for_all (fun j -> j.j_identical) (fst joins)) then
     failwith "chase-smoke: hash-join output diverged from nested-loop";
   if not incr.i_identical then

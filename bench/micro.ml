@@ -110,21 +110,6 @@ let tests () =
       (Staged.stage (fun () ->
            Ekg_engine.Chase.run_exn ~naive:true Company_control.program
              chain20.Owners.edb));
-    (* ablation: parallel match fan-out — the same independent-join
-       workload the chase-smoke section uses, at one domain and at
-       four (pool spawn/join included, the honest per-run cost) *)
-    Test.make ~name:"ablation.chase.fanout-domains-1"
-      (Staged.stage
-         (let program, edb =
-            Chase_smoke.fanout_workload ~preds:4 ~nodes:80 ~edges:500 ()
-          in
-          fun () -> Ekg_engine.Chase.run_exn ~domains:1 program edb));
-    Test.make ~name:"ablation.chase.fanout-domains-4"
-      (Staged.stage
-         (let program, edb =
-            Chase_smoke.fanout_workload ~preds:4 ~nodes:80 ~edges:500 ()
-          in
-          fun () -> Ekg_engine.Chase.run_exn ~domains:4 program edb));
     (* ablation: profiling overhead — same chase with stats collection
        into a disabled sink; compare against semi-naive-20-hops to see
        what instrumentation costs when nobody is scraping *)

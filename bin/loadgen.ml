@@ -264,8 +264,8 @@ let parse_url url =
     | Some port -> host, port
     | None -> fail ())
 
-let start_embedded ~data ~chase_domains ~domains ~queue_high_water =
-  let state = Router.make_state ~root:data ~chase_domains () in
+let start_embedded ~data ~domains ~queue_high_water =
+  let state = Router.make_state ~root:data () in
   let config =
     {
       Server.default_config with
@@ -300,7 +300,7 @@ let record tally status latency_ms =
   if status = 503 then tally.sheds <- tally.sheds + 1
   else if status < 200 || status > 299 then tally.errors <- tally.errors + 1
 
-let replay_run data url rate readers chase_domains domains queue_high_water
+let replay_run data url rate readers domains queue_high_water
     write_deadline_ms read_deadline_ms sample_ms session_name out print_metrics =
   let manifest =
     match Json.parse (read_file (Filename.concat data "manifest.json")) with
@@ -326,7 +326,7 @@ let replay_run data url rate readers chase_domains domains queue_high_water
     | Some u ->
       let host, port = parse_url u in
       { sh_host = host; sh_port = port; sh_shutdown = (fun () -> ()) }
-    | None -> start_embedded ~data ~chase_domains ~domains ~queue_high_water
+    | None -> start_embedded ~data ~domains ~queue_high_water
   in
   let finally () = handle.sh_shutdown () in
   Fun.protect ~finally @@ fun () ->
@@ -519,8 +519,7 @@ let replay_run data url rate readers chase_domains domains queue_high_water
         in
         let final = Cdc.final_edb ~base:loaded.Ekg_apps.Apps_util.edb log in
         match
-          Ekg_core.Pipeline.reason ~domains:chase_domains
-            loaded.Ekg_apps.Apps_util.pipeline final
+          Ekg_core.Pipeline.reason loaded.Ekg_apps.Apps_util.pipeline final
         with
         | Error e -> failwith ("identity gate chase: " ^ e)
         | Ok result ->
@@ -557,7 +556,6 @@ let replay_run data url rate readers chase_domains domains queue_high_water
               "cdc_retracts", Json.int retracts;
               "rate_batches_per_s", Json.num rate;
               "readers", Json.int readers;
-              "chase_domains", Json.int chase_domains;
               "embedded_server", Json.bool embedded;
               "probe_query", Json.str probe_query;
               "probe_goal", Json.str probe_goal;
@@ -745,10 +743,6 @@ let readers_t =
   let doc = "Concurrent reader workers issuing /query and /explain." in
   Arg.(value & opt int 2 & info [ "readers" ] ~docv:"N" ~doc)
 
-let chase_domains_t =
-  let doc = "Chase match-phase parallelism (embedded server and gate)." in
-  Arg.(value & opt int 1 & info [ "chase-domains" ] ~docv:"N" ~doc)
-
 let domains_t =
   let doc = "Worker domains of the embedded server." in
   Arg.(value & opt int 4 & info [ "domains"; "j" ] ~docv:"N" ~doc)
@@ -792,8 +786,8 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const replay_run $ data_t $ url_t $ rate_t $ readers_t $ chase_domains_t
-      $ domains_t $ queue_high_water_t $ write_deadline_ms_t
+      const replay_run $ data_t $ url_t $ rate_t $ readers_t $ domains_t
+      $ queue_high_water_t $ write_deadline_ms_t
       $ read_deadline_ms_t $ sample_ms_t $ session_name_t $ out_file_t
       $ print_metrics_t)
 

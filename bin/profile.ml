@@ -46,8 +46,7 @@ let print_rules (stats : Ekg_engine.Chase.stats) =
           (fun i n -> Printf.sprintf "#%d=%d" (i + 1) n)
           stats.rounds_per_stratum))
     stats.agg_superseded;
-  Printf.printf "  domains: %d;  join plans reordered: %d\n" stats.domains
-    stats.plan_reorders
+  Printf.printf "  join plans reordered: %d\n" stats.plan_reorders
 
 let print_join_stats (stats : Ekg_engine.Chase.stats) =
   Printf.printf "\n== join engine (%s) ==\n" stats.join_strategy;
@@ -80,7 +79,7 @@ let print_rounds (stats : Ekg_engine.Chase.stats) =
 (* --magic: the goal-directed query lane's breakdown — where a point
    query's time goes (magic-sets rewrite, scoped chase, answer
    explanation) and what the pruning bought vs. the full chase *)
-let run_magic ~budget ~domains pipeline edb qtext =
+let run_magic ~budget pipeline edb qtext =
   match Ekg_datalog.Parser.parse_atom qtext with
   | Error e ->
     Fmt.epr "query: %s@." e;
@@ -102,7 +101,7 @@ let run_magic ~budget ~domains pipeline edb qtext =
       1
     | Ok spec -> (
       let outcome, chase_ms =
-        time (fun () -> Pipeline.query ~domains ~budget pipeline spec edb atom)
+        time (fun () -> Pipeline.query ~budget pipeline spec edb atom)
       in
       match outcome with
       | Error err ->
@@ -137,8 +136,7 @@ let run_magic ~budget ~domains pipeline edb qtext =
           | Some _ -> ""
           | None -> "  (no intensional answer to explain)");
         let full, full_ms =
-          time (fun () ->
-              Ekg_engine.Chase.run ~domains pipeline.Pipeline.program edb)
+          time (fun () -> Ekg_engine.Chase.run pipeline.Pipeline.program edb)
         in
         (match full with
         | Ok full ->
@@ -163,7 +161,7 @@ let run_magic ~budget ~domains pipeline edb qtext =
           answers;
         0))
 
-let run app query domains deadline_ms rounds dump_trace prometheus join
+let run app query deadline_ms rounds dump_trace prometheus join
     join_stats fingerprint magic =
   let tracer = Ekg_obs.Trace.create () in
   let sink = Ekg_obs.Metrics.create () in
@@ -181,11 +179,11 @@ let run app query domains deadline_ms rounds dump_trace prometheus join
     Fmt.epr "error: --magic needs --query ATOM@.";
     1
   | Ok { Apps_util.pipeline; edb } when magic ->
-    run_magic ~budget ~domains pipeline edb (Option.get query)
+    run_magic ~budget pipeline edb (Option.get query)
   | Ok { Apps_util.pipeline; edb } -> (
     match
       Ekg_obs.Trace.with_span tracer "chase" (fun span ->
-          Ekg_engine.Chase.run_checked ~stats:sink ~domains ~budget ~obs:tracer
+          Ekg_engine.Chase.run_checked ~stats:sink ~budget ~obs:tracer
             ?join ~parent:span pipeline.Pipeline.program edb)
     with
     | Error err ->
@@ -260,13 +258,6 @@ let query_t =
   let doc = "Explanation query to profile instead of the first goal fact." in
   Arg.(value & opt (some string) None & info [ "query"; "q" ] ~docv:"ATOM" ~doc)
 
-let domains_t =
-  let doc =
-    "Domains the chase fans its per-round match phase over (1 = \
-     sequential; results are identical for every value)."
-  in
-  Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
 let deadline_ms_t =
   let doc =
     "Abort the chase after this many milliseconds (exercises the \
@@ -309,7 +300,7 @@ let join_stats_t =
     & info [ "join-stats" ]
         ~doc:
           "Also print the per-rule join breakdown: index build, probe and \
-           sequential-insert time.")
+           insert time.")
 
 let fingerprint_t =
   Arg.(
@@ -334,7 +325,7 @@ let cmd =
   let info = Cmd.info "ekg-profile" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run $ app_t $ query_t $ domains_t $ deadline_ms_t $ rounds_t
+      const run $ app_t $ query_t $ deadline_ms_t $ rounds_t
       $ trace_t $ prometheus_t $ join_t $ join_stats_t $ fingerprint_t
       $ magic_t)
 

@@ -12,6 +12,12 @@ open Ekg_server
 let run host port domains chase_domains root preload fault queue_high_water
     default_deadline_ms max_deadline_ms store_dir snapshot_mode
     max_hot_sessions log_level log_file slowlog_threshold_ms =
+  if chase_domains <> 1 then begin
+    Fmt.epr "error: --chase-domains %d: the chase is sequential, only 1 is accepted@."
+      chase_domains;
+    1
+  end
+  else
   (* the --fault flag wins over the EKG_FAULT environment variable *)
   let fault =
     match fault with Some spec -> Fault.parse spec | None -> Fault.of_env ()
@@ -40,7 +46,7 @@ let run host port domains chase_domains root preload fault queue_high_water
     1
   | Ok log ->
   let state =
-    Router.make_state ~root ~chase_domains ~fault
+    Router.make_state ~root ~fault
       ~default_deadline_ms:(float_of_int default_deadline_ms)
       ~max_deadline_ms:(float_of_int max_deadline_ms) ?store ~snapshot_mode
       ~max_hot_sessions ~log ()
@@ -94,7 +100,7 @@ let run host port domains chase_domains root preload fault queue_high_water
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      (* background sampler: GC gauges, chase/server pool utilization,
+      (* background sampler: GC gauges, server pool utilization,
          snapshotter queue depth — the live side of /v1/debug/runtime *)
       Ekg_obs.Runtime.start (Router.runtime state);
       Fmt.pr "ekg-serve: listening on http://%s:%d (%d worker domains, root %s)@."
@@ -141,9 +147,8 @@ let domains_t =
 
 let chase_domains_t =
   let doc =
-    "Domains the chase fans its per-round match phase over during \
-     session materialization (1 = sequential; results are identical \
-     for every value)."
+    "Accepted only as 1, for existing command lines: the chase is \
+     sequential, and any other value exits with an error."
   in
   Arg.(value & opt int 1 & info [ "chase-domains" ] ~docv:"N" ~doc)
 

@@ -46,16 +46,16 @@ type explanation = {
   paths_used : string list;
 }
 
-let reason ?stats ?domains ?budget ?obs ?parent t edb =
-  Chase.run ?stats ?domains ?budget ?obs ?parent t.program edb
+let reason ?stats ?budget ?obs ?parent t edb =
+  Chase.run ?stats ?budget ?obs ?parent t.program edb
 
 let incrementable t = Chase.incrementable t.program
 
-let add_facts ?domains ?budget t result atoms =
-  Chase.add_facts ?domains ?budget t.program result atoms
+let add_facts ?budget t result atoms =
+  Chase.add_facts ?budget t.program result atoms
 
-let retract_facts ?domains ?budget t result atoms =
-  Chase.retract_facts ?domains ?budget t.program result atoms
+let retract_facts ?budget t result atoms =
+  Chase.retract_facts ?budget t.program result atoms
 
 let extractor = function
   | `Primary -> Proof.of_fact
@@ -268,9 +268,9 @@ let edb_scan edb (atom : Atom.t) =
     q_derived = 0;
   }
 
-let query ?stats ?domains ?budget ?obs ?parent t spec edb (atom : Atom.t) =
+let query ?stats ?budget ?obs ?parent t spec edb (atom : Atom.t) =
   let scoped_full reason =
-    match Chase.run_checked ?stats ?domains ?budget ?obs ?parent t.program edb with
+    match Chase.run_checked ?stats ?budget ?obs ?parent t.program edb with
     | Error _ as e -> e
     | Ok res ->
       Ok
@@ -289,7 +289,7 @@ let query ?stats ?domains ?budget ?obs ?parent t spec edb (atom : Atom.t) =
   | Sp_full reason -> scoped_full reason
   | Sp_magic sp -> (
     match
-      Chase.run_checked ?stats ?domains ?budget ?obs ?parent sp.Magic.sp_program
+      Chase.run_checked ?stats ?budget ?obs ?parent sp.Magic.sp_program
         (edb @ Magic.seeds sp atom)
     with
     | Error (Chase.Unstratifiable _) ->

@@ -46,16 +46,15 @@ type explanation = {
 
 val reason :
   ?stats:Ekg_obs.Metrics.t ->
-  ?domains:int ->
   ?budget:Chase.budget ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
   t ->
   Atom.t list ->
   (Chase.result, string) result
-(** Run the reasoning task over extensional facts; [stats], [domains]
-    (match-phase parallelism), [budget] (deadline / cancellation) and
-    the tracing arguments are passed through to {!Chase.run}. *)
+(** Run the reasoning task over extensional facts; [stats], [budget]
+    (deadline / cancellation) and the tracing arguments are passed
+    through to {!Chase.run}. *)
 
 val incrementable : t -> bool
 (** Whether {!add_facts} / {!retract_facts} can maintain a
@@ -65,7 +64,6 @@ val incrementable : t -> bool
     its threshold, and then leaves its input mutated. *)
 
 val add_facts :
-  ?domains:int ->
   ?budget:Chase.budget ->
   t ->
   Chase.result ->
@@ -78,7 +76,6 @@ val add_facts :
     only the cached explanations the update could have touched. *)
 
 val retract_facts :
-  ?domains:int ->
   ?budget:Chase.budget ->
   t ->
   Chase.result ->
@@ -215,7 +212,6 @@ val query_materialized :
 
 val query :
   ?stats:Ekg_obs.Metrics.t ->
-  ?domains:int ->
   ?budget:Chase.budget ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -227,8 +223,8 @@ val query :
 (** Answer one concrete query atom over the given extensional facts,
     per the pre-computed [specialization] — the path for a session with
     no materialization, which it never builds or waits on: the magic
-    and full modes each run a private chase (budget/deadline and
-    parallelism arguments pass straight through), and the EDB mode
+    and full modes each run a private chase (budget/deadline
+    arguments pass straight through), and the EDB mode
     only scans.  A rewritten program that fails to stratify falls back
     to the full mode transparently, recorded in [q_fallback]. *)
 

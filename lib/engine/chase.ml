@@ -26,7 +26,6 @@ type stats = {
   rounds_per_stratum : int list;
   agg_superseded : int;
   wall_s : float;
-  domains : int;
   plan_reorders : int;
   join_strategy : string;
   join_builds : int;
@@ -143,10 +142,11 @@ let isomorphic_exists st ~existentials (r : Rule.t) binding =
     List.exists homomorphic (Database.active st.db (Rule.head_pred r))
   end
 
-(* Phase 2 of a round: admit one plain rule's matches, in match order.
-   Runs strictly sequentially — this is the only place fact ids,
-   labelled nulls and provenance records are allocated, which is why
-   the parallel match phase cannot perturb them. *)
+(* The insert phase of a round: admit one plain rule's matches, in
+   match order.  It runs after every plain rule of the round has
+   matched, and it is where a plain rule allocates fact ids, labelled
+   nulls and provenance records, so no rule's matches depend on what
+   another inserted in the same round. *)
 (* [used_facts] is usually already strictly ascending (body atoms often
    match facts in insertion order); detect that without allocating
    before falling back to a sort *)
@@ -419,6 +419,86 @@ let client_error = function
     true
   | Divergent _ | Budget_exceeded _ | Cancelled _ -> false
 
+(* A run's budget guard.  [over_budget] runs at every round boundary
+   and trips on any exhausted resource, given the run's own counters;
+   the matcher's [interrupt] hook, absent without a deadline or cancel
+   hook, answers [true] once the guard has tripped and polls those two
+   every 4096 join nodes, so a hot join pays a field read and a counter
+   bump per node.  [stopped] keeps the first resource that tripped.
+   When no budget is set, a round-boundary check is four [None]
+   matches and the hook is absent: the unlimited run is
+   instruction-identical to an unbudgeted one. *)
+type guard = {
+  budget : budget;
+  mutable stopped : [ `Cancelled | exhausted ] option;
+  mutable ticks : int;
+}
+
+let guard budget = { budget; stopped = None; ticks = 0 }
+
+let trip g reason =
+  if g.stopped = None then g.stopped <- Some reason;
+  true
+
+let timed_out g =
+  if match g.budget.cancel with Some f -> f () | None -> false then trip g `Cancelled
+  else if
+    match g.budget.deadline_s with
+    | Some d -> Ekg_obs.Clock.now_s () > d
+    | None -> false
+  then trip g `Deadline
+  else false
+
+let over_budget g ~derived ~rounds =
+  let reached limit n = match limit with Some m -> n >= m | None -> false in
+  g.stopped <> None || timed_out g
+  || (reached g.budget.budget_facts derived && trip g `Facts)
+  || (reached g.budget.budget_rounds rounds && trip g `Rounds)
+
+let interrupt g =
+  if g.budget.deadline_s = None && Option.is_none g.budget.cancel then None
+  else
+    Some
+      (fun () ->
+        g.stopped <> None
+        || begin
+             g.ticks <- g.ticks + 1;
+             g.ticks land 4095 = 0 && timed_out g
+           end)
+
+(* How a run that left its round loops ends: the budget that tripped,
+   with the partial progress, the round guard, a derived ⊥ (negative
+   constraints abort the task), or [ok ()]. *)
+let finish g ~t_start ~rounds ~derived ~max_rounds ~overflow ~stratum_rounds db prov ok =
+  match g.stopped with
+  | Some reason ->
+    let partial =
+      {
+        partial_rounds = rounds;
+        partial_derived = derived;
+        partial_wall_s = Ekg_obs.Clock.now_s () -. t_start;
+        partial_stratum_rounds = stratum_rounds;
+      }
+    in
+    Error
+      (match reason with
+      | `Cancelled -> Cancelled partial
+      | (`Deadline | `Facts | `Rounds) as r -> Budget_exceeded (r, partial))
+  | None when overflow -> Error (Divergent { max_rounds; stratum_rounds })
+  | None -> (
+    match Database.active db falsum with
+    | violation :: _ ->
+      let detail =
+        match Provenance.derivation prov violation.Fact.id with
+        | Some d ->
+          Printf.sprintf "constraint %s violated by %s" d.rule_id
+            (String.concat ", "
+               (List.map (fun id -> Fact.to_string (Database.fact db id)) d.premises))
+        | None -> "constraint violated"
+      in
+      Error (Inconsistent detail)
+    | [] -> Ok (ok ()))
+
 (* per-rule profiling accumulator, live only when a stats sink is on *)
 type rule_acc = {
   acc_rule : string;
@@ -426,9 +506,9 @@ type rule_acc = {
   mutable acc_time : float;
   mutable acc_evals : int;
   mutable acc_facts : int;
-  mutable acc_build : float;   (* sequential index preparation *)
-  mutable acc_probe : float;   (* match-phase thunk time, summed over tasks *)
-  mutable acc_insert : float;  (* sequential insertion *)
+  mutable acc_build : float;   (* index preparation *)
+  mutable acc_probe : float;   (* match passes *)
+  mutable acc_insert : float;  (* insertion *)
 }
 
 let push_stats sink ~rounds ~derived (s : stats) =
@@ -442,8 +522,6 @@ let push_stats sink ~rounds ~derived (s : stats) =
     "ekg_chase_agg_superseded_total" (float_of_int s.agg_superseded);
   Metrics.add sink ~help:"Chase wall-clock seconds" "ekg_chase_seconds_total"
     s.wall_s;
-  Metrics.set sink ~help:"Domains used by the most recent chase"
-    "ekg_chase_domains" (float_of_int s.domains);
   Metrics.add sink
     ~help:"Join plans that deviated from textual body order"
     "ekg_chase_plan_reorders_total" (float_of_int s.plan_reorders);
@@ -472,25 +550,24 @@ let push_stats sink ~rounds ~derived (s : stats) =
         "ekg_chase_rule_facts_total" (float_of_int r.facts))
     s.per_rule
 
-(* Round protocol (identical for domains = 1 and domains = n, which is
-   what makes the parallel chase bit-identical to the sequential one):
+(* Round protocol:
 
    1. {e Plan}: recompile every rule's join plan from the live
-      cardinalities — sequential, deterministic.
+      cardinalities and extend the hash indexes the plain rules' match
+      passes will probe — deterministic, and the only index builds a
+      plain rule's round makes.
    2. {e Match}: evaluate every plain rule (every semi-naive seed pass)
-      against the immutable pre-round database.  Tasks are pure reads
-      and may execute on any domain in any order; results are
-      recombined by task index.
-   3. {e Insert}: admit the matches sequentially in rule order, then
-      run aggregate rules sequentially.  All fact ids, nulls and
-      provenance records are allocated here, in a schedule-independent
-      order. *)
-let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
-    ?(budget = unlimited) ?join ?stats ?obs ?parent (program : Program.t) edb =
+      against the pre-round database.  Match passes only read.
+   3. {e Insert}: admit the matches in rule order, then run aggregate
+      rules, each preparing, matching and inserting in turn.  All fact
+      ids, nulls and provenance records are allocated here, so no plain
+      rule's matches depend on another's insertions in the same
+      round. *)
+let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited) ?join
+    ?stats ?obs ?parent (program : Program.t) edb =
   let strategy =
     match join with Some s -> s | None -> Matcher.strategy_of_env ()
   in
-  let partitions = max 1 domains in
   match Program.validate program with
   | Error es -> Error (Invalid_program es)
   | Ok () -> (
@@ -523,75 +600,19 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
         edb;
       match !edb_error with
       | Some e -> Error (Invalid_edb e)
-      | None -> (
+      | None ->
         let total_rounds = ref 0 in
         let overflow = ref false in
         let plan_reorders = ref 0 in
         let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
-        (* Budget machinery.  [stop] is the one flag every domain
-           agrees on: the first check that trips it wins, and both the
-           round loop and the in-match interrupt hook observe it.  When
-           no budget is set, the per-round check is four [None]
-           matches and the matcher hook is absent — the unlimited run
-           is instruction-identical to the pre-budget engine. *)
-        let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option Atomic.t
-            =
-          Atomic.make None
-        in
-        let trip r =
-          ignore (Atomic.compare_and_set stop None (Some r));
-          true
-        in
-        let poll_cancel () =
-          match budget.cancel with Some f -> f () | None -> false
-        in
-        let past_deadline () =
-          match budget.deadline_s with
-          | Some d -> Ekg_obs.Clock.now_s () > d
-          | None -> false
-        in
-        let check_budget () =
-          Atomic.get stop <> None
-          ||
-          if poll_cancel () then trip `Cancelled
-          else if past_deadline () then trip `Deadline
-          else if
-            match budget.budget_facts with
-            | Some m -> st.derived >= m
-            | None -> false
-          then trip `Facts
-          else if
-            match budget.budget_rounds with
-            | Some m -> !total_rounds >= m
-            | None -> false
-          then trip `Rounds
-          else false
-        in
-        (* Polled once per join node; the clock and cancel hook are
-           only consulted every 4096 nodes, so a hot join pays an
-           atomic read (and a racy-but-benign counter bump) per node. *)
-        let interrupt =
-          if budget.deadline_s = None && Option.is_none budget.cancel then None
-          else begin
-            let tick = ref 0 in
-            Some
-              (fun () ->
-                Atomic.get stop <> None
-                || begin
-                     incr tick;
-                     !tick land 4095 = 0
-                     &&
-                     if poll_cancel () then trip `Cancelled
-                     else if past_deadline () then trip `Deadline
-                     else false
-                   end)
-          end
-        in
+        let g = guard budget in
+        let interrupt = interrupt g in
         let accs = ref [] in       (* rule_acc, reverse creation order *)
         let round_log = ref [] in  (* round_stat, reverse execution order *)
         let join_builds = ref 0 in
         let join_probe_hits = ref 0 in
-        let run_stratum pool si rules =
+        let clock () = if collect then Ekg_obs.Clock.now_s () else 0. in
+        let run_stratum si rules =
           let plain = List.filter (fun r -> not (Rule.has_agg r)) rules in
           let agg = List.filter Rule.has_agg rules in
           let with_acc rs =
@@ -632,8 +653,9 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
              a [List.length] walk over the whole delta every round. *)
           let delta = ref None in
           let continue = ref true in
-          while !continue && not !overflow && Atomic.get stop = None do
-            if budget_active && check_budget () then ()
+          while !continue && (not !overflow) && g.stopped = None do
+            if budget_active && over_budget g ~derived:st.derived ~rounds:!total_rounds
+            then ()
             else begin
               incr total_rounds;
               if !total_rounds > max_rounds then overflow := true
@@ -641,7 +663,7 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
                 try
               stratum_rounds.(si) <- stratum_rounds.(si) + 1;
               let round = !total_rounds in
-              let round_t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
+              let round_t0 = clock () in
               let delta_size =
                 match !delta with None -> 0 | Some (_, n) -> n
               in
@@ -671,91 +693,48 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
               in
               let plain = planned plain in
               let agg = planned agg in
-              (* sequential index preparation: extend the hash indexes
-                 the round's probes will use, before any task may run.
-                 Still part of the plan phase — [ensure_index] mutates
-                 the database, match tasks only read it. *)
               List.iter
                 (fun (r, acc, plan) ->
-                  let t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
+                  let t0 = clock () in
                   let n = Matcher.prepare ~strategy st.db r plan in
                   if collect then begin
                     join_builds := !join_builds + n;
                     match acc with
-                    | Some a ->
-                      a.acc_build <- a.acc_build +. (Ekg_obs.Clock.now_s () -. t0)
+                    | Some a -> a.acc_build <- a.acc_build +. (clock () -. t0)
                     | None -> ()
                   end)
                 plain;
-              (* phase 1: match all plain rules against the pre-round db *)
-              let rule_tasks =
+              let matched =
                 List.map
                   (fun (r, acc, plan) ->
-                    let thunks =
-                      match delta_filter with
-                      | None ->
-                        Matcher.full_tasks ~strategy ?interrupt ~plan
-                          ~partitions st.db r
-                      | Some d ->
-                        Matcher.delta_tasks ~strategy ?interrupt ~plan
-                          ~partitions ~delta:d st.db r
+                    let t0 = clock () in
+                    let matches =
+                      Matcher.match_rule ~strategy ?interrupt ?delta:delta_filter ~plan
+                        st.db r
                     in
-                    let thunks =
-                      if not collect then List.map (fun t () -> (0., t ())) thunks
-                      else
-                        List.map
-                          (fun t () ->
-                            let t0 = Ekg_obs.Clock.now_s () in
-                            let out = t () in
-                            (Ekg_obs.Clock.now_s () -. t0, out))
-                          thunks
-                    in
-                    (r, acc, thunks))
+                    (r, acc, matches, clock () -. t0))
                   plain
               in
-              let flat =
-                Array.of_list
-                  (List.concat_map (fun (_, _, ts) -> ts) rule_tasks)
-              in
-              let results =
-                match pool with
-                | Some p when Array.length flat > 1 -> Par.map p flat
-                | _ -> Array.map (fun t -> t ()) flat
-              in
-              (* phase 2: insert sequentially, in rule then task order *)
               let added = ref [] in
               let added_count = ref 0 in
-              let cursor = ref 0 in
               List.iter
-                (fun (r, acc, thunks) ->
-                  let match_time = ref 0. in
-                  let rev_matches = ref [] in
-                  List.iter
-                    (fun _ ->
-                      let dt, out = results.(!cursor) in
-                      incr cursor;
-                      match_time := !match_time +. dt;
-                      rev_matches := out :: !rev_matches)
-                    thunks;
-                  let matches = List.concat (List.rev !rev_matches) in
-                  let t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
+                (fun (r, acc, matches, match_time) ->
+                  let t0 = clock () in
                   let out = insert_plain_matches st ~round r matches in
-                  let dt =
-                    if collect then Ekg_obs.Clock.now_s () -. t0 else 0.
-                  in
+                  let dt = clock () -. t0 in
                   let n = List.length out in
-                  charge acc (!match_time +. dt) n;
+                  charge acc (match_time +. dt) n;
                   if collect then begin
                     join_probe_hits := !join_probe_hits + List.length matches;
                     match acc with
                     | Some a ->
-                      a.acc_probe <- a.acc_probe +. !match_time;
+                      a.acc_probe <- a.acc_probe +. match_time;
                       a.acc_insert <- a.acc_insert +. dt
                     | None -> ()
                   end;
                   added_count := !added_count + n;
                   added := List.rev_append out !added)
-                rule_tasks;
+                matched;
               (* aggregate rules see the round's plain insertions, as
                  they always did.  The first round of a stratum groups
                  one full pass; later rounds re-aggregate only the
@@ -771,7 +750,6 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
                   let changed = if full then [] else log_since st !cursor in
                   cursor := Intvec.length st.log;
                   if full || changed <> [] then begin
-                    let clock () = if collect then Ekg_obs.Clock.now_s () else 0. in
                     let changed = if full then None else Some changed in
                     let t0 = clock () in
                     let builds = Matcher.prepare ~strategy ?changed st.db r plan in
@@ -812,7 +790,7 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
               if !added_count = 0 then continue := false
               else delta := Some (!added, !added_count)
                 with Matcher.Interrupted ->
-                  (* tripped mid-match: [stop] is already set, the
+                  (* tripped mid-match: the guard has stopped, the
                      round's partial matches are discarded (nothing was
                      inserted for them), and the loop exits above *)
                   ()
@@ -820,82 +798,25 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
             end
           done
         in
-        let traced_stratum pool si rules =
-          if Atomic.get stop = None then
-            Ekg_obs.Trace.with_span_opt obs ?parent
-              ~labels:[ ("stratum", string_of_int si) ]
-              "chase.stratum"
-              (fun span ->
-                let busy0 =
-                  match span, pool with
-                  | Some _, Some p -> Some (Par.total_busy_seconds p, Ekg_obs.Clock.now_s ())
-                  | _ -> None
-                in
-                run_stratum pool si rules;
-                match span with
-                | Some sp ->
-                  Ekg_obs.Trace.label sp "rounds"
-                    (string_of_int stratum_rounds.(si));
-                  (match busy0, pool with
-                  | Some (b0, t0), Some p ->
-                    (* worker-utilization labels: busy time across the
-                       pool over the stratum, normalized by elapsed
-                       wall time x pool width — 1.0 means every domain
-                       was matching the whole stratum *)
-                    let busy = Par.total_busy_seconds p -. b0 in
-                    let wall = Float.max 1e-9 (Ekg_obs.Clock.now_s () -. t0) in
-                    let width = float_of_int (Par.domains p) in
-                    Ekg_obs.Trace.label sp "workers"
-                      (string_of_int (Par.domains p));
-                    Ekg_obs.Trace.label sp "worker_busy_ms"
-                      (Printf.sprintf "%.3f" (busy *. 1000.));
-                    Ekg_obs.Trace.label sp "utilization"
-                      (Printf.sprintf "%.3f"
-                         (Float.min 1. (busy /. (wall *. width))))
-                  | _ -> ())
-                | None -> ())
-        in
-        Par.with_pool ~domains (fun pool ->
-            List.iteri (traced_stratum pool) strata);
+        List.iteri
+          (fun si rules ->
+            if g.stopped = None then
+              Ekg_obs.Trace.with_span_opt obs ?parent
+                ~labels:[ ("stratum", string_of_int si) ]
+                "chase.stratum"
+                (fun span ->
+                  run_stratum si rules;
+                  Option.iter
+                    (fun sp ->
+                      Ekg_obs.Trace.label sp "rounds" (string_of_int stratum_rounds.(si)))
+                    span))
+          strata;
         let stratum_rounds_list =
           Array.to_list (Array.sub stratum_rounds 0 (List.length strata))
         in
-        match Atomic.get stop with
-        | Some reason ->
-          (* the budget tripped: surface how far the run got so the
-             caller can report partial progress (e.g. in a 504 body) *)
-          let partial =
-            {
-              partial_rounds = !total_rounds;
-              partial_derived = st.derived;
-              partial_wall_s = Ekg_obs.Clock.now_s () -. t_start;
-              partial_stratum_rounds = stratum_rounds_list;
-            }
-          in
-          Error
-            (match reason with
-            | `Cancelled -> Cancelled partial
-            | (`Deadline | `Facts | `Rounds) as r ->
-              Budget_exceeded (r, partial))
-        | None ->
-        if !overflow then
-          Error (Divergent { max_rounds; stratum_rounds = stratum_rounds_list })
-        else begin
-          (* negative constraints: a derived ⊥ aborts the task *)
-          match Database.active st.db falsum with
-          | violation :: _ ->
-            let detail =
-              match Provenance.derivation st.prov violation.Fact.id with
-              | Some d ->
-                Printf.sprintf "constraint %s violated by %s" d.rule_id
-                  (String.concat ", "
-                     (List.map
-                        (fun id -> Fact.to_string (Database.fact st.db id))
-                        d.premises))
-              | None -> "constraint violated"
-            in
-            Error (Inconsistent detail)
-          | [] ->
+        finish g ~t_start ~rounds:!total_rounds ~derived:st.derived ~max_rounds
+          ~overflow:!overflow ~stratum_rounds:stratum_rounds_list st.db st.prov
+          (fun () ->
             let stats_record =
               if not collect then None
               else begin
@@ -921,7 +842,6 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
                     rounds_per_stratum = stratum_rounds_list;
                     agg_superseded = st.superseded;
                     wall_s = Ekg_obs.Clock.now_s () -. t_start;
-                    domains = max 1 domains;
                     plan_reorders = !plan_reorders;
                     join_strategy = Matcher.strategy_name strategy;
                     join_builds = !join_builds;
@@ -933,29 +853,21 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
             | Some sink, Some s ->
               push_stats sink ~rounds:!total_rounds ~derived:st.derived s
             | _ -> ());
-            Ok
-              {
-                db = st.db;
-                prov = st.prov;
-                rounds = !total_rounds;
-                derived_count = st.derived;
-                stats = stats_record;
-              }
-        end)))
+            {
+              db = st.db;
+              prov = st.prov;
+              rounds = !total_rounds;
+              derived_count = st.derived;
+              stats = stats_record;
+            })))
 
-let run ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
-  match
-    run_checked ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent
-      program edb
-  with
+let run ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
+  match run_checked ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb with
   | Ok r -> Ok r
   | Error e -> Error (error_to_string e)
 
-let run_exn ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent program
-    edb =
-  match
-    run ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent program edb
-  with
+let run_exn ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
+  match run ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb with
   | Ok r -> r
   | Error e -> failwith ("Chase.run: " ^ e)
 
@@ -1162,8 +1074,8 @@ let resolve_retractions (res : result) atoms =
 
 (* Full recompute: cold-chase [base] and report the update against
    [before], the active facts ahead of it. *)
-let rechase ?domains ?max_rounds ?budget (program : Program.t) ~base ~before ~seeds =
-  match run_checked ?domains ?max_rounds ?budget program base with
+let rechase ?max_rounds ?budget (program : Program.t) ~base ~before ~seeds =
+  match run_checked ?max_rounds ?budget program base with
   | Error _ as e -> e
   | Ok fresh ->
     (* observable diff for the update report: the facts active on both
@@ -1199,7 +1111,7 @@ let seed_preds (res : result) ~adds ~retract_ids =
 
 (* Full-recompute fallback: rebuild the fact base and cold-chase it.
    Non-destructive — the input result is left untouched. *)
-let rebuild ?domains ?max_rounds ?budget (program : Program.t) (res : result)
+let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
     ~adds ~retract_ids =
   let removed = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.replace removed id ()) retract_ids;
@@ -1211,7 +1123,7 @@ let rebuild ?domains ?max_rounds ?budget (program : Program.t) (res : result)
       && not (Hashtbl.mem removed id)
     then base := atom_of_fact (Database.fact res.db id) :: !base
   done;
-  rechase ?domains ?max_rounds ?budget program ~base:(!base @ adds)
+  rechase ?max_rounds ?budget program ~base:(!base @ adds)
     ~before:(Database.active_all res.db)
     ~seeds:(seed_preds res ~adds ~retract_ids)
 
@@ -1220,8 +1132,8 @@ let rebuild ?domains ?max_rounds ?budget (program : Program.t) (res : result)
 exception Regressed of Fact.t list
 
 (* The incremental pass proper (no existentials). *)
-let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
-    ?(budget = unlimited) (res : result) ~adds ~add_tuples ~retract_ids strata =
+let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : result)
+    ~adds ~add_tuples ~retract_ids strata =
   let db = res.db and prov = res.prov in
   let st = make_state ~lookup_groups:true db prov in
   let size_before = Database.size db in
@@ -1242,7 +1154,6 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
     !acc
   in
   let strategy = Matcher.strategy_of_env () in
-  let partitions = max 1 domains in
   let t_start = Ekg_obs.Clock.now_s () in
   let deleted = Hashtbl.create 32 in      (* over-deleted, not yet restored *)
   let deleted_preds = Hashtbl.create 8 in
@@ -1337,62 +1248,12 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
           Hashtbl.replace changed_preds f.Fact.pred ()
         end)
     adds add_tuples;
-  (* budget machinery, shared with the match-loop interrupt *)
-  let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option Atomic.t =
-    Atomic.make None
-  in
-  let trip r =
-    ignore (Atomic.compare_and_set stop None (Some r));
-    true
-  in
-  let check_budget () =
-    Atomic.get stop <> None
-    ||
-    if match budget.cancel with Some f -> f () | None -> false then
-      trip `Cancelled
-    else if
-      match budget.deadline_s with
-      | Some d -> Ekg_obs.Clock.now_s () > d
-      | None -> false
-    then trip `Deadline
-    else if
-      match budget.budget_facts with
-      | Some m -> !derived_this_update >= m
-      | None -> false
-    then trip `Facts
-    else if
-      match budget.budget_rounds with
-      | Some m -> !total_new_rounds >= m
-      | None -> false
-    then trip `Rounds
-    else false
-  in
-  let interrupt =
-    if budget.deadline_s = None && Option.is_none budget.cancel then None
-    else begin
-      let tick = ref 0 in
-      Some
-        (fun () ->
-          Atomic.get stop <> None
-          || begin
-               incr tick;
-               !tick land 4095 = 0 && check_budget ()
-             end)
-    end
-  in
-  let instantiate_head (r : Rule.t) binding =
-    let resolve = function
-      | Term.Cst c -> Some c
-      | Term.Var v -> Subst.find binding v
-    in
-    let args = List.map resolve r.Rule.head.Atom.args in
-    if List.exists Option.is_none args then None
-    else Some (Array.of_list (List.map Option.get args))
-  in
+  let g = guard budget in
+  let interrupt = interrupt g in
   let insert_matches ~round (r : Rule.t) matches round_delta =
     List.iter
       (fun (m : Matcher.match_result) ->
-        match instantiate_head r m.binding with
+        match instantiate_head st ~existentials:[] r m.binding with
         | None -> ()
         | Some tuple -> (
           let premises = List.sort_uniq Int.compare m.used_facts in
@@ -1441,7 +1302,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
             end))
       matches
   in
-  let run_stratum pool si rules =
+  let run_stratum si rules =
     (* rules whose negated premises changed: their old conclusions are
        unsupported until proven otherwise *)
     let neg_affected =
@@ -1506,8 +1367,8 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
     let pending = ref (List.filter (Database.is_active db) !newly_active) in
     let first = ref true in
     let continue = ref true in
-    while !continue && (not !overflow) && Atomic.get stop = None do
-      if check_budget () then ()
+    while !continue && (not !overflow) && g.stopped = None do
+      if over_budget g ~derived:!derived_this_update ~rounds:!total_new_rounds then ()
       else begin
         let rederive = if !first then rederiving else [] in
         let delta_ids = !pending in
@@ -1539,11 +1400,12 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
                 end
               in
               let card = Database.pred_card db in
-              (* one thunk list per rule, in stratum rule order, exactly
-                 like a cold round: a full evaluation, or the semi-naive
-                 seed passes followed by the re-derivation probes *)
-              let rule_tasks =
-                List.filter_map
+              (* each rule's matches, in stratum rule order, all before
+                 the first insertion, exactly like a cold round: a full
+                 evaluation, or the semi-naive seed passes followed by
+                 the re-derivation probes *)
+              let matched =
+                List.map
                   (fun (r : Rule.t) ->
                     let plan = Plan.compile ~card r in
                     let full = List.memq r rederive && List.memq r full_rules in
@@ -1555,51 +1417,25 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
                            db r plan);
                     if full then begin
                       incr full_passes;
-                      Some
-                        (r, Matcher.full_tasks ~strategy ?interrupt ~plan
-                              ~partitions db r)
+                      (r, Matcher.match_rule ~strategy ?interrupt ~plan db r)
                     end
                     else
                       let seeded =
                         match delta_filter with
-                        | Some d ->
-                          Matcher.delta_tasks ~strategy ?interrupt ~plan
-                            ~partitions ~delta:d db r
+                        | Some d -> Matcher.match_rule ~strategy ?interrupt ~delta:d ~plan db r
                         | None -> []
                       in
                       let probes =
                         if probe then
-                          Matcher.head_probe_tasks ?interrupt ~plan ~partitions
-                            ?delta:delta_filter ~heads:lost db r
+                          Matcher.head_probe_matches ?interrupt ~plan ?delta:delta_filter
+                            ~heads:lost db r
                         else []
                       in
-                      match seeded @ probes with
-                      | [] -> None
-                      | tasks -> Some (r, tasks))
+                      (r, seeded @ probes))
                   plain
               in
-              let flat =
-                Array.of_list (List.concat_map (fun (_, ts) -> ts) rule_tasks)
-              in
-              let results =
-                match pool with
-                | Some p when Array.length flat > 1 -> Par.map p flat
-                | _ -> Array.map (fun t -> t ()) flat
-              in
               let round_delta = ref [] in
-              let cursor = ref 0 in
-              List.iter
-                (fun (r, thunks) ->
-                  let rev_matches = ref [] in
-                  List.iter
-                    (fun _ ->
-                      rev_matches := results.(!cursor) :: !rev_matches;
-                      incr cursor)
-                    thunks;
-                  insert_matches ~round r
-                    (List.concat (List.rev !rev_matches))
-                    round_delta)
-                rule_tasks;
+              List.iter (fun (r, matches) -> insert_matches ~round r matches round_delta) matched;
               (* aggregate rules, after the plain insertions as in a cold
                  round: re-aggregate the groups touched by every fact
                  activated or deactivated since the rule last ran —
@@ -1657,84 +1493,45 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
               end
             with Matcher.Interrupted ->
               (* tripped mid-match: nothing was inserted for the
-                 abandoned round; the loop exits via [stop] *)
+                 abandoned round; the loop exits on the guard *)
               ()
           end
         end
       end
     done
   in
-  Par.with_pool ~domains (fun pool ->
-      List.iteri
-        (fun si rules -> if Atomic.get stop = None then run_stratum pool si rules)
-        strata);
-  let partial () =
-    {
-      partial_rounds = !total_new_rounds;
-      partial_derived = !derived_this_update;
-      partial_wall_s = Ekg_obs.Clock.now_s () -. t_start;
-      partial_stratum_rounds =
-        Array.to_list (Array.sub stratum_rounds 0 (List.length strata));
-    }
-  in
-  match Atomic.get stop with
-  | Some `Cancelled -> Error (Cancelled (partial ()))
-  | Some ((`Deadline | `Facts | `Rounds) as r) ->
-    Error (Budget_exceeded (r, partial ()))
-  | None ->
-    if !overflow then
-      Error
-        (Divergent
-           {
-             max_rounds;
-             stratum_rounds =
-               Array.to_list (Array.sub stratum_rounds 0 (List.length strata));
-           })
-    else begin
-      match Database.active db falsum with
-      | violation :: _ ->
-        let detail =
-          match Provenance.derivation prov violation.Fact.id with
-          | Some d ->
-            Printf.sprintf "constraint %s violated by %s" d.rule_id
-              (String.concat ", "
-                 (List.map
-                    (fun id -> Fact.to_string (Database.fact db id))
-                    d.premises))
-          | None -> "constraint violated"
-        in
-        Error (Inconsistent detail)
-      | [] ->
-        let active_derived = ref 0 in
-        for id = 0 to Database.size db - 1 do
-          if Database.is_active db id && not (Provenance.is_edb prov id) then
-            incr active_derived
-        done;
-        let changed =
-          Hashtbl.fold (fun p () acc -> p :: acc) changed_preds []
-          |> List.sort String.compare
-        in
-        Ok
-          ( {
-              db;
-              prov;
-              rounds = res.rounds + !total_new_rounds;
-              derived_count = !active_derived;
-              stats = None;
-            },
-            {
-              upd_incremental = true;
-              upd_rounds = !total_new_rounds;
-              upd_added = !added;
-              upd_retracted = !retracted_total - !rederived;
-              upd_rederived = !rederived;
-              upd_changed_preds = changed;
-              upd_overdeleted = !overdeleted;
-              upd_full_passes = !full_passes;
-            } )
-    end
+  List.iteri (fun si rules -> if g.stopped = None then run_stratum si rules) strata;
+  let stratum_rounds = Array.to_list (Array.sub stratum_rounds 0 (List.length strata)) in
+  finish g ~t_start ~rounds:!total_new_rounds ~derived:!derived_this_update ~max_rounds
+    ~overflow:!overflow ~stratum_rounds db prov (fun () ->
+      let active_derived = ref 0 in
+      for id = 0 to Database.size db - 1 do
+        if Database.is_active db id && not (Provenance.is_edb prov id) then
+          incr active_derived
+      done;
+      let changed =
+        Hashtbl.fold (fun p () acc -> p :: acc) changed_preds []
+        |> List.sort String.compare
+      in
+      ( {
+          db;
+          prov;
+          rounds = res.rounds + !total_new_rounds;
+          derived_count = !active_derived;
+          stats = None;
+        },
+        {
+          upd_incremental = true;
+          upd_rounds = !total_new_rounds;
+          upd_added = !added;
+          upd_retracted = !retracted_total - !rederived;
+          upd_rederived = !rederived;
+          upd_changed_preds = changed;
+          upd_overdeleted = !overdeleted;
+          upd_full_passes = !full_passes;
+        } ))
 
-let apply_update ?domains ?max_rounds ?budget program res ~adds ~retracts =
+let apply_update ?max_rounds ?budget program res ~adds ~retracts =
   (* all validation happens before any mutation *)
   let rec tuples acc = function
     | [] -> Ok (List.rev acc)
@@ -1750,7 +1547,7 @@ let apply_update ?domains ?max_rounds ?budget program res ~adds ~retracts =
     | Error e -> Error e
     | Ok retract_ids -> (
       if not (incrementable program) then
-        rebuild ?domains ?max_rounds ?budget program res ~adds ~retract_ids
+        rebuild ?max_rounds ?budget program res ~adds ~retract_ids
       else
         match Stratify.strata program with
         | Error e -> Error (Unstratifiable e)
@@ -1758,14 +1555,13 @@ let apply_update ?domains ?max_rounds ?budget program res ~adds ~retracts =
           let collections () = (Gc.quick_stat ()).Gc.minor_collections in
           let before = collections () in
           match
-            apply_incremental ?domains ?max_rounds ?budget res ~adds ~add_tuples
-              ~retract_ids strata
+            apply_incremental ?max_rounds ?budget res ~adds ~add_tuples ~retract_ids strata
           with
           | exception Regressed before ->
             (* the pass met a group it cannot maintain in place: finish
                with a re-chase of the updated base, which the mutated
                result holds by now *)
-            rechase ?domains ?max_rounds ?budget program ~base:(edb_atoms res) ~before
+            rechase ?max_rounds ?budget program ~base:(edb_atoms res) ~before
               ~seeds:(seed_preds res ~adds ~retract_ids)
           | Ok _ as ok ->
             (* The maintained result outlives the call.  If no minor
@@ -1779,8 +1575,8 @@ let apply_update ?domains ?max_rounds ?budget program res ~adds ~retracts =
             ok
           | Error _ as e -> e)))
 
-let add_facts ?domains ?max_rounds ?budget program res atoms =
-  apply_update ?domains ?max_rounds ?budget program res ~adds:atoms ~retracts:[]
+let add_facts ?max_rounds ?budget program res atoms =
+  apply_update ?max_rounds ?budget program res ~adds:atoms ~retracts:[]
 
-let retract_facts ?domains ?max_rounds ?budget program res atoms =
-  apply_update ?domains ?max_rounds ?budget program res ~adds:[] ~retracts:atoms
+let retract_facts ?max_rounds ?budget program res atoms =
+  apply_update ?max_rounds ?budget program res ~adds:[] ~retracts:atoms

@@ -13,17 +13,16 @@
     result byte-identical to re-aggregating every group every round —
     what the [Nested] engine still does, as the reference.
 
-    {2 Parallel evaluation}
+    {2 Rounds}
 
-    Each round runs a fixed two-phase protocol: every plain rule (every
-    semi-naive seed pass) is {e matched} against the immutable
-    pre-round database, then the matches are {e inserted} sequentially
-    in rule order (aggregate rules follow, sequentially).
-    The match phase is pure reads, so with [?domains > 1] it fans out
-    across a reusable {!Par} pool; all fact ids, labelled nulls,
-    provenance records and the chase graph are allocated in the
-    sequential insert phase and are therefore {e bit-identical} for
-    every domain count, including [1].  Join orders come from per-round
+    Each round runs a fixed protocol on one domain: {e plan} every
+    rule and prepare the indexes its match passes probe; {e match}
+    every plain rule (every semi-naive seed pass) against the pre-round
+    database; then {e insert} the matches in rule order, aggregate
+    rules following.  Match passes only read, so a round's plain rules
+    never see each other's insertions, and every fact id, labelled
+    null, provenance record and the chase graph is allocated in the
+    insert phase in rule order.  Join orders come from per-round
     cost-based plans ({!Plan}), recompiled from live predicate
     cardinalities; ties keep textual order, so plans are deterministic
     too. *)
@@ -43,14 +42,13 @@ type rule_stat = {
   time_s : float;      (** total matcher + insertion time across rounds *)
   evals : int;         (** rounds the rule was evaluated in *)
   facts : int;         (** facts this rule derived *)
-  build_s : float;     (** sequential hash-index preparation seconds
+  build_s : float;     (** hash-index preparation seconds
                            (always [0.] under the nested engine) *)
-  probe_s : float;     (** match-phase seconds, summed over the rule's
-                           parallel tasks — probe time under the hash
-                           engine, scan time under the nested one; for
-                           an aggregate rule, its full or touched-group
-                           passes and group probes *)
-  insert_s : float;    (** sequential insertion seconds *)
+  probe_s : float;     (** match-phase seconds — probe time under the
+                           hash engine, scan time under the nested one;
+                           for an aggregate rule, its full or
+                           touched-group passes and group probes *)
+  insert_s : float;    (** insertion seconds *)
 }
 
 type round_stat = {
@@ -67,7 +65,6 @@ type stats = {
   rounds_per_stratum : int list;   (** by ascending stratum *)
   agg_superseded : int;            (** stale aggregate facts deactivated *)
   wall_s : float;                  (** chase wall-clock, EDB load included *)
-  domains : int;                   (** domains the run fanned out over *)
   plan_reorders : int;             (** compiled plans deviating from
                                        textual body order, summed over
                                        rules × rounds *)
@@ -182,7 +179,6 @@ val partial_to_string : partial -> string
 
 val run_checked :
   ?naive:bool ->
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   ?join:Matcher.strategy ->
@@ -198,7 +194,6 @@ val run_checked :
 
 val run :
   ?naive:bool ->
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   ?join:Matcher.strategy ->
@@ -220,11 +215,6 @@ val run :
     results are identical, only performance differs — kept for the
     ablation benchmarks.
 
-    [domains] (default [1]) fans the per-round match phase out over
-    that many domains (one reusable pool per run).  The result —
-    facts, ids, nulls, provenance, chase graph — is bit-identical for
-    every value; only wall-clock changes.
-
     [obs] opens one ["chase.stratum"] span per stratum (under
     [parent] when given), labelled with the stratum index and its
     round count.
@@ -234,7 +224,7 @@ val run :
     [ekg_chase_*] series ([ekg_chase_rounds_total],
     [ekg_chase_facts_derived_total],
     [ekg_chase_rule_seconds_total\{rule,stratum\}],
-    [ekg_chase_domains], [ekg_chase_plan_reorders_total], …).  A
+    [ekg_chase_plan_reorders_total], …).  A
     disabled sink ({!Ekg_obs.Metrics.noop}) disables collection
     outright — [result.stats] stays [None] and the hot path pays a
     single branch, so instrumented call sites can leave observability
@@ -243,7 +233,6 @@ val run :
 
 val run_exn :
   ?naive:bool ->
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   ?join:Matcher.strategy ->
@@ -264,8 +253,7 @@ val run_exn :
 
     {b Additions} warm-start the existing semi-naive loop: the new
     facts are the incoming delta, and each stratum re-runs to fixpoint
-    with the usual per-round join planning and optional {!Par} domain
-    fan-out.  {b Retractions} run DRed-style deletion propagation over
+    with the usual per-round join planning.  {b Retractions} run DRed-style deletion propagation over
     the stored provenance DAG: first {e over-delete} the cone of
     consequences reachable from a retracted fact through any recorded
     derivation, then {e re-derive} every over-deleted fact that still
@@ -274,7 +262,7 @@ val run_exn :
     deriving an over-deleted fact (or a retracted one) binds the head
     variables its positive body binds to that fact's values and probes
     its hash join once per distinct key
-    ({!Matcher.head_probe_tasks}), and the semi-naive tail propagates
+    ({!Matcher.head_probe_matches}), and the semi-naive tail propagates
     whatever came back.  A rule is evaluated over the whole instance
     instead only where no probe can stand in for it: when its negated
     premises changed, when no positive atom binds any head variable,
@@ -406,7 +394,6 @@ val copy_result : result -> result
     O(facts + index entries), well below a re-chase. *)
 
 val add_facts :
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   Program.t ->
@@ -418,15 +405,13 @@ val add_facts :
     restores the fixpoint.  Atoms already present are idempotent
     no-ops; an atom matching a previously derived fact makes that fact
     extensional (as a cold chase on the new base would).  [budget] and
-    [max_rounds] bound the propagation exactly as in {!run};
-    [domains] fans the match phases out over a {!Par} pool.  An
+    [max_rounds] bound the propagation exactly as in {!run}.  An
     addition that fires a negative constraint fails with
     {!Inconsistent} only after the fixpoint was restored — [res] is
     then mutated and must be discarded (see the error contract
     above). *)
 
 val retract_facts :
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   Program.t ->

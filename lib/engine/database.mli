@@ -119,10 +119,11 @@ val pred_card : t -> string -> int
     group on demand: [ensure_index] indexes the key columns named by a
     bitmask, incrementally from a row watermark, so per-round index
     maintenance costs O(new rows).  [ensure_index] mutates the
-    database and must be called from the sequential planning step of a
-    chase round, never from the parallel match phase; {!probe} is a
-    pure read and falls back to [None] whenever the index is missing
-    or stale, so correctness never depends on index preparation. *)
+    database and must be called from the planning step of a chase
+    round, never on a result published to readers, who read it off
+    the session lock; {!probe} is a pure read and falls back to [None]
+    whenever the index is missing or stale, so correctness never
+    depends on index preparation. *)
 
 module Cols : sig
   type group

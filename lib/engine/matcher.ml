@@ -23,7 +23,7 @@ exception Interrupted
    plan-independent.  [interrupt] is polled once per join node; when it
    answers [true] the enumeration aborts with {!Interrupted} — the
    cooperative-cancellation point that keeps a pathological join from
-   pinning a domain past its budget. *)
+   running past its budget. *)
 let raw_matches ?interrupt ?plan ?(position_ok = fun _ _ -> true) db (r : Rule.t) =
   let positives = Array.of_list (Rule.positive_atoms r) in
   let order =
@@ -96,8 +96,7 @@ type delta = {
    Positions follow the evaluation plan; the decomposition is valid
    over any fixed order.  Passes whose seed predicate has no delta fact
    are skipped outright, by interned symbol (no string hashing). *)
-let nested_delta_tasks ?interrupt ?plan ~delta db (r : Rule.t) =
-  let { mem; has_pred } = delta in
+let seed_positions ?plan ~delta db (r : Rule.t) =
   let positives = Array.of_list (Rule.positive_atoms r) in
   let n = Array.length positives in
   let order =
@@ -105,24 +104,11 @@ let nested_delta_tasks ?interrupt ?plan ~delta db (r : Rule.t) =
     | Some (p : Plan.t) -> p.Plan.order
     | None -> Array.init n Fun.id
   in
-  List.filter_map
+  List.filter
     (fun k ->
-      let seed = positives.(order.(k)) in
-      let seed_has_delta =
-        match Database.pred_sym db seed.Atom.pred with
-        | None -> false (* no facts of this predicate at all *)
-        | Some sym -> has_pred sym
-      in
-      if not seed_has_delta then None
-      else
-        Some
-          (fun () ->
-            let position_ok pos (f : Fact.t) =
-              if pos = k then mem f.id
-              else if pos < k then not (mem f.id)
-              else true
-            in
-            raw_matches ?interrupt ?plan ~position_ok db r))
+      match Database.pred_sym db positives.(order.(k)).Atom.pred with
+      | None -> false (* no facts of this predicate at all *)
+      | Some sym -> delta.has_pred sym)
     (List.init n Fun.id)
 
 (* --- hash-join evaluation ----------------------------------------------------
@@ -237,11 +223,7 @@ let compile_nodes ?bound db (r : Rule.t) order =
 
 (* One semi-naive pass of the hash engine.  [delta_seed = Some (d, k)]
    restricts position k to delta facts and earlier positions to
-   non-delta facts, exactly like [position_ok] in the nested engine;
-   [range = Some (lo, hi)] restricts position 0's candidate rows to
-   [lo, hi) — the share-nothing partitioning unit of parallel probe
-   tasks (contiguous ranges recombined in order preserve the
-   enumeration order, which join-key hash partitioning would not).
+   non-delta facts, exactly like [position_ok] in the nested engine.
 
    The aggregation passes add three hooks.  [bound] pre-binds variables
    to interned value ids — a group probe, with the group key
@@ -249,7 +231,7 @@ let compile_nodes ?bound db (r : Rule.t) order =
    0's candidates with the given rows (ascending), and [admit] lets
    inactive facts it accepts join anyway — touched-group discovery,
    which must also see the contributors a group just lost. *)
-let hash_matches ?interrupt ?plan ?delta_seed ?range ?(bound = []) ?seed_rows
+let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
     ?(admit = fun _ -> false) db (r : Rule.t) =
   let positives = Array.of_list (Rule.positive_atoms r) in
   let n = Array.length positives in
@@ -398,18 +380,10 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range ?(bound = []) ?seed_rows
         | None, _ -> ()
         | Some g, Some rows when pos = 0 -> Array.iter (try_row pos nd g) rows
         | Some g, _ ->
-          let nrows = Database.Cols.rows g in
-          let lo, hi =
-            if pos = 0 then
-              match range with
-              | Some (a, b) -> (max 0 a, min b nrows)
-              | None -> (0, nrows)
-            else (0, nrows)
-          in
-          if nd.nd_mask = 0 then scan pos nd g lo hi
+          if nd.nd_mask = 0 then scan pos nd g
           else begin
             match handles.(pos) with
-            | None -> scan pos nd g lo hi (* index missing/stale *)
+            | None -> scan pos nd g (* index missing/stale *)
             | Some ix ->
               (* fold the bound key columns into the probe hash *)
               let keycols = nd.nd_keycols in
@@ -425,24 +399,17 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range ?(bound = []) ?seed_rows
                 if vid < 0 then valid := false
                 else h := Database.key_hash_add !h vid
               done;
-              if not !valid then scan pos nd g lo hi
+              if not !valid then scan pos nd g
               else begin
                 let bucket = Database.probe_handle ix ~hash:!h in
-                let m = Intvec.length bucket in
-                if lo = 0 && hi = nrows then
-                  for bi = 0 to m - 1 do
-                    try_row pos nd g (Intvec.unsafe_get bucket bi)
-                  done
-                else
-                  for bi = 0 to m - 1 do
-                    let row = Intvec.unsafe_get bucket bi in
-                    if row >= lo && row < hi then try_row pos nd g row
-                  done
+                for bi = 0 to Intvec.length bucket - 1 do
+                  try_row pos nd g (Intvec.unsafe_get bucket bi)
+                done
               end
           end
     end
-  and scan pos nd g lo hi =
-    for row = lo to hi - 1 do
+  and scan pos nd g =
+    for row = 0 to Database.Cols.rows g - 1 do
       try_row pos nd g row
     done
   and try_row pos (nd : node) g row =
@@ -488,90 +455,25 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range ?(bound = []) ?seed_rows
   if satisfiable then node 0;
   List.rev !out
 
-(* Contiguous position-0 row ranges for share-nothing probe
-   partitioning.  [None] stands for the unrestricted range; ranges are
-   returned in ascending order, so concatenating their results
-   restores the unpartitioned enumeration order — the partition count
-   may therefore vary (with pool width, with instance size) without
-   perturbing a single output byte. *)
-let seed_ranges ~partitions db (r : Rule.t) order =
-  if partitions <= 1 || Array.length order = 0 then [ None ]
-  else begin
-    let positives = Array.of_list (Rule.positive_atoms r) in
-    let a = positives.(order.(0)) in
-    let nrows =
-      match Database.pred_sym db a.Atom.pred with
-      | None -> 0
-      | Some sym -> (
-        match
-          Database.Cols.find db ~sym ~arity:(List.length a.Atom.args)
-        with
-        | None -> 0
-        | Some g -> Database.Cols.rows g)
-    in
-    if nrows < 2 * partitions then [ None ]
-    else
-      List.init partitions (fun p ->
-          Some (p * nrows / partitions, (p + 1) * nrows / partitions))
-  end
-
-let hash_delta_tasks ?interrupt ?plan ~partitions ~delta db (r : Rule.t) =
-  let { mem = _; has_pred } = delta in
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let n = Array.length positives in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init n Fun.id
-  in
-  let ranges = seed_ranges ~partitions db r order in
-  List.concat_map
-    (fun k ->
-      let seed = positives.(order.(k)) in
-      let seed_has_delta =
-        match Database.pred_sym db seed.Atom.pred with
-        | None -> false
-        | Some sym -> has_pred sym
-      in
-      if not seed_has_delta then []
-      else
-        List.map
-          (fun range () ->
-            hash_matches ?interrupt ?plan ~delta_seed:(delta, k) ?range db r)
-          ranges)
-    (List.init n Fun.id)
-
-let delta_tasks ?(strategy = strategy_of_env ()) ?interrupt ?plan ?(partitions = 1) ~delta db
-    (r : Rule.t) =
-  match strategy with
-  | Nested -> nested_delta_tasks ?interrupt ?plan ~delta db r
-  | Hash -> hash_delta_tasks ?interrupt ?plan ~partitions ~delta db r
-
-let full_tasks ?(strategy = strategy_of_env ()) ?interrupt ?plan ?(partitions = 1) db
-    (r : Rule.t) =
-  match strategy with
-  | Nested -> [ (fun () -> raw_matches ?interrupt ?plan db r) ]
-  | Hash ->
-    let positives = Rule.positive_atoms r in
-    let n = List.length positives in
-    let order =
-      match plan with
-      | Some (p : Plan.t) -> p.Plan.order
-      | None -> Array.init n Fun.id
-    in
-    List.map
-      (fun range () -> hash_matches ?interrupt ?plan ?range db r)
-      (seed_ranges ~partitions db r order)
-
 let match_rule ?(strategy = strategy_of_env ()) ?interrupt ?delta ?plan db (r : Rule.t) =
   if Rule.has_agg r then invalid_arg "Matcher.match_rule: aggregating rule";
   match strategy, delta with
   | Nested, None -> raw_matches ?interrupt ?plan db r
   | Hash, None -> hash_matches ?interrupt ?plan db r
-  | _, Some delta ->
+  | Nested, Some delta ->
     List.concat_map
-      (fun task -> task ())
-      (delta_tasks ~strategy ?interrupt ?plan ~delta db r)
+      (fun k ->
+        let position_ok pos (f : Fact.t) =
+          if pos = k then delta.mem f.id
+          else if pos < k then not (delta.mem f.id)
+          else true
+        in
+        raw_matches ?interrupt ?plan ~position_ok db r)
+      (seed_positions ?plan ~delta db r)
+  | Hash, Some delta ->
+    List.concat_map
+      (fun k -> hash_matches ?interrupt ?plan ~delta_seed:(delta, k) db r)
+      (seed_positions ?plan ~delta db r)
 
 (* --- aggregation ------------------------------------------------------- *)
 
@@ -767,7 +669,7 @@ let head_bound_vars (r : Rule.t) =
    match the full pass would hand back for them, each probe in the
    full pass's order.  Matches using a delta fact are dropped — the
    round's delta passes produce them. *)
-let head_probe_tasks ?interrupt ?plan ?(partitions = 1) ?delta ~heads db (r : Rule.t) =
+let head_probe_matches ?interrupt ?plan ?delta ~heads db (r : Rule.t) =
   let vars = head_bound_vars r in
   let pred = Rule.head_pred r and arity = List.length r.head.Atom.args in
   let seen = Hashtbl.create 16 in
@@ -793,17 +695,12 @@ let head_probe_tasks ?interrupt ?plan ?(partitions = 1) ?delta ~heads db (r : Ru
     | None -> Fun.const true
     | Some d -> fun m -> not (List.exists d.mem m.used_facts)
   in
-  let probe key = List.filter fresh (probe_group ?interrupt ?plan db r vars key) in
-  let keys = Array.of_list keys in
-  let nkeys = Array.length keys in
-  let chunks = min (max 1 partitions) nkeys in
-  List.init chunks (fun c () ->
-      let lo = c * nkeys / chunks and hi = (c + 1) * nkeys / chunks in
-      List.concat_map probe (Array.to_list (Array.sub keys lo (hi - lo))))
+  List.concat_map
+    (fun key -> List.filter fresh (probe_group ?interrupt ?plan db r vars key))
+    keys
 
-(* Sequential-phase index preparation: ensure the hash indexes every
-   join position will probe, so the (parallel, pure-read) match phase
-   never builds.  For an aggregating rule, [changed] selects the pass
+(* Plan-phase index preparation: ensure the hash indexes every join
+   position will probe, so the pure-read match phase never builds.  For an aggregating rule, [changed] selects the pass
    about to run: absent, the full pass; present, the touched-group
    discovery seeded from those facts and the group probes.  For a plain
    rule, [bound] adds the indexes of the probes that pre-bind those

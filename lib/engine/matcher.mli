@@ -8,9 +8,9 @@
     Joins follow an optional {!Plan.t} (cost-based atom order); the
     results are plan-independent — [used_facts] is always reported in
     body order — only the enumeration order of the matches may differ
-    between plans.  All entry points only {e read} the database, so a
-    round's match phase may fan out across domains against an immutable
-    pre-round database. *)
+    between plans.  Every entry point but {!prepare} only {e read}s the
+    database, so a match pass never disturbs readers of a result the
+    server has published: those read it off the session lock. *)
 
 open Ekg_kernel
 open Ekg_datalog
@@ -69,48 +69,22 @@ val match_rule :
   ?interrupt:(unit -> bool) ->
   ?delta:delta -> ?plan:Plan.t -> Database.t -> Rule.t -> match_result list
 (** Matches of a non-aggregating rule.  With [delta], only matches
-    using at least one delta fact are returned, and the join is seeded
-    from the delta facts (semi-naive evaluation).  [interrupt] is
+    using at least one delta fact are returned (semi-naive
+    evaluation): one pass per join position whose predicate has delta
+    facts, seeded from them, concatenated in plan order.  [interrupt] is
     polled once per join node; answering [true] aborts the enumeration
     with {!Interrupted}.  Raises [Invalid_argument] on aggregating
     rules. *)
 
-val delta_tasks :
-  ?strategy:strategy ->
-  ?interrupt:(unit -> bool) ->
-  ?plan:Plan.t -> ?partitions:int ->
-  delta:delta -> Database.t -> Rule.t -> (unit -> match_result list) list
-(** The independent seed passes of semi-naive evaluation, one closure
-    per join position whose seed predicate has delta facts.  Running
-    every task (in any order, e.g. across a {!Par} pool) and
-    concatenating the results {e in task order} equals
-    [match_rule ~delta] — the chase's unit of parallel work.  Tasks
-    must run against the unchanged database.
-
-    Under the [Hash] strategy, [partitions] (default 1) additionally
-    splits each seed pass into share-nothing probe tasks over
-    contiguous ranges of the first join position's rows; ranges
-    recombine in task order, so the concatenation — and therefore the
-    chase output — is identical for every partition count. *)
-
-val full_tasks :
-  ?strategy:strategy ->
-  ?interrupt:(unit -> bool) ->
-  ?plan:Plan.t -> ?partitions:int ->
-  Database.t -> Rule.t -> (unit -> match_result list) list
-(** Full (non-delta) evaluation as independent tasks — the first round
-    of a stratum, partitioned like {!delta_tasks}; concatenating the
-    results in task order equals [match_rule] without [delta]. *)
-
 val head_bound_vars : Rule.t -> string list
 (** The head variables some positive body atom binds, in head order —
-    the key of {!head_probe_tasks}.  Variables bound only by an
+    the key of {!head_probe_matches}.  Variables bound only by an
     assignment (close link's [W = W1 * W2]) are not among them. *)
 
-val head_probe_tasks :
+val head_probe_matches :
   ?interrupt:(unit -> bool) ->
-  ?plan:Plan.t -> ?partitions:int -> ?delta:delta ->
-  heads:Fact.t list -> Database.t -> Rule.t -> (unit -> match_result list) list
+  ?plan:Plan.t -> ?delta:delta ->
+  heads:Fact.t list -> Database.t -> Rule.t -> match_result list
 (** Re-derivation of a plain rule by head-bound probes, under the
     [Hash] engine: every match of the rule whose head could be one of
     the [heads] facts.  Facts of another predicate, or that do not
@@ -119,12 +93,12 @@ val head_probe_tasks :
     and each distinct key runs one hash join under [plan] with those
     variables pre-bound (the indexes of {!prepare} [~bound]).  A probe's
     matches are the full pass's matches with that key, in the full
-    pass's order; together they include every match deriving one of
+    pass's order, and the probes run in the order their keys first
+    occur in [heads]; together they include every match deriving one of
     [heads], and possibly other facts that share a key.  With [delta],
-    matches using a delta fact are left out: the round's {!delta_tasks}
-    produce those.  [partitions] splits the keys into contiguous chunks,
-    one task each; concatenating the results in task order is
-    independent of the chunking.  [[]] when no fact yields a key. *)
+    matches using a delta fact are left out: the round's
+    {!match_rule} [~delta] produces those.  [[]] when no fact yields a
+    key. *)
 
 val prepare :
   ?strategy:strategy -> ?changed:int list -> ?bound:string list ->
@@ -135,9 +109,10 @@ val prepare :
     the full pass under [plan]; present, the {!touched_groups}
     discovery seeded from [changed] and the group probes of
     {!match_agg_rule} [~groups].  For a plain rule, [bound] also covers
-    the {!head_probe_tasks} probes pre-binding those variables (the
-    full pass's indexes included).  {e Mutates the database}: call from a
-    sequential step, never concurrently with match tasks.  Returns the
+    the {!head_probe_matches} probes pre-binding those variables (the
+    full pass's indexes included).  {e Mutates the database}: call in a
+    round's plan phase, before its match passes, and never on a result
+    published to readers.  Returns the
     number of indexes built or extended.  No-op (0) under [Nested]. *)
 
 module GroupSet : Set.S with type elt = Value.t list

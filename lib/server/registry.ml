@@ -63,7 +63,6 @@ type t = {
   root : string;
   metrics : Metrics.t;
   obs : Ekg_obs.Metrics.t;
-  chase_domains : int;
   fault : Fault.t;
   persist : persist option;
   lock : Ekg_obs.Lock.t;
@@ -88,8 +87,7 @@ let query_answer_misses_metric = "ekg_query_answer_cache_misses_total"
 let query_invalidations_metric = "ekg_query_cache_invalidations_total"
 let query_seconds_metric = "ekg_query_seconds_total"
 
-let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(chase_domains = 1)
-    ?(fault = Fault.Off) ?store
+let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?store
     ?(snapshot_mode = Ekg_store.Snapshotter.Write_behind)
     ?(max_hot_sessions = 0) metrics =
   let persist =
@@ -106,7 +104,6 @@ let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(chase_domains = 1)
     root;
     metrics;
     obs;
-    chase_domains;
     fault;
     persist;
     lock = Ekg_obs.Lock.create ~obs "registry";
@@ -435,9 +432,8 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
             | Error _ as e -> e
             | Ok () -> (
               match
-                Chase.run_checked ~stats:t.obs ~domains:t.chase_domains ~budget
-                  ?obs:tracer ?parent session.pipeline.Pipeline.program
-                  session.edb
+                Chase.run_checked ~stats:t.obs ~budget ?obs:tracer ?parent
+                  session.pipeline.Pipeline.program session.edb
               with
               | Ok result ->
                 session.chase <- Some result;
@@ -662,7 +658,7 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
           in
           let t1 = clock_ms () in
           match
-            apply ~domains:t.chase_domains ~budget session.pipeline target atoms
+            apply ~budget session.pipeline target atoms
           with
           | Ok (res', upd) ->
             let t2 = clock_ms () in
@@ -840,8 +836,8 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
       match injected with
       | Error e -> Error e
       | Ok () ->
-        Pipeline.query ~stats:t.obs ~domains:t.chase_domains ~budget ?obs:tracer
-          ?parent session.pipeline spec edb atom
+        Pipeline.query ~stats:t.obs ~budget ?obs:tracer ?parent session.pipeline spec
+          edb atom
     in
     match outcome with
     | Error err ->

@@ -137,7 +137,6 @@ val query_seconds_metric : string
 val create :
   ?root:string ->
   ?obs:Ekg_obs.Metrics.t ->
-  ?chase_domains:int ->
   ?fault:Fault.t ->
   ?store:Ekg_store.Store.t ->
   ?snapshot_mode:Ekg_store.Snapshotter.mode ->
@@ -147,8 +146,6 @@ val create :
 (** [root] (default ["."]) anchors [Files] paths; requests may not
     escape it.  [obs] (default a {!Ekg_obs.Metrics.noop} registry)
     receives the [ekg_chase_*] series of every materialization.
-    [chase_domains] (default [1]) is handed to every chase run as its
-    match-phase fan-out; results are identical for every value.
     [fault] (default {!Fault.Off}): {!Fault.Slow_chase} injects its
     configured wall-clock into every materialization — in short,
     budget-aware slices, so a request deadline still trips within a
@@ -224,7 +221,7 @@ val materialize :
     with the registry's [obs] sink, so [result.stats] carries per-rule
     timings and the [ekg_chase_*] series advance.  [tracer]/[parent]
     thread the request trace into a cold chase, so its per-stratum
-    spans — with the worker-count/busy/utilization labels — nest under
+    spans — labelled with the stratum and its round count — nest under
     the request's ["chase"] span.  [budget] (default
     {!Chase.unlimited}) bounds the run — a deadline or cancellation
     surfaces as [Error (Budget_exceeded _ | Cancelled _)] with partial

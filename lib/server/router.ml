@@ -32,6 +32,11 @@ let queue_depth_metric = "ekg_server_queue_depth"
 let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
     ?(default_deadline_ms = 30_000.) ?(max_deadline_ms = 300_000.) ?store
     ?snapshot_mode ?max_hot_sessions ?log () =
+  if chase_domains <> 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Router.make_state: ~chase_domains:%d: the chase is sequential, only 1 is accepted"
+         chase_domains);
   let metrics = Metrics.create () in
   let obs = Ekg_obs.Metrics.create () in
   (* no sink by default: request handling still feeds the slow-request
@@ -82,8 +87,6 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
   Ekg_obs.Metrics.declare_counter obs
     ~help:"Aggregate facts superseded by a later refinement"
     "ekg_chase_agg_superseded_total";
-  Ekg_obs.Metrics.set obs ~help:"Domains used by the most recent chase"
-    "ekg_chase_domains" (float_of_int chase_domains);
   (* the contention histograms of the process-wide instrumented locks
      likewise render (at zero) from the first scrape *)
   List.iter (Ekg_obs.Lock.declare obs) [ "registry"; "tracer"; "inflight" ];
@@ -151,7 +154,7 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
       Ekg_store.Snapshotter.stall_metric
   end;
   let registry =
-    Registry.create ?root ~obs ~chase_domains ~fault ?store ?snapshot_mode
+    Registry.create ?root ~obs ~fault ?store ?snapshot_mode
       ?max_hot_sessions metrics
   in
   let runtime = Ekg_obs.Runtime.create obs in

@@ -65,8 +65,9 @@ val make_state :
   state
 (** Fresh registry + metrics + observability registry + tracer; [root]
     anchors [program_path] / [facts_dir] session specs.
-    [chase_domains] (default [1]) is the match-phase fan-out of every
-    chase materialization — orthogonal to the HTTP worker-domain count.
+    [chase_domains] (default [1]) must be [1]: the chase is sequential,
+    and any other value raises [Invalid_argument].  It remains only for
+    callers that still pass [~chase_domains:1].
     [fault] (default {!Fault.Off}) injects the configured fault:
     [Delay] sleeps before handling each session request, [Slow_chase]
     stretches materializations (see {!Registry.create}).

@@ -228,7 +228,7 @@ let start ?(config = default_config) state =
   t.threads <- acceptor :: shedder :: workers;
   (* publish per-worker busy clocks through the runtime sampler so
      [GET /v1/debug/runtime] and the metrics endpoint expose HTTP
-     pool utilization alongside the chase pool's *)
+     pool utilization *)
   Ekg_obs.Runtime.register (Router.runtime state) "server-pool" (fun () ->
       let n = Array.length t.worker_busy in
       let wall = Float.max 1e-9 (Unix.gettimeofday () -. t.started_at) in

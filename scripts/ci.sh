@@ -9,11 +9,12 @@
 # restart-recovery smoke (kill + restart on the same --store-dir;
 # explanations must be served again without re-running the chase), the
 # scale-harness smoke (tiny-N generate -> serve -> CDC replay ->
-# identity gate, with the ekg_loadgen_* series asserted), the parallel-
-# chase bench smoke (writes BENCH_chase.json: wall-clock at domains=1
-# vs 4, admission overhead, incremental maintenance vs cold re-chase,
-# snapshot/restore vs cold chase; fails if parallel, incremental or
-# restored state ever diverges), the join-engine identity smoke (both
+# identity gate, with the ekg_loadgen_* series asserted), the engine
+# bench smoke (writes BENCH_chase.json: admission and observability
+# overhead, incremental maintenance vs cold re-chase, hash vs nested
+# join core, query lane vs full chase, snapshot/restore vs cold chase;
+# fails if incremental, join-engine, query-lane or restored state ever
+# diverges), the join-engine identity smoke (both
 # bundled aggregation apps under the hash and nested engines must
 # fingerprint identically), the engine's incremental and property
 # suites once more under the nested reference engine (whose DRed keeps
@@ -74,4 +75,4 @@ else
   echo "ci: odoc not installed; skipped @doc rendering (doc lint still enforced)"
 fi
 
-echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + nested re-derivation + docs)"
+echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + engine bench + join identity + nested re-derivation + docs)"

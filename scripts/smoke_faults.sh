@@ -2,6 +2,8 @@
 # Fault-injection smoke drills: boot the daemon under each injected
 # fault and check the degradation contract end to end.
 #
+#   0. --chase-domains 2: the chase is sequential, so the daemon refuses
+#      any value but 1 and exits 1 before it binds a port.
 #   1. delay fault + queue-high-water 0: every session request is shed
 #      with 503 + Retry-After + the "overloaded" envelope while
 #      /v1/health keeps answering 200, and ekg_server_shed_total
@@ -44,7 +46,18 @@ fail() {
 
 LOG1="$(mktemp)"
 LOG2="$(mktemp)"
+PID=""
 trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG1" "$LOG2"' EXIT
+
+# --- drill 0: only a sequential chase ---------------------------------------
+CODE=0
+timeout 10 "$SERVE" --port 0 --chase-domains 2 >"$LOG1" 2>&1 || CODE=$?
+[ "$CODE" = 1 ] || fail "--chase-domains 2 exited $CODE, expected 1" "$(cat "$LOG1")"
+grep -q 'the chase is sequential' "$LOG1" \
+  || fail "--chase-domains 2 did not name the sequential chase" "$(cat "$LOG1")"
+if grep -q 'listening on' "$LOG1"; then
+  fail "--chase-domains 2 bound a port before refusing" "$(cat "$LOG1")"
+fi
 
 # --- drill 1: load shedding under a delay fault -----------------------------
 # EKG_FAULT exercises the environment-variable path of the fault flag.
@@ -105,4 +118,4 @@ printf '%s\n' "$METRICS" | grep -q '^ekg_request_deadline_exceeded_total [1-9]' 
 kill -TERM "$PID"
 wait "$PID" || true
 
-echo "smoke-faults: ok (shedding + deadline drills, ${ELAPSED_MS}ms to 504)"
+echo "smoke-faults: ok (chase-domains refusal + shedding + deadline drills, ${ELAPSED_MS}ms to 504)"

@@ -982,7 +982,7 @@ let prop_magic_equals_full_chase =
 
 (* The serving property behind the query lane: specializing for a
    bound/free pattern, seeding with the query constants and chasing the
-   rewritten program (at domains > 1) answers exactly what filtering
+   rewritten program answers exactly what filtering
    the full materialization answers — for plain, negated and
    aggregating programs alike, inconsistency detection included. *)
 let ql_plain =
@@ -1044,14 +1044,13 @@ let prop_query_lane_equals_materialization =
           Atom.make pred [ arg b1 c1 "X"; Term.var "T" ]
         else Atom.make pred [ arg b1 c1 "X"; arg b2 c2 "Y" ]
       in
-      let full = Chase.run_checked ~domains:2 program edb in
+      let full = Chase.run_checked program edb in
       let scoped =
         match Magic.specialize program ~pred ~mask:(Magic.adornment q) with
         | Error e -> Error ("specialize: " ^ e)
         | Ok sp -> (
           match
-            Chase.run_checked ~domains:2 sp.Magic.sp_program
-              (edb @ Magic.seeds sp q)
+            Chase.run_checked sp.Magic.sp_program (edb @ Magic.seeds sp q)
           with
           | Error err -> Error (Chase.error_to_string err)
           | Ok res ->
@@ -1233,7 +1232,7 @@ path(X, Z), e(Z, Y) -> path(X, Y).
         dump a = dump b
       | _ -> false)
 
-(* --- parallel chase, join planning and interning --------------------------- *)
+(* --- join planning and interning ------------------------------------------- *)
 
 let test_intvec () =
   let v = Intvec.create ~capacity:2 () in
@@ -1318,59 +1317,10 @@ let test_pred_card () =
   check int' "deactivation does not shrink the estimate" 2
     (Database.pred_card db "p")
 
-let test_par_map () =
-  Par.with_pool ~domains:3 (fun pool ->
-      let pool = Option.get pool in
-      check int' "pool size" 3 (Par.domains pool);
-      let tasks = Array.init 50 (fun i () -> i * i) in
-      let out = Par.map pool tasks in
-      check bool' "results in task order" true
-        (out = Array.init 50 (fun i -> i * i));
-      (* reusable across batches *)
-      let out2 = Par.map pool (Array.init 7 (fun i () -> -i)) in
-      check bool' "second batch" true (out2 = Array.init 7 (fun i -> -i));
-      (* a raising task propagates after the batch drains *)
-      Alcotest.check_raises "exception propagates" (Failure "task 3") (fun () ->
-          ignore
-            (Par.map pool
-               (Array.init 8 (fun i () ->
-                    if i = 3 then failwith "task 3" else i))));
-      (* the pool survives a failed batch *)
-      let out3 = Par.map pool (Array.init 4 (fun i () -> i + 1)) in
-      check bool' "usable after failure" true (out3 = [| 1; 2; 3; 4 |]));
-  (* domains <= 1: no pool, caller runs inline *)
-  check bool' "sequential fallback" true
-    (Par.with_pool ~domains:1 (fun pool -> pool = None))
-
 (* the full externally visible result: facts, ids, provenance and the
    chase graph — byte equality is the determinism contract *)
 let chase_fingerprint (r : Chase.result) =
   Io.result_to_json r ^ Export.chase_graph_dot r
-
-let test_parallel_identical_on_bundled_apps () =
-  List.iter
-    (fun app ->
-      match Ekg_apps.Bundled.load app with
-      | Error e -> Alcotest.failf "load %s: %s" app e
-      | Ok loaded ->
-        let program =
-          loaded.Ekg_apps.Apps_util.pipeline.Ekg_core.Pipeline.program
-        in
-        let edb = loaded.Ekg_apps.Apps_util.edb in
-        let seq = Chase.run_exn program edb in
-        List.iter
-          (fun domains ->
-            let par = Chase.run_exn ~domains program edb in
-            check int' (app ^ ": rounds identical") seq.Chase.rounds
-              par.Chase.rounds;
-            check int' (app ^ ": derived identical") seq.Chase.derived_count
-              par.Chase.derived_count;
-            check bool'
-              (Printf.sprintf "%s: domains=%d bit-identical" app domains)
-              true
-              (chase_fingerprint seq = chase_fingerprint par))
-          [ 2; 4 ])
-    Ekg_apps.Bundled.names
 
 let test_naive_matches_seminaive_under_planner () =
   (* multi-predicate joins so the planner actually reorders; negation
@@ -1395,26 +1345,6 @@ blocked("b").
     |> List.sort String.compare
   in
   check bool' "same fixpoint" true (dump semi = dump naive)
-
-let prop_parallel_equals_sequential =
-  QCheck2.Test.make ~name:"parallel chase is bit-identical to sequential"
-    ~count:25 edges_gen (fun raw ->
-      let facts =
-        List.map
-          (fun (i, j) ->
-            Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
-          raw
-      in
-      let { Parser.program; _ } =
-        parse_exn {|
-e(X, Y) -> path(X, Y).
-path(X, Z), e(Z, Y) -> path(X, Y).
-@goal(path).
-|}
-      in
-      match Chase.run program facts, Chase.run ~domains:3 program facts with
-      | Ok a, Ok b -> chase_fingerprint a = chase_fingerprint b
-      | _ -> false)
 
 (* --- join engines ------------------------------------------------------------
 
@@ -1442,11 +1372,7 @@ blocked("b").
   let hash = Chase.run_exn ~join:Matcher.Hash program facts in
   let nested = Chase.run_exn ~join:Matcher.Nested program facts in
   check bool' "hash = nested, byte-identical" true
-    (chase_fingerprint hash = chase_fingerprint nested);
-  (* and independent of the parallel cut of the probe partitions *)
-  let hash4 = Chase.run_exn ~join:Matcher.Hash ~domains:4 program facts in
-  check bool' "hash at domains=4 identical" true
-    (chase_fingerprint hash = chase_fingerprint hash4)
+    (chase_fingerprint hash = chase_fingerprint nested)
 
 let join_program_plain = {|
 e(X, Y) -> path(X, Y).
@@ -2036,10 +1962,10 @@ sigma2: company(X) -> control(X, X).
     | Some f -> f
     | None -> Alcotest.failf "control(%s, %s) missing" x y
   in
-  check int' "control(a, b) does not unify with control(X, X): no probe" 0
-    (List.length (Matcher.head_probe_tasks ~heads:[ fact "a" "b" ] res.Chase.db sigma2));
-  check int' "control(a, a) does: one probe" 1
-    (List.length (Matcher.head_probe_tasks ~heads:[ fact "a" "a" ] res.Chase.db sigma2));
+  check int' "control(a, b) does not unify with control(X, X): no probe, no match" 0
+    (List.length (Matcher.head_probe_matches ~heads:[ fact "a" "b" ] res.Chase.db sigma2));
+  check int' "control(a, a) does: one probe, matching company(a)" 1
+    (List.length (Matcher.head_probe_matches ~heads:[ fact "a" "a" ] res.Chase.db sigma2));
   let res', upd = update_exn (Chase.retract_facts program res [ own "a" "b" ]) in
   check int' "control(a, b) not re-derived" 0 upd.Chase.upd_rederived;
   check_no_full_pass "no full pass" upd;
@@ -2331,14 +2257,14 @@ let prop_agg_engines_agree name src gen =
       let { Parser.program; _ } = parse_exn src in
       let facts = scenario_facts s s.base in
       List.for_all
-        (fun (naive, domains) ->
+        (fun naive ->
           match
-            ( Chase.run ~naive ~domains ~join:Matcher.Hash program facts,
-              Chase.run ~naive ~domains ~join:Matcher.Nested program facts )
+            ( Chase.run ~naive ~join:Matcher.Hash program facts,
+              Chase.run ~naive ~join:Matcher.Nested program facts )
           with
           | Ok h, Ok n -> chase_fingerprint h = chase_fingerprint n
           | _ -> false)
-        [ (false, 1); (false, 4); (true, 1); (true, 4) ])
+        [ false; true ])
 
 (* [path]: which update path every toggle must take *)
 let prop_agg_incremental_equals_cold name src gen path =
@@ -2584,7 +2510,6 @@ let qsuite =
       prop_chase_deterministic;
       prop_magic_equals_full_chase;
       prop_query_lane_equals_materialization;
-      prop_parallel_equals_sequential;
       prop_join_engines_agree_plain;
       prop_join_engines_agree_negation;
       prop_join_engines_agree_naive;
@@ -2776,9 +2701,6 @@ let () =
           Alcotest.test_case "plan ordering" `Quick test_plan_ordering;
           Alcotest.test_case "exists_matching" `Quick test_exists_matching;
           Alcotest.test_case "pred_card" `Quick test_pred_card;
-          Alcotest.test_case "par map" `Quick test_par_map;
-          Alcotest.test_case "bundled apps bit-identical" `Quick
-            test_parallel_identical_on_bundled_apps;
           Alcotest.test_case "naive = semi-naive under planner" `Quick
             test_naive_matches_seminaive_under_planner;
           Alcotest.test_case "join engines byte-identical" `Quick

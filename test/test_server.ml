@@ -1604,18 +1604,49 @@ let test_wide_event_chase_fields () =
       (Json.mem_str "error_code" notfound = Some "not_found")
   | l -> Alcotest.failf "expected 4 wide events, got %d" (List.length l)
 
-let test_chase_span_utilization_labels () =
-  let st = Router.make_state ~chase_domains:2 () in
+(* A cold chase opens one span per stratum, labelled with the stratum
+   index and the rounds it ran, and with nothing else *)
+let test_chase_span_stratum_labels () =
+  let st = Router.make_state () in
   create_inline_session st;
   check int' "explain ok" 200 (explain_inline st "s1").Http.status;
   let trace =
     Router.handle st (request Http.GET [ "v1"; "sessions"; "s1"; "trace" ])
   in
   check int' "trace served" 200 trace.Http.status;
-  let body = trace.Http.resp_body in
-  check bool' "workers label" true (contains body {|"workers":"2"|});
-  check bool' "busy clock label" true (contains body "worker_busy_ms");
-  check bool' "utilization label" true (contains body "utilization")
+  let rec strata (j : Json.t) =
+    match j with
+    | Json.Obj fields ->
+      let here =
+        match Json.mem_str "name" j, Json.member "labels" j with
+        | Some "chase.stratum", Some (Json.Obj labels) ->
+          [ List.sort compare (List.map fst labels) ]
+        | _ -> []
+      in
+      here @ List.concat_map (fun (_, v) -> strata v) fields
+    | Json.Arr items -> List.concat_map strata items
+    | Json.Null | Json.Bool _ | Json.Num _ | Json.Str _ -> []
+  in
+  match Json.parse trace.Http.resp_body with
+  | Error e -> Alcotest.failf "trace body: %s" e
+  | Ok j ->
+    let spans = strata j in
+    check bool' "chase.stratum spans recorded" true (spans <> []);
+    List.iter
+      (fun keys ->
+        check (Alcotest.list string') "stratum span labels" [ "rounds"; "stratum" ] keys)
+      spans
+
+(* the chase is sequential: [~chase_domains:1] serves as before, any
+   other value is refused before a registry exists *)
+let test_chase_domains_shim () =
+  (match Router.make_state ~chase_domains:2 () with
+  | exception Invalid_argument msg ->
+    check bool' "message says the chase is sequential" true (contains msg "sequential")
+  | _ -> Alcotest.fail "~chase_domains:2 accepted");
+  let st = Router.make_state ~chase_domains:1 () in
+  create_inline_session st;
+  check int' "explain ok at ~chase_domains:1" 200 (explain_inline st "s1").Http.status
 
 (* Every fact update logs its path, its phases and what its
    re-derivation cost.  Close link re-derives by head-bound probes (the
@@ -2926,6 +2957,7 @@ let () =
           Alcotest.test_case "deadline 504" `Quick test_router_deadline_504;
           Alcotest.test_case "degraded explain" `Quick test_router_degraded_explain;
           Alcotest.test_case "batch explain" `Quick test_router_batch_explain;
+          Alcotest.test_case "chase domains only 1" `Quick test_chase_domains_shim;
         ] );
       ( "facts-updates",
         [
@@ -3005,8 +3037,8 @@ let () =
             test_wide_event_per_request;
           Alcotest.test_case "chase + cache fields" `Quick
             test_wide_event_chase_fields;
-          Alcotest.test_case "chase span utilization labels" `Quick
-            test_chase_span_utilization_labels;
+          Alcotest.test_case "chase span stratum labels" `Quick
+            test_chase_span_stratum_labels;
           Alcotest.test_case "update path, phases and passes" `Quick
             test_wide_event_update_fields;
           Alcotest.test_case "legacy trace redirect" `Quick
