@@ -55,7 +55,10 @@ type state = {
      an earlier chase: a group without an [agg_current] entry may still
      have a fact, found by its head pattern *)
   lookup_groups : bool;
-  mutable derived : int;
+  phase : (string, int) Hashtbl.t;  (* aggregate rule -> its {!position} phase *)
+  mutable id_order : bool;  (* ids follow {!position}: a fresh chase, nothing reactivated *)
+  mutable derived : int;  (* facts inserted under a new id *)
+  mutable revived : int;  (* inactive facts derived again *)
   mutable superseded : int;  (* stale aggregate facts deactivated *)
 }
 
@@ -66,7 +69,10 @@ let make_state ?(lookup_groups = false) db prov =
     agg_current = Hashtbl.create 64;
     log = Intvec.create ();
     lookup_groups;
+    phase = Hashtbl.create 8;
+    id_order = not lookup_groups;
     derived = 0;
+    revived = 0;
     superseded = 0;
   }
 
@@ -142,11 +148,40 @@ let isomorphic_exists st ~existentials (r : Rule.t) binding =
     List.exists homomorphic (Database.active st.db (Rule.head_pred r))
   end
 
+(* What an insertion did, for an update's bookkeeping: [`Changed p] is
+   a change to [p]'s provenance or aggregate values that activated
+   nothing. *)
+type event =
+  [ `Added of Fact.t | `Reactivated of Fact.t | `Superseded of Fact.t | `Changed of string ]
+
+(* An order every recorded derivation respects, premises first: the
+   round that last activated a fact, that round's phase (plain inserts,
+   then each aggregate rule in turn), its id; EDB facts lead.  A
+   derivation of an existing fact is recorded only when its premises
+   precede it, so it closes no cycle in the chase graph. *)
+let position st id =
+  match Provenance.derivation st.prov id with
+  | None -> (-1, 0)
+  | Some d -> (d.Provenance.round, Option.value ~default:0 (Hashtbl.find_opt st.phase d.rule_id))
+
+let precedes st p id =
+  if st.id_order then p < id
+  else
+    let r, ph = position st p and r', ph' = position st id in
+    r < r' || (r = r' && (ph < ph' || (ph = ph' && p < id)))
+
+(* Reactivation moves a fact behind its new premises in the
+   {!position} order, so its consumers must be gone: DRed forgot every
+   derivation reaching an over-deleted fact, but a superseded aggregate
+   value keeps its consumers and stays inactive while one cites it. *)
+let revivable st id =
+  (not (Database.is_active st.db id))
+  && (Provenance.superseded_by st.prov id = None || not (Provenance.cited st.prov id))
+
 (* The insert phase of a round: admit one plain rule's matches, in
-   match order.  It runs after every plain rule of the round has
-   matched, and it is where a plain rule allocates fact ids, labelled
-   nulls and provenance records, so no rule's matches depend on what
-   another inserted in the same round. *)
+   match order, once every plain rule of the round has matched.  A
+   match whose tuple is {!revivable} brings it back under its id, with
+   this derivation as its only one.  Returns the ids it activated. *)
 (* [used_facts] is usually already strictly ascending (body atoms often
    match facts in insertion order); detect that without allocating
    before falling back to a sort *)
@@ -154,7 +189,7 @@ let rec strictly_ascending = function
   | (a : int) :: (b :: _ as tl) -> a < b && strictly_ascending tl
   | _ -> true
 
-let insert_plain_matches st ~round (r : Rule.t) matches =
+let insert_plain_matches st ~round ~(note : event -> unit) (r : Rule.t) matches =
   let existentials = Rule.existential_vars r in
   List.filter_map
     (fun (m : Matcher.match_result) ->
@@ -175,19 +210,34 @@ let insert_plain_matches st ~round (r : Rule.t) matches =
             }
           in
           match Database.add st.db (Rule.head_pred r) tuple with
+          | `Existing f when revivable st f.Fact.id ->
+            Database.reactivate st.db f.Fact.id;
+            Intvec.push st.log f.Fact.id;
+            Provenance.forget st.prov f.Fact.id;
+            Provenance.record st.prov ~fact_id:f.Fact.id derivation;
+            st.revived <- st.revived + 1;
+            st.id_order <- false;
+            note (`Reactivated f);
+            Some f.Fact.id
           | `Existing f ->
             (* an alternative derivation of a known fact: keep it for
                shortest-proof selection, but it is not a new fact —
-               provided it is not circular (premises must precede) *)
+               provided it is not circular (premises must precede).
+               Provenance changed although the instance did not, so
+               shortest-proof explanations may shift *)
             if
               (not (Provenance.is_edb st.prov f.Fact.id))
-              && List.for_all (fun p -> p < f.Fact.id) derivation.premises
-            then Provenance.record st.prov ~fact_id:f.Fact.id derivation;
+              && List.for_all (fun p -> precedes st p f.Fact.id) derivation.premises
+            then begin
+              Provenance.record st.prov ~fact_id:f.Fact.id derivation;
+              note (`Changed f.Fact.pred)
+            end;
             None
           | `Added f ->
             st.derived <- st.derived + 1;
             Provenance.record st.prov ~fact_id:f.Fact.id derivation;
             Intvec.push st.log f.Fact.id;
+            note (`Added f);
             Some f.Fact.id))
     matches
 
@@ -219,8 +269,8 @@ let current_group_fact st (r : Rule.t) key =
    order.  A group whose tuple changed supersedes its previous fact; a
    value that returns to a superseded (or over-deleted) tuple revives
    that fact under its id.  [note] sees every activation and
-   supersession — the incremental path's bookkeeping hook. *)
-let insert_agg_groups st ~round ?(note = fun _ -> ()) (r : Rule.t) groups =
+   supersession. *)
+let insert_agg_groups st ~round ~(note : event -> unit) (r : Rule.t) groups =
   let existentials = Rule.existential_vars r in
   let group_vars = Rule.group_vars r in
   List.filter_map
@@ -271,6 +321,8 @@ let insert_agg_groups st ~round ?(note = fun _ -> ()) (r : Rule.t) groups =
           (* the value came back to a superseded or over-deleted tuple *)
           Database.reactivate st.db f.Fact.id;
           Provenance.forget st.prov f.Fact.id;
+          st.revived <- st.revived + 1;
+          st.id_order <- false;
           note (`Reactivated f);
           derive f
         | `Added f ->
@@ -550,21 +602,322 @@ let push_stats sink ~rounds ~derived (s : stats) =
         "ekg_chase_rule_facts_total" (float_of_int r.facts))
     s.per_rule
 
-(* Round protocol:
+(* --- the round loop --------------------------------------------------------
 
-   1. {e Plan}: recompile every rule's join plan from the live
-      cardinalities and extend the hash indexes the plain rules' match
-      passes will probe — deterministic, and the only index builds a
-      plain rule's round makes.
-   2. {e Match}: evaluate every plain rule (every semi-naive seed pass)
-      against the pre-round database.  Match passes only read.
-   3. {e Insert}: admit the matches in rule order, then run aggregate
-      rules, each preparing, matching and inserting in turn.  All fact
-      ids, nulls and provenance records are allocated here, so no plain
-      rule's matches depend on another's insertions in the same
-      round. *)
-let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited) ?join
-    ?stats ?obs ?parent (program : Program.t) edb =
+   Cold chases and fact updates run the same rounds; they differ only in
+   how each stratum's first round opens ({!opening}): a cold chase is an
+   update of the empty instance, every rule in full.  A round plans each
+   rule from the round-start cardinalities, prepares its indexes and
+   matches each plain rule against the pre-round database, then inserts
+   the matches in rule order, where every fact id, null and provenance
+   record is allocated, and runs each aggregate rule from its log
+   cursor. *)
+
+(* How a stratum's first round opens.  Its plain rules match [delta] by
+   semi-naive seed passes, except the [full] ones, which match the whole
+   instance; the [probed] ones also re-derive the [lost] facts by
+   head-bound probes ({!Matcher.head_probe_matches}, [Hash] only).  Its
+   [full] aggregate rules regroup every group; the others re-aggregate
+   the groups touched by the facts logged since the run began.  Later
+   rounds are semi-naive from the previous round's activations. *)
+type opening = {
+  delta : int list;
+  full : Rule.t list;
+  probed : Rule.t list;
+  lost : Fact.t list;
+}
+
+(* Raised by an update's round that re-aggregated a {!stale_group}. *)
+exception Regressed
+
+type run = {
+  run_rounds : int;
+  run_full_passes : int;  (* plain-rule evaluations over the whole instance *)
+  run_stats : stats option;
+}
+
+(* Run every stratum to fixpoint from its [opening], numbering rounds
+   after [round0].  [naive] evaluates every rule in full every round. *)
+let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~budget
+    ~t_start ~round0 ~note ~opening strata =
+  (* a disabled (noop) sink disables collection outright: the hot path
+     pays one branch, no clock reads, no accumulator updates *)
+  let collect =
+    match stats with
+    | Some sink -> Ekg_obs.Metrics.enabled sink
+    | None -> false
+  in
+  let budget_active =
+    Option.is_some budget.deadline_s
+    || Option.is_some budget.budget_rounds
+    || Option.is_some budget.budget_facts
+    || Option.is_some budget.cancel
+  in
+  let total_rounds = ref 0 in
+  let overflow = ref false in
+  let full_passes = ref 0 in
+  let plan_reorders = ref 0 in
+  let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
+  let g = guard budget in
+  let interrupt = interrupt g in
+  let accs = ref [] in       (* rule_acc, reverse creation order *)
+  let round_log = ref [] in  (* round_stat, reverse execution order *)
+  let join_builds = ref 0 in
+  let join_probe_hits = ref 0 in
+  let clock () = if collect then Ekg_obs.Clock.now_s () else 0. in
+  let run_stratum si rules =
+    let o = opening rules in
+    let with_acc rs =
+      List.map
+        (fun (r : Rule.t) ->
+          let a =
+            {
+              acc_rule = r.id;
+              acc_stratum = si;
+              acc_time = 0.;
+              acc_evals = 0;
+              acc_facts = 0;
+              acc_build = 0.;
+              acc_probe = 0.;
+              acc_insert = 0.;
+            }
+          in
+          if collect then accs := a :: !accs;
+          (r, a))
+        rs
+    in
+    let plain = with_acc (List.filter (fun r -> not (Rule.has_agg r)) rules) in
+    (* per aggregate rule: the log position at its last evaluation *)
+    let agg =
+      List.map (fun (r, acc) -> (r, (acc, ref 0))) (with_acc (List.filter Rule.has_agg rules))
+    in
+    List.iteri (fun i ((r : Rule.t), _) -> Hashtbl.replace st.phase r.id (i + 1)) agg;
+    (* one evaluation of a rule: its index-build, match and insert
+       seconds and the facts it activated *)
+    let charge a ~build ~probe ~insert nfacts =
+      if collect then begin
+        a.acc_time <- a.acc_time +. build +. probe +. insert;
+        a.acc_evals <- a.acc_evals + 1;
+        a.acc_facts <- a.acc_facts + nfacts;
+        a.acc_build <- a.acc_build +. build;
+        a.acc_probe <- a.acc_probe +. probe;
+        a.acc_insert <- a.acc_insert +. insert
+      end
+    in
+    (* the delta carries its length, so per-round stats are O(1)
+       instead of a [List.length] walk over the whole delta every
+       round *)
+    let delta = ref (o.delta, List.length o.delta) in
+    let first = ref true in
+    (* a round has work: a delta, its opening's passes, or facts logged
+       since an aggregate rule last ran *)
+    let due () =
+      fst !delta <> []
+      || (!first && (o.full <> [] || o.probed <> []))
+      || List.exists (fun (_, (_, cursor)) -> !cursor < Intvec.length st.log) agg
+    in
+    let continue = ref true in
+    while !continue && (not !overflow) && g.stopped = None do
+      if
+        budget_active
+        && over_budget g ~derived:(st.derived + st.revived) ~rounds:!total_rounds
+      then ()
+      else if not (due ()) then continue := false
+      else begin
+        incr total_rounds;
+        if !total_rounds > max_rounds then overflow := true
+        else begin
+          try
+            stratum_rounds.(si) <- stratum_rounds.(si) + 1;
+            let round = round0 + !total_rounds in
+            let round_t0 = clock () in
+            let full r = naive || (!first && List.memq r o.full) in
+            let probe r = !first && List.memq r o.probed in
+            let delta_ids, delta_size = !delta in
+            let delta_filter =
+              if naive || delta_ids = [] then None
+              else begin
+                let set = Hashtbl.create (max 8 delta_size) in
+                let preds = Hashtbl.create 8 in
+                List.iter
+                  (fun i ->
+                    Hashtbl.replace set i ();
+                    Hashtbl.replace preds (Database.pred_sym_of_fact st.db i) ())
+                  delta_ids;
+                Some { Matcher.mem = Hashtbl.mem set; has_pred = Hashtbl.mem preds }
+              end
+            in
+            let card = Database.pred_card st.db in
+            let planned rs =
+              List.map
+                (fun (r, x) ->
+                  let plan = Plan.compile ~card r in
+                  if plan.Plan.reordered then incr plan_reorders;
+                  (r, x, plan))
+                rs
+            in
+            let plain = planned plain in
+            let agg = planned agg in
+            let matched =
+              List.map
+                (fun (r, acc, plan) ->
+                  let t0 = clock () in
+                  if full r || probe r || Option.is_some delta_filter then begin
+                    let bound = if probe r then Some (Matcher.head_bound_vars r) else None in
+                    let n = Matcher.prepare ~strategy ?bound st.db r plan in
+                    if collect then join_builds := !join_builds + n
+                  end;
+                  let t1 = clock () in
+                  if collect then acc.acc_build <- acc.acc_build +. (t1 -. t0);
+                  let matches =
+                    if full r then begin
+                      incr full_passes;
+                      Matcher.match_rule ~strategy ?interrupt ~plan st.db r
+                    end
+                    else
+                      let seeded =
+                        match delta_filter with
+                        | Some d -> Matcher.match_rule ~strategy ?interrupt ~delta:d ~plan st.db r
+                        | None -> []
+                      in
+                      if probe r then
+                        seeded
+                        @ Matcher.head_probe_matches ?interrupt ~plan ?delta:delta_filter
+                            ~heads:o.lost st.db r
+                      else seeded
+                  in
+                  (r, acc, matches, clock () -. t1))
+                plain
+            in
+            let added = ref [] in
+            let added_count = ref 0 in
+            List.iter
+              (fun (r, acc, matches, match_time) ->
+                let t0 = clock () in
+                let out = insert_plain_matches st ~round ~note r matches in
+                let dt = clock () -. t0 in
+                let n = List.length out in
+                charge acc ~build:0. ~probe:match_time ~insert:dt n;
+                if collect then join_probe_hits := !join_probe_hits + List.length matches;
+                added_count := !added_count + n;
+                added := List.rev_append out !added)
+              matched;
+            (* aggregate rules see the round's plain insertions.  A
+               [full] one groups one full pass; the others re-aggregate
+               only the groups the facts logged since the rule's
+               previous evaluation touched.  Every other group would
+               reproduce its current fact, so the outcome — ids,
+               provenance, supersessions — is the nested engine's full
+               re-evaluation, which [Nested] keeps as the reference *)
+            List.iter
+              (fun (r, (acc, cursor), plan) ->
+                let regroup = full r in
+                let changed = if regroup then [] else log_since st !cursor in
+                cursor := Intvec.length st.log;
+                if regroup || changed <> [] then begin
+                  let changed =
+                    if regroup || strategy = Matcher.Nested then None else Some changed
+                  in
+                  let t0 = clock () in
+                  let builds = Matcher.prepare ~strategy ?changed st.db r plan in
+                  let t1 = clock () in
+                  let groups =
+                    match reaggregate st ~strategy ?interrupt ~plan ?changed r with
+                    | None -> []
+                    | Some (covered, groups) ->
+                      if st.lookup_groups && stale_group st r ~covered groups then
+                        raise Regressed;
+                      (* a re-aggregated group's value may have moved
+                         where no fact did *)
+                      note (`Changed (Rule.head_pred r));
+                      groups
+                  in
+                  let t2 = clock () in
+                  let out = insert_agg_groups st ~round ~note r groups in
+                  let t3 = clock () in
+                  let n = List.length out in
+                  charge acc ~build:(t1 -. t0) ~probe:(t2 -. t1) ~insert:(t3 -. t2) n;
+                  if collect then join_builds := !join_builds + builds;
+                  added_count := !added_count + n;
+                  added := List.rev_append out !added
+                end)
+              agg;
+            if collect then
+              round_log :=
+                {
+                  stratum = si;
+                  round;
+                  delta_size;
+                  new_facts = !added_count;
+                  time_s = Ekg_obs.Clock.now_s () -. round_t0;
+                }
+                :: !round_log;
+            first := false;
+            if !added_count = 0 then continue := false
+            else delta := (!added, !added_count)
+          with Matcher.Interrupted ->
+            (* tripped mid-match: the guard has stopped, the round's
+               partial matches are discarded (nothing was inserted for
+               them), and the loop exits above *)
+            ()
+        end
+      end
+    done
+  in
+  List.iteri
+    (fun si rules ->
+      if g.stopped = None then
+        Ekg_obs.Trace.with_span_opt obs ?parent
+          ~labels:[ ("stratum", string_of_int si) ]
+          "chase.stratum"
+          (fun span ->
+            run_stratum si rules;
+            Option.iter
+              (fun sp -> Ekg_obs.Trace.label sp "rounds" (string_of_int stratum_rounds.(si)))
+              span))
+    strata;
+  let stratum_rounds = Array.to_list (Array.sub stratum_rounds 0 (List.length strata)) in
+  finish g ~t_start ~rounds:!total_rounds ~derived:(st.derived + st.revived) ~max_rounds
+    ~overflow:!overflow ~stratum_rounds st.db st.prov (fun () ->
+      let run_stats =
+        if not collect then None
+        else begin
+          let per_rule =
+            List.rev_map
+              (fun a ->
+                {
+                  rule_id = a.acc_rule;
+                  stratum = a.acc_stratum;
+                  time_s = a.acc_time;
+                  evals = a.acc_evals;
+                  facts = a.acc_facts;
+                  build_s = a.acc_build;
+                  probe_s = a.acc_probe;
+                  insert_s = a.acc_insert;
+                })
+              !accs
+          in
+          Some
+            {
+              per_rule;
+              per_round = List.rev !round_log;
+              rounds_per_stratum = stratum_rounds;
+              agg_superseded = st.superseded;
+              wall_s = Ekg_obs.Clock.now_s () -. t_start;
+              plan_reorders = !plan_reorders;
+              join_strategy = Matcher.strategy_name strategy;
+              join_builds = !join_builds;
+              join_probe_hits = !join_probe_hits;
+            }
+        end
+      in
+      (match stats, run_stats with
+      | Some sink, Some s -> push_stats sink ~rounds:!total_rounds ~derived:st.derived s
+      | _ -> ());
+      { run_rounds = !total_rounds; run_full_passes = !full_passes; run_stats })
+
+let run_checked ?naive ?(max_rounds = 100_000) ?(budget = unlimited) ?join ?stats ?obs
+    ?parent (program : Program.t) edb =
   let strategy =
     match join with Some s -> s | None -> Matcher.strategy_of_env ()
   in
@@ -574,22 +927,7 @@ let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited) ?
     match Stratify.strata program with
     | Error e -> Error (Unstratifiable e)
     | Ok strata -> (
-      (* a disabled (noop) sink disables collection outright: the hot
-         path pays one branch, no clock reads, no accumulators *)
-      let collect =
-        match stats with
-        | Some sink -> Ekg_obs.Metrics.enabled sink
-        | None -> false
-      in
-      let budget_active =
-        Option.is_some budget.deadline_s
-        || Option.is_some budget.budget_rounds
-        || Option.is_some budget.budget_facts
-        || Option.is_some budget.cancel
-      in
-      let t_start =
-        if collect || budget_active then Ekg_obs.Clock.now_s () else 0.
-      in
+      let t_start = Ekg_obs.Clock.now_s () in
       let st = make_state (Database.create ()) (Provenance.create ()) in
       let edb_error = ref None in
       List.iter
@@ -600,265 +938,22 @@ let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited) ?
         edb;
       match !edb_error with
       | Some e -> Error (Invalid_edb e)
-      | None ->
-        let total_rounds = ref 0 in
-        let overflow = ref false in
-        let plan_reorders = ref 0 in
-        let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
-        let g = guard budget in
-        let interrupt = interrupt g in
-        let accs = ref [] in       (* rule_acc, reverse creation order *)
-        let round_log = ref [] in  (* round_stat, reverse execution order *)
-        let join_builds = ref 0 in
-        let join_probe_hits = ref 0 in
-        let clock () = if collect then Ekg_obs.Clock.now_s () else 0. in
-        let run_stratum si rules =
-          let plain = List.filter (fun r -> not (Rule.has_agg r)) rules in
-          let agg = List.filter Rule.has_agg rules in
-          let with_acc rs =
-            List.map
-              (fun (r : Rule.t) ->
-                if not collect then (r, None)
-                else begin
-                  let a =
-                    {
-                      acc_rule = r.id;
-                      acc_stratum = si;
-                      acc_time = 0.;
-                      acc_evals = 0;
-                      acc_facts = 0;
-                      acc_build = 0.;
-                      acc_probe = 0.;
-                      acc_insert = 0.;
-                    }
-                  in
-                  accs := a :: !accs;
-                  (r, Some a)
-                end)
-              rs
-          in
-          let plain = with_acc plain in
-          (* per aggregate rule: the log position at its last evaluation *)
-          let agg = List.map (fun (r, acc) -> (r, (acc, ref 0))) (with_acc agg) in
-          let charge acc dt nfacts =
-            match acc with
-            | None -> ()
-            | Some a ->
-              a.acc_time <- a.acc_time +. dt;
-              a.acc_evals <- a.acc_evals + 1;
-              a.acc_facts <- a.acc_facts + nfacts
-          in
-          (* [None] means "first round": evaluate in full.  The delta
-             carries its length, so per-round stats are O(1) instead of
-             a [List.length] walk over the whole delta every round. *)
-          let delta = ref None in
-          let continue = ref true in
-          while !continue && (not !overflow) && g.stopped = None do
-            if budget_active && over_budget g ~derived:st.derived ~rounds:!total_rounds
-            then ()
-            else begin
-              incr total_rounds;
-              if !total_rounds > max_rounds then overflow := true
-              else begin
-                try
-              stratum_rounds.(si) <- stratum_rounds.(si) + 1;
-              let round = !total_rounds in
-              let round_t0 = clock () in
-              let delta_size =
-                match !delta with None -> 0 | Some (_, n) -> n
-              in
-              let delta_filter =
-                if naive then None
-                else
-                  match !delta with
-                  | None -> None
-                  | Some (ids, n) ->
-                    let set = Hashtbl.create (max 8 n) in
-                    let preds = Hashtbl.create 8 in
-                    List.iter
-                      (fun i ->
-                        Hashtbl.replace set i ();
-                        Hashtbl.replace preds (Database.pred_sym_of_fact st.db i) ())
-                      ids;
-                    Some { Matcher.mem = Hashtbl.mem set; has_pred = Hashtbl.mem preds }
-              in
-              let card = Database.pred_card st.db in
-              let planned rs =
-                List.map
-                  (fun (r, acc) ->
-                    let plan = Plan.compile ~card r in
-                    if plan.Plan.reordered then incr plan_reorders;
-                    (r, acc, plan))
-                  rs
-              in
-              let plain = planned plain in
-              let agg = planned agg in
-              List.iter
-                (fun (r, acc, plan) ->
-                  let t0 = clock () in
-                  let n = Matcher.prepare ~strategy st.db r plan in
-                  if collect then begin
-                    join_builds := !join_builds + n;
-                    match acc with
-                    | Some a -> a.acc_build <- a.acc_build +. (clock () -. t0)
-                    | None -> ()
-                  end)
-                plain;
-              let matched =
-                List.map
-                  (fun (r, acc, plan) ->
-                    let t0 = clock () in
-                    let matches =
-                      Matcher.match_rule ~strategy ?interrupt ?delta:delta_filter ~plan
-                        st.db r
-                    in
-                    (r, acc, matches, clock () -. t0))
-                  plain
-              in
-              let added = ref [] in
-              let added_count = ref 0 in
-              List.iter
-                (fun (r, acc, matches, match_time) ->
-                  let t0 = clock () in
-                  let out = insert_plain_matches st ~round r matches in
-                  let dt = clock () -. t0 in
-                  let n = List.length out in
-                  charge acc (match_time +. dt) n;
-                  if collect then begin
-                    join_probe_hits := !join_probe_hits + List.length matches;
-                    match acc with
-                    | Some a ->
-                      a.acc_probe <- a.acc_probe +. match_time;
-                      a.acc_insert <- a.acc_insert +. dt
-                    | None -> ()
-                  end;
-                  added_count := !added_count + n;
-                  added := List.rev_append out !added)
-                matched;
-              (* aggregate rules see the round's plain insertions, as
-                 they always did.  The first round of a stratum groups
-                 one full pass; later rounds re-aggregate only the
-                 groups the facts logged since the rule's previous
-                 evaluation touched.  Every other group would
-                 reproduce its current fact, so the outcome — ids,
-                 provenance, supersessions — is the nested engine's
-                 full re-evaluation, which [Nested] keeps as the
-                 reference (as does [naive]). *)
-              List.iter
-                (fun (r, (acc, cursor), plan) ->
-                  let full = naive || strategy = Matcher.Nested || !delta = None in
-                  let changed = if full then [] else log_since st !cursor in
-                  cursor := Intvec.length st.log;
-                  if full || changed <> [] then begin
-                    let changed = if full then None else Some changed in
-                    let t0 = clock () in
-                    let builds = Matcher.prepare ~strategy ?changed st.db r plan in
-                    let t1 = clock () in
-                    let groups =
-                      match reaggregate st ~strategy ?interrupt ~plan ?changed r with
-                      | Some (_, groups) -> groups
-                      | None -> []
-                    in
-                    let t2 = clock () in
-                    let out = insert_agg_groups st ~round r groups in
-                    let t3 = clock () in
-                    let n = List.length out in
-                    charge acc (t3 -. t0) n;
-                    (if collect then begin
-                       join_builds := !join_builds + builds;
-                       match acc with
-                       | Some a ->
-                         a.acc_build <- a.acc_build +. (t1 -. t0);
-                         a.acc_probe <- a.acc_probe +. (t2 -. t1);
-                         a.acc_insert <- a.acc_insert +. (t3 -. t2)
-                       | None -> ()
-                     end);
-                    added_count := !added_count + n;
-                    added := List.rev_append out !added
-                  end)
-                agg;
-              if collect then
-                round_log :=
-                  {
-                    stratum = si;
-                    round;
-                    delta_size;
-                    new_facts = !added_count;
-                    time_s = Ekg_obs.Clock.now_s () -. round_t0;
-                  }
-                  :: !round_log;
-              if !added_count = 0 then continue := false
-              else delta := Some (!added, !added_count)
-                with Matcher.Interrupted ->
-                  (* tripped mid-match: the guard has stopped, the
-                     round's partial matches are discarded (nothing was
-                     inserted for them), and the loop exits above *)
-                  ()
-              end
-            end
-          done
-        in
-        List.iteri
-          (fun si rules ->
-            if g.stopped = None then
-              Ekg_obs.Trace.with_span_opt obs ?parent
-                ~labels:[ ("stratum", string_of_int si) ]
-                "chase.stratum"
-                (fun span ->
-                  run_stratum si rules;
-                  Option.iter
-                    (fun sp ->
-                      Ekg_obs.Trace.label sp "rounds" (string_of_int stratum_rounds.(si)))
-                    span))
-          strata;
-        let stratum_rounds_list =
-          Array.to_list (Array.sub stratum_rounds 0 (List.length strata))
-        in
-        finish g ~t_start ~rounds:!total_rounds ~derived:st.derived ~max_rounds
-          ~overflow:!overflow ~stratum_rounds:stratum_rounds_list st.db st.prov
-          (fun () ->
-            let stats_record =
-              if not collect then None
-              else begin
-                let per_rule =
-                  List.rev_map
-                    (fun a ->
-                      {
-                        rule_id = a.acc_rule;
-                        stratum = a.acc_stratum;
-                        time_s = a.acc_time;
-                        evals = a.acc_evals;
-                        facts = a.acc_facts;
-                        build_s = a.acc_build;
-                        probe_s = a.acc_probe;
-                        insert_s = a.acc_insert;
-                      })
-                    !accs
-                in
-                Some
-                  {
-                    per_rule;
-                    per_round = List.rev !round_log;
-                    rounds_per_stratum = stratum_rounds_list;
-                    agg_superseded = st.superseded;
-                    wall_s = Ekg_obs.Clock.now_s () -. t_start;
-                    plan_reorders = !plan_reorders;
-                    join_strategy = Matcher.strategy_name strategy;
-                    join_builds = !join_builds;
-                    join_probe_hits = !join_probe_hits;
-                  }
-              end
-            in
-            (match stats, stats_record with
-            | Some sink, Some s ->
-              push_stats sink ~rounds:!total_rounds ~derived:st.derived s
-            | _ -> ());
+      | None -> (
+        match
+          chase_strata ?naive ?stats ?obs ?parent st ~strategy ~max_rounds ~budget ~t_start
+            ~round0:0 ~note:ignore
+            ~opening:(fun rules -> { delta = []; full = rules; probed = []; lost = [] })
+            strata
+        with
+        | Error e -> Error e
+        | Ok run ->
+          Ok
             {
               db = st.db;
               prov = st.prov;
-              rounds = !total_rounds;
+              rounds = run.run_rounds;
               derived_count = st.derived;
-              stats = stats_record;
+              stats = run.run_stats;
             })))
 
 let run ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
@@ -873,20 +968,20 @@ let run_exn ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
 
 (* --- incremental maintenance ------------------------------------------------
 
-   Additions warm-start the semi-naive loop (new facts are the delta);
-   retractions run DRed over the provenance DAG: over-delete the cone
-   of consequences reachable from a retracted fact, then re-derive
-   whatever still has an alternative proof by probing the rules
-   deriving the deleted facts with their heads bound to those facts'
-   values (a full evaluation where no probe can stand in for it: see
-   [run_stratum] in [apply_incremental]).  Stratified negation is
-   handled per stratum: once a negated predicate has changed, the
-   negating rule's previous conclusions are over-deleted and the rule
-   re-evaluates in full, so deletions can enable later-stratum facts
-   and additions can disable them.  Aggregate rules re-aggregate the
-   groups that facts activated or deactivated during the update touch
-   (see chase.mli).  Programs outside {!incrementable}'s fragment fall
-   back to a full re-chase. *)
+   An update runs the cold chase's round loop from an opening of its
+   own.  Additions are the first round's delta; retractions run DRed
+   over the provenance DAG: over-delete the cone of consequences
+   reachable from a retracted fact, then re-derive whatever still has an
+   alternative proof by probing the rules deriving the deleted facts
+   with their heads bound to those facts' values (a full evaluation
+   where no probe can stand in for it: see [opening] in
+   [apply_incremental]).  Stratified negation is handled per stratum:
+   once a negated predicate has changed, the negating rule's previous
+   conclusions are over-deleted and the rule re-evaluates in full, so
+   deletions can enable later-stratum facts and additions can disable
+   them.  Aggregate rules re-aggregate the groups that facts activated
+   or deactivated during the update touch (see chase.mli).  Programs
+   outside {!incrementable}'s fragment fall back to a full re-chase. *)
 
 type update = {
   upd_incremental : bool;
@@ -899,8 +994,9 @@ type update = {
   upd_full_passes : int;
 }
 
-(* 2: aggregate inputs fold in ascending order *)
-let revision = 2
+(* 2: aggregate inputs fold in ascending order; 3: a cold chase
+   reactivates a superseded aggregate tuple a plain rule derives *)
+let revision = 3
 
 (* An update maintains an aggregate group by re-aggregating it, which
    moves the group's value and supersedes its fact but never withdraws
@@ -1026,17 +1122,15 @@ let affected_preds (program : Program.t) seeds =
   done;
   Hashtbl.fold (fun p () acc -> p :: acc) affected [] |> List.sort String.compare
 
-let atom_of_fact (f : Fact.t) =
-  Atom.make f.Fact.pred
-    (List.map (fun v -> Term.Cst v) (Array.to_list f.Fact.args))
-
-let edb_atoms (res : result) =
+let edb_except (res : result) dropped =
   let acc = ref [] in
   for id = Database.size res.db - 1 downto 0 do
-    if Database.is_active res.db id && Provenance.is_edb res.prov id then
-      acc := atom_of_fact (Database.fact res.db id) :: !acc
+    if Database.is_active res.db id && Provenance.is_edb res.prov id && not (dropped id) then
+      acc := Fact.atom (Database.fact res.db id) :: !acc
   done;
   !acc
+
+let edb_atoms res = edb_except res (fun _ -> false)
 
 let copy_result (res : result) =
   { res with db = Database.copy res.db; prov = Provenance.copy res.prov }
@@ -1113,27 +1207,16 @@ let seed_preds (res : result) ~adds ~retract_ids =
    Non-destructive — the input result is left untouched. *)
 let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
     ~adds ~retract_ids =
-  let removed = Hashtbl.create 8 in
-  List.iter (fun id -> Hashtbl.replace removed id ()) retract_ids;
-  let base = ref [] in
-  for id = Database.size res.db - 1 downto 0 do
-    if
-      Database.is_active res.db id
-      && Provenance.is_edb res.prov id
-      && not (Hashtbl.mem removed id)
-    then base := atom_of_fact (Database.fact res.db id) :: !base
-  done;
-  rechase ?max_rounds ?budget program ~base:(!base @ adds)
+  rechase ?max_rounds ?budget program
+    ~base:(edb_except res (fun id -> List.mem id retract_ids) @ adds)
     ~before:(Database.active_all res.db)
     ~seeds:(seed_preds res ~adds ~retract_ids)
 
-(* Raised by the incremental pass on a {!stale_group}, with the active
-   facts as they were before the update. *)
-exception Regressed of Fact.t list
-
 (* The incremental pass proper (no existentials). *)
-let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : result)
+let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res : result)
     ~adds ~add_tuples ~retract_ids strata =
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  let minor_before = collections () in
   let db = res.db and prov = res.prov in
   let st = make_state ~lookup_groups:true db prov in
   let size_before = Database.size db in
@@ -1160,13 +1243,8 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : resul
   let changed_preds = Hashtbl.create 8 in
   let retracted_total = ref 0 in
   let overdeleted = ref 0 in
-  let full_passes = ref 0 in
   let rederived = ref 0 in
   let added = ref 0 in
-  let derived_this_update = ref 0 in
-  let total_new_rounds = ref 0 in
-  let overflow = ref false in
-  let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
   (* premise -> consumers, over every derivation recorded before the
      first insertion.  Facts inserted during this update never need the
      index: deletions only target facts that predate their stratum's
@@ -1222,14 +1300,32 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : resul
      same tuple, the tuple becomes a derived fact, not extensional *)
   List.iter (fun id -> Hashtbl.remove deleted id) retract_ids;
   let newly_active = ref [] in  (* delta seeds for strata not yet evaluated *)
+  let note : event -> unit = function
+    | `Added f ->
+      incr added;
+      Hashtbl.replace changed_preds f.Fact.pred ();
+      newly_active := f.Fact.id :: !newly_active
+    | `Reactivated f ->
+      Hashtbl.replace changed_preds f.Fact.pred ();
+      if Hashtbl.mem deleted f.Fact.id then begin
+        (* an over-deleted fact restored by a surviving proof *)
+        Hashtbl.remove deleted f.Fact.id;
+        incr rederived
+      end
+      else incr added;
+      newly_active := f.Fact.id :: !newly_active
+    | `Superseded f ->
+      Hashtbl.replace deleted f.Fact.id ();
+      incr retracted_total;
+      Hashtbl.replace changed_preds f.Fact.pred ()
+    | `Changed p -> Hashtbl.replace changed_preds p ()
+  in
   List.iter2
     (fun (a : Atom.t) tuple ->
       match Database.add db a.Atom.pred tuple with
       | `Added f ->
-        incr added;
-        Hashtbl.replace changed_preds f.Fact.pred ();
         Intvec.push st.log f.Fact.id;
-        newly_active := f.Fact.id :: !newly_active
+        note (`Added f)
       | `Existing f ->
         if not (Database.is_active db f.Fact.id) then begin
           (* resurrect a previously retracted or over-deleted tuple as
@@ -1237,72 +1333,16 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : resul
           Provenance.forget prov f.Fact.id;
           Database.reactivate db f.Fact.id;
           Intvec.push st.log f.Fact.id;
-          incr added;
-          Hashtbl.replace changed_preds f.Fact.pred ();
-          newly_active := f.Fact.id :: !newly_active
+          note (`Added f)
         end
         else if not (Provenance.is_edb prov f.Fact.id) then begin
           (* an active derived fact asserted extensionally: a cold chase
              on the new base records no derivation for it *)
           Provenance.forget prov f.Fact.id;
-          Hashtbl.replace changed_preds f.Fact.pred ()
+          note (`Changed f.Fact.pred)
         end)
     adds add_tuples;
-  let g = guard budget in
-  let interrupt = interrupt g in
-  let insert_matches ~round (r : Rule.t) matches round_delta =
-    List.iter
-      (fun (m : Matcher.match_result) ->
-        match instantiate_head st ~existentials:[] r m.binding with
-        | None -> ()
-        | Some tuple -> (
-          let premises = List.sort_uniq Int.compare m.used_facts in
-          let derivation =
-            {
-              Provenance.rule_id = r.id;
-              premises;
-              binding = m.binding;
-              contributors = [];
-              round;
-            }
-          in
-          match Database.add db (Rule.head_pred r) tuple with
-          | `Added f ->
-            incr derived_this_update;
-            incr added;
-            Hashtbl.replace changed_preds f.Fact.pred ();
-            Provenance.record prov ~fact_id:f.Fact.id derivation;
-            Intvec.push st.log f.Fact.id;
-            round_delta := f.Fact.id :: !round_delta
-          | `Existing f ->
-            if not (Database.is_active db f.Fact.id) then begin
-              Database.reactivate db f.Fact.id;
-              Intvec.push st.log f.Fact.id;
-              Provenance.forget prov f.Fact.id;
-              Provenance.record prov ~fact_id:f.Fact.id derivation;
-              incr derived_this_update;
-              Hashtbl.replace changed_preds f.Fact.pred ();
-              if Hashtbl.mem deleted f.Fact.id then begin
-                (* an over-deleted fact restored by a surviving proof *)
-                Hashtbl.remove deleted f.Fact.id;
-                incr rederived
-              end
-              else incr added;
-              round_delta := f.Fact.id :: !round_delta
-            end
-            else if
-              (not (Provenance.is_edb prov f.Fact.id))
-              && List.for_all (fun p -> p < f.Fact.id) premises
-            then begin
-              (* alternative derivation of a known fact, as in the cold
-                 chase; provenance changed even though the instance
-                 did not — shortest-proof explanations may shift *)
-              Provenance.record prov ~fact_id:f.Fact.id derivation;
-              Hashtbl.replace changed_preds f.Fact.pred ()
-            end))
-      matches
-  in
-  let run_stratum si rules =
+  let opening rules =
     (* rules whose negated premises changed: their old conclusions are
        unsupported until proven otherwise *)
     let neg_affected =
@@ -1321,15 +1361,6 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : resul
           then roots := id :: !roots);
       delete_cone !roots
     end;
-    let plain = List.filter (fun r -> not (Rule.has_agg r)) rules in
-    (* per aggregate rule: the log position at its last evaluation (the
-       whole update's log is new to it), and whether its first
-       evaluation re-aggregates every group (negation-affected) *)
-    let aggs =
-      List.filter_map
-        (fun r -> if Rule.has_agg r then Some (r, ref 0, List.memq r neg_affected) else None)
-        rules
-    in
     (* plain rules the stratum's first round re-evaluates beyond the
        delta: negation-affected ones, whose conclusions all fell, and
        every rule that could supply an alternative proof for an
@@ -1344,11 +1375,11 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : resul
     let rederiving =
       List.filter
         (fun (r : Rule.t) ->
-          Hashtbl.mem deleted_preds (Rule.head_pred r)
-          || List.memq r neg_affected)
-        plain
+          (not (Rule.has_agg r))
+          && (Hashtbl.mem deleted_preds (Rule.head_pred r) || List.memq r neg_affected))
+        rules
     in
-    let probed, full_rules =
+    let probed, full =
       List.partition
         (fun (r : Rule.t) ->
           strategy = Matcher.Hash
@@ -1364,172 +1395,61 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) (res : resul
         |> List.sort_uniq Int.compare
         |> List.map (Database.fact db)
     in
-    let pending = ref (List.filter (Database.is_active db) !newly_active) in
-    let first = ref true in
-    let continue = ref true in
-    while !continue && (not !overflow) && g.stopped = None do
-      if over_budget g ~derived:!derived_this_update ~rounds:!total_new_rounds then ()
-      else begin
-        let rederive = if !first then rederiving else [] in
-        let delta_ids = !pending in
-        let aggs_due =
-          List.exists
-            (fun (_, cursor, neg) -> (!first && neg) || !cursor < Intvec.length st.log)
-            aggs
-        in
-        if rederive = [] && delta_ids = [] && not aggs_due then continue := false
-        else begin
-          incr total_new_rounds;
-          if !total_new_rounds > max_rounds then overflow := true
-          else begin
-            try
-              stratum_rounds.(si) <- stratum_rounds.(si) + 1;
-              let round = res.rounds + !total_new_rounds in
-              let delta_filter =
-                if delta_ids = [] then None
-                else begin
-                  let set = Hashtbl.create (max 8 (List.length delta_ids)) in
-                  let preds = Hashtbl.create 8 in
-                  List.iter
-                    (fun i ->
-                      Hashtbl.replace set i ();
-                      Hashtbl.replace preds (Database.pred_sym_of_fact db i) ())
-                    delta_ids;
-                  Some
-                    { Matcher.mem = Hashtbl.mem set; has_pred = Hashtbl.mem preds }
-                end
-              in
-              let card = Database.pred_card db in
-              (* each rule's matches, in stratum rule order, all before
-                 the first insertion, exactly like a cold round: a full
-                 evaluation, or the semi-naive seed passes followed by
-                 the re-derivation probes *)
-              let matched =
-                List.map
-                  (fun (r : Rule.t) ->
-                    let plan = Plan.compile ~card r in
-                    let full = List.memq r rederive && List.memq r full_rules in
-                    let probe = List.memq r rederive && List.memq r probed in
-                    if full || probe || Option.is_some delta_filter then
-                      ignore
-                        (Matcher.prepare ~strategy
-                           ?bound:(if probe then Some (Matcher.head_bound_vars r) else None)
-                           db r plan);
-                    if full then begin
-                      incr full_passes;
-                      (r, Matcher.match_rule ~strategy ?interrupt ~plan db r)
-                    end
-                    else
-                      let seeded =
-                        match delta_filter with
-                        | Some d -> Matcher.match_rule ~strategy ?interrupt ~delta:d ~plan db r
-                        | None -> []
-                      in
-                      let probes =
-                        if probe then
-                          Matcher.head_probe_matches ?interrupt ~plan ?delta:delta_filter
-                            ~heads:lost db r
-                        else []
-                      in
-                      (r, seeded @ probes))
-                  plain
-              in
-              let round_delta = ref [] in
-              List.iter (fun (r, matches) -> insert_matches ~round r matches round_delta) matched;
-              (* aggregate rules, after the plain insertions as in a cold
-                 round: re-aggregate the groups touched by every fact
-                 activated or deactivated since the rule last ran —
-                 additions, DRed over-deletions, supersessions — or
-                 every group for a negation-affected rule's first
-                 evaluation ([Nested] keeps full re-evaluation) *)
-              let note = function
-                | `Added (f : Fact.t) ->
-                  incr derived_this_update;
-                  incr added;
-                  Hashtbl.replace changed_preds f.Fact.pred ();
-                  round_delta := f.Fact.id :: !round_delta
-                | `Reactivated (f : Fact.t) ->
-                  incr derived_this_update;
-                  Hashtbl.replace changed_preds f.Fact.pred ();
-                  if Hashtbl.mem deleted f.Fact.id then begin
-                    Hashtbl.remove deleted f.Fact.id;
-                    incr rederived
-                  end
-                  else incr added;
-                  round_delta := f.Fact.id :: !round_delta
-                | `Superseded (f : Fact.t) ->
-                  Hashtbl.replace deleted f.Fact.id ();
-                  incr retracted_total;
-                  Hashtbl.replace changed_preds f.Fact.pred ()
-              in
-              List.iter
-                (fun ((r : Rule.t), cursor, neg) ->
-                  let changed = log_since st !cursor in
-                  cursor := Intvec.length st.log;
-                  let neg = !first && neg in
-                  if neg || changed <> [] then begin
-                    let plan = Plan.compile ~card:(Database.pred_card db) r in
-                    let changed =
-                      if neg || strategy = Matcher.Nested then None else Some changed
-                    in
-                    ignore (Matcher.prepare ~strategy ?changed db r plan);
-                    match reaggregate st ~strategy ?interrupt ~plan ?changed r with
-                    | None -> ()
-                    | Some (covered, groups) ->
-                      if stale_group st r ~covered groups then
-                        raise (Regressed (active_before ()));
-                      (* a re-aggregated group's value may have moved
-                         where no fact did: report the head as changed,
-                         so caches keyed on it are dropped *)
-                      Hashtbl.replace changed_preds (Rule.head_pred r) ();
-                      ignore (insert_agg_groups st ~round ~note r groups)
-                  end)
-                aggs;
-              first := false;
-              if !round_delta = [] then continue := false
-              else begin
-                pending := !round_delta;
-                newly_active := List.rev_append !round_delta !newly_active
-              end
-            with Matcher.Interrupted ->
-              (* tripped mid-match: nothing was inserted for the
-                 abandoned round; the loop exits on the guard *)
-              ()
-          end
-        end
-      end
-    done
+    {
+      delta = List.filter (Database.is_active db) !newly_active;
+      (* a negation-affected aggregate rule regroups every group *)
+      full = full @ List.filter Rule.has_agg neg_affected;
+      probed;
+      lost;
+    }
   in
-  List.iteri (fun si rules -> if g.stopped = None then run_stratum si rules) strata;
-  let stratum_rounds = Array.to_list (Array.sub stratum_rounds 0 (List.length strata)) in
-  finish g ~t_start ~rounds:!total_new_rounds ~derived:!derived_this_update ~max_rounds
-    ~overflow:!overflow ~stratum_rounds db prov (fun () ->
-      let active_derived = ref 0 in
-      for id = 0 to Database.size db - 1 do
-        if Database.is_active db id && not (Provenance.is_edb prov id) then
-          incr active_derived
-      done;
-      let changed =
-        Hashtbl.fold (fun p () acc -> p :: acc) changed_preds []
-        |> List.sort String.compare
-      in
+  match
+    chase_strata st ~strategy ~max_rounds ~budget ~t_start ~round0:res.rounds ~note
+      ~opening strata
+  with
+  | exception Regressed ->
+    (* the pass met a group it cannot maintain in place: finish with a
+       re-chase of the updated base, which the mutated result holds by
+       now *)
+    rechase ~max_rounds ~budget program ~base:(edb_atoms res) ~before:(active_before ())
+      ~seeds:(seed_preds res ~adds ~retract_ids)
+  | Error e -> Error e
+  | Ok run ->
+    let active_derived = ref 0 in
+    for id = 0 to Database.size db - 1 do
+      if Database.is_active db id && not (Provenance.is_edb prov id) then
+        incr active_derived
+    done;
+    let changed =
+      Hashtbl.fold (fun p () acc -> p :: acc) changed_preds [] |> List.sort String.compare
+    in
+    let updated =
       ( {
           db;
           prov;
-          rounds = res.rounds + !total_new_rounds;
+          rounds = res.rounds + run.run_rounds;
           derived_count = !active_derived;
           stats = None;
         },
         {
           upd_incremental = true;
-          upd_rounds = !total_new_rounds;
+          upd_rounds = run.run_rounds;
           upd_added = !added;
           upd_retracted = !retracted_total - !rederived;
           upd_rederived = !rederived;
           upd_changed_preds = changed;
           upd_overdeleted = !overdeleted;
-          upd_full_passes = !full_passes;
-        } ))
+          upd_full_passes = run.run_full_passes;
+        } )
+    in
+    (* The maintained result outlives the call.  If no minor collection
+       ran during the update, all of it — with the copy_result copy it
+       typically started from — is still in the minor heap: promote it
+       now, so the update pays for its own result instead of the next
+       allocating request.  An update that collected along the way has
+       already promoted most of it. *)
+    if collections () = minor_before then Gc.minor ();
+    Ok updated
 
 let apply_update ?max_rounds ?budget program res ~adds ~retracts =
   (* all validation happens before any mutation *)
@@ -1551,29 +1471,9 @@ let apply_update ?max_rounds ?budget program res ~adds ~retracts =
       else
         match Stratify.strata program with
         | Error e -> Error (Unstratifiable e)
-        | Ok strata -> (
-          let collections () = (Gc.quick_stat ()).Gc.minor_collections in
-          let before = collections () in
-          match
-            apply_incremental ?max_rounds ?budget res ~adds ~add_tuples ~retract_ids strata
-          with
-          | exception Regressed before ->
-            (* the pass met a group it cannot maintain in place: finish
-               with a re-chase of the updated base, which the mutated
-               result holds by now *)
-            rechase ?max_rounds ?budget program ~base:(edb_atoms res) ~before
-              ~seeds:(seed_preds res ~adds ~retract_ids)
-          | Ok _ as ok ->
-            (* The maintained result outlives the call.  If no minor
-               collection ran during the update, all of it — with the
-               copy_result copy it typically started from — is still
-               in the minor heap: promote it now, so the update pays
-               for its own result instead of the next allocating
-               request.  An update that collected along the way has
-               already promoted most of it. *)
-            if collections () = before then Gc.minor ();
-            ok
-          | Error _ as e -> e)))
+        | Ok strata ->
+          apply_incremental ?max_rounds ?budget program res ~adds ~add_tuples ~retract_ids
+            strata))
 
 let add_facts ?max_rounds ?budget program res atoms =
   apply_update ?max_rounds ?budget program res ~adds:atoms ~retracts:[]

@@ -15,17 +15,31 @@
 
     {2 Rounds}
 
+    One round loop serves cold chases ({!run}) and fact updates
+    ({!add_facts}, {!retract_facts}); the two differ only in how each
+    stratum's first round opens.  A cold chase is an update of the
+    empty instance: every rule evaluates in full on its stratum's first
+    round.  An update opens with what it changed (see {e Incremental
+    maintenance} below).  Later rounds are semi-naive from the previous
+    round's activations.
+
     Each round runs a fixed protocol on one domain: {e plan} every
-    rule and prepare the indexes its match passes probe; {e match}
-    every plain rule (every semi-naive seed pass) against the pre-round
-    database; then {e insert} the matches in rule order, aggregate
-    rules following.  Match passes only read, so a round's plain rules
-    never see each other's insertions, and every fact id, labelled
-    null, provenance record and the chase graph is allocated in the
-    insert phase in rule order.  Join orders come from per-round
-    cost-based plans ({!Plan}), recompiled from live predicate
-    cardinalities; ties keep textual order, so plans are deterministic
-    too. *)
+    rule from the round-start cardinalities and prepare the indexes its
+    match passes probe; {e match} every plain rule (a full pass, its
+    semi-naive seed passes or its head-bound probes) against the
+    pre-round database; then {e insert} the matches in rule order,
+    aggregate rules following from their log cursors.  Match passes
+    only read, so a round's plain rules never see each other's
+    insertions, and every fact id, labelled null, provenance record and
+    the chase graph is allocated in the insert phase in rule order.  A
+    match whose tuple is inactive — a fact an update over-deleted, or a
+    superseded aggregate value that no recorded derivation cites —
+    reactivates it under its id.  A derivation of a fact that already
+    exists is recorded only when its premises were activated before
+    the fact, so it closes no cycle in the chase graph.  Join
+    orders come from per-round cost-based plans ({!Plan}), recompiled
+    from live predicate cardinalities; ties keep textual order, so
+    plans are deterministic too. *)
 
 open Ekg_datalog
 
@@ -113,7 +127,9 @@ type budget = {
       (** absolute wall-clock instant ({!Ekg_obs.Clock.now_s} scale)
           past which the run stops *)
   budget_rounds : int option;   (** max fixpoint rounds *)
-  budget_facts : int option;    (** max facts derived beyond the EDB *)
+  budget_facts : int option;
+      (** max facts derived beyond the EDB: new facts, and inactive
+          ones a rule derives again *)
   cancel : (unit -> bool) option;
       (** external cancellation hook, polled with the deadline; must be
           cheap and domain-safe *)
@@ -251,17 +267,19 @@ val run_exn :
     the Banca d'Italia ownership graph): absorb a stream of fact
     additions and retractions without a cold re-chase.
 
-    {b Additions} warm-start the existing semi-naive loop: the new
-    facts are the incoming delta, and each stratum re-runs to fixpoint
-    with the usual per-round join planning.  {b Retractions} run DRed-style deletion propagation over
-    the stored provenance DAG: first {e over-delete} the cone of
-    consequences reachable from a retracted fact through any recorded
-    derivation, then {e re-derive} every over-deleted fact that still
-    has a surviving alternative proof.  Re-derivation is proportional
-    to what fell: on its stratum's first round, each plain rule
-    deriving an over-deleted fact (or a retracted one) binds the head
-    variables its positive body binds to that fact's values and probes
-    its hash join once per distinct key
+    An update runs the cold chase's round loop (see {e Rounds} above)
+    over the existing result; only each stratum's opening differs.
+    {b Additions} open it: the new facts, with whatever earlier strata
+    activated, are the first round's delta, and each stratum re-runs to
+    fixpoint with the usual per-round join planning.  {b Retractions}
+    run DRed-style deletion propagation over the stored provenance DAG:
+    first {e over-delete} the cone of consequences reachable from a
+    retracted fact through any recorded derivation, then {e re-derive}
+    every over-deleted fact that still has a surviving alternative
+    proof.  Re-derivation is proportional to what fell: the stratum's
+    opening has each plain rule deriving an over-deleted fact (or a
+    retracted one) bind the head variables its positive body binds to
+    that fact's values and probe its hash join once per distinct key
     ({!Matcher.head_probe_matches}), and the semi-naive tail propagates
     whatever came back.  A rule is evaluated over the whole instance
     instead only where no probe can stand in for it: when its negated
@@ -287,7 +305,9 @@ val run_exn :
     supersessions, reactivations — is logged, and each aggregate rule,
     after its stratum's plain insertions, re-aggregates only the groups
     touched by the facts logged since it last ran, each from a bound
-    probe of its body.  DRed over-deletes an aggregate fact through its
+    probe of its body under the plan compiled at the round's start (a
+    negation-affected aggregate rule regroups every group on its
+    stratum's first round).  DRed over-deletes an aggregate fact through its
     recorded contributors and then re-aggregates only those facts'
     groups, never every group; the cone also follows supersession
     (facts derived from a superseded aggregate fall with the fact that
@@ -373,7 +393,11 @@ val revision : int
     engine change can make an instance this build maintains differ from
     one an earlier build maintained over the same program and updates;
     revision 2 folds aggregate inputs in ascending order, where earlier
-    builds folded them in enumeration order.  {!Ekg_core.Pipeline.identity}
+    builds folded them in enumeration order, and revision 3 has a cold
+    chase reactivate a superseded aggregate tuple that a plain rule
+    derives, as updates already did, where no recorded derivation
+    cites the tuple (updates stopped reactivating it otherwise).
+    {!Ekg_core.Pipeline.identity}
     includes it, so a snapshot an earlier build wrote is re-chased
     instead of warm-restored. *)
 

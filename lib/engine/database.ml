@@ -388,11 +388,6 @@ let pred_card t pred =
   | None -> 0
   | Some sym -> Intvec.length (posting t sym)
 
-let preds t =
-  let acc = ref [] in
-  Symtab.iter (fun _ name -> acc := name :: !acc) t.syms;
-  List.sort String.compare !acc
-
 let active_all t =
   let acc = ref [] in
   for id = t.next_id - 1 downto 0 do

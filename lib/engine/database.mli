@@ -66,9 +66,6 @@ val all_of_pred : t -> string -> Fact.t list
 val active_all : t -> Fact.t list
 (** All active facts, insertion order. *)
 
-val preds : t -> string list
-(** Predicates with at least one fact, sorted. *)
-
 val size : t -> int
 (** Number of facts ever inserted (active + inactive). *)
 

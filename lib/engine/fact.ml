@@ -10,12 +10,5 @@ type t = {
 let atom f = Atom.make f.pred (List.map Term.cst (Array.to_list f.args))
 let arg f i = f.args.(i)
 
-let equal_tuple f pred args =
-  f.pred = pred
-  && Array.length f.args = Array.length args
-  && (let ok = ref true in
-      Array.iteri (fun i v -> if not (Value.equal v args.(i)) then ok := false) f.args;
-      !ok)
-
 let to_string f = Atom.to_string (atom f)
 let pp fmt f = Format.pp_print_string fmt (to_string f)

@@ -13,6 +13,5 @@ type t = {
 
 val atom : t -> Atom.t
 val arg : t -> int -> Value.t
-val equal_tuple : t -> string -> Value.t array -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -164,9 +164,6 @@ let fact_to_json (f : Fact.t) =
     (json_escape f.pred)
     (String.concat ", " (Array.to_list (Array.map json_of_value f.args)))
 
-let facts_to_json facts =
-  "[" ^ String.concat ", " (List.map fact_to_json facts) ^ "]"
-
 let result_to_json (res : Chase.result) =
   let facts = Database.active_all res.db in
   let entries =

@@ -21,8 +21,7 @@ val load_directory : string -> (Atom.t list, string) result
     the predicate. *)
 
 val fact_to_json : Fact.t -> string
-val facts_to_json : Fact.t list -> string
-(** A JSON array of {"predicate": …, "args": […]} objects. *)
+(** A {"id": …, "predicate": …, "args": […]} object. *)
 
 val result_to_json : Chase.result -> string
 (** The materialized instance: active facts grouped by predicate, with

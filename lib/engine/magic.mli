@@ -70,7 +70,6 @@ val goal_atom : specialized -> Atom.t -> Atom.t
 (** The query atom renamed into the rewritten program's vocabulary —
     what to {!Query.ask} the scoped chase result for. *)
 
-val original_pred : specialized -> string -> string
 val original_fact : specialized -> Fact.t -> Fact.t
 (** Project a scoped fact back onto the source program's vocabulary
     (identity for facts that were never adorned). *)

@@ -5,8 +5,6 @@ type t = {
   reordered : bool;
 }
 
-let identity n = { order = Array.init n (fun i -> i); reordered = false }
-
 module VarSet = Set.Make (String)
 
 let atom_vars (a : Atom.t) =
@@ -25,7 +23,7 @@ let bound_positions bound (a : Atom.t) =
 let compile ?first ~card (r : Rule.t) =
   let atoms = Array.of_list (Rule.positive_atoms r) in
   let n = Array.length atoms in
-  if n <= 1 then identity n
+  if n <= 1 then { order = Array.init n Fun.id; reordered = false }
   else begin
     let cards = Array.map (fun (a : Atom.t) -> card a.Atom.pred) atoms in
     let order = Array.make n 0 in
@@ -89,10 +87,3 @@ let key_masks ?(bound = []) (r : Rule.t) t =
       bound := List.fold_left (fun s v -> VarSet.add v s) !bound (atom_vars a);
       !mask)
     t.order
-
-let to_string (r : Rule.t) t =
-  let atoms = Array.of_list (Rule.positive_atoms r) in
-  Printf.sprintf "%s: %s" r.Rule.id
-    (String.concat ", "
-       (Array.to_list
-          (Array.map (fun i -> atoms.(i).Atom.pred) t.order)))

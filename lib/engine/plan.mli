@@ -26,9 +26,6 @@ type t = {
   reordered : bool;  (** [order] differs from the identity *)
 }
 
-val identity : int -> t
-(** Textual order over [n] atoms. *)
-
 val compile : ?first:int -> card:(string -> int) -> Rule.t -> t
 (** Plan a rule's positive body against cardinality estimates.
     [card p] is the (active + inactive) fact count of predicate [p];
@@ -47,6 +44,3 @@ val key_masks : ?bound:string list -> Rule.t -> t -> int array
     at each position), the mask chooses its key columns.  A mask of
     [0] (nothing bound — typically the seed position) means the
     position scans instead of probing. *)
-
-val to_string : Rule.t -> t -> string
-(** Diagnostic rendering, e.g. ["sigma3: own, control -> control"]. *)

@@ -54,16 +54,20 @@ let of_fact db prov (goal : Fact.t) =
   build db ~derivation_for:(Provenance.derivation prov) goal
 
 (* Shortest proof: per fact, pick the derivation minimizing the tree
-   cost 1 + Σ cost(premises) (premise ids always precede the fact's,
-   so the recursion is well-founded).  Tree cost over-counts shared
+   cost 1 + Σ cost(premises) (the chase records a derivation only when
+   its premises precede its fact, so the recursion is well-founded; a
+   fact on the recursion stack costs [max_int] all the same, so that a
+   cycle could not recurse without end).  Tree cost over-counts shared
    sub-derivations, but those are deduplicated when the proof is
    built, so the selection is a sound heuristic for compactness. *)
 let shortest_of_fact db prov (goal : Fact.t) =
   let memo : (int, int * Provenance.derivation option) Hashtbl.t = Hashtbl.create 64 in
+  let add a b = if a = max_int || b = max_int then max_int else a + b in
   let rec cost id =
     match Hashtbl.find_opt memo id with
     | Some (c, _) -> c
     | None ->
+      Hashtbl.replace memo id (max_int, None);
       let result =
         match Provenance.alternatives prov id with
         | [] -> (0, None) (* extensional *)
@@ -71,7 +75,7 @@ let shortest_of_fact db prov (goal : Fact.t) =
           let best =
             List.fold_left
               (fun acc (d : Provenance.derivation) ->
-                let c = 1 + List.fold_left (fun s p -> s + cost p) 0 d.premises in
+                let c = List.fold_left (fun s p -> add s (cost p)) 1 d.premises in
                 match acc with
                 | Some (c', _) when c' <= c -> acc
                 | _ -> Some (c, d))

@@ -69,6 +69,16 @@ let iter t f =
     (fun id e -> List.iter (fun d -> f id d) (List.rev e.rev_items))
     t.derivations
 
+let cited t id =
+  match
+    Hashtbl.iter
+      (fun _ e ->
+        if List.exists (fun d -> List.mem id d.premises) e.rev_items then raise_notrace Exit)
+      t.derivations
+  with
+  | () -> false
+  | exception Exit -> true
+
 let record_superseded t ~old_fact ~by = Hashtbl.replace t.superseded old_fact by
 let superseded_by t id = Hashtbl.find_opt t.superseded id
 

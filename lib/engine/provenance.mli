@@ -49,6 +49,10 @@ val iter : t -> (int -> derivation -> unit) -> unit
     unspecified order — the incremental chase walks this once to build
     the premise → consumers reverse index its deletion cone follows. *)
 
+val cited : t -> int -> bool
+(** Whether a recorded derivation has the fact among its premises — a
+    scan over every derivation. *)
+
 val record_superseded : t -> old_fact:int -> by:int -> unit
 (** Note that a stale aggregate fact was replaced by a newer one. *)
 

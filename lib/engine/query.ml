@@ -2,11 +2,6 @@ open Ekg_datalog
 
 let ask db atom = Database.matching db atom Subst.empty
 
-let ask_one db atom =
-  match ask db atom with
-  | (f, _) :: _ -> Some f
-  | [] -> None
-
 let holds db atom = ask db atom <> []
 
 let parse_and_ask db s =

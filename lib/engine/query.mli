@@ -7,9 +7,6 @@ open Ekg_datalog
 val ask : Database.t -> Atom.t -> (Fact.t * Subst.t) list
 (** All active facts the (possibly non-ground) atom maps onto. *)
 
-val ask_one : Database.t -> Atom.t -> Fact.t option
-(** First match, if any. *)
-
 val holds : Database.t -> Atom.t -> bool
 
 val parse_and_ask : Database.t -> string -> ((Fact.t * Subst.t) list, string) result

@@ -2,9 +2,11 @@ type witness = Fact.t list
 
 module IntSet = Set.Make (Int)
 
-(* The recorded derivations form a DAG (premise ids precede the
-   conclusion's), so a memoized recursion terminates.  Witnesses are
-   id-sets; products of premises' witnesses are unions. *)
+(* The recorded derivations form a DAG (the chase records a derivation
+   only when its premises precede its fact), so a memoized recursion
+   terminates; a fact on the recursion stack has no witness all the
+   same.  Witnesses are id-sets; products of premises' witnesses are
+   unions. *)
 let witness_sets ?(max_witnesses = 64) (prov : Provenance.t) goal_id =
   let memo : (int, IntSet.t list) Hashtbl.t = Hashtbl.create 64 in
   let truncate l =
@@ -34,6 +36,7 @@ let witness_sets ?(max_witnesses = 64) (prov : Provenance.t) goal_id =
     match Hashtbl.find_opt memo id with
     | Some ws -> ws
     | None ->
+      Hashtbl.replace memo id [];
       let result =
         match Provenance.alternatives prov id with
         | [] -> [ IntSet.singleton id ] (* extensional *)

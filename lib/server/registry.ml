@@ -113,9 +113,6 @@ let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?
 
 let store t = Option.map (fun p -> p.store) t.persist
 
-let flush_snapshots t =
-  Option.iter (fun p -> Ekg_store.Snapshotter.flush p.snapshotter) t.persist
-
 let stop_persistence t =
   Option.iter (fun p -> Ekg_store.Snapshotter.stop p.snapshotter) t.persist
 

@@ -168,9 +168,6 @@ val snapshotter : t -> Ekg_store.Snapshotter.t option
     registers its queue-depth/stall gauges as a runtime-sampler
     source. *)
 
-val flush_snapshots : t -> unit
-(** Block until no snapshot request is pending or in flight. *)
-
 val stop_persistence : t -> unit
 (** Drain pending snapshots and join the write-behind domain (no-op
     without a store).  Call once at daemon shutdown. *)

@@ -14,9 +14,9 @@
 # overhead, incremental maintenance vs cold re-chase, hash vs nested
 # join core, query lane vs full chase, snapshot/restore vs cold chase;
 # fails if incremental, join-engine, query-lane or restored state ever
-# diverges), the join-engine identity smoke (both
-# bundled aggregation apps under the hash and nested engines must
-# fingerprint identically), the engine's incremental and property
+# diverges), the join-engine identity smoke (all four bundled apps
+# under the hash and nested engines must fingerprint identically), the
+# engine's incremental and property
 # suites once more under the nested reference engine (whose DRed keeps
 # the full re-derivation pass the hash engine replaces with head-bound
 # probes), and the documentation gate
@@ -36,10 +36,11 @@ dune exec bench/main.exe -- chase-smoke
 
 # join-engine identity: the columnar hash-join chase and the nested-loop
 # escape hatch must produce byte-identical output (facts, provenance,
-# explanations) on both bundled aggregation apps — company control's
-# recursive sum, and the stress test's sums that are superseded and
-# then summed again
-for app in company-control stress-test; do
+# explanations) on every bundled app — company control's recursive sum,
+# the stress test's sums that are superseded and then summed again,
+# close link's aggregation-free recursive join, and golden power's
+# negation and negative constraint
+for app in company-control stress-test close-link golden-power; do
   fp_hash="$(dune exec bin/profile.exe -- "$app" --join hash --fingerprint | sed -n 's/^fingerprint: //p')"
   fp_nested="$(dune exec bin/profile.exe -- "$app" --join nested --fingerprint | sed -n 's/^fingerprint: //p')"
   if [ -z "$fp_hash" ] || [ "$fp_hash" != "$fp_nested" ]; then

@@ -1990,34 +1990,226 @@ e(X, W), V = W + 1 -> next(V).
   check int' "next(2) back through e(b, 1)" 1 upd.Chase.upd_rederived;
   check_matches_cold "retraction = cold chase" program res' [ e "b" 1 ]
 
-(* every active derived fact of an updated result must still carry a
-   well-founded proof over active facts, grounded in the EDB.  The one
-   inactive fact a proof may use is a superseded aggregate: monotonic
-   aggregation keeps it in the chase graph as a value its group has
-   since exceeded (a cold chase cites it too), and it must itself be
-   concluded by the proof, so its own support is checked in turn *)
-let proofs_well_founded (res : Chase.result) =
-  List.for_all
-    (fun (f : Fact.t) ->
-      Provenance.is_edb res.Chase.prov f.Fact.id
-      ||
-      match Proof.of_fact res.Chase.db res.Chase.prov f with
-      | None -> false
-      | Some p ->
-        let concluded = Hashtbl.create 16 in
-        List.iter
-          (fun (s : Proof.step) -> Hashtbl.replace concluded s.Proof.fact.Fact.id ())
-          p.Proof.steps;
+(* the recorded chase graph, alternative derivations included, has no
+   cycle: {!Proof.shortest_of_fact}'s cost recursion ends only then *)
+let chase_graph_acyclic (res : Chase.result) =
+  let state = Hashtbl.create 64 in
+  let rec visit id =
+    match Hashtbl.find_opt state id with
+    | Some `Done -> true
+    | Some `Open -> false
+    | None ->
+      Hashtbl.replace state id `Open;
+      let ok =
         List.for_all
-          (fun (used : Fact.t) ->
-            let id = used.Fact.id in
-            if Database.is_active res.Chase.db id then
-              Hashtbl.mem concluded id || Provenance.is_edb res.Chase.prov id
-            else
-              Provenance.superseded_by res.Chase.prov id <> None
-              && Hashtbl.mem concluded id)
-          (Proof.facts_used p))
+          (fun (d : Provenance.derivation) -> List.for_all visit d.Provenance.premises)
+          (Provenance.alternatives res.Chase.prov id)
+      in
+      Hashtbl.replace state id `Done;
+      ok
+  in
+  List.for_all visit (Provenance.derived_ids res.Chase.prov)
+
+(* every active derived fact of a result must carry a well-founded proof
+   over active facts, grounded in the EDB — its primary one and its
+   shortest one alike: each step's premises are concluded by an earlier
+   step or are active EDB facts.  The one inactive fact a proof may use
+   is a superseded aggregate: monotonic aggregation keeps it in the
+   chase graph as a value its group has since exceeded (a cold chase
+   cites it too), and an earlier step must conclude it, so its own
+   support is checked in turn *)
+let proofs_well_founded (res : Chase.result) =
+  let db = res.Chase.db and prov = res.Chase.prov in
+  let ordered (p : Proof.t) =
+    let concluded = Hashtbl.create 16 in
+    List.for_all
+      (fun (s : Proof.step) ->
+        let ok =
+          List.for_all
+            (fun (used : Fact.t) ->
+              let id = used.Fact.id in
+              if Database.is_active db id then
+                Hashtbl.mem concluded id || Provenance.is_edb prov id
+              else Provenance.superseded_by prov id <> None && Hashtbl.mem concluded id)
+            s.Proof.premises
+        in
+        Hashtbl.replace concluded s.Proof.fact.Fact.id ();
+        ok)
+      p.Proof.steps
+    && Hashtbl.mem concluded p.Proof.goal.Fact.id
+  in
+  chase_graph_acyclic res
+  && List.for_all
+       (fun (f : Fact.t) ->
+         Provenance.is_edb prov f.Fact.id
+         ||
+         match Proof.of_fact db prov f, Proof.shortest_of_fact db prov f with
+         | Some p, Some s -> ordered p && ordered s
+         | _ -> false)
+       (Database.active_all db)
+
+let test_incr_plain_rule_revives_superseded () =
+  (* t("b", 2) is the sum's first value for b, superseded once the link
+     adds e("b", 1); the f-chain derives the same tuple afterwards.  A
+     plain rule that re-derives an inactive tuple reactivates it, in an
+     update and in a cold chase alike *)
+  let src = {|
+e0(X, W) -> e(X, W).
+e(X, W), S = sum(W) -> t(X, S).
+t(X, S), link(X, Y, V) -> e(Y, V).
+f0(X, W) -> f1(X, W).
+f1(X, W) -> f2(X, W).
+f2(X, W) -> f3(X, W).
+f3(X, W) -> t(X, W).
+@goal(t).
+|}
+  in
+  let pair p x w = Atom.make p [ Term.str x; Term.int w ] in
+  let base =
+    [
+      pair "e0" "a" 1;
+      pair "e0" "b" 2;
+      Atom.make "link" [ Term.str "a"; Term.str "b"; Term.int 1 ];
+    ]
+  in
+  let program, res = run_atoms src base in
+  let res', upd = update_exn (Chase.add_facts program res [ pair "f0" "b" 2 ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check Alcotest.(list string) "t after the update"
+    [ {|t("a", 1)|}; {|t("b", 2)|}; {|t("b", 3)|} ]
+    (actives res' "t");
+  check_matches_cold "addition = cold chase" program res' (base @ [ pair "f0" "b" 2 ]);
+  check bool' "cold chase: proofs well-founded" true
+    (proofs_well_founded (snd (run_atoms src (base @ [ pair "f0" "b" 2 ]))));
+  check bool' "update: proofs well-founded" true (proofs_well_founded res')
+
+(* t("b", 3), the sum's first value for b, derives e("b", 3) through the
+   self-link; the sum then moves to 6.  e("b", 3) and g("b") derive
+   t("b", 3) again, but by way of itself: reviving it would close a
+   cycle in the chase graph, so it stays superseded *)
+let test_incr_no_circular_revival () =
+  let src = {|
+e0(X, W) -> e(X, W).
+e(X, W), S = sum(W) -> t(X, S).
+t(X, S), link(X, Y, V) -> e(Y, V).
+e(X, W), g(X) -> t(X, W).
+@goal(t).
+|}
+  in
+  let pair p x w = Atom.make p [ Term.str x; Term.int w ] in
+  let link = Atom.make "link" [ Term.str "b"; Term.str "b"; Term.int 3 ] in
+  let g = Atom.make "g" [ Term.str "b" ] in
+  let base = [ pair "e0" "b" 1; pair "e0" "b" 2; link ] in
+  let program, cold = run_atoms src (base @ [ g ]) in
+  check bool' "incrementable" true (Chase.incrementable program);
+  check Alcotest.(list string) "t after a cold chase"
+    [ {|t("b", 1)|}; {|t("b", 2)|}; {|t("b", 6)|} ]
+    (actives cold "t");
+  check bool' "cold chase: proofs well-founded" true (proofs_well_founded cold);
+  let _, res = run_atoms src base in
+  let res', upd = update_exn (Chase.add_facts program res [ g ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check_matches_cold "addition = cold chase" program res' (base @ [ g ]);
+  check bool' "update: proofs well-founded" true (proofs_well_founded res');
+  (* without e0("b", 2) a cold chase supersedes t("b", 1), the sum's
+     first value, which the update keeps as g's conclusion: the open
+     aggregate/plain overlap of ROADMAP item 6, so only the provenance
+     is checked here *)
+  let res'', _ = update_exn (Chase.retract_facts program res' [ pair "e0" "b" 2 ]) in
+  check bool' "retraction: proofs well-founded" true (proofs_well_founded res'')
+
+(* t("b", 1), the sum's first value, derives c("b", 1) and through it
+   e("b", 2); the sum moves to 3, which derives e("b", -2), and returns
+   to 1.  The group's value is t("b", 1) again, so the aggregate must
+   reactivate it, and its contributors cite it through c("b", 1): a
+   cycle in the chase graph (ROADMAP item 6).  Explanations still end *)
+let test_explanations_end_on_cyclic_revival () =
+  let src = {|
+e0(X, W) -> e(X, W).
+e(X, W), S = sum(W) -> t(X, S).
+t(X, S) -> c(X, S).
+c(X, S), k(X, V) -> e(X, V).
+c(X, S), m(X, V), S > 2 -> e(X, V).
+@goal(t).
+|}
+  in
+  let pair p x w = Atom.make p [ Term.str x; Term.int w ] in
+  let _, res = run_atoms src [ pair "e0" "b" 1; pair "k" "b" 2; pair "m" "b" (-2) ] in
+  check Alcotest.(list string) "t" [ {|t("b", 1)|} ] (actives res "t");
+  check bool' "the revival closes a cycle" false (chase_graph_acyclic res);
+  List.iter
+    (fun (f : Fact.t) ->
+      ignore (Proof.shortest_of_fact res.Chase.db res.Chase.prov f);
+      ignore (Why.why res.Chase.db res.Chase.prov f))
     (Database.active_all res.Chase.db)
+
+(* path("0", "0") loses e("0", "0") and comes back through
+   path("0", "1"), itself re-derived this update from e("0", "1"); then
+   path("0", "0"), e("0", "1") derives path("0", "1") once more.  The
+   lower id of path("0", "0") must not let that alternative in: it would
+   close a cycle between the two *)
+let test_incr_rederivation_no_cycle () =
+  let program, res = run_atoms tc_src [ edge "0" "0"; edge "1" "0" ] in
+  let res, _ = update_exn (Chase.add_facts program res [ edge "0" "1" ]) in
+  let res', upd = update_exn (Chase.retract_facts program res [ edge "0" "0" ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check_matches_cold "retraction = cold chase" program res' [ edge "1" "0"; edge "0" "1" ];
+  check bool' "proofs well-founded" true (proofs_well_founded res')
+
+(* the paper's own programs: retract each scenario EDB fact in turn from
+   a copy of the cold materialization, then re-add it.  After each step
+   the maintained state equals a cold chase of the same base, with
+   well-founded provenance, and an update fails exactly when that cold
+   chase does: golden power's constraint c1 fires without the
+   acquisition it screens or the strategic flag that makes it
+   screened *)
+let test_incr_bundled_apps_retract_readd () =
+  let failed = ref [] in
+  List.iter
+    (fun app ->
+      let program, edb =
+        match Ekg_apps.Bundled.load app with
+        | Ok { Ekg_apps.Apps_util.pipeline; edb } ->
+          (pipeline.Ekg_core.Pipeline.program, edb)
+        | Error e -> Alcotest.failf "%s: %s" app e
+      in
+      let cold =
+        match Chase.run program edb with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s: cold chase: %s" app e
+      in
+      let step msg base update =
+        match update, Chase.run_checked program base with
+        | Ok (res, _), Ok reference ->
+          check string' msg
+            (Database.fingerprint reference.Chase.db)
+            (Database.fingerprint res.Chase.db);
+          check bool' (msg ^ ": proofs well-founded") true (proofs_well_founded res);
+          Some res
+        | Error (Chase.Inconsistent _), Error (Chase.Inconsistent _) ->
+          failed := msg :: !failed;
+          None
+        | Ok _, Error e ->
+          Alcotest.failf "%s: only the cold chase failed: %s" msg (Chase.error_to_string e)
+        | Error e, _ -> Alcotest.failf "%s: update failed: %s" msg (Chase.error_to_string e)
+      in
+      List.iter
+        (fun fact ->
+          let msg = Printf.sprintf "%s: retract %s" app (Atom.to_string fact) in
+          let rest = List.filter (fun a -> not (Atom.equal a fact)) edb in
+          let retracted = Chase.retract_facts program (Chase.copy_result cold) [ fact ] in
+          match step msg rest retracted with
+          | None -> ()
+          | Some res ->
+            ignore (step (msg ^ ", re-add") edb (Chase.add_facts program res [ fact ])))
+        edb)
+    Ekg_apps.Bundled.names;
+  check Alcotest.(list string) "updates failing with their cold chase"
+    [
+      {|golden-power: retract acquisition("ForeignBank", "TelecomCo", 0.3)|};
+      {|golden-power: retract strategic("TelecomCo")|};
+    ]
+    (List.sort String.compare !failed)
 
 (* random edge set, then a random add/retract sequence: the maintained
    state must stay byte-identical (content fingerprint) to a cold chase
@@ -2636,6 +2828,14 @@ let () =
             test_rederive_repeated_head_variable;
           Alcotest.test_case "unbound head keeps the full pass" `Quick
             test_rederive_unbound_head_keeps_full_pass;
+          Alcotest.test_case "plain rule revives a superseded sum" `Quick
+            test_incr_plain_rule_revives_superseded;
+          Alcotest.test_case "no revival through the fact itself" `Quick
+            test_incr_no_circular_revival;
+          Alcotest.test_case "re-derivation closes no cycle" `Quick
+            test_incr_rederivation_no_cycle;
+          Alcotest.test_case "bundled apps retract and re-add each fact" `Quick
+            test_incr_bundled_apps_retract_readd;
         ] );
       ( "constraints",
         [
@@ -2692,6 +2892,8 @@ let () =
             test_shortest_equals_primary_when_unique;
           Alcotest.test_case "truncate" `Quick test_proof_truncate;
           Alcotest.test_case "EDB has no proof" `Quick test_proof_edb_fact_has_none;
+          Alcotest.test_case "explanations end on a cyclic revival" `Quick
+            test_explanations_end_on_cyclic_revival;
         ] );
       ("query", [ Alcotest.test_case "patterns" `Quick test_query_patterns ]);
       ( "parallel",
