@@ -1215,8 +1215,6 @@ let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
 (* The incremental pass proper (no existentials). *)
 let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res : result)
     ~adds ~add_tuples ~retract_ids strata =
-  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
-  let minor_before = collections () in
   let db = res.db and prov = res.prov in
   let st = make_state ~lookup_groups:true db prov in
   let size_before = Database.size db in
@@ -1442,13 +1440,12 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
           upd_full_passes = run.run_full_passes;
         } )
     in
-    (* The maintained result outlives the call.  If no minor collection
-       ran during the update, all of it — with the copy_result copy it
-       typically started from — is still in the minor heap: promote it
-       now, so the update pays for its own result instead of the next
-       allocating request.  An update that collected along the way has
-       already promoted most of it. *)
-    if collections () = minor_before then Gc.minor ();
+    (* The maintained result outlives the call, and the pages its
+       writes copied are allocated all along the update — the last of
+       them are still in the minor heap even when a collection ran
+       midway: promote them now, so the update pays for its own result
+       instead of the next allocating request. *)
+    Gc.minor ();
     Ok updated
 
 let apply_update ?max_rounds ?budget program res ~adds ~retracts =

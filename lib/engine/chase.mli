@@ -340,9 +340,9 @@ val run_exn :
     the updated extensional base; {!update} reports which path ran.
     The input [result] is mutated in place on the incremental path
     (also when an update abandons it) and untouched by the fallback.  A
-    successful incremental update that ran no minor collection ends
-    with one, so the long-lived result (typically a fresh
-    {!copy_result} copy) is promoted at the update's expense rather
+    successful incremental update ends with a minor collection, so what
+    the long-lived result gained — the pages its writes copied, its new
+    facts and derivations — is promoted at the update's expense rather
     than the next caller's.
 
     {b Error contract.}  Validation errors ({!Invalid_edb},
@@ -411,11 +411,14 @@ val edb_atoms : result -> Atom.t list
     the fact base a cold re-chase of this result would start from. *)
 
 val copy_result : result -> result
-(** Deep copy of a materialization — database, indexes, provenance —
-    sharing only immutable values.  {!add_facts} / {!retract_facts}
-    applied to the copy leave the original (and any reader holding it)
-    untouched, enabling copy-on-write publication under concurrency.
-    O(facts + index entries), well below a re-chase. *)
+(** Copy of a materialization — database, indexes, provenance — that
+    shares every page with the original ({!Database.copy},
+    {!Provenance.copy}).  {!add_facts} / {!retract_facts} applied to
+    the copy copy the pages they touch and leave the original (and any
+    reader holding it) untouched, and writes to the original never show
+    through the copy, enabling copy-on-write publication under
+    concurrency.  O(pages): it copies page tables, and the join indexes
+    survive it. *)
 
 val add_facts :
   ?max_rounds:int ->

@@ -1,331 +1,345 @@
 open Ekg_kernel
 open Ekg_datalog
 
-(* primary key: interned predicate symbol + ground tuple *)
-module Key = struct
-  type t = int * Value.t array
-
-  let equal (p1, a1) (p2, a2) =
-    p1 = p2
-    && Array.length a1 = Array.length a2
-    &&
-    let ok = ref true in
-    Array.iteri (fun i v -> if not (Value.equal v a2.(i)) then ok := false) a1;
-    !ok
-
-  let hash (p, a) = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) p a
-end
-
-module KeyTbl = Hashtbl.Make (Key)
-
-(* secondary index: facts by (predicate symbol, argument position, value) *)
-module ArgKey = struct
-  type t = int * int * Value.t
-
-  let equal (p1, i1, v1) (p2, i2, v2) = p1 = p2 && i1 = i2 && Value.equal v1 v2
-  let hash (p, i, v) = (p * 31) + (i * 7) + Value.hash v
-end
-
-module ArgTbl = Hashtbl.Make (ArgKey)
-
-(* value interning: one dense id per [Value.equal]-class.  The matcher's
-   hash-join core compares and hashes interned ids instead of values —
-   [Value.equal] identifies numerically equal [Int]/[Num] values, so the
-   interning must too, or the columnar probe would miss matches the
-   tuple-level [Subst.match_atom] finds. *)
-module ValTbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+(* Every mutable container below is a shadow-paged vector ({!Paged}),
+   so [copy] costs page tables and a writer copies the pages it
+   touches.  The symbol table and the small group and mask tables are
+   copied whole. *)
 
 let no_fact = { Fact.id = -1; pred = ""; args = [||] }
 
-(* read-only: the "no posting" result of index probes *)
-let empty_posting = Intvec.create ~capacity:1 ()
+(* A hash index over a column group, keyed by a bitmask of key columns.
+   Slots are open addressing with linear probing, four ints per slot:
+   the full key hash, the first and the last row of its chain, and the
+   chain's length; a slot is free iff its first row is -1.  A chain
+   links the rows of one key hash through [ix_next] in ascending row
+   order, so a probe enumerates rows (and fact ids) ascending.  Hash
+   collisions are benign: the matcher re-checks every column of a
+   candidate row.
 
-(* A multi-column hash index over a column group, keyed by a bitmask of
-   key columns.  Buckets hold row numbers in ascending order (rows are
-   only ever appended), and [ix_rows] is the watermark of rows already
-   indexed: extending the index after a round's insertions only scans
-   the new rows.  Collisions are benign — the matcher re-checks every
-   column of a candidate row against its interned ids.
-
-   The bucket table is open-addressing with linear probing rather than
-   a stdlib [Hashtbl]: the join core issues one probe per candidate
-   partial match (millions per round on dense joins) and a probe here
-   is a multiply, a mask and an array walk — no seeded rehash of the
-   key, no option or bucket-list allocation.  A slot is empty iff its
-   bucket is physically [empty_posting]; live buckets are always
-   freshly allocated, so the sentinel is unambiguous. *)
+   The join core issues one probe per candidate partial match (millions
+   per round on dense joins), so a probe is a multiply, a mask and a
+   walk over int pages: no seeded rehash of the key and no
+   allocation. *)
 type colindex = {
-  mutable ix_keys : int array;      (* full key hash per slot *)
-  mutable ix_buckets : Intvec.t array;  (* rows, ascending; empty_posting = free *)
-  mutable ix_used : int;            (* live slots; capacity kept > 2x *)
-  mutable ix_cap_mask : int;        (* capacity - 1, capacity a power of 2 *)
-  mutable ix_rows : int;            (* rows [0, ix_rows) are indexed *)
+  ix_mask : int;
+  ix_keycols : int array;         (* key columns, ascending *)
+  mutable ix_slots : int Paged.t;
+  mutable ix_cap_mask : int;      (* slot capacity - 1, a power of 2 *)
+  mutable ix_used : int;          (* live slots; capacity kept > 2x *)
+  ix_next : int Paged.t;          (* row -> next row of its chain, -1 at the end *)
+  mutable ix_rows : int;          (* rows [0, ix_rows) are indexed *)
 }
 
-let ix_create () =
+let ix_create mask keycols =
   {
-    ix_keys = Array.make 16 0;
-    ix_buckets = Array.make 16 empty_posting;
-    ix_used = 0;
+    ix_mask = mask;
+    ix_keycols = keycols;
+    ix_slots = Paged.make ~bits:Paged.slot_bits (4 * 16) (-1);
     ix_cap_mask = 15;
+    ix_used = 0;
+    ix_next = Paged.create ~bits:Paged.slot_bits (-1);
     ix_rows = 0;
   }
+
+let ix_copy ix =
+  { ix with ix_slots = Paged.copy ix.ix_slots; ix_next = Paged.copy ix.ix_next }
 
 (* multiplicative spread of the (possibly negative) key hash into a
    slot; linear probing resolves residual clustering *)
 let ix_slot cap_mask h = (h * 0x9E3779B1) land max_int land cap_mask
 
 (* slot holding key [h], or the first free slot of its probe chain *)
-let ix_find ix h =
-  let cap_mask = ix.ix_cap_mask in
-  let i = ref (ix_slot cap_mask h) in
+let ix_find slots cap_mask h =
+  let s = ref (ix_slot cap_mask h) in
   while
-    ix.ix_buckets.(!i) != empty_posting && ix.ix_keys.(!i) <> h
+    Paged.unsafe_get_int slots ((4 * !s) + 1) >= 0 && Paged.unsafe_get_int slots (4 * !s) <> h
   do
-    i := (!i + 1) land cap_mask
+    s := (!s + 1) land cap_mask
   done;
-  !i
+  !s
+
+(* the first row of the chain keyed [h], or -1 *)
+let ix_first ix h = Paged.unsafe_get_int ix.ix_slots ((4 * ix_find ix.ix_slots ix.ix_cap_mask h) + 1)
 
 let ix_grow ix =
-  let old_keys = ix.ix_keys and old_buckets = ix.ix_buckets in
-  let cap = 2 * (ix.ix_cap_mask + 1) in
-  ix.ix_keys <- Array.make cap 0;
-  ix.ix_buckets <- Array.make cap empty_posting;
-  ix.ix_cap_mask <- cap - 1;
-  Array.iteri
-    (fun i bucket ->
-      if bucket != empty_posting then begin
-        let s = ix_find ix old_keys.(i) in
-        ix.ix_keys.(s) <- old_keys.(i);
-        ix.ix_buckets.(s) <- bucket
-      end)
-    old_buckets
+  let old = ix.ix_slots and old_cap = ix.ix_cap_mask + 1 in
+  let cap = 2 * old_cap in
+  let slots = Paged.make ~bits:Paged.slot_bits (4 * cap) (-1) in
+  for s = 0 to old_cap - 1 do
+    if Paged.unsafe_get_int old ((4 * s) + 1) >= 0 then begin
+      let d = 4 * ix_find slots (cap - 1) (Paged.unsafe_get_int old (4 * s)) in
+      for k = 0 to 3 do
+        Paged.set_int slots (d + k) (Paged.unsafe_get_int old ((4 * s) + k))
+      done
+    end
+  done;
+  ix.ix_slots <- slots;
+  ix.ix_cap_mask <- cap - 1
 
+(* index [row], the next row of its group, under key hash [h] *)
 let ix_add ix h row =
+  Paged.push_int ix.ix_next (-1);
   if 2 * (ix.ix_used + 1) > ix.ix_cap_mask + 1 then ix_grow ix;
-  let s = ix_find ix h in
-  if ix.ix_buckets.(s) != empty_posting then Intvec.push ix.ix_buckets.(s) row
-  else begin
-    let vec = Intvec.create ~capacity:4 () in
-    Intvec.push vec row;
-    ix.ix_keys.(s) <- h;
-    ix.ix_buckets.(s) <- vec;
+  let slots = ix.ix_slots in
+  let b = 4 * ix_find slots ix.ix_cap_mask h in
+  if Paged.unsafe_get_int slots (b + 1) < 0 then begin
+    Paged.set_int slots b h;
+    Paged.set_int slots (b + 1) row;
+    Paged.set_int slots (b + 2) row;
+    Paged.set_int slots (b + 3) 1;
     ix.ix_used <- ix.ix_used + 1
   end
+  else begin
+    Paged.set_int ix.ix_next (Paged.unsafe_get_int slots (b + 2)) row;
+    Paged.set_int slots (b + 2) row;
+    Paged.set_int slots (b + 3) (Paged.unsafe_get_int slots (b + 3) + 1)
+  end;
+  ix.ix_rows <- row + 1
 
 (* Struct-of-arrays storage for one (predicate symbol, arity): each
-   argument position is a flat column of interned value ids, and
-   [cg_rows] maps row number back to fact id.  Row order is insertion
-   order, i.e. ascending fact id — the property that lets the hash-join
+   argument position is a column of interned value ids, and [cg_rows]
+   maps row number back to fact id.  Row order is insertion order,
+   i.e. ascending fact id — the property that lets the hash-join
    matcher reproduce the nested-loop matcher's enumeration order
-   exactly. *)
+   exactly.  Every insertion maintains the full-key index [cg_key] (set
+   semantics and exact lookup) and one index per column (the readers'
+   {!matching}); the planner's other masks are extended by
+   [ensure_index]. *)
 type colgroup = {
   cg_arity : int;
-  cg_cols : Intvec.t array;            (* per argument position: vids *)
-  cg_rows : Intvec.t;                  (* row -> fact id *)
+  cg_cols : int Paged.t array;             (* per argument position: vids *)
+  cg_rows : int Paged.t;                   (* row -> fact id *)
+  cg_key : colindex;
+  cg_singles : colindex array;             (* per column below [max_key_col] *)
   cg_indexes : (int, colindex) Hashtbl.t;  (* key-column mask -> index *)
 }
 
+(* key masks are ints: columns from here on join no index *)
+let max_key_col = 60
+
+let cols_of_mask arity mask =
+  let cols = ref [] in
+  for i = min (max_key_col - 1) (arity - 1) downto 0 do
+    if mask land (1 lsl i) <> 0 then cols := i :: !cols
+  done;
+  Array.of_list !cols
+
+let group_create arity =
+  let indexes = Hashtbl.create 8 in
+  let index mask =
+    let ix = ix_create mask (cols_of_mask arity mask) in
+    Hashtbl.replace indexes mask ix;
+    ix
+  in
+  let key = index ((1 lsl min arity max_key_col) - 1) in
+  let singles =
+    Array.init (min arity max_key_col) (fun i ->
+        if 1 lsl i = key.ix_mask then key else index (1 lsl i))
+  in
+  {
+    cg_arity = arity;
+    cg_cols = Array.init arity (fun _ -> Paged.create ~bits:Paged.append_bits 0);
+    cg_rows = Paged.create ~bits:Paged.append_bits 0;
+    cg_key = key;
+    cg_singles = singles;
+    cg_indexes = indexes;
+  }
+
+let group_copy g =
+  let indexes = Hashtbl.create (Hashtbl.length g.cg_indexes) in
+  Hashtbl.iter (fun mask ix -> Hashtbl.replace indexes mask (ix_copy ix)) g.cg_indexes;
+  let copied ix = Hashtbl.find indexes ix.ix_mask in
+  {
+    g with
+    cg_cols = Array.map Paged.copy g.cg_cols;
+    cg_rows = Paged.copy g.cg_rows;
+    cg_key = copied g.cg_key;
+    cg_singles = Array.map copied g.cg_singles;
+    cg_indexes = indexes;
+  }
+
 type t = {
   syms : Symtab.t;
-  (* fact ids are dense from 0: both stores are flat growable arrays *)
-  mutable facts : Fact.t array;            (* fact by id *)
-  fact_syms : Intvec.t;                    (* pred symbol by fact id *)
-  by_key : int KeyTbl.t;
-  mutable by_pred : Intvec.t array;        (* posting list by pred symbol *)
-  by_arg : Intvec.t ArgTbl.t;
-  (* activation state: one bit per fact id, set = active *)
-  mutable active_bits : Bytes.t;
+  (* fact ids are dense from 0 *)
+  facts : Fact.t Paged.t;                  (* fact by id *)
+  fact_syms : int Paged.t;                 (* pred symbol by fact id *)
+  mutable by_pred : int Paged.t array;     (* fact ids by pred symbol *)
+  (* activation state: 32 bits per word, set = active *)
+  active_bits : int Paged.t;
   mutable inactive_count : int;
-  (* columnar representation *)
-  cols : (int * int, colgroup) Hashtbl.t;  (* (sym, arity) -> group *)
-  val_ids : int ValTbl.t;                  (* value -> vid *)
-  mutable val_arr : Value.t array;         (* vid -> first-interned value *)
-  mutable val_count : int;
-  mutable next_id : int;
+  groups : (int * int, colgroup) Hashtbl.t;  (* (sym, arity) -> group *)
+  (* value interning: one dense id per [Value.equal]-class.  The
+     matcher's hash-join core compares and hashes interned ids instead
+     of values — [Value.equal] identifies numerically equal [Int]/[Num]
+     values, so the interning must too, or the columnar probe would
+     miss matches the tuple-level [Subst.match_atom] finds.  Slots hold
+     value ids (open addressing, -1 = free), compared through
+     [val_arr]. *)
+  mutable val_slots : int Paged.t;
+  mutable val_cap_mask : int;
+  val_arr : Value.t Paged.t;               (* vid -> first-interned value *)
   mutable null_counter : int;
 }
 
 let create () =
   {
     syms = Symtab.create ();
-    facts = Array.make 256 no_fact;
-    fact_syms = Intvec.create ~capacity:256 ();
-    by_key = KeyTbl.create 256;
-    by_pred = Array.make 16 (Intvec.create ~capacity:0 ());
-    by_arg = ArgTbl.create 1024;
-    active_bits = Bytes.make 32 '\000';
+    facts = Paged.create ~bits:Paged.append_bits no_fact;
+    fact_syms = Paged.create ~bits:Paged.append_bits 0;
+    by_pred = [||];
+    active_bits = Paged.create ~bits:Paged.slot_bits 0;
     inactive_count = 0;
-    cols = Hashtbl.create 32;
-    val_ids = ValTbl.create 1024;
-    val_arr = Array.make 256 (Value.Int 0);
-    val_count = 0;
-    next_id = 0;
+    groups = Hashtbl.create 32;
+    val_slots = Paged.make ~bits:Paged.slot_bits 1024 (-1);
+    val_cap_mask = 1023;
+    val_arr = Paged.create ~bits:Paged.append_bits (Value.Int 0);
     null_counter = 0;
   }
 
 let copy t =
-  (* facts and their tuples are immutable once inserted, so sharing the
-     Fact.t values is safe; every mutable container is copied.  Unused
-     by_pred slots alias one shared empty vector, exactly as in
-     [create] — [intern] installs a fresh posting before any push.
-     Column-group hash indexes are {e not} copied: they are pure caches
-     that [ensure_index] rebuilds on demand. *)
-  let by_pred =
-    Array.make (Array.length t.by_pred) (Intvec.create ~capacity:0 ())
-  in
-  for sym = 0 to Symtab.size t.syms - 1 do
-    by_pred.(sym) <- Intvec.copy t.by_pred.(sym)
-  done;
-  let by_arg = ArgTbl.create (max 1024 (ArgTbl.length t.by_arg)) in
-  ArgTbl.iter (fun k vec -> ArgTbl.add by_arg k (Intvec.copy vec)) t.by_arg;
-  let cols = Hashtbl.create (max 32 (Hashtbl.length t.cols)) in
-  Hashtbl.iter
-    (fun k (g : colgroup) ->
-      Hashtbl.add cols k
-        {
-          cg_arity = g.cg_arity;
-          cg_cols = Array.map Intvec.copy g.cg_cols;
-          cg_rows = Intvec.copy g.cg_rows;
-          cg_indexes = Hashtbl.create 4;
-        })
-    t.cols;
+  let groups = Hashtbl.create (Hashtbl.length t.groups) in
+  Hashtbl.iter (fun k g -> Hashtbl.replace groups k (group_copy g)) t.groups;
   {
     syms = Symtab.copy t.syms;
-    facts = Array.copy t.facts;
-    fact_syms = Intvec.copy t.fact_syms;
-    by_key = KeyTbl.copy t.by_key;
-    by_pred;
-    by_arg;
-    active_bits = Bytes.copy t.active_bits;
+    facts = Paged.copy t.facts;
+    fact_syms = Paged.copy t.fact_syms;
+    by_pred = Array.map Paged.copy t.by_pred;
+    active_bits = Paged.copy t.active_bits;
     inactive_count = t.inactive_count;
-    cols;
-    val_ids = ValTbl.copy t.val_ids;
-    val_arr = Array.copy t.val_arr;
-    val_count = t.val_count;
-    next_id = t.next_id;
+    groups;
+    val_slots = Paged.copy t.val_slots;
+    val_cap_mask = t.val_cap_mask;
+    val_arr = Paged.copy t.val_arr;
     null_counter = t.null_counter;
   }
 
+let size t = Paged.length t.facts
+
 let intern t pred =
-  let before = Symtab.size t.syms in
   let sym = Symtab.intern t.syms pred in
-  if Symtab.size t.syms > before then begin
-    (* fresh symbol: make room and install its own posting list (the
-       initial array slots alias one shared empty vector) *)
-    if sym >= Array.length t.by_pred then begin
-      let grown =
-        Array.make (max (2 * Array.length t.by_pred) (sym + 1)) t.by_pred.(0)
-      in
-      Array.blit t.by_pred 0 grown 0 (Array.length t.by_pred);
-      t.by_pred <- grown
-    end;
-    t.by_pred.(sym) <- Intvec.create ()
-  end;
+  (* symbols are dense and assigned in order: a fresh one is next *)
+  if sym = Array.length t.by_pred then
+    t.by_pred <- Array.append t.by_pred [| Paged.create ~bits:Paged.append_bits 0 |];
   sym
 
 let pred_sym t pred = Symtab.find t.syms pred
 
-let posting t sym =
-  if sym >= 0 && sym < Array.length t.by_pred then t.by_pred.(sym)
-  else invalid_arg "Database.posting"
-
 (* --- activation bitmap ------------------------------------------------------ *)
 
+let bit_get t id =
+  Paged.unsafe_get_int t.active_bits (id lsr 5) land (1 lsl (id land 31)) <> 0
+
 let bit_set t id =
-  let byte = id lsr 3 in
-  if byte >= Bytes.length t.active_bits then begin
-    let grown =
-      Bytes.make (max (2 * Bytes.length t.active_bits) (byte + 1)) '\000'
-    in
-    Bytes.blit t.active_bits 0 grown 0 (Bytes.length t.active_bits);
-    t.active_bits <- grown
-  end;
-  Bytes.unsafe_set t.active_bits byte
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.active_bits byte) lor (1 lsl (id land 7))))
+  let w = id lsr 5 in
+  Paged.grow t.active_bits (w + 1);
+  Paged.set_int t.active_bits w (Paged.get_int t.active_bits w lor (1 lsl (id land 31)))
 
 let bit_clear t id =
-  let byte = id lsr 3 in
-  Bytes.unsafe_set t.active_bits byte
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.active_bits byte)
-       land lnot (1 lsl (id land 7))))
+  let w = id lsr 5 in
+  Paged.set_int t.active_bits w (Paged.get_int t.active_bits w land lnot (1 lsl (id land 31)))
 
-let bit_get t id =
-  Char.code (Bytes.unsafe_get t.active_bits (id lsr 3)) land (1 lsl (id land 7))
-  <> 0
+(* --- value interning -------------------------------------------------------- *)
 
-(* --- value interning and column groups -------------------------------------- *)
+(* slot holding [v]'s id, or the first free slot of its probe chain *)
+let val_find t v =
+  let slots = t.val_slots and cap_mask = t.val_cap_mask in
+  let s = ref (ix_slot cap_mask (Value.hash v)) in
+  while
+    let vid = Paged.unsafe_get_int slots !s in
+    vid >= 0 && not (Value.equal (Paged.unsafe_get t.val_arr vid) v)
+  do
+    s := (!s + 1) land cap_mask
+  done;
+  !s
+
+let value_id t v = Paged.unsafe_get_int t.val_slots (val_find t v)
 
 let intern_value t v =
-  match ValTbl.find_opt t.val_ids v with
-  | Some vid -> vid
-  | None ->
-    let vid = t.val_count in
-    if vid = Array.length t.val_arr then begin
-      let grown = Array.make (2 * vid) (Value.Int 0) in
-      Array.blit t.val_arr 0 grown 0 vid;
-      t.val_arr <- grown
+  let s = val_find t v in
+  let vid = Paged.unsafe_get_int t.val_slots s in
+  if vid >= 0 then vid
+  else begin
+    let vid = Paged.length t.val_arr in
+    Paged.push t.val_arr v;
+    if 2 * (vid + 1) <= t.val_cap_mask + 1 then Paged.set_int t.val_slots s vid
+    else begin
+      let cap = 2 * (t.val_cap_mask + 1) in
+      t.val_slots <- Paged.make ~bits:Paged.slot_bits cap (-1);
+      t.val_cap_mask <- cap - 1;
+      for id = 0 to vid do
+        Paged.set_int t.val_slots (val_find t (Paged.unsafe_get t.val_arr id)) id
+      done
     end;
-    t.val_arr.(vid) <- v;
-    t.val_count <- vid + 1;
-    ValTbl.add t.val_ids v vid;
     vid
+  end
 
-let colgroup_of t sym arity =
-  match Hashtbl.find_opt t.cols (sym, arity) with
+let value_of_id t vid =
+  if vid < 0 || vid >= Paged.length t.val_arr then invalid_arg "Database.value_of_id";
+  Paged.unsafe_get t.val_arr vid
+
+(* --- insertion -------------------------------------------------------------- *)
+
+(* Deterministic key mixing (pure 63-bit int arithmetic, no per-process
+   seed): collisions are re-checked column by column at probe time, so
+   the combiner only needs to spread, not avalanche. *)
+let key_hash_add acc vid = (acc * 1000003) + vid
+
+let row_hash g keycols row =
+  let h = ref 0 in
+  Array.iter (fun c -> h := key_hash_add !h (Paged.unsafe_get_int g.cg_cols.(c) row)) keycols;
+  !h
+
+(* The fact holding exactly [args] in group [g] — the full-key index's
+   chain for their ids — or -1. *)
+let find_id t g args =
+  let vids = Array.map (value_id t) args in
+  if Array.exists (fun vid -> vid < 0) vids then -1
+  else begin
+    let ix = g.cg_key in
+    let h = Array.fold_left (fun h c -> key_hash_add h vids.(c)) 0 ix.ix_keycols in
+    let same row =
+      let ok = ref true in
+      Array.iteri
+        (fun i vid -> if Paged.unsafe_get_int g.cg_cols.(i) row <> vid then ok := false)
+        vids;
+      !ok
+    in
+    let rec walk row =
+      if row < 0 then -1
+      else if same row then Paged.unsafe_get_int g.cg_rows row
+      else walk (Paged.unsafe_get_int ix.ix_next row)
+    in
+    walk (ix_first ix h)
+  end
+
+let group_of t sym arity =
+  match Hashtbl.find_opt t.groups (sym, arity) with
   | Some g -> g
   | None ->
-    let g =
-      {
-        cg_arity = arity;
-        cg_cols = Array.init arity (fun _ -> Intvec.create ~capacity:16 ());
-        cg_rows = Intvec.create ~capacity:16 ();
-        cg_indexes = Hashtbl.create 4;
-      }
-    in
-    Hashtbl.add t.cols (sym, arity) g;
+    let g = group_create arity in
+    Hashtbl.add t.groups (sym, arity) g;
     g
 
 let add t pred args =
   let sym = intern t pred in
-  let key = (sym, args) in
-  match KeyTbl.find_opt t.by_key key with
-  | Some id -> `Existing t.facts.(id)
-  | None ->
-    let id = t.next_id in
-    t.next_id <- id + 1;
+  let g = group_of t sym (Array.length args) in
+  match find_id t g args with
+  | id when id >= 0 -> `Existing (Paged.unsafe_get t.facts id)
+  | _ ->
+    let id = size t in
     let f = { Fact.id; pred; args } in
-    if id = Array.length t.facts then begin
-      let grown = Array.make (2 * id) no_fact in
-      Array.blit t.facts 0 grown 0 id;
-      t.facts <- grown
-    end;
-    t.facts.(id) <- f;
-    Intvec.push t.fact_syms sym;
-    KeyTbl.add t.by_key key id;
-    Intvec.push t.by_pred.(sym) id;
+    Paged.push t.facts f;
+    Paged.push_int t.fact_syms sym;
+    Paged.push_int t.by_pred.(sym) id;
     bit_set t id;
-    Array.iteri
-      (fun i v ->
-        let k = (sym, i, v) in
-        match ArgTbl.find_opt t.by_arg k with
-        | Some vec -> Intvec.push vec id
-        | None ->
-          let vec = Intvec.create () in
-          Intvec.push vec id;
-          ArgTbl.add t.by_arg k vec)
-      args;
-    (* columnar mirror: append one row of interned value ids *)
-    let g = colgroup_of t sym (Array.length args) in
-    Array.iteri (fun i v -> Intvec.push g.cg_cols.(i) (intern_value t v)) args;
-    Intvec.push g.cg_rows id;
+    let row = Paged.length g.cg_rows in
+    Array.iteri (fun i v -> Paged.push_int g.cg_cols.(i) (intern_value t v)) args;
+    Paged.push_int g.cg_rows id;
+    let index ix = ix_add ix (row_hash g ix.ix_keycols row) row in
+    index g.cg_key;
+    (* an arity-1 group's single column is its full key *)
+    Array.iter (fun ix -> if ix != g.cg_key then index ix) g.cg_singles;
     `Added f
 
 let add_atom t (a : Atom.t) =
@@ -339,69 +353,74 @@ let add_atom t (a : Atom.t) =
   end
 
 let deactivate t id =
-  if id >= 0 && id < t.next_id && bit_get t id then begin
+  if id >= 0 && id < size t && bit_get t id then begin
     bit_clear t id;
     t.inactive_count <- t.inactive_count + 1
   end
 
 let reactivate t id =
-  if id >= 0 && id < t.next_id && not (bit_get t id) then begin
+  if id >= 0 && id < size t && not (bit_get t id) then begin
     bit_set t id;
     t.inactive_count <- t.inactive_count - 1
   end
 
-let is_active t id = id >= 0 && id < t.next_id && bit_get t id
+let is_active t id = id >= 0 && id < size t && bit_get t id
 let all_active t = t.inactive_count = 0
 
 let fact t id =
-  if id < 0 || id >= t.next_id then raise Not_found;
-  t.facts.(id)
+  if id < 0 || id >= size t then raise Not_found;
+  Paged.unsafe_get t.facts id
 
 let pred_sym_of_fact t id =
-  if id < 0 || id >= t.next_id then raise Not_found;
-  Intvec.get t.fact_syms id
+  if id < 0 || id >= size t then raise Not_found;
+  Paged.unsafe_get_int t.fact_syms id
 
 let find_exact t pred args =
   match Symtab.find t.syms pred with
   | None -> None
-  | Some sym ->
-    Option.map (fun id -> t.facts.(id)) (KeyTbl.find_opt t.by_key (sym, args))
+  | Some sym -> (
+    match Hashtbl.find_opt t.groups (sym, Array.length args) with
+    | None -> None
+    | Some g ->
+      let id = find_id t g args in
+      if id < 0 then None else Some (Paged.unsafe_get t.facts id))
 
-let ids_of_pred t pred =
+let posting_fold f acc t pred =
   match Symtab.find t.syms pred with
-  | None -> []
-  | Some sym -> Intvec.to_list (posting t sym)
+  | None -> acc
+  | Some sym ->
+    let ids = t.by_pred.(sym) in
+    let acc = ref acc in
+    for i = Paged.length ids - 1 downto 0 do
+      acc := f (Paged.unsafe_get_int ids i) !acc
+    done;
+    !acc
 
-let all_of_pred t pred = List.map (fact t) (ids_of_pred t pred)
+let all_of_pred t pred = posting_fold (fun id acc -> fact t id :: acc) [] t pred
 
 let active t pred =
-  match Symtab.find t.syms pred with
-  | None -> []
-  | Some sym ->
-    Intvec.fold_left
-      (fun acc id -> if is_active t id then t.facts.(id) :: acc else acc)
-      [] (posting t sym)
-    |> List.rev
+  posting_fold
+    (fun id acc -> if is_active t id then Paged.unsafe_get t.facts id :: acc else acc)
+    [] t pred
 
 let pred_card t pred =
   match Symtab.find t.syms pred with
   | None -> 0
-  | Some sym -> Intvec.length (posting t sym)
+  | Some sym -> Paged.length t.by_pred.(sym)
 
 let active_all t =
   let acc = ref [] in
-  for id = t.next_id - 1 downto 0 do
-    if is_active t id then acc := t.facts.(id) :: !acc
+  for id = size t - 1 downto 0 do
+    if is_active t id then acc := Paged.unsafe_get t.facts id :: !acc
   done;
   !acc
 
-let size t = t.next_id
 let active_size t = size t - t.inactive_count
 
 let fingerprint t =
   let lines = ref [] in
-  for id = t.next_id - 1 downto 0 do
-    if is_active t id then lines := Fact.to_string t.facts.(id) :: !lines
+  for id = size t - 1 downto 0 do
+    if is_active t id then lines := Fact.to_string (Paged.unsafe_get t.facts id) :: !lines
   done;
   String.concat "\n" (List.sort String.compare !lines)
 
@@ -410,116 +429,122 @@ let fresh_null t =
   t.null_counter <- i + 1;
   Value.null i
 
-(* The narrowest candidate posting for a pattern under a substitution:
-   the shortest argument index over the bound positions, else the full
-   predicate posting.  Lengths are O(1), so probing every bound
-   position costs a few hash lookups, not list walks. *)
-let candidates t sym (pattern : Atom.t) subst =
-  let best = ref None in
-  List.iteri
-    (fun i (term : Term.t) ->
-      let bound =
-        match term with
-        | Term.Cst c -> Some c
-        | Term.Var v -> Subst.find subst v
-      in
-      match bound with
-      | None -> ()
-      | Some v ->
-        let vec =
-          match ArgTbl.find_opt t.by_arg (sym, i, v) with
-          | Some vec -> vec
-          | None -> empty_posting
+(* Whether [f] answers true for a candidate fact id of the pattern
+   under the substitution, trying them in ascending order: the
+   full-key chain when every position is bound, else the shortest
+   chain among the bound positions' single-column indexes, else every
+   row of the pattern's group.  A bound value no fact holds leaves no
+   candidate. *)
+let exists_candidate t (pattern : Atom.t) subst f =
+  match Symtab.find t.syms pattern.pred with
+  | None -> false
+  | Some sym -> (
+    match Hashtbl.find_opt t.groups (sym, List.length pattern.args) with
+    | None -> false
+    | Some g ->
+      (* interned ids of the bound positions, -1 where unbound *)
+      let vids = Array.make g.cg_arity (-1) in
+      let impossible = ref false in
+      List.iteri
+        (fun i (term : Term.t) ->
+          let bound =
+            match term with Term.Cst c -> Some c | Term.Var v -> Subst.find subst v
+          in
+          match bound with
+          | None -> ()
+          | Some v ->
+            let vid = value_id t v in
+            if vid < 0 then impossible := true else vids.(i) <- vid)
+        pattern.args;
+      let walk ix first =
+        let rec go row =
+          row >= 0
+          && (f (Paged.unsafe_get_int g.cg_rows row) || go (Paged.unsafe_get_int ix.ix_next row))
         in
-        (match !best with
-        | Some shorter when Intvec.length shorter <= Intvec.length vec -> ()
-        | Some _ | None -> best := Some vec))
-    pattern.args;
-  match !best with Some vec -> vec | None -> posting t sym
+        go first
+      in
+      if !impossible then false
+      else if Array.for_all (fun vid -> vid >= 0) vids then
+        let ix = g.cg_key in
+        walk ix (ix_first ix (Array.fold_left (fun h c -> key_hash_add h vids.(c)) 0 ix.ix_keycols))
+      else begin
+        let best = ref None in
+        Array.iteri
+          (fun i ix ->
+            if vids.(i) >= 0 then begin
+              let b = 4 * ix_find ix.ix_slots ix.ix_cap_mask (key_hash_add 0 vids.(i)) in
+              let first = Paged.unsafe_get_int ix.ix_slots (b + 1) in
+              let len = if first < 0 then 0 else Paged.unsafe_get_int ix.ix_slots (b + 3) in
+              match !best with
+              | Some (_, _, shorter) when shorter <= len -> ()
+              | Some _ | None -> best := Some (ix, first, len)
+            end)
+          g.cg_singles;
+        match !best with
+        | Some (ix, first, _) -> walk ix first
+        | None ->
+          let rows = Paged.length g.cg_rows in
+          let rec scan row =
+            row < rows && (f (Paged.unsafe_get_int g.cg_rows row) || scan (row + 1))
+          in
+          scan 0
+      end)
 
 let matching t (pattern : Atom.t) subst =
-  match Symtab.find t.syms pattern.pred with
-  | None -> []
-  | Some sym ->
-    let arity = List.length pattern.args in
-    Intvec.fold_left
-      (fun acc id ->
-        if not (is_active t id) then acc
-        else begin
-          let f = t.facts.(id) in
-          if Array.length f.Fact.args <> arity then acc
-          else
+  let acc = ref [] in
+  ignore
+    (exists_candidate t pattern subst (fun id ->
+         (if is_active t id then
+            let f = Paged.unsafe_get t.facts id in
             match Subst.match_atom subst ~pattern f.Fact.args with
-            | Some s -> (f, s) :: acc
-            | None -> acc
-        end)
-      []
-      (candidates t sym pattern subst)
-    |> List.rev
+            | Some s -> acc := (f, s) :: !acc
+            | None -> ());
+         false));
+  List.rev !acc
+
+let exists_matching t (pattern : Atom.t) subst =
+  exists_candidate t pattern subst (fun id ->
+      is_active t id
+      && Subst.match_atom subst ~pattern (Paged.unsafe_get t.facts id).Fact.args <> None)
 
 (* --- columnar access and hash indexes ---------------------------------------
 
    The hash-join matcher works entirely in interned ids: it resolves a
    pattern's constants through [value_id], folds the ids of the
-   planner-chosen key columns through [key_hash_add], and probes the
-   colgroup's index for the bucket of candidate rows.  Buckets keep rows
-   in ascending order, so the probe enumerates facts in exactly the
-   ascending-id order the posting scans did. *)
+   planner-chosen key columns through [key_hash_add], and walks the
+   chain of candidate rows the group's index holds for that hash.
+   Chains keep rows in ascending order, so the probe enumerates facts
+   in exactly the ascending-id order a scan does. *)
 
 module Cols = struct
   type group = colgroup
 
-  let find t ~sym ~arity = Hashtbl.find_opt t.cols (sym, arity)
-  let rows (g : group) = Intvec.length g.cg_rows
+  let find t ~sym ~arity = Hashtbl.find_opt t.groups (sym, arity)
+  let rows (g : group) = Paged.length g.cg_rows
   let arity (g : group) = g.cg_arity
-  let fact_id (g : group) row = Intvec.unsafe_get g.cg_rows row
-  let col (g : group) i row = Intvec.unsafe_get g.cg_cols.(i) row
+  let fact_id (g : group) row = Paged.unsafe_get_int g.cg_rows row
+  let col (g : group) i row = Paged.unsafe_get_int g.cg_cols.(i) row
 end
-
-let value_id t v =
-  match ValTbl.find_opt t.val_ids v with Some vid -> vid | None -> -1
-
-let value_of_id t vid =
-  if vid < 0 || vid >= t.val_count then invalid_arg "Database.value_of_id";
-  t.val_arr.(vid)
-
-(* Deterministic key mixing (pure 63-bit int arithmetic, no per-process
-   seed): the stdlib hashes the resulting int key again on the way into
-   the bucket table, and collisions are re-checked column-by-column at
-   probe time, so the combiner only needs to spread, not avalanche. *)
-let key_hash_add acc vid = (acc * 1000003) + vid
 
 let ensure_index t ~sym ~arity ~mask =
   if mask = 0 then 0
   else
-    match Hashtbl.find_opt t.cols (sym, arity) with
+    match Hashtbl.find_opt t.groups (sym, arity) with
     | None -> 0
     | Some g ->
       let ix =
         match Hashtbl.find_opt g.cg_indexes mask with
         | Some ix -> ix
         | None ->
-          let ix = ix_create () in
+          let ix = ix_create mask (cols_of_mask arity mask) in
           Hashtbl.add g.cg_indexes mask ix;
           ix
       in
-      let nrows = Intvec.length g.cg_rows in
+      let nrows = Paged.length g.cg_rows in
       let fresh = nrows - ix.ix_rows in
-      if fresh > 0 then begin
-        let keycols = ref [] in
-        for i = arity - 1 downto 0 do
-          if mask land (1 lsl i) <> 0 then keycols := i :: !keycols
-        done;
-        let keycols = Array.of_list !keycols in
-        for row = ix.ix_rows to nrows - 1 do
-          let h = ref 0 in
-          Array.iter
-            (fun c -> h := key_hash_add !h (Intvec.unsafe_get g.cg_cols.(c) row))
-            keycols;
-          ix_add ix !h row
-        done;
-        ix.ix_rows <- nrows
-      end;
+      for row = ix.ix_rows to nrows - 1 do
+        ix_add ix (row_hash g ix.ix_keycols row) row
+      done;
       max 0 fresh
 
 type index_handle = colindex
@@ -527,71 +552,36 @@ type index_handle = colindex
 let index_handle (g : Cols.group) ~mask =
   match Hashtbl.find_opt g.cg_indexes mask with
   | None -> None
-  | Some ix -> if ix.ix_rows <> Intvec.length g.cg_rows then None else Some ix
+  | Some ix -> if ix.ix_rows <> Paged.length g.cg_rows then None else Some ix
 
-let probe_handle (ix : index_handle) ~hash =
-  let cap_mask = ix.ix_cap_mask in
-  let keys = ix.ix_keys and buckets = ix.ix_buckets in
-  let i = ref (ix_slot cap_mask hash) in
-  let res = ref empty_posting in
-  let searching = ref true in
-  while !searching do
-    let b = Array.unsafe_get buckets !i in
-    if b == empty_posting then searching := false
-    else if Array.unsafe_get keys !i = hash then begin
-      res := b;
-      searching := false
-    end
-    else i := (!i + 1) land cap_mask
-  done;
-  !res
-
-let probe (g : Cols.group) ~mask ~hash =
-  match Hashtbl.find_opt g.cg_indexes mask with
-  | None -> None
-  | Some ix ->
-    if ix.ix_rows <> Intvec.length g.cg_rows then None (* stale: caller scans *)
-    else Some (probe_handle ix ~hash)
-
-let exists_matching t (pattern : Atom.t) subst =
-  match Symtab.find t.syms pattern.pred with
-  | None -> false
-  | Some sym ->
-    let arity = List.length pattern.args in
-    Intvec.exists
-      (fun id ->
-        is_active t id
-        &&
-        let f = t.facts.(id) in
-        Array.length f.Fact.args = arity
-        && Subst.match_atom subst ~pattern f.Fact.args <> None)
-      (candidates t sym pattern subst)
+let probe_handle (ix : index_handle) ~hash = ix_first ix hash
+let chain_next (ix : index_handle) row = Paged.unsafe_get_int ix.ix_next row
 
 (* --- snapshot codec ----------------------------------------------------------
 
    The encoding stores the insertion sequence, not the index
    structures: [decode] replays every fact through [add] in id order,
-   which rebuilds [by_key]/[by_pred]/[by_arg] {e and} the columnar
-   representation (column groups, interned value ids, activation
+   which rebuilds the postings, the columnar representation (column
+   groups and their kept indexes, interned value ids, activation
    bitmap) and re-interns predicates in exactly the original order
    (symbols are assigned at first insertion).  The symbol table is
    still written explicitly so decode can verify the replay reproduced
-   it bit-for-bit.  Hash-join indexes are caches and are not
-   persisted — [ensure_index] rebuilds them on demand. *)
+   it bit-for-bit.  The planner's other indexes are not persisted —
+   [ensure_index] rebuilds them on demand. *)
 
 let encode b t =
   Symtab.encode b t.syms;
-  Wire.w_int b t.next_id;
-  for id = 0 to t.next_id - 1 do
-    let f = t.facts.(id) in
-    Wire.w_int b (Intvec.get t.fact_syms id);
+  Wire.w_int b (size t);
+  for id = 0 to size t - 1 do
+    let f = Paged.unsafe_get t.facts id in
+    Wire.w_int b (Paged.unsafe_get_int t.fact_syms id);
     Wire.w_int b (Array.length f.Fact.args);
     Array.iter (Wire.w_value b) f.Fact.args
   done;
   Wire.w_int b t.inactive_count;
   (* ascending id order reproduces the sorted list the previous
      hash-set representation wrote: the wire format is unchanged *)
-  for id = 0 to t.next_id - 1 do
+  for id = 0 to size t - 1 do
     if not (bit_get t id) then Wire.w_int b id
   done;
   Wire.w_int b t.null_counter
@@ -627,7 +617,7 @@ let decode r =
   if inactive < 0 then raise (Wire.Corrupt "Database: negative inactive count");
   for _ = 1 to inactive do
     let id = Wire.r_int r in
-    if id < 0 || id >= t.next_id then
+    if id < 0 || id >= size t then
       raise (Wire.Corrupt "Database: inactive id out of range");
     deactivate t id
   done;

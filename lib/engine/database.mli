@@ -15,11 +15,14 @@ type t
 val create : unit -> t
 
 val copy : t -> t
-(** Independent copy of the full store — facts, ids, indexes,
-    activation state, null counter.  Mutations to either database never
-    show through the other, so a reader can keep using the original
-    while an incremental update runs against the copy
-    ({!Chase.copy_result}).  O(facts + index entries). *)
+(** A copy of the full store — facts, ids, indexes, activation state,
+    null counter — that shares every page with the original
+    ({!Paged}).  O(pages): it copies page tables, plus the symbol table
+    and the small group and mask tables.  Neither side owns a shared
+    page afterwards, so a write to either database copies the page it
+    touches and never shows through the other: a reader can keep using
+    the original while an incremental update runs against the copy
+    ({!Chase.copy_result}), and the join indexes survive the copy. *)
 
 val add : t -> string -> Value.t array -> [ `Added of Fact.t | `Existing of Fact.t ]
 (** Insert or retrieve. A previously deactivated identical tuple is
@@ -77,7 +80,7 @@ val fresh_null : t -> Value.t
 val matching : t -> Atom.t -> Subst.t -> (Fact.t * Subst.t) list
 (** Active facts of the pattern's predicate that the pattern maps onto
     under an extension of the given substitution, with the extended
-    substitution. *)
+    substitution, in ascending id order. *)
 
 val exists_matching : t -> Atom.t -> Subst.t -> bool
 (** Whether {!matching} would be non-empty, without materializing the
@@ -104,23 +107,27 @@ val pred_card : t -> string -> int
 
 (** {1 Columnar storage and hash-join indexes}
 
-    Alongside the tuple store, facts are mirrored into a
-    struct-of-arrays representation: one {e column group} per
-    (predicate symbol, arity), holding a flat column of interned value
-    ids per argument position plus a row → fact-id map.  Rows are in
-    insertion order (ascending fact id), and activation is a bitmap
-    checked per candidate row — deactivated facts stay in the columns
-    forever, exactly like the posting lists.
+    Facts are stored as a struct-of-arrays representation: one {e
+    column group} per (predicate symbol, arity), holding a column of
+    interned value ids per argument position plus a row → fact-id map.
+    Rows are in insertion order (ascending fact id), and activation is
+    a bitmap checked per candidate row — deactivated facts stay in the
+    columns forever.
 
-    The hash-join matcher builds {e multi-column hash indexes} over a
-    group on demand: [ensure_index] indexes the key columns named by a
-    bitmask, incrementally from a row watermark, so per-round index
-    maintenance costs O(new rows).  [ensure_index] mutates the
+    A group's hash indexes key its rows on the columns named by a
+    bitmask.  Each index keeps, per key hash, a {e chain} of rows in
+    ascending order.  Every insertion maintains two kinds: the full-key
+    index (set semantics, {!find_exact}) and one index per column
+    ({!matching}, {!exists_matching}), so readers never need an index
+    built for them.  The join planner's other masks are built by
+    [ensure_index], incrementally from a row watermark, so per-round
+    index maintenance costs O(new rows).  [ensure_index] mutates the
     database and must be called from the planning step of a chase
-    round, never on a result published to readers, who read it off
-    the session lock; {!probe} is a pure read and falls back to [None]
+    round, never on a result published to readers, who read it off the
+    session lock; {!index_handle} is a pure read and answers [None]
     whenever the index is missing or stale, so correctness never
-    depends on index preparation. *)
+    depends on index preparation.  Indexes live on the same pages as
+    the facts and survive {!copy}. *)
 
 module Cols : sig
   type group
@@ -153,43 +160,40 @@ val value_of_id : t -> int -> Value.t
 val key_hash_add : int -> int -> int
 (** Fold a key column's value id into a probe hash (seed [0], columns
     in ascending position order) — deterministic pure-int mixing, the
-    exact combiner {!ensure_index} uses to bucket rows. *)
+    exact combiner the indexes use to chain rows. *)
 
 val ensure_index : t -> sym:int -> arity:int -> mask:int -> int
 (** Build or extend the hash index of the column group on the key
     columns set in [mask] (bit [i] = argument position [i]).  Returns
     the number of rows newly indexed (0 when the index was already
-    fresh or the group does not exist).  Sequential-phase only. *)
-
-val probe : Cols.group -> mask:int -> hash:int -> Intvec.t option
-(** The candidate rows whose key columns hash to [hash] under the
-    [mask] index: [Some rows] (ascending, possibly empty) when the
-    index exists and covers every row, [None] when the caller must
-    scan.  The returned vector is shared index state — read-only.
-    Collisions are possible; callers re-check every column. *)
+    fresh — always so for a single column or every column — or the
+    group does not exist).  Sequential-phase only: never on a result
+    published to readers. *)
 
 type index_handle
-(** A resolved, fresh index over a column group — the per-probe mask
-    lookup and staleness check of {!probe}, paid once.  Valid only
-    while no rows are appended to the group: resolve at the start of a
-    pure-read match pass, drop before any insertion. *)
+(** A resolved, fresh index over a column group — the mask lookup and
+    staleness check, paid once.  Valid only while no rows are appended
+    to the group: resolve at the start of a pure-read match pass, drop
+    before any insertion. *)
 
 val index_handle : Cols.group -> mask:int -> index_handle option
 (** [Some h] when the [mask] index exists and covers every row of the
-    group (same condition under which {!probe} returns [Some]),
-    [None] when the caller must scan. *)
+    group, [None] when the caller must scan. *)
 
-val probe_handle : index_handle -> hash:int -> Intvec.t
-(** The candidate rows bucketed at [hash] (ascending, possibly empty;
-    shared index state — read-only).  Equivalent to the [Some] arm of
-    {!probe} on the handle's group and mask. *)
+val probe_handle : index_handle -> hash:int -> int
+(** The first row of the chain of rows whose key columns hash to
+    [hash], or [-1] when there is none.  Collisions are possible;
+    callers re-check every column. *)
+
+val chain_next : index_handle -> int -> int
+(** The row after [row] in its chain (ascending), or [-1] at the end. *)
 
 val encode : Buffer.t -> t -> unit
 (** Snapshot codec hook: the full store — facts in id order, activation
     state, null counter, symbol table — in the engine's binary wire
     form.  {!decode} replays the insertion sequence, so the restored
-    database carries identical fact ids, symbols, indexes and
-    {!fingerprint}. *)
+    database carries identical fact ids, symbols, insertion-kept
+    indexes and {!fingerprint}; planner indexes are rebuilt on demand. *)
 
 val decode : Wire.reader -> t
 (** Raises {!Wire.Truncated} / {!Wire.Corrupt} on malformed input,

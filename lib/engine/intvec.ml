@@ -4,15 +4,12 @@ type t = {
 }
 
 let create ?(capacity = 8) () = { data = Array.make (max 1 capacity) 0; len = 0 }
-let copy t = { data = Array.copy t.data; len = t.len }
 
 let length t = t.len
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Intvec.get";
   Array.unsafe_get t.data i
-
-let unsafe_get t i = Array.unsafe_get t.data i
 
 let push t x =
   if t.len = Array.length t.data then begin
@@ -42,18 +39,3 @@ let exists p t =
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Array.unsafe_get t.data i :: acc) in
   go (t.len - 1) []
-
-let encode b t =
-  Wire.w_int b t.len;
-  for i = 0 to t.len - 1 do
-    Wire.w_int b (Array.unsafe_get t.data i)
-  done
-
-let decode r =
-  let len = Wire.r_int r in
-  if len < 0 then raise (Wire.Corrupt "Intvec: negative length");
-  let t = create ~capacity:(max 1 len) () in
-  for _ = 1 to len do
-    push t (Wire.r_int r)
-  done;
-  t

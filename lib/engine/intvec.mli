@@ -1,10 +1,7 @@
-(** Growable int arrays — the posting-list representation behind the
-    database indexes.  Append-only: the chase never removes a fact from
-    an index (deactivation is a side table), so postings only ever
-    [push].  Compared to the previous [int list ref] postings, an
-    [Intvec] keeps elements in insertion order without a reversal on
-    every read, answers {!length} in O(1) (the join planner's
-    cardinality probe), and stores ids unboxed in a flat [int array]. *)
+(** Growable int arrays — the chase's private change log.  Append-only:
+    an [Intvec] keeps elements in insertion order, answers {!length}
+    in O(1), and stores ids unboxed in a flat [int array].  Storage
+    that outlives a chase is shadow-paged instead ({!Paged}). *)
 
 type t
 
@@ -12,19 +9,10 @@ val create : ?capacity:int -> unit -> t
 (** An empty vector; [capacity] (default [8]) pre-sizes the backing
     array. *)
 
-val copy : t -> t
-(** Independent copy: pushes to either vector leave the other
-    untouched. *)
-
 val length : t -> int
 
 val get : t -> int -> int
 (** Raises [Invalid_argument] outside [0..length-1]. *)
-
-val unsafe_get : t -> int -> int
-(** {!get} without the bounds check — for loops that already iterate
-    [0..length-1], such as the hash-join probe over columnar storage.
-    Out-of-range access is undefined behaviour. *)
 
 val push : t -> int -> unit
 (** Append, amortized O(1). *)
@@ -39,11 +27,3 @@ val exists : (int -> bool) -> t -> bool
 
 val to_list : t -> int list
 (** In insertion order. *)
-
-val encode : Buffer.t -> t -> unit
-(** Snapshot codec hook: varint length followed by the elements —
-    {!decode} restores an equal vector ({!Ekg_store} composes these
-    into session snapshot files). *)
-
-val decode : Wire.reader -> t
-(** Raises {!Wire.Truncated} / {!Wire.Corrupt} on malformed input. *)

@@ -116,12 +116,12 @@ let seed_positions ?plan ~delta db (r : Rule.t) =
    Build/probe evaluation over the database's columnar storage: the
    planner's atom order is a left-deep pipelined join, and at each join
    position the matcher probes a multi-column hash index on the key
-   columns bound so far ({!Plan.key_masks}) instead of scanning a
-   posting list.  Bindings live in a dense int array of interned value
+   columns bound so far ({!Plan.key_masks}) instead of scanning the
+   group.  Bindings live in a dense int array of interned value
    ids; [Subst.t] is only materialized per {e emitted} match.
 
-   The enumeration visits candidate rows in ascending row order (bucket
-   rows are ascending, scans are ascending), which is ascending fact-id
+   The enumeration visits candidate rows in ascending row order (index
+   chains are ascending, scans are ascending), which is ascending fact-id
    order — exactly the order the nested-loop matcher enumerates.  The
    two engines therefore produce the same match {e sequence}, so fact
    ids, labelled nulls, provenance and every byte of output are
@@ -401,9 +401,10 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
               done;
               if not !valid then scan pos nd g
               else begin
-                let bucket = Database.probe_handle ix ~hash:!h in
-                for bi = 0 to Intvec.length bucket - 1 do
-                  try_row pos nd g (Intvec.unsafe_get bucket bi)
+                let row = ref (Database.probe_handle ix ~hash:!h) in
+                while !row >= 0 do
+                  try_row pos nd g !row;
+                  row := Database.chain_next ix !row
                 done
               end
           end

@@ -50,7 +50,7 @@ exception Interrupted
       indexes on the planner's key columns ({!Plan.key_masks}) with
       dense interned-int bindings.
     - [Nested]: the original nested-loop homomorphism matcher over
-      posting lists — the escape hatch ([EKG_JOIN=nested]) and the
+      {!Database.matching} — the escape hatch ([EKG_JOIN=nested]) and the
       equivalence oracle the hash engine is property-tested against. *)
 
 type strategy = Hash | Nested

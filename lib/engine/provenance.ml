@@ -13,90 +13,133 @@ type derivation = {
   round : int;
 }
 
-(* Per-fact derivation store.  Heavily-derived facts (dense joins can
-   reach a fact through thousands of alternative homomorphisms) made
-   the old [list ref]+append representation quadratic: every [record]
-   walked the list for duplicate detection and copied it to append.
-   Derivations are now kept newest-first (O(1) cons) with the primary
-   pinned and a hashed (rule, premises) set for O(1) dedup; readers
-   reverse on access, so every observable order is unchanged. *)
+(* One immutable entry per fact id, on shadow pages: recording a
+   derivation replaces the fact's entry, so [copy] shares every entry
+   and a writer copies the pages it touches.  Derivations are kept
+   newest-first (O(1) cons) with the primary pinned; readers reverse on
+   access, so every observable order is recorded order.  Heavily derived
+   facts (dense joins can reach a fact through thousands of alternative
+   homomorphisms) deduplicate through a persistent set of (rule,
+   premises) keys once they outgrow a short scan. *)
+module Key = struct
+  type t = string * int list
+
+  let compare (r1, p1) (r2, p2) =
+    match String.compare r1 r2 with 0 -> List.compare Int.compare p1 p2 | c -> c
+end
+
+module KeySet = Set.Make (Key)
+
 type entry = {
-  mutable rev_items : derivation list;  (* newest first *)
-  primary : derivation;                 (* the first ever recorded *)
-  seen : (string * int list, unit) Hashtbl.t;
+  rev_items : derivation list;  (* newest first *)
+  primary : derivation;         (* the first ever recorded *)
+  count : int;
+  seen : KeySet.t;              (* every item's key once [count > scan_limit] *)
 }
+
+let scan_limit = 8
+
+(* the entry of a fact without a derivation, compared physically *)
+let none =
+  let d = { rule_id = ""; premises = []; binding = Subst.empty; contributors = []; round = 0 } in
+  { rev_items = []; primary = d; count = 0; seen = KeySet.empty }
 
 type t = {
-  derivations : (int, entry) Hashtbl.t;
-  superseded : (int, int) Hashtbl.t;
+  entries : entry Paged.t;       (* by fact id *)
+  superseded : int Paged.t;      (* by fact id: the superseding fact, or -1 *)
+  mutable derived : int;         (* entries other than [none] *)
+  mutable n_superseded : int;
 }
 
-let create () = { derivations = Hashtbl.create 256; superseded = Hashtbl.create 16 }
+let create () =
+  {
+    entries = Paged.create ~bits:Paged.slot_bits none;
+    superseded = Paged.create ~bits:Paged.slot_bits (-1);
+    derived = 0;
+    n_superseded = 0;
+  }
 
 let copy t =
-  (* derivation records and their lists are immutable; the entry
-     records and dedup tables are not *)
-  let derivations = Hashtbl.create (max 256 (Hashtbl.length t.derivations)) in
-  Hashtbl.iter
-    (fun id e ->
-      Hashtbl.add derivations id
-        { rev_items = e.rev_items; primary = e.primary; seen = Hashtbl.copy e.seen })
-    t.derivations;
-  { derivations; superseded = Hashtbl.copy t.superseded }
+  { t with entries = Paged.copy t.entries; superseded = Paged.copy t.superseded }
+
+let entry t id = if id >= 0 && id < Paged.length t.entries then Paged.get t.entries id else none
+
+let key_of d = (d.rule_id, d.premises)
 
 let record t ~fact_id d =
-  let key = (d.rule_id, d.premises) in
-  match Hashtbl.find_opt t.derivations fact_id with
-  | None ->
-    let seen = Hashtbl.create 4 in
-    Hashtbl.add seen key ();
-    Hashtbl.add t.derivations fact_id { rev_items = [ d ]; primary = d; seen }
-  | Some e ->
-    if not (Hashtbl.mem e.seen key) then begin
-      Hashtbl.add e.seen key ();
-      e.rev_items <- d :: e.rev_items
+  let e = entry t fact_id in
+  if e == none then begin
+    Paged.grow t.entries (fact_id + 1);
+    Paged.set t.entries fact_id { rev_items = [ d ]; primary = d; count = 1; seen = KeySet.empty };
+    t.derived <- t.derived + 1
+  end
+  else begin
+    let key = key_of d in
+    let known =
+      if e.count <= scan_limit then
+        List.exists (fun x -> Key.compare (key_of x) key = 0) e.rev_items
+      else KeySet.mem key e.seen
+    in
+    if not known then begin
+      let rev_items = d :: e.rev_items and count = e.count + 1 in
+      let seen =
+        if count <= scan_limit then KeySet.empty
+        else if count = scan_limit + 1 then KeySet.of_list (List.map key_of rev_items)
+        else KeySet.add key e.seen
+      in
+      Paged.set t.entries fact_id { e with rev_items; count; seen }
     end
+  end
 
-let alternatives t id =
-  match Hashtbl.find_opt t.derivations id with
-  | Some e -> List.rev e.rev_items
-  | None -> []
+let alternatives t id = List.rev (entry t id).rev_items
 
-let forget t id = Hashtbl.remove t.derivations id
+let forget t id =
+  if entry t id != none then begin
+    Paged.set t.entries id none;
+    t.derived <- t.derived - 1
+  end
 
 let iter t f =
-  Hashtbl.iter
-    (fun id e -> List.iter (fun d -> f id d) (List.rev e.rev_items))
-    t.derivations
+  for id = 0 to Paged.length t.entries - 1 do
+    List.iter (f id) (List.rev (Paged.unsafe_get t.entries id).rev_items)
+  done
 
 let cited t id =
-  match
-    Hashtbl.iter
-      (fun _ e ->
-        if List.exists (fun d -> List.mem id d.premises) e.rev_items then raise_notrace Exit)
-      t.derivations
-  with
-  | () -> false
-  | exception Exit -> true
+  let rec go i =
+    i < Paged.length t.entries
+    && (List.exists (fun d -> List.mem id d.premises) (Paged.unsafe_get t.entries i).rev_items
+       || go (i + 1))
+  in
+  go 0
 
-let record_superseded t ~old_fact ~by = Hashtbl.replace t.superseded old_fact by
-let superseded_by t id = Hashtbl.find_opt t.superseded id
+let record_superseded t ~old_fact ~by =
+  Paged.grow t.superseded (old_fact + 1);
+  if Paged.get_int t.superseded old_fact < 0 then t.n_superseded <- t.n_superseded + 1;
+  Paged.set_int t.superseded old_fact by
+
+let superseded_by t id =
+  if id >= 0 && id < Paged.length t.superseded && Paged.get_int t.superseded id >= 0 then
+    Some (Paged.get_int t.superseded id)
+  else None
 
 let derivation t id =
-  match Hashtbl.find_opt t.derivations id with
-  | Some e -> Some e.primary
-  | None -> None
+  let e = entry t id in
+  if e == none then None else Some e.primary
 
-let is_edb t id = not (Hashtbl.mem t.derivations id)
+let is_edb t id = entry t id == none
 
 let derived_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.derivations [] |> List.sort Int.compare
+  let acc = ref [] in
+  for id = Paged.length t.entries - 1 downto 0 do
+    if Paged.unsafe_get t.entries id != none then acc := id :: !acc
+  done;
+  !acc
 
 let to_digraph t db =
   let g = Ekg_graph.Digraph.create () in
   let name id = Fact.to_string (Database.fact db id) in
-  Hashtbl.iter
-    (fun id e ->
+  List.iter
+    (fun id ->
       let dst = name id in
       Ekg_graph.Digraph.add_node g dst;
       List.iter
@@ -104,8 +147,8 @@ let to_digraph t db =
           List.iter
             (fun p -> Ekg_graph.Digraph.add_edge g ~src:(name p) ~dst ~label:d.rule_id)
             d.premises)
-        (List.rev e.rev_items))
-    t.derivations;
+        (alternatives t id))
+    (derived_ids t);
   g
 
 (* --- snapshot codec ---------------------------------------------------------- *)
@@ -133,15 +176,11 @@ let r_subst r =
   go n []
 
 let encode b t =
-  Wire.w_int b (Hashtbl.length t.derivations);
+  Wire.w_int b t.derived;
   (* ascending fact id, so equal graphs encode to equal bytes *)
   List.iter
     (fun id ->
-      let ds =
-        match Hashtbl.find_opt t.derivations id with
-        | Some e -> List.rev e.rev_items
-        | None -> assert false
-      in
+      let ds = alternatives t id in
       Wire.w_int b id;
       Wire.w_int b (List.length ds);
       List.iter
@@ -158,13 +197,14 @@ let encode b t =
           Wire.w_int b d.round)
         ds)
     (derived_ids t);
-  Wire.w_int b (Hashtbl.length t.superseded);
-  List.iter
-    (fun (old_fact, by) ->
+  Wire.w_int b t.n_superseded;
+  for old_fact = 0 to Paged.length t.superseded - 1 do
+    let by = Paged.unsafe_get_int t.superseded old_fact in
+    if by >= 0 then begin
       Wire.w_int b old_fact;
-      Wire.w_int b by)
-    (List.sort compare
-       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.superseded []))
+      Wire.w_int b by
+    end
+  done
 
 let decode r =
   let t = create () in
@@ -172,6 +212,7 @@ let decode r =
   if n_facts < 0 then raise (Wire.Corrupt "Provenance: negative fact count");
   for _ = 1 to n_facts do
     let fact_id = Wire.r_int r in
+    if fact_id < 0 then raise (Wire.Corrupt "Provenance: negative fact id");
     let n_ds = Wire.r_int r in
     if n_ds < 0 then
       raise (Wire.Corrupt "Provenance: negative derivation count");
@@ -204,6 +245,7 @@ let decode r =
   for _ = 1 to n_sup do
     let old_fact = Wire.r_int r in
     let by = Wire.r_int r in
+    if old_fact < 0 || by < 0 then raise (Wire.Corrupt "Provenance: negative superseded id");
     record_superseded t ~old_fact ~by
   done;
   t

@@ -26,8 +26,10 @@ type t
 val create : unit -> t
 
 val copy : t -> t
-(** Independent copy: recording or forgetting derivations on either
-    side never shows through the other (the companion of
+(** A copy that shares every page with the original ({!Paged}): one
+    immutable entry per fact id, so the copy costs page tables.
+    Recording or forgetting derivations on either side copies the pages
+    it touches and never shows through the other (the companion of
     {!Database.copy} inside {!Chase.copy_result}). *)
 
 val record : t -> fact_id:int -> derivation -> unit
@@ -45,9 +47,10 @@ val forget : t -> int -> unit
     chance to record a fresh, still-valid proof. *)
 
 val iter : t -> (int -> derivation -> unit) -> unit
-(** Visit every (fact id, derivation) pair, alternatives included, in
-    unspecified order — the incremental chase walks this once to build
-    the premise → consumers reverse index its deletion cone follows. *)
+(** Visit every (fact id, derivation) pair, alternatives included: fact
+    ids ascending, each fact's derivations in recorded order — the
+    incremental chase walks this once to build the premise → consumers
+    reverse index its deletion cone follows. *)
 
 val cited : t -> int -> bool
 (** Whether a recorded derivation has the fact among its premises — a

@@ -1,7 +1,7 @@
 (** Binary wire primitives shared by the engine's snapshot codecs.
 
     The persistent session store serializes materializations —
-    {!Database}, {!Provenance}, {!Symtab}, {!Intvec} — into a compact
+    {!Database}, {!Provenance}, {!Symtab} — into a compact
     little-endian binary form.  This module is the single place the
     byte-level encoding lives: each engine container exposes an
     [encode]/[decode] pair written against these primitives, and the

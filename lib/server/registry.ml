@@ -701,13 +701,14 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
 
    A hot session answers a point query with one lookup on its served
    materialization.  A published result is immutable (updates swap in
-   a copy-on-write copy) and the lookup reads only postings and the
-   activation bitmap, never the lazily built join indexes, so it runs
-   off the lock, as explanations do.  A dormant session never builds or
-   waits on a materialization: the program is magic-sets-specialized
-   per query shape (cached in an LRU keyed predicate + mask), a private
-   scoped chase runs over a snapshot of the EDB mirror, and concrete
-   answers are cached generation-stamped. *)
+   a copy-on-write copy) and the lookup reads only the indexes every
+   insertion maintains and the activation bitmap, never a join index
+   the planner builds, so it runs off the lock, as explanations do.  A
+   dormant session never builds or waits on a materialization: the
+   program is magic-sets-specialized per query shape (cached in an LRU
+   keyed predicate + mask), a private scoped chase runs over a snapshot
+   of the EDB mirror, and concrete answers are cached
+   generation-stamped. *)
 
 let max_query_shapes = 64
 let max_answers_per_shape = 8

@@ -31,28 +31,28 @@ if [ -z "$PORT" ]; then
 fi
 
 BODY="$(curl -fsS "http://127.0.0.1:$PORT/v1/health")"
-if ! printf '%s' "$BODY" | grep -q '"status":"ok"'; then
+if ! grep -q '"status":"ok"' <<<"$BODY"; then
   echo "smoke: unexpected /v1/health body: $BODY" >&2
   exit 1
 fi
 
 # the pre-/v1 paths must answer 301 + Location + Deprecation
 LEGACY="$(curl -sS -D - -o /dev/null "http://127.0.0.1:$PORT/health")"
-if ! printf '%s' "$LEGACY" | grep -q '^HTTP/1.1 301'; then
+if ! grep -q '^HTTP/1.1 301' <<<"$LEGACY"; then
   echo "smoke: legacy /health did not redirect: $LEGACY" >&2
   exit 1
 fi
-if ! printf '%s' "$LEGACY" | grep -qi '^Location: /v1/health'; then
+if ! grep -qi '^Location: /v1/health' <<<"$LEGACY"; then
   echo "smoke: legacy redirect is missing Location: /v1/health" >&2
   exit 1
 fi
-if ! printf '%s' "$LEGACY" | grep -qi '^Deprecation: true'; then
+if ! grep -qi '^Deprecation: true' <<<"$LEGACY"; then
   echo "smoke: legacy redirect is missing Deprecation: true" >&2
   exit 1
 fi
 
 METRICS="$(curl -fsS -H 'Accept: text/plain' "http://127.0.0.1:$PORT/v1/metrics")"
-if ! printf '%s\n' "$METRICS" | grep -q '^# TYPE ekg_requests_total counter'; then
+if ! grep -q '^# TYPE ekg_requests_total counter' <<<"$METRICS"; then
   echo "smoke: /v1/metrics did not negotiate Prometheus text format" >&2
   printf '%s\n' "$METRICS" >&2
   exit 1
@@ -60,7 +60,7 @@ fi
 for series in ekg_requests_total ekg_chase_rounds_total \
               ekg_server_shed_total ekg_request_deadline_exceeded_total \
               ekg_chase_incremental_rounds_total ekg_chase_retracted_facts_total; do
-  if ! printf '%s\n' "$METRICS" | grep -q "^$series"; then
+  if ! grep -q "^$series" <<<"$METRICS"; then
     echo "smoke: /v1/metrics is missing mandatory series $series" >&2
     printf '%s\n' "$METRICS" >&2
     exit 1
@@ -77,13 +77,13 @@ QUERY='{"query":"control(\"A\", \"D\")"}'
 STAKE='{"facts":["own(\"E\", \"D\", 0.25)"]}'
 
 BODY="$(curl -fsS -X POST -d "$QUERY" "$BASE/explain")"
-if ! printf '%s' "$BODY" | grep -q 'exercises control over'; then
+if ! grep -q 'exercises control over' <<<"$BODY"; then
   echo "smoke: control(\"A\", \"D\") not explained before retraction: $BODY" >&2
   exit 1
 fi
 
 BODY="$(curl -fsS -X DELETE -d "$STAKE" "$BASE/facts")"
-if ! printf '%s' "$BODY" | grep -q '"op":"retract"'; then
+if ! grep -q '"op":"retract"' <<<"$BODY"; then
   echo "smoke: retraction did not apply: $BODY" >&2
   exit 1
 fi
@@ -95,13 +95,13 @@ if [ "$STATUS" != "404" ]; then
 fi
 
 BODY="$(curl -fsS -X POST -d "$STAKE" "$BASE/facts")"
-if ! printf '%s' "$BODY" | grep -q '"op":"add"'; then
+if ! grep -q '"op":"add"' <<<"$BODY"; then
   echo "smoke: re-addition did not apply: $BODY" >&2
   exit 1
 fi
 
 BODY="$(curl -fsS -X POST -d "$QUERY" "$BASE/explain")"
-if ! printf '%s' "$BODY" | grep -q 'exercises control over'; then
+if ! grep -q 'exercises control over' <<<"$BODY"; then
   echo "smoke: control(\"A\", \"D\") not restored after re-addition: $BODY" >&2
   exit 1
 fi
@@ -110,14 +110,14 @@ fi
 BODY="$(curl -fsS "http://127.0.0.1:$PORT/v1/debug/runtime")"
 for key in '"uptime_seconds"' '"gauges"' 'ekg_runtime_gc_heap_words' \
            'ekg_server_workers' '"running":true'; do
-  if ! printf '%s' "$BODY" | grep -q "$key"; then
+  if ! grep -q "$key" <<<"$BODY"; then
     echo "smoke: /v1/debug/runtime is missing $key: $BODY" >&2
     exit 1
   fi
 done
 
 BODY="$(curl -fsS "http://127.0.0.1:$PORT/v1/debug/sessions")"
-if ! printf '%s' "$BODY" | grep -q '"id":"s1"'; then
+if ! grep -q '"id":"s1"' <<<"$BODY"; then
   echo "smoke: /v1/debug/sessions does not list the preloaded session: $BODY" >&2
   exit 1
 fi
@@ -132,7 +132,7 @@ fi
 METRICS="$(curl -fsS -H 'Accept: text/plain' "http://127.0.0.1:$PORT/v1/metrics")"
 for series in 'ekg_lock_wait_seconds_count{lock="registry"}' \
               'ekg_lock_hold_seconds_count{lock="registry"}'; do
-  if ! printf '%s\n' "$METRICS" | grep -qF "$series"; then
+  if ! grep -qF "$series" <<<"$METRICS"; then
     echo "smoke: /v1/metrics is missing lock series $series" >&2
     exit 1
   fi
@@ -151,7 +151,7 @@ while IFS= read -r line; do
   esac
   for key in '"trace_id":' '"endpoint":' '"status":' '"queue_wait_ms":' \
              '"chase_source":' '"gc_minor_collections":'; do
-    if ! printf '%s' "$line" | grep -qF "$key"; then
+    if ! grep -qF "$key" <<<"$line"; then
       echo "smoke: wide event is missing $key: $line" >&2
       exit 1
     fi

@@ -71,19 +71,19 @@ SHED_HEAD="$(curl -sS -D - -o /tmp/shed_body.$$ \
   -X POST -d '{"program":"p(\"a\"). @goal(p)."}' \
   "http://127.0.0.1:$PORT/v1/sessions")"
 SHED_BODY="$(cat /tmp/shed_body.$$; rm -f /tmp/shed_body.$$)"
-printf '%s' "$SHED_HEAD" | grep -q '^HTTP/1.1 503' \
+grep -q '^HTTP/1.1 503' <<<"$SHED_HEAD" \
   || fail "session request was not shed with 503" "$SHED_HEAD"
-printf '%s' "$SHED_HEAD" | grep -qi '^Retry-After:' \
+grep -qi '^Retry-After:' <<<"$SHED_HEAD" \
   || fail "shed response is missing Retry-After" "$SHED_HEAD"
-printf '%s' "$SHED_BODY" | grep -q '"code":"overloaded"' \
+grep -q '"code":"overloaded"' <<<"$SHED_BODY" \
   || fail "shed response is missing the overloaded envelope" "$SHED_BODY"
 
 HEALTH="$(curl -fsS "http://127.0.0.1:$PORT/v1/health")"
-printf '%s' "$HEALTH" | grep -q '"status":"ok"' \
+grep -q '"status":"ok"' <<<"$HEALTH" \
   || fail "/v1/health was not responsive while shedding" "$HEALTH"
 
 METRICS="$(curl -fsS -H 'Accept: text/plain' "http://127.0.0.1:$PORT/v1/metrics")"
-printf '%s\n' "$METRICS" | grep -q '^ekg_server_shed_total [1-9]' \
+grep -q '^ekg_server_shed_total [1-9]' <<<"$METRICS" \
   || fail "ekg_server_shed_total did not advance" "$METRICS"
 
 kill -TERM "$PID"
@@ -103,16 +103,16 @@ CODE="$(curl -sS -o /tmp/dl_body.$$ -w '%{http_code}' \
 ELAPSED_MS=$(( ($(date +%s%N) - T0) / 1000000 ))
 DL_BODY="$(cat /tmp/dl_body.$$; rm -f /tmp/dl_body.$$)"
 [ "$CODE" = 504 ] || fail "expected 504 under a 50ms deadline, got $CODE" "$DL_BODY"
-printf '%s' "$DL_BODY" | grep -q '"code":"deadline_exceeded"' \
+grep -q '"code":"deadline_exceeded"' <<<"$DL_BODY" \
   || fail "504 body is missing the deadline_exceeded envelope" "$DL_BODY"
-printf '%s' "$DL_BODY" | grep -q '"retryable":true' \
+grep -q '"retryable":true' <<<"$DL_BODY" \
   || fail "deadline_exceeded must be retryable" "$DL_BODY"
 # the fault would hold the chase for 5s; the deadline must cut it short
 [ "$ELAPSED_MS" -lt 2000 ] \
   || fail "504 took ${ELAPSED_MS}ms — deadline did not interrupt the chase"
 
 METRICS="$(curl -fsS -H 'Accept: text/plain' "http://127.0.0.1:$PORT/v1/metrics")"
-printf '%s\n' "$METRICS" | grep -q '^ekg_request_deadline_exceeded_total [1-9]' \
+grep -q '^ekg_request_deadline_exceeded_total [1-9]' <<<"$METRICS" \
   || fail "ekg_request_deadline_exceeded_total did not advance" "$METRICS"
 
 kill -TERM "$PID"

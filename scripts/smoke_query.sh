@@ -43,43 +43,43 @@ fail() {
 # 1. cold point query: goal-directed, uncached, and it finds the
 #    aggregated consequence control("A", "D")
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
-printf '%s' "$BODY" | grep -q '"mode":"magic"' \
+grep -q '"mode":"magic"' <<<"$BODY" \
   || fail "cold query did not take the magic lane" "$BODY"
-printf '%s' "$BODY" | grep -q '"cached":false' \
+grep -q '"cached":false' <<<"$BODY" \
   || fail "cold query claims to be cached" "$BODY"
-printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
+grep -qF 'control(\"A\", \"D\")' <<<"$BODY" \
   || fail "cold query is missing control(A, D)" "$BODY"
-printf '%s' "$BODY" | grep -q '"next_cursor"' \
+grep -q '"next_cursor"' <<<"$BODY" \
   || fail "query response is missing the paged envelope" "$BODY"
 
 # 2. the identical re-query is served from the per-session answer cache
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
-printf '%s' "$BODY" | grep -q '"cached":true' \
+grep -q '"cached":true' <<<"$BODY" \
   || fail "identical re-query was not served from the cache" "$BODY"
-printf '%s' "$BODY" | grep -q '"rewrite_cached":true' \
+grep -q '"rewrite_cached":true' <<<"$BODY" \
   || fail "re-query recomputed the magic-sets rewrite" "$BODY"
 
 # 3. inline explanations: every answer carries its template proof
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' \
   --data-urlencode 'explain=full' "$BASE/query")"
-printf '%s' "$BODY" | grep -q '"explanation"' \
+grep -q '"explanation"' <<<"$BODY" \
   || fail "explain=full returned no explanations" "$BODY"
-printf '%s' "$BODY" | grep -q 'exercises control over' \
+grep -q 'exercises control over' <<<"$BODY" \
   || fail "explanation text is not verbalized" "$BODY"
 
 # 4. GET explain: same grammar, same paged envelope, one shared cache
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", "D")' "$BASE/explain")"
-printf '%s' "$BODY" | grep -q '"explanations"' \
+grep -q '"explanations"' <<<"$BODY" \
   || fail "GET explain returned no explanations" "$BODY"
-printf '%s' "$BODY" | grep -q '"next_cursor"' \
+grep -q '"next_cursor"' <<<"$BODY" \
   || fail "GET explain is missing the paged envelope" "$BODY"
 
 # 4b. the explanation materialized the session: the same point query is
 #     now a lookup on the served materialization
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
-printf '%s' "$BODY" | grep -q '"mode":"materialized"' \
+grep -q '"mode":"materialized"' <<<"$BODY" \
   || fail "query on the hot session did not take the materialized lane" "$BODY"
-printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
+grep -qF 'control(\"A\", \"D\")' <<<"$BODY" \
   || fail "materialized lane is missing control(A, D)" "$BODY"
 
 # 5. a malformed atom answers 400 with the machine-readable code, on
@@ -101,18 +101,18 @@ done
 curl -fsS -X DELETE -d '{"facts":["own(\"E\", \"D\", 0.25)"]}' \
   "$BASE/facts" >/dev/null
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
-printf '%s' "$BODY" | grep -q '"mode":"materialized"' \
+grep -q '"mode":"materialized"' <<<"$BODY" \
   || fail "query after the retraction left the materialized lane" "$BODY"
-printf '%s' "$BODY" | grep -q '"cached":false' \
+grep -q '"cached":false' <<<"$BODY" \
   || fail "update did not invalidate the cached answers" "$BODY"
-printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
+grep -qF 'control(\"A\", \"D\")' <<<"$BODY" \
   && fail "retracted consequence still answered" "$BODY"
 curl -fsS -X POST -d '{"facts":["own(\"E\", \"D\", 0.25)"]}' \
   "$BASE/facts" >/dev/null
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", X)' "$BASE/query")"
-printf '%s' "$BODY" | grep -q '"mode":"materialized"' \
+grep -q '"mode":"materialized"' <<<"$BODY" \
   || fail "query after the re-add left the materialized lane" "$BODY"
-printf '%s' "$BODY" | grep -qF 'control(\"A\", \"D\")' \
+grep -qF 'control(\"A\", \"D\")' <<<"$BODY" \
   || fail "re-added consequence did not come back" "$BODY"
 
 # 7. the lane's counter series are present and advanced
@@ -120,9 +120,9 @@ METRICS="$(curl -fsS -H 'Accept: text/plain' "http://127.0.0.1:$PORT/v1/metrics"
 for series in ekg_query_requests_total ekg_query_rewrite_cache_hits_total \
               ekg_query_answer_cache_hits_total ekg_query_cache_invalidations_total \
               ekg_query_materialized_total; do
-  printf '%s\n' "$METRICS" | grep -q "^$series" \
+  grep -q "^$series" <<<"$METRICS" \
     || fail "/v1/metrics is missing mandatory series $series" "$METRICS"
-  printf '%s\n' "$METRICS" | grep -q "^$series 0$" \
+  grep -q "^$series 0$" <<<"$METRICS" \
     && fail "series $series never advanced" "$METRICS"
 done
 

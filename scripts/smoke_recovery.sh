@@ -48,13 +48,13 @@ PORT="$(wait_port "$LOG1")"
 BASE="http://127.0.0.1:$PORT/v1"
 
 BODY="$(curl -fsS -X POST -d '{"app":"company-control","name":"cc"}' "$BASE/sessions")"
-if ! printf '%s' "$BODY" | grep -q '"id":"s1"'; then
+if ! grep -q '"id":"s1"' <<<"$BODY"; then
   echo "smoke-recovery: session create did not return s1: $BODY" >&2
   exit 1
 fi
 
 FIRST="$(curl -fsS -X POST -d "$QUERY" "$BASE/sessions/s1/explain")"
-if ! printf '%s' "$FIRST" | grep -q 'exercises control over'; then
+if ! grep -q 'exercises control over' <<<"$FIRST"; then
   echo "smoke-recovery: explanation missing before restart: $FIRST" >&2
   exit 1
 fi
@@ -82,17 +82,17 @@ if ! grep -q 'recovered session s1' "$LOG2"; then
 fi
 
 BODY="$(curl -fsS "$BASE/sessions")"
-if ! printf '%s' "$BODY" | grep -q '"id":"s1"'; then
+if ! grep -q '"id":"s1"' <<<"$BODY"; then
   echo "smoke-recovery: recovered session not listed: $BODY" >&2
   exit 1
 fi
-if ! printf '%s' "$BODY" | grep -q '"tier":"dormant"'; then
+if ! grep -q '"tier":"dormant"' <<<"$BODY"; then
   echo "smoke-recovery: recovered session is not dormant: $BODY" >&2
   exit 1
 fi
 
 SECOND="$(curl -fsS -X POST -d "$QUERY" "$BASE/sessions/s1/explain")"
-if ! printf '%s' "$SECOND" | grep -q 'exercises control over'; then
+if ! grep -q 'exercises control over' <<<"$SECOND"; then
   echo "smoke-recovery: explanation missing after restart: $SECOND" >&2
   exit 1
 fi

@@ -94,51 +94,59 @@ let test_database_columnar_layout () =
 
 let test_database_index_probe () =
   let db = Database.create () in
-  ignore (Database.add db "e" [| Value.str "a"; Value.str "b" |]);
-  ignore (Database.add db "e" [| Value.str "b"; Value.str "c" |]);
-  ignore (Database.add db "e" [| Value.str "a"; Value.str "c" |]);
+  let e x y z = ignore (Database.add db "e" [| Value.str x; Value.str y; Value.str z |]) in
+  e "a" "b" "x";
+  e "b" "c" "x";
+  e "a" "c" "y";
   let sym = Option.get (Database.pred_sym db "e") in
-  let g = Option.get (Database.Cols.find db ~sym ~arity:2) in
-  check bool' "no index yet" true (Database.probe g ~mask:1 ~hash:0 = None);
-  check int' "index build covers all rows" 3
-    (Database.ensure_index db ~sym ~arity:2 ~mask:1);
-  check int' "rebuild is incremental (no new rows)" 0
-    (Database.ensure_index db ~sym ~arity:2 ~mask:1);
-  let hash_of v = Database.key_hash_add 0 (Database.value_id db v) in
-  let bucket v =
-    match Database.probe g ~mask:1 ~hash:(hash_of v) with
-    | Some b -> List.init (Intvec.length b) (Intvec.get b)
+  let g = Option.get (Database.Cols.find db ~sym ~arity:3) in
+  let hash_of vs =
+    List.fold_left (fun h v -> Database.key_hash_add h (Database.value_id db v)) 0 vs
+  in
+  let chain mask vs =
+    match Database.index_handle g ~mask with
+    | Some h ->
+      let rec walk row = if row < 0 then [] else row :: walk (Database.chain_next h row) in
+      walk (Database.probe_handle h ~hash:(hash_of vs))
     | None -> Alcotest.fail "fresh index did not answer"
   in
-  check bool' "a-bucket holds rows 0 and 2, ascending" true
-    (bucket (Value.str "a") = [ 0; 2 ]);
-  check bool' "b-bucket holds row 1" true (bucket (Value.str "b") = [ 1 ]);
-  (* handles: same answers, resolved once *)
+  (* insertion maintains one index per column and the full-key index *)
+  check bool' "a-chain holds rows 0 and 2, ascending" true
+    (chain 1 [ Value.str "a" ] = [ 0; 2 ]);
+  check bool' "b-chain holds row 1" true (chain 1 [ Value.str "b" ] = [ 1 ]);
+  check bool' "second column indexed" true (chain 2 [ Value.str "c" ] = [ 1; 2 ]);
+  check bool' "full key indexed" true
+    (chain 7 [ Value.str "a"; Value.str "c"; Value.str "y" ] = [ 2 ]);
+  check int' "a kept index needs no build" 0
+    (Database.ensure_index db ~sym ~arity:3 ~mask:1);
+  (* handles walk the same chain, resolved once *)
   (match Database.index_handle g ~mask:1 with
-  | None -> Alcotest.fail "fresh index has no handle"
+  | None -> Alcotest.fail "kept index has no handle"
   | Some h ->
-    check int' "handle probe agrees" 2
-      (Intvec.length (Database.probe_handle h ~hash:(hash_of (Value.str "a")))));
-  (* staleness: a new row invalidates probes until re-ensured *)
-  ignore (Database.add db "e" [| Value.str "c"; Value.str "d" |]);
-  check bool' "stale index refuses to answer" true
-    (Database.probe g ~mask:1 ~hash:(hash_of (Value.str "a")) = None);
+    let first = Database.probe_handle h ~hash:(hash_of [ Value.str "a" ]) in
+    check int' "handle chain starts at row 0" 0 first;
+    check int' "then row 2" 2 (Database.chain_next h first);
+    check int' "then ends" (-1) (Database.chain_next h 2);
+    check int' "absent key has no chain" (-1)
+      (Database.probe_handle h ~hash:(hash_of [ Value.str "zebra" ])));
+  (* a planner mask is built on demand and extended incrementally *)
+  check bool' "no index yet" true (Database.index_handle g ~mask:3 = None);
+  check int' "index build covers all rows" 3
+    (Database.ensure_index db ~sym ~arity:3 ~mask:3);
+  check int' "rebuild is incremental (no new rows)" 0
+    (Database.ensure_index db ~sym ~arity:3 ~mask:3);
+  check bool' "(a,c) chain is row 2" true (chain 3 [ Value.str "a"; Value.str "c" ] = [ 2 ]);
+  (* staleness: a new row invalidates planner probes until re-ensured,
+     while kept indexes follow every insertion *)
+  e "a" "c" "z";
   check bool' "stale index yields no handle" true
-    (Database.index_handle g ~mask:1 = None);
+    (Database.index_handle g ~mask:3 = None);
+  check bool' "kept index already holds the row" true
+    (chain 1 [ Value.str "a" ] = [ 0; 2; 3 ]);
   check int' "extension indexes only the new row" 1
-    (Database.ensure_index db ~sym ~arity:2 ~mask:1);
-  check bool' "fresh again" true
-    (Database.probe g ~mask:1 ~hash:(hash_of (Value.str "a")) <> None);
-  (* multi-column mask keys on both columns *)
-  ignore (Database.ensure_index db ~sym ~arity:2 ~mask:3);
-  let h2 =
-    Database.key_hash_add
-      (Database.key_hash_add 0 (Database.value_id db (Value.str "a")))
-      (Database.value_id db (Value.str "c"))
-  in
-  (match Database.probe g ~mask:3 ~hash:h2 with
-  | Some b -> check int' "(a,c) bucket is row 2" 2 (Intvec.get b 0)
-  | None -> Alcotest.fail "two-column index did not answer")
+    (Database.ensure_index db ~sym ~arity:3 ~mask:3);
+  check bool' "fresh again, chain ascending" true
+    (chain 3 [ Value.str "a"; Value.str "c" ] = [ 2; 3 ])
 
 let test_database_all_active () =
   let db = Database.create () in
@@ -1852,23 +1860,30 @@ path(X, X) -> false.
   | Error e -> Alcotest.failf "wrong error: %s" (Chase.error_to_string e)
   | Ok _ -> Alcotest.fail "cycle admitted despite acyclicity constraint"
 
+(* the snapshot bytes of a result: every fact, id, activation bit,
+   derivation and superseded entry *)
+let encoded (r : Chase.result) =
+  let b = Buffer.create 4096 in
+  Database.encode b r.Chase.db;
+  Provenance.encode b r.Chase.prov;
+  Buffer.contents b
+
 let test_copy_result_isolated () =
   (* the copy-on-write primitive the concurrent server builds on:
      updates through either side never show through the other *)
   let program, res = run_atoms tc_src [ edge "a" "b"; edge "b" "c" ] in
-  let before = Database.fingerprint res.Chase.db in
+  let before = encoded res in
   let copy = Chase.copy_result res in
-  check string' "copy starts content-identical" before
-    (Database.fingerprint copy.Chase.db);
+  check string' "copy starts byte-identical" before (encoded copy);
   let copy', _ = update_exn (Chase.add_facts program copy [ edge "c" "d" ]) in
   check bool' "update visible through the copy" true
     (List.mem {|path("a", "d")|} (actives copy' "path"));
-  check string' "original untouched by the copy's update" before
-    (Database.fingerprint res.Chase.db);
-  let copy_fp = Database.fingerprint copy'.Chase.db in
+  check string' "original untouched by the copy's update" before (encoded res);
+  let copy_bytes = encoded copy' in
+  let idle = Chase.copy_result res in
   let res', _ = update_exn (Chase.retract_facts program res [ edge "b" "c" ]) in
-  check string' "copy untouched by the original's update" copy_fp
-    (Database.fingerprint copy'.Chase.db);
+  check string' "copy untouched by the original's update" copy_bytes (encoded copy');
+  check string' "unwritten copy untouched by the original's update" before (encoded idle);
   check_matches_cold "original's update = cold chase" program res'
     [ edge "a" "b" ];
   check_matches_cold "copy's update = cold chase" program copy'
@@ -1885,13 +1900,101 @@ path(X, X) -> false.
 |}
   in
   let program, res = run_atoms src [ edge "a" "b" ] in
-  let before = Database.fingerprint res.Chase.db in
+  let before = encoded res in
   (match Chase.add_facts program (Chase.copy_result res) [ edge "b" "a" ] with
   | Error (Chase.Inconsistent _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Chase.error_to_string e)
   | Ok _ -> Alcotest.fail "cycle admitted despite acyclicity constraint");
-  check string' "original untouched by the rejected update" before
-    (Database.fingerprint res.Chase.db)
+  check string' "original untouched by the rejected update" before (encoded res)
+
+let generated_kg entities =
+  snd
+    (Ekg_datagen.Kg.atoms
+       { (Ekg_datagen.Kg.default ~entities) with Ekg_datagen.Kg.exponent = 2.5; max_out_degree = 12 })
+
+let control_program = Ekg_apps.Apps_util.parse_program_exn Ekg_datagen.Kg.program_source
+
+let test_copy_costs_page_tables () =
+  (* a copy shares every page: it allocates page tables, not the KG *)
+  let res =
+    match Chase.run control_program (generated_kg 4000) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "cold chase: %s" e
+  in
+  let reachable = Obj.reachable_words (Obj.repr res) in
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let copy = Chase.copy_result res in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity copy);
+  let allocated = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  check bool'
+    (Printf.sprintf "copy allocated %.0f words of a %d-word result" allocated reachable)
+    true
+    (allocated <= 0.02 *. float_of_int reachable)
+
+let test_reader_on_shared_pages () =
+  (* one domain re-reads a published result while another writes
+     successive copies descended from it: nothing the writer does shows
+     through the shared pages *)
+  let check_app name pipeline goal =
+    let program = pipeline.Ekg_core.Pipeline.program in
+    let edb = generated_kg 60 in
+    let published =
+      match Chase.run program edb with Ok r -> r | Error e -> Alcotest.failf "%s: %s" name e
+    in
+    let goals =
+      List.filteri (fun i _ -> i < 4) (Database.active published.Chase.db goal)
+    in
+    let read () =
+      ( encoded published,
+        Database.fingerprint published.Chase.db,
+        List.map
+          (fun f ->
+            match Ekg_core.Pipeline.explain pipeline published f with
+            | Ok e -> e.Ekg_core.Pipeline.text
+            | Error e -> e)
+          goals )
+    in
+    let first = read () in
+    let reads = Atomic.make 0 and stop = Atomic.make false in
+    let reader =
+      Domain.spawn (fun () ->
+          let same = ref true in
+          while not (Atomic.get stop) do
+            if read () <> first then same := false;
+            Atomic.incr reads
+          done;
+          !same)
+    in
+    while Atomic.get reads = 0 do
+      Domain.cpu_relax ()
+    done;
+    (* retract and re-add base facts: the writes land on pages the
+       published result shares *)
+    let owns =
+      List.filteri (fun i _ -> i < 50) (List.filter (fun (a : Atom.t) -> a.Atom.pred = "own") edb)
+    in
+    let cur = ref published and updates = ref 0 and moved = ref false in
+    let step update fact =
+      cur := fst (update_exn (update program (Chase.copy_result !cur) [ fact ]));
+      incr updates;
+      if not !moved then moved := encoded !cur <> encoded published
+    in
+    List.iter
+      (fun fact ->
+        step (fun p r a -> Chase.retract_facts p r a) fact;
+        step (fun p r a -> Chase.add_facts p r a) fact)
+      owns;
+    Atomic.set stop true;
+    let same = Domain.join reader in
+    check bool' (name ^ ": at least 100 updates") true (!updates >= 100);
+    check bool' (name ^ ": goals explained") true (goals <> []);
+    check bool' (Printf.sprintf "%s: %d reads equal the first" name (Atomic.get reads)) true same;
+    check bool' (name ^ ": the writer changed the facts") true !moved
+  in
+  check_app "close link" (Ekg_apps.Close_link.pipeline ()) "closeLink";
+  check_app "company control" (Ekg_apps.Company_control.pipeline ()) "control"
 
 (* --- re-derivation by head-bound probes ------------------------------------
 
@@ -2676,6 +2779,142 @@ let prop_close_link_rederivation =
                 && proofs_well_founded r))
           s.toggles)
 
+(* Copy-on-write against in place, byte for byte.  Lineage A applies
+   every update to a fresh [copy_result] of its previous version;
+   lineage B applies it in place to one result that is never copied.
+   After every step both encode to the same bytes, and every earlier
+   version of A still encodes to the bytes it had when it was made —
+   including a parent whose update failed on its copy.  B skips an
+   update that failed on A: a failure leaves a result half-applied.
+   Forced opening steps guarantee the failing updates: golden power's
+   inconsistent retractions, a fact budget tripped by a re-addition,
+   and the signed sum's re-chase. *)
+type copy_case = {
+  c_name : string;
+  c_program : Program.t;
+  c_pool : Atom.t array;
+  c_base : bool array;
+  c_prefix : (int * bool * [ `Fails | `Rechases ]) list;  (* pool index, zero fact budget *)
+}
+
+let copy_cases =
+  lazy
+    (let all_of name program pool prefix =
+       { c_name = name; c_program = program; c_pool = Array.of_list pool;
+         c_base = Array.make (List.length pool) true; c_prefix = prefix }
+     in
+     let bundled =
+       List.map
+         (fun app ->
+           match Ekg_apps.Bundled.load app with
+           | Error e -> failwith e
+           | Ok { Ekg_apps.Apps_util.pipeline; edb } ->
+             let index a =
+               let rec go i = function
+                 | [] -> failwith ("not in the EDB: " ^ a)
+                 | x :: rest -> if Atom.to_string x = a then i else go (i + 1) rest
+               in
+               go 0 edb
+             in
+             let prefix =
+               match app with
+               | "golden-power" ->
+                 [ (index {|acquisition("ForeignBank", "TelecomCo", 0.3)|}, false, `Fails);
+                   (index {|strategic("TelecomCo")|}, false, `Fails) ]
+               | "close-link" -> [ (0, true, `Fails) ]
+               | _ -> []
+             in
+             let c = all_of app pipeline.Ekg_core.Pipeline.program edb prefix in
+             (* close link's budget trip re-adds a fact it first retracts *)
+             if app = "close-link" then c.c_base.(0) <- false;
+             c)
+         Ekg_apps.Bundled.names
+     in
+     let kg = generated_kg 16 in
+     let e x w = Atom.make "e" [ Term.str x; Term.str "y"; Term.num w ] in
+     let signed =
+       {
+         c_name = "signed sum";
+         c_program =
+           Ekg_apps.Apps_util.parse_program_exn
+             "e(X, Y, W), S = sum(W), S > 0.5 -> ok(Y).\nok(Y) -> flagged(Y).\n@goal(flagged).\n";
+         c_pool = [| e "a" 0.6; e "b" (-0.3); e "c" 0.5; e "d" 0.4; e "f" (-0.5) |];
+         c_base = [| true; false; false; false; false |];
+         c_prefix = [ (1, false, `Rechases) ];
+       }
+     in
+     bundled
+     @ [ all_of "generated control" control_program kg [];
+         all_of "generated close link" Ekg_apps.Close_link.program kg [];
+         signed ])
+
+let prop_copy_equals_in_place =
+  let cases = List.length (Lazy.force copy_cases) in
+  let gen =
+    QCheck2.Gen.(
+      triple (int_bound (cases - 1)) (list_size (int_range 1 6) (int_bound 1000)) (int_range (-1) 5))
+  in
+  let print (ci, raw, budget_at) =
+    Printf.sprintf "%s; toggles %s; zero budget at %d"
+      (List.nth (Lazy.force copy_cases) ci).c_name
+      (String.concat "," (List.map string_of_int raw)) budget_at
+  in
+  QCheck2.Test.make ~name:"copy-on-write = in place, byte for byte" ~count:40 ~print gen
+    (fun (ci, raw, budget_at) ->
+      let c = List.nth (Lazy.force copy_cases) ci in
+      let n = Array.length c.c_pool in
+      let steps =
+        List.map (fun (i, zero, expect) -> (i, zero, Some expect)) c.c_prefix
+        @ List.mapi (fun k t -> (t mod n, k = budget_at, None)) raw
+      in
+      let present = Array.copy c.c_base in
+      let cold () =
+        match Chase.run c.c_program (List.filteri (fun i _ -> present.(i)) (Array.to_list c.c_pool)) with
+        | Ok r -> r
+        | Error e -> QCheck2.Test.fail_reportf "cold chase: %s" e
+      in
+      let versions = ref [ (let r = cold () in (r, encoded r)) ] in
+      let in_place = ref (cold ()) in
+      List.iter
+        (fun (i, zero, expect) ->
+          let fact = c.c_pool.(i) in
+          let budget = if zero then Some (Chase.budget ~facts:0 ()) else None in
+          let update res =
+            if present.(i) then Chase.retract_facts ?budget c.c_program res [ fact ]
+            else Chase.add_facts ?budget c.c_program res [ fact ]
+          in
+          let parent, _ = List.hd !versions in
+          (match update (Chase.copy_result parent), expect with
+          | Error _, (None | Some `Fails) -> ()
+          | Error e, Some `Rechases ->
+            QCheck2.Test.fail_reportf "%s: expected a re-chase, got %s" (Atom.to_string fact)
+              (Chase.error_to_string e)
+          | Ok _, Some `Fails ->
+            QCheck2.Test.fail_reportf "%s: expected a failure" (Atom.to_string fact)
+          | Ok (_, u), Some `Rechases when u.Chase.upd_incremental ->
+            QCheck2.Test.fail_reportf "%s: expected a re-chase" (Atom.to_string fact)
+          | Ok (copied, _), (None | Some `Rechases) -> (
+            match update !in_place with
+            | Error e ->
+              QCheck2.Test.fail_reportf "%s: in place failed: %s" (Atom.to_string fact)
+                (Chase.error_to_string e)
+            | Ok (r, _) ->
+              present.(i) <- not present.(i);
+              in_place := r;
+              let bytes = encoded copied in
+              if encoded r <> bytes then
+                QCheck2.Test.fail_reportf "%s: copied and in-place results differ"
+                  (Atom.to_string fact);
+              versions := (copied, bytes) :: !versions));
+          List.iteri
+            (fun k (v, bytes) ->
+              if encoded v <> bytes then
+                QCheck2.Test.fail_reportf "version %d changed after updating %s"
+                  (List.length !versions - 1 - k) (Atom.to_string fact))
+            !versions)
+        steps;
+      true)
+
 let agg_programs =
   [
     ("company control", company_control_src, control_scenario_gen, `Incremental);
@@ -2709,6 +2948,7 @@ let qsuite =
       prop_incremental_equals_cold;
       prop_incremental_negation_equals_cold;
       prop_close_link_rederivation;
+      prop_copy_equals_in_place;
     ]
   @ List.map QCheck_alcotest.to_alcotest agg_properties
 
@@ -2820,6 +3060,10 @@ let () =
             test_copy_result_isolated;
           Alcotest.test_case "copy_result isolates inconsistency" `Quick
             test_copy_result_isolates_inconsistency;
+          Alcotest.test_case "copy_result costs page tables" `Quick
+            test_copy_costs_page_tables;
+          Alcotest.test_case "a version stays intact beside its descendants" `Quick
+            test_reader_on_shared_pages;
           Alcotest.test_case "re-derived through a second rule" `Quick
             test_rederive_through_second_rule;
           Alcotest.test_case "re-derived on the second round" `Quick
