@@ -49,7 +49,7 @@ let print_rules (stats : Ekg_engine.Chase.stats) =
   Printf.printf "  join plans reordered: %d\n" stats.plan_reorders
 
 let print_join_stats (stats : Ekg_engine.Chase.stats) =
-  Printf.printf "\n== join engine (%s) ==\n" stats.join_strategy;
+  Printf.printf "\n== join engine ==\n";
   Printf.printf "  index builds: %d;  probe hits: %d\n" stats.join_builds
     stats.join_probe_hits;
   Printf.printf "  %-32s %10s %10s %10s %10s\n" "rule" "build ms" "probe ms"
@@ -161,8 +161,8 @@ let run_magic ~budget pipeline edb qtext =
           answers;
         0))
 
-let run app query deadline_ms rounds dump_trace prometheus join
-    join_stats fingerprint magic =
+let run app query deadline_ms rounds dump_trace prometheus join_stats
+    fingerprint magic =
   let tracer = Ekg_obs.Trace.create () in
   let sink = Ekg_obs.Metrics.create () in
   let wall0 = Unix.gettimeofday () in
@@ -184,7 +184,7 @@ let run app query deadline_ms rounds dump_trace prometheus join
     match
       Ekg_obs.Trace.with_span tracer "chase" (fun span ->
           Ekg_engine.Chase.run_checked ~stats:sink ~budget ~obs:tracer
-            ?join ~parent:span pipeline.Pipeline.program edb)
+            ~parent:span pipeline.Pipeline.program edb)
     with
     | Error err ->
       Fmt.epr "reasoning error: %s@." (Ekg_engine.Chase.error_to_string err);
@@ -277,23 +277,6 @@ let prometheus_t =
     & info [ "prometheus" ]
         ~doc:"Also dump the chase metrics in Prometheus text format.")
 
-let join_t =
-  let strategy =
-    Arg.enum
-      [
-        ("hash", Ekg_engine.Matcher.Hash); ("nested", Ekg_engine.Matcher.Nested);
-      ]
-  in
-  let doc =
-    "Join engine for the chase: $(b,hash) (columnar build/probe, the \
-     default) or $(b,nested) (posting-list nested loops).  Overrides \
-     $(b,EKG_JOIN).  Output is byte-identical either way."
-  in
-  Arg.(
-    value
-    & opt (some strategy) None
-    & info [ "join" ] ~docv:"ENGINE" ~doc)
-
 let join_stats_t =
   Arg.(
     value & flag
@@ -308,7 +291,7 @@ let fingerprint_t =
     & info [ "fingerprint" ]
         ~doc:
           "Also print a digest of the full chase output (result JSON + \
-           provenance dot) — CI diffs it across join engines.")
+           provenance dot) — the test suite pins it per bundled app.")
 
 let magic_t =
   Arg.(
@@ -326,7 +309,7 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ app_t $ query_t $ deadline_ms_t $ rounds_t
-      $ trace_t $ prometheus_t $ join_t $ join_stats_t $ fingerprint_t
+      $ trace_t $ prometheus_t $ join_stats_t $ fingerprint_t
       $ magic_t)
 
 let () = exit (Cmd.eval' cmd)

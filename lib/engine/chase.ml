@@ -27,7 +27,6 @@ type stats = {
   agg_superseded : int;
   wall_s : float;
   plan_reorders : int;
-  join_strategy : string;
   join_builds : int;
   join_probe_hits : int;
 }
@@ -59,10 +58,11 @@ type state = {
   mutable id_order : bool;  (* ids follow {!position}: a fresh chase, nothing reactivated *)
   mutable derived : int;  (* facts inserted under a new id *)
   mutable revived : int;  (* inactive facts derived again *)
+  mutable active_derived : int;  (* active facts with a derivation *)
   mutable superseded : int;  (* stale aggregate facts deactivated *)
 }
 
-let make_state ?(lookup_groups = false) db prov =
+let make_state ?(lookup_groups = false) ?(active_derived = 0) db prov =
   {
     db;
     prov;
@@ -73,6 +73,7 @@ let make_state ?(lookup_groups = false) db prov =
     id_order = not lookup_groups;
     derived = 0;
     revived = 0;
+    active_derived;
     superseded = 0;
   }
 
@@ -301,6 +302,8 @@ let insert_agg_groups st ~round ~(note : event -> unit) (r : Rule.t) groups =
           (match previous with
           | Some old_id when old_id <> f.Fact.id && Database.is_active st.db old_id ->
             (* stale monotonic aggregate: supersede it *)
+            if not (Provenance.is_edb st.prov old_id) then
+              st.active_derived <- st.active_derived - 1;
             Database.deactivate st.db old_id;
             Intvec.push st.log old_id;
             st.superseded <- st.superseded + 1;
@@ -338,9 +341,9 @@ let insert_agg_groups st ~round ~(note : event -> unit) (r : Rule.t) groups =
    aggregate fact is re-derived only through its group.  Returns the
    keys it covered ([None]: every group) with the groups that passed;
    [None] when no group was touched. *)
-let reaggregate st ~strategy ?interrupt ~plan ?changed (r : Rule.t) =
+let reaggregate st ?interrupt ~plan ?changed (r : Rule.t) =
   match changed with
-  | None -> Some (None, Matcher.match_agg_rule ~strategy ?interrupt ~plan st.db r)
+  | None -> Some (None, Matcher.match_agg_rule ?interrupt ~plan st.db r)
   | Some changed -> (
     let group_vars = Rule.group_vars r in
     let own =
@@ -360,7 +363,7 @@ let reaggregate st ~strategy ?interrupt ~plan ?changed (r : Rule.t) =
     | [] -> None
     | keys ->
       Some
-        (Some keys, Matcher.match_agg_rule ~strategy ?interrupt ~plan ~groups:keys st.db r))
+        (Some keys, Matcher.match_agg_rule ?interrupt ~plan ~groups:keys st.db r))
 
 (* Whether a group that {!reaggregate} covered ([covered]; [None]: every
    group) still holds an active fact derived by [r] although it no
@@ -616,7 +619,7 @@ let push_stats sink ~rounds ~derived (s : stats) =
 (* How a stratum's first round opens.  Its plain rules match [delta] by
    semi-naive seed passes, except the [full] ones, which match the whole
    instance; the [probed] ones also re-derive the [lost] facts by
-   head-bound probes ({!Matcher.head_probe_matches}, [Hash] only).  Its
+   head-bound probes ({!Matcher.head_probe_matches}).  Its
    [full] aggregate rules regroup every group; the others re-aggregate
    the groups touched by the facts logged since the run began.  Later
    rounds are semi-naive from the previous round's activations. *)
@@ -638,7 +641,7 @@ type run = {
 
 (* Run every stratum to fixpoint from its [opening], numbering rounds
    after [round0].  [naive] evaluates every rule in full every round. *)
-let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~budget
+let chase_strata ?(naive = false) ?stats ?obs ?parent st ~max_rounds ~budget
     ~t_start ~round0 ~note ~opening strata =
   (* a disabled (noop) sink disables collection outright: the hot path
      pays one branch, no clock reads, no accumulator updates *)
@@ -764,7 +767,7 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
                   let t0 = clock () in
                   if full r || probe r || Option.is_some delta_filter then begin
                     let bound = if probe r then Some (Matcher.head_bound_vars r) else None in
-                    let n = Matcher.prepare ~strategy ?bound st.db r plan in
+                    let n = Matcher.prepare ?bound st.db r plan in
                     if collect then join_builds := !join_builds + n
                   end;
                   let t1 = clock () in
@@ -772,12 +775,12 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
                   let matches =
                     if full r then begin
                       incr full_passes;
-                      Matcher.match_rule ~strategy ?interrupt ~plan st.db r
+                      Matcher.match_rule ?interrupt ~plan st.db r
                     end
                     else
                       let seeded =
                         match delta_filter with
-                        | Some d -> Matcher.match_rule ~strategy ?interrupt ~delta:d ~plan st.db r
+                        | Some d -> Matcher.match_rule ?interrupt ~delta:d ~plan st.db r
                         | None -> []
                       in
                       if probe r then
@@ -799,6 +802,9 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
                 let n = List.length out in
                 charge acc ~build:0. ~probe:match_time ~insert:dt n;
                 if collect then join_probe_hits := !join_probe_hits + List.length matches;
+                (* every id an insertion returns is a derived fact it
+                   activated *)
+                st.active_derived <- st.active_derived + n;
                 added_count := !added_count + n;
                 added := List.rev_append out !added)
               matched;
@@ -807,22 +813,20 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
                only the groups the facts logged since the rule's
                previous evaluation touched.  Every other group would
                reproduce its current fact, so the outcome — ids,
-               provenance, supersessions — is the nested engine's full
-               re-evaluation, which [Nested] keeps as the reference *)
+               provenance, supersessions — is that of regrouping every
+               group every round *)
             List.iter
               (fun (r, (acc, cursor), plan) ->
                 let regroup = full r in
                 let changed = if regroup then [] else log_since st !cursor in
                 cursor := Intvec.length st.log;
                 if regroup || changed <> [] then begin
-                  let changed =
-                    if regroup || strategy = Matcher.Nested then None else Some changed
-                  in
+                  let changed = if regroup then None else Some changed in
                   let t0 = clock () in
-                  let builds = Matcher.prepare ~strategy ?changed st.db r plan in
+                  let builds = Matcher.prepare ?changed st.db r plan in
                   let t1 = clock () in
                   let groups =
-                    match reaggregate st ~strategy ?interrupt ~plan ?changed r with
+                    match reaggregate st ?interrupt ~plan ?changed r with
                     | None -> []
                     | Some (covered, groups) ->
                       if st.lookup_groups && stale_group st r ~covered groups then
@@ -838,6 +842,7 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
                   let n = List.length out in
                   charge acc ~build:(t1 -. t0) ~probe:(t2 -. t1) ~insert:(t3 -. t2) n;
                   if collect then join_builds := !join_builds + builds;
+                  st.active_derived <- st.active_derived + n;
                   added_count := !added_count + n;
                   added := List.rev_append out !added
                 end)
@@ -905,7 +910,6 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
               agg_superseded = st.superseded;
               wall_s = Ekg_obs.Clock.now_s () -. t_start;
               plan_reorders = !plan_reorders;
-              join_strategy = Matcher.strategy_name strategy;
               join_builds = !join_builds;
               join_probe_hits = !join_probe_hits;
             }
@@ -916,11 +920,8 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~strategy ~max_rounds ~
       | _ -> ());
       { run_rounds = !total_rounds; run_full_passes = !full_passes; run_stats })
 
-let run_checked ?naive ?(max_rounds = 100_000) ?(budget = unlimited) ?join ?stats ?obs
-    ?parent (program : Program.t) edb =
-  let strategy =
-    match join with Some s -> s | None -> Matcher.strategy_of_env ()
-  in
+let run_checked ?naive ?(max_rounds = 100_000) ?(budget = unlimited) ?stats ?obs ?parent
+    (program : Program.t) edb =
   match Program.validate program with
   | Error es -> Error (Invalid_program es)
   | Ok () -> (
@@ -940,7 +941,7 @@ let run_checked ?naive ?(max_rounds = 100_000) ?(budget = unlimited) ?join ?stat
       | Some e -> Error (Invalid_edb e)
       | None -> (
         match
-          chase_strata ?naive ?stats ?obs ?parent st ~strategy ~max_rounds ~budget ~t_start
+          chase_strata ?naive ?stats ?obs ?parent st ~max_rounds ~budget ~t_start
             ~round0:0 ~note:ignore
             ~opening:(fun rules -> { delta = []; full = rules; probed = []; lost = [] })
             strata
@@ -952,17 +953,17 @@ let run_checked ?naive ?(max_rounds = 100_000) ?(budget = unlimited) ?join ?stat
               db = st.db;
               prov = st.prov;
               rounds = run.run_rounds;
-              derived_count = st.derived;
+              derived_count = st.active_derived;
               stats = run.run_stats;
             })))
 
-let run ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
-  match run_checked ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb with
+let run ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb =
+  match run_checked ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb with
   | Ok r -> Ok r
   | Error e -> Error (error_to_string e)
 
-let run_exn ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
-  match run ?naive ?max_rounds ?budget ?join ?stats ?obs ?parent program edb with
+let run_exn ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb =
+  match run ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb with
   | Ok r -> r
   | Error e -> failwith ("Chase.run: " ^ e)
 
@@ -995,8 +996,9 @@ type update = {
 }
 
 (* 2: aggregate inputs fold in ascending order; 3: a cold chase
-   reactivates a superseded aggregate tuple a plain rule derives *)
-let revision = 3
+   reactivates a superseded aggregate tuple a plain rule derives; 4:
+   [derived_count] counts the active derived facts *)
+let revision = 4
 
 (* An update maintains an aggregate group by re-aggregating it, which
    moves the group's value and supersedes its fact but never withdraws
@@ -1216,7 +1218,7 @@ let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
 let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res : result)
     ~adds ~add_tuples ~retract_ids strata =
   let db = res.db and prov = res.prov in
-  let st = make_state ~lookup_groups:true db prov in
+  let st = make_state ~lookup_groups:true ~active_derived:res.derived_count db prov in
   let size_before = Database.size db in
   (* the active facts before the update: the log holds one entry per
      change, so a fact logged an odd number of times has flipped *)
@@ -1234,7 +1236,6 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
     done;
     !acc
   in
-  let strategy = Matcher.strategy_of_env () in
   let t_start = Ekg_obs.Clock.now_s () in
   let deleted = Hashtbl.create 32 in      (* over-deleted, not yet restored *)
   let deleted_preds = Hashtbl.create 8 in
@@ -1280,6 +1281,8 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
     while not (Queue.is_empty queue) do
       let id = Queue.pop queue in
       if Database.is_active db id then begin
+        if not (Provenance.is_edb prov id) then
+          st.active_derived <- st.active_derived - 1;
         Database.deactivate db id;
         Intvec.push st.log id;
         Hashtbl.replace deleted id ();
@@ -1337,6 +1340,7 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
           (* an active derived fact asserted extensionally: a cold chase
              on the new base records no derivation for it *)
           Provenance.forget prov f.Fact.id;
+          st.active_derived <- st.active_derived - 1;
           note (`Changed f.Fact.pred)
         end)
     adds add_tuples;
@@ -1368,8 +1372,8 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
        which yields every match the full pass would hand back for them;
        the rest of the full pass only re-finds conclusions that never
        fell.  The full pass remains where no probe can stand in for it:
-       negation-affected rules, rules whose head variables no positive
-       atom binds, and the nested reference engine. *)
+       negation-affected rules, and rules whose head variables no
+       positive atom binds. *)
     let rederiving =
       List.filter
         (fun (r : Rule.t) ->
@@ -1380,9 +1384,7 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
     let probed, full =
       List.partition
         (fun (r : Rule.t) ->
-          strategy = Matcher.Hash
-          && (not (List.memq r neg_affected))
-          && Matcher.head_bound_vars r <> [])
+          (not (List.memq r neg_affected)) && Matcher.head_bound_vars r <> [])
         rederiving
     in
     let lost =
@@ -1402,7 +1404,7 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
     }
   in
   match
-    chase_strata st ~strategy ~max_rounds ~budget ~t_start ~round0:res.rounds ~note
+    chase_strata st ~max_rounds ~budget ~t_start ~round0:res.rounds ~note
       ~opening strata
   with
   | exception Regressed ->
@@ -1413,11 +1415,6 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
       ~seeds:(seed_preds res ~adds ~retract_ids)
   | Error e -> Error e
   | Ok run ->
-    let active_derived = ref 0 in
-    for id = 0 to Database.size db - 1 do
-      if Database.is_active db id && not (Provenance.is_edb prov id) then
-        incr active_derived
-    done;
     let changed =
       Hashtbl.fold (fun p () acc -> p :: acc) changed_preds [] |> List.sort String.compare
     in
@@ -1426,7 +1423,7 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
           db;
           prov;
           rounds = res.rounds + run.run_rounds;
-          derived_count = !active_derived;
+          derived_count = st.active_derived;
           stats = None;
         },
         {

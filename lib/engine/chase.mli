@@ -10,8 +10,7 @@
     first round aggregates every group from one full pass; later
     rounds re-aggregate only the groups touched by the facts inserted
     or deactivated since ({!Matcher.touched_groups}), which leaves the
-    result byte-identical to re-aggregating every group every round —
-    what the [Nested] engine still does, as the reference.
+    result byte-identical to re-aggregating every group every round.
 
     {2 Rounds}
 
@@ -56,12 +55,10 @@ type rule_stat = {
   time_s : float;      (** total matcher + insertion time across rounds *)
   evals : int;         (** rounds the rule was evaluated in *)
   facts : int;         (** facts this rule derived *)
-  build_s : float;     (** hash-index preparation seconds
-                           (always [0.] under the nested engine) *)
-  probe_s : float;     (** match-phase seconds — probe time under the
-                           hash engine, scan time under the nested one;
-                           for an aggregate rule, its full or
-                           touched-group passes and group probes *)
+  build_s : float;     (** hash-index preparation seconds *)
+  probe_s : float;     (** match-phase seconds; for an aggregate rule,
+                           its full or touched-group passes and group
+                           probes *)
   insert_s : float;    (** insertion seconds *)
 }
 
@@ -82,8 +79,6 @@ type stats = {
   plan_reorders : int;             (** compiled plans deviating from
                                        textual body order, summed over
                                        rules × rounds *)
-  join_strategy : string;          (** ["hash"] or ["nested"] — see
-                                       {!Matcher.strategy} *)
   join_builds : int;               (** hash indexes built or extended
                                        during round planning, summed *)
   join_probe_hits : int;           (** matches emitted by plain-rule
@@ -94,7 +89,10 @@ type result = {
   db : Database.t;
   prov : Provenance.t;
   rounds : int;            (** fixpoint rounds executed *)
-  derived_count : int;     (** facts added beyond the EDB *)
+  derived_count : int;     (** active facts with a derivation: the
+                               instance's size beyond its active EDB,
+                               on a cold chase and after an update
+                               alike *)
   stats : stats option;    (** populated when {!run} was given [?stats] *)
 }
 
@@ -197,7 +195,6 @@ val run_checked :
   ?naive:bool ->
   ?max_rounds:int ->
   ?budget:budget ->
-  ?join:Matcher.strategy ->
   ?stats:Ekg_obs.Metrics.t ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -212,7 +209,6 @@ val run :
   ?naive:bool ->
   ?max_rounds:int ->
   ?budget:budget ->
-  ?join:Matcher.strategy ->
   ?stats:Ekg_obs.Metrics.t ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -251,7 +247,6 @@ val run_exn :
   ?naive:bool ->
   ?max_rounds:int ->
   ?budget:budget ->
-  ?join:Matcher.strategy ->
   ?stats:Ekg_obs.Metrics.t ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -283,9 +278,8 @@ val run_exn :
     ({!Matcher.head_probe_matches}), and the semi-naive tail propagates
     whatever came back.  A rule is evaluated over the whole instance
     instead only where no probe can stand in for it: when its negated
-    premises changed, when no positive atom binds any head variable,
-    and under the nested reference engine ([EKG_JOIN=nested]);
-    {!update} counts those passes.  Stratified negation is handled
+    premises changed, and when no positive atom binds any head
+    variable; {!update} counts those passes.  Stratified negation is handled
     stratum-by-stratum: when a predicate that some rule negates has
     changed, that rule's previous conclusions are over-deleted and the
     rule is fully re-evaluated, so a deletion can {e enable} facts in a
@@ -396,8 +390,10 @@ val revision : int
     builds folded them in enumeration order, and revision 3 has a cold
     chase reactivate a superseded aggregate tuple that a plain rule
     derives, as updates already did, where no recorded derivation
-    cites the tuple (updates stopped reactivating it otherwise).
-    {!Ekg_core.Pipeline.identity}
+    cites the tuple (updates stopped reactivating it otherwise), and
+    revision 4 has [derived_count] count the active derived facts, where
+    a cold chase counted every fact it derived, superseded aggregate
+    values included.  {!Ekg_core.Pipeline.identity}
     includes it, so a snapshot an earlier build wrote is re-chased
     instead of warm-restored. *)
 

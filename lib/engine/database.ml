@@ -100,9 +100,9 @@ let ix_add ix h row =
 (* Struct-of-arrays storage for one (predicate symbol, arity): each
    argument position is a column of interned value ids, and [cg_rows]
    maps row number back to fact id.  Row order is insertion order,
-   i.e. ascending fact id — the property that lets the hash-join
-   matcher reproduce the nested-loop matcher's enumeration order
-   exactly.  Every insertion maintains the full-key index [cg_key] (set
+   i.e. ascending fact id, so scans and index chains enumerate facts
+   in id order and a match pass depends only on the database and its
+   plan.  Every insertion maintains the full-key index [cg_key] (set
    semantics and exact lookup) and one index per column (the readers'
    {!matching}); the planner's other masks are extended by
    [ensure_index]. *)

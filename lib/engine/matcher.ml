@@ -14,77 +14,6 @@ type agg_result = {
 
 exception Interrupted
 
-(* Enumerate joins of the positive atoms in plan order (textual order
-   when no plan is given); negation and fully-bound conditions are
-   checked as soon as possible to prune the search.  [position_ok]
-   restricts which facts may fill each {e join position} (plan order) —
-   the hook for semi-naive delta seeding.  [used_facts] is restored to
-   body order regardless of the plan, so provenance premises are
-   plan-independent.  [interrupt] is polled once per join node; when it
-   answers [true] the enumeration aborts with {!Interrupted} — the
-   cooperative-cancellation point that keeps a pathological join from
-   running past its budget. *)
-let raw_matches ?interrupt ?plan ?(position_ok = fun _ _ -> true) db (r : Rule.t) =
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init (Array.length positives) Fun.id
-  in
-  let n = Array.length order in
-  let negatives = Rule.negative_atoms r in
-  let check_conditions subst =
-    List.for_all
-      (fun c -> Expr.eval_cmp (Subst.lookup subst) c <> Some false)
-      r.conditions
-  in
-  (* [used] collects (body-atom index, fact id) pairs *)
-  let restore_body_order used =
-    List.sort (fun (i, _) (j, _) -> Int.compare i j) used |> List.map snd
-  in
-  let check =
-    match interrupt with
-    | None -> None
-    | Some f -> Some (fun () -> if f () then raise Interrupted)
-  in
-  let rec join pos subst used =
-    (match check with None -> () | Some c -> c ());
-    if pos = n then begin
-      (* all positive atoms matched: apply assignments in order *)
-      let subst =
-        List.fold_left
-          (fun s (v, e) ->
-            match Expr.eval (Subst.lookup s) e with
-            | Some x -> Subst.bind s v x
-            | None -> s)
-          subst r.assignments
-      in
-      let all_hold =
-        List.for_all (fun c -> Expr.eval_cmp (Subst.lookup subst) c = Some true) r.conditions
-      in
-      if not all_hold then []
-      else if
-        List.exists
-          (fun (a : Atom.t) ->
-            Database.exists_matching db (Subst.apply_atom subst a) subst)
-          negatives
-      then []
-      else [ { binding = subst; used_facts = restore_body_order used } ]
-    end
-    else begin
-      let body_idx = order.(pos) in
-      let atom = positives.(body_idx) in
-      if not (check_conditions subst) then []
-      else
-        List.concat_map
-          (fun ((f : Fact.t), subst') ->
-            if position_ok pos f then join (pos + 1) subst' ((body_idx, f.id) :: used)
-            else [])
-          (Database.matching db atom subst)
-    end
-  in
-  join 0 Subst.empty []
-
 type delta = {
   mem : int -> bool;      (** fact id in the previous round's delta *)
   has_pred : int -> bool; (** some delta fact has this predicate symbol *)
@@ -122,19 +51,9 @@ let seed_positions ?plan ~delta db (r : Rule.t) =
 
    The enumeration visits candidate rows in ascending row order (index
    chains are ascending, scans are ascending), which is ascending fact-id
-   order — exactly the order the nested-loop matcher enumerates.  The
-   two engines therefore produce the same match {e sequence}, so fact
-   ids, labelled nulls, provenance and every byte of output are
-   identical, not merely the fixpoint. *)
-
-type strategy = Hash | Nested
-
-let strategy_of_env () =
-  match Sys.getenv_opt "EKG_JOIN" with
-  | Some s when String.lowercase_ascii (String.trim s) = "nested" -> Nested
-  | Some _ | None -> Hash
-
-let strategy_name = function Hash -> "hash" | Nested -> "nested"
+   order within each join position, so the match sequence — and with it
+   fact ids, labelled nulls and provenance — is a function of the
+   database and the plan. *)
 
 type arg_spec =
   | SConst of int  (* interned value id; -1 when the value is not in the db *)
@@ -221,9 +140,15 @@ let compile_nodes ?bound db (r : Rule.t) order =
   in
   (nodes, Hashtbl.length slots, slots)
 
-(* One semi-naive pass of the hash engine.  [delta_seed = Some (d, k)]
-   restricts position k to delta facts and earlier positions to
-   non-delta facts, exactly like [position_ok] in the nested engine.
+(* One pass over the rule's body in plan order.  Negation and
+   conditions are checked as soon as they can prune, and [used_facts]
+   comes back in body order regardless of the plan, so provenance
+   premises are plan-independent.  [interrupt] is polled once per join
+   node; answering [true] aborts the pass with {!Interrupted}, the
+   cooperative-cancellation point that keeps a pathological join from
+   running past its budget.  [delta_seed = Some (d, k)] restricts
+   position k to delta facts and earlier positions to non-delta facts:
+   one semi-naive pass.
 
    The aggregation passes add three hooks.  [bound] pre-binds variables
    to interned value ids — a group probe, with the group key
@@ -315,11 +240,10 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
   in
   let undos = Array.map (fun (nd : node) -> Array.make (max 1 nd.nd_arity) 0) nodes in
   let emit () =
-    (* Reconstruct θ exactly as the nested engine does: each variable's
-       value comes from the {e fact} that first bound it in plan order
-       — the matched tuple's own representation, not the interning
-       representative — so head instantiation and rendering are
-       byte-identical across engines. *)
+    (* Reconstruct θ from the facts: each variable's value comes from
+       the {e fact} that first bound it in plan order — the matched
+       tuple's own representation, not the interning representative —
+       so head instantiation renders what the data holds. *)
     let subst = ref Subst.empty in
     for pos = 0 to n - 1 do
       match binders.(pos) with
@@ -456,22 +380,11 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
   if satisfiable then node 0;
   List.rev !out
 
-let match_rule ?(strategy = strategy_of_env ()) ?interrupt ?delta ?plan db (r : Rule.t) =
+let match_rule ?interrupt ?delta ?plan db (r : Rule.t) =
   if Rule.has_agg r then invalid_arg "Matcher.match_rule: aggregating rule";
-  match strategy, delta with
-  | Nested, None -> raw_matches ?interrupt ?plan db r
-  | Hash, None -> hash_matches ?interrupt ?plan db r
-  | Nested, Some delta ->
-    List.concat_map
-      (fun k ->
-        let position_ok pos (f : Fact.t) =
-          if pos = k then delta.mem f.id
-          else if pos < k then not (delta.mem f.id)
-          else true
-        in
-        raw_matches ?interrupt ?plan ~position_ok db r)
-      (seed_positions ?plan ~delta db r)
-  | Hash, Some delta ->
+  match delta with
+  | None -> hash_matches ?interrupt ?plan db r
+  | Some delta ->
     List.concat_map
       (fun k -> hash_matches ?interrupt ?plan ~delta_seed:(delta, k) db r)
       (seed_positions ?plan ~delta db r)
@@ -592,16 +505,13 @@ let probe_group ?interrupt ?plan db body group_vars key =
     db body
   |> List.filter (fun m -> GroupKey.compare (group_key group_vars m.binding) key = 0)
 
-let match_agg_rule ?(strategy = strategy_of_env ()) ?interrupt ?plan ?groups db
-    (r : Rule.t) =
+let match_agg_rule ?interrupt ?plan ?groups db (r : Rule.t) =
   let agg, body, deferred = agg_parts r in
   let group_vars = Rule.group_vars r in
   let grouped =
-    match strategy, groups with
-    | Nested, None -> group_matches group_vars (raw_matches ?interrupt ?plan db body)
-    | Nested, Some _ -> invalid_arg "Matcher.match_agg_rule: ~groups needs the hash strategy"
-    | Hash, None -> group_matches group_vars (hash_matches ?interrupt ?plan db body)
-    | Hash, Some keys ->
+    match groups with
+    | None -> group_matches group_vars (hash_matches ?interrupt ?plan db body)
+    | Some keys ->
       List.concat_map
         (fun key ->
           group_matches group_vars (probe_group ?interrupt ?plan db body group_vars key))
@@ -701,15 +611,15 @@ let head_probe_matches ?interrupt ?plan ?delta ~heads db (r : Rule.t) =
     keys
 
 (* Plan-phase index preparation: ensure the hash indexes every join
-   position will probe, so the pure-read match phase never builds.  For an aggregating rule, [changed] selects the pass
+   position will probe, so the pure-read match phase never builds.  For
+   an aggregating rule, [changed] selects the pass
    about to run: absent, the full pass; present, the touched-group
    discovery seeded from those facts and the group probes.  For a plain
    rule, [bound] adds the indexes of the probes that pre-bind those
    variables — a superset of the full pass's.  Returns the number of
    indexes that did extension work — the chase's [join_builds]
    counter. *)
-let prepare ?(strategy = strategy_of_env ()) ?changed ?bound db (r : Rule.t)
-    (plan : Plan.t) =
+let prepare ?changed ?bound db (r : Rule.t) (plan : Plan.t) =
   let ensure ?bound rule order =
     let nodes, _, _ = compile_nodes ?bound db rule order in
     Array.fold_left
@@ -723,13 +633,12 @@ let prepare ?(strategy = strategy_of_env ()) ?changed ?bound db (r : Rule.t)
         else acc)
       0 nodes
   in
-  match strategy, r.agg, changed with
-  | Nested, _, _ -> 0
-  | Hash, None, _ -> ensure ?bound r plan.Plan.order
-  | Hash, Some _, None ->
+  match r.agg, changed with
+  | None, _ -> ensure ?bound r plan.Plan.order
+  | Some _, None ->
     let _, body, _ = agg_parts r in
     ensure body plan.Plan.order
-  | Hash, Some _, Some changed ->
+  | Some _, Some changed ->
     let _, body, _ = agg_parts r in
     let group_vars = Rule.group_vars r in
     let syms = Hashtbl.create 8 in

@@ -39,33 +39,18 @@ exception Interrupted
     budgeted chase ({!Chase.budget}).  The database is untouched (the
     matcher only reads), so the caller may safely abandon or retry. *)
 
-(** {1 Join strategies}
+(** {1 Evaluation}
 
-    Two body-evaluation engines produce {e identical match sequences}
-    (same matches, same enumeration order — so fact ids, labelled
-    nulls, provenance and every output byte agree):
-
-    - [Hash] (the default): build/probe hash joins over the database's
-      columnar storage ({!Database.Cols}), probing multi-column hash
-      indexes on the planner's key columns ({!Plan.key_masks}) with
-      dense interned-int bindings.
-    - [Nested]: the original nested-loop homomorphism matcher over
-      {!Database.matching} — the escape hatch ([EKG_JOIN=nested]) and the
-      equivalence oracle the hash engine is property-tested against. *)
-
-type strategy = Hash | Nested
-
-val strategy_of_env : unit -> strategy
-(** [Nested] when the [EKG_JOIN] environment variable is set to
-    ["nested"] (case-insensitive), [Hash] otherwise — the default of
-    every entry point below. *)
-
-val strategy_name : strategy -> string
-(** ["hash"] or ["nested"] — the [join_strategy] wide-event/stats
-    value. *)
+    Build/probe hash joins over the database's columnar storage
+    ({!Database.Cols}): the planner's atom order is a left-deep
+    pipelined join that probes multi-column hash indexes on the key
+    columns bound so far ({!Plan.key_masks}), with dense interned-int
+    bindings.  Candidate rows come in ascending fact-id order at each
+    join position, so the match sequence is a function of the database
+    and the plan.  The test suite checks the chase built on it against
+    an independent naive evaluator. *)
 
 val match_rule :
-  ?strategy:strategy ->
   ?interrupt:(unit -> bool) ->
   ?delta:delta -> ?plan:Plan.t -> Database.t -> Rule.t -> match_result list
 (** Matches of a non-aggregating rule.  With [delta], only matches
@@ -85,11 +70,11 @@ val head_probe_matches :
   ?interrupt:(unit -> bool) ->
   ?plan:Plan.t -> ?delta:delta ->
   heads:Fact.t list -> Database.t -> Rule.t -> match_result list
-(** Re-derivation of a plain rule by head-bound probes, under the
-    [Hash] engine: every match of the rule whose head could be one of
-    the [heads] facts.  Facts of another predicate, or that do not
-    unify with the head's constants and repeated variables, are
-    skipped; the rest are keyed by their values at {!head_bound_vars},
+(** Re-derivation of a plain rule by head-bound probes: every match of
+    the rule whose head could be one of the [heads] facts.  Facts of
+    another predicate, or that do not unify with the head's constants
+    and repeated variables, are skipped; the rest are keyed by their
+    values at {!head_bound_vars},
     and each distinct key runs one hash join under [plan] with those
     variables pre-bound (the indexes of {!prepare} [~bound]).  A probe's
     matches are the full pass's matches with that key, in the full
@@ -101,8 +86,7 @@ val head_probe_matches :
     key. *)
 
 val prepare :
-  ?strategy:strategy -> ?changed:int list -> ?bound:string list ->
-  Database.t -> Rule.t -> Plan.t -> int
+  ?changed:int list -> ?bound:string list -> Database.t -> Rule.t -> Plan.t -> int
 (** Ensure the hash indexes the rule's join positions will probe
     ({!Database.ensure_index} on each {!Plan.key_masks} mask).  For an
     aggregating rule, [changed] names the pass about to run: absent,
@@ -112,8 +96,8 @@ val prepare :
     the {!head_probe_matches} probes pre-binding those variables (the
     full pass's indexes included).  {e Mutates the database}: call in a
     round's plan phase, before its match passes, and never on a result
-    published to readers.  Returns the
-    number of indexes built or extended.  No-op (0) under [Nested]. *)
+    published to readers.  Returns the number of indexes built or
+    extended. *)
 
 module GroupSet : Set.S with type elt = Value.t list
 (** Sets of group keys, ordered by {!Ekg_kernel.Value.compare}. *)
@@ -135,18 +119,16 @@ val touched_groups :
     fact. *)
 
 val match_agg_rule :
-  ?strategy:strategy ->
   ?interrupt:(unit -> bool) -> ?plan:Plan.t -> ?groups:Value.t list list ->
   Database.t -> Rule.t -> agg_result list
 (** Groups of an aggregating rule in ascending group-key order,
     conditions already enforced (including those over the aggregate
     result); [interrupt] as in {!match_rule}.  Without [groups], one
     full pass over the body.  With [groups], only those keys, each
-    re-aggregated under [Hash] from a bound probe of the body with the
-    key substituted in as hash-key constants; contributors come out in
-    the full pass's enumeration order under [plan], so the result
-    equals the full pass restricted to [groups].  A group's value
-    folds its inputs in ascending {!Ekg_kernel.Value.compare} order, so
-    it depends only on the contributor multiset.  [Nested], the
-    reference, always runs the full pass.  Raises [Invalid_argument] on
-    non-aggregating rules, and on [groups] under [Nested]. *)
+    re-aggregated from a bound probe of the body with the key
+    substituted in as hash-key constants; contributors come out in the
+    full pass's enumeration order under [plan], so the result equals
+    the full pass restricted to [groups].  A group's value folds its
+    inputs in ascending {!Ekg_kernel.Value.compare} order, so it
+    depends only on the contributor multiset.  Raises
+    [Invalid_argument] on non-aggregating rules. *)

@@ -455,9 +455,7 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
       match result.Chase.stats with
       | Some st ->
         Ekg_obs.Log.Ctx.put "plan_reorders"
-          (Ekg_obs.Log.Int st.Chase.plan_reorders);
-        Ekg_obs.Log.Ctx.put "join_strategy"
-          (Ekg_obs.Log.Str st.Chase.join_strategy)
+          (Ekg_obs.Log.Int st.Chase.plan_reorders)
       | None -> ()
     end;
     (* a fresh chase is worth persisting; a warm restore already came

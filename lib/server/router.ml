@@ -1133,7 +1133,6 @@ let wide_defaults =
     "chase_rounds", Ekg_obs.Log.Int 0;
     "chase_facts", Ekg_obs.Log.Int 0;
     "plan_reorders", Ekg_obs.Log.Int 0;
-    "join_strategy", Ekg_obs.Log.Str "none";
     "snapshot_scheduled", Ekg_obs.Log.Bool false;
     "shed", Ekg_obs.Log.Bool false;
   ]

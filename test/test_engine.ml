@@ -1354,13 +1354,32 @@ blocked("b").
   in
   check bool' "same fixpoint" true (dump semi = dump naive)
 
-(* --- join engines ------------------------------------------------------------
+(* --- the reference evaluator -------------------------------------------------
 
-   The columnar hash-join engine must reproduce the nested-loop
-   engine's output byte-for-byte — same facts, same ids, same
-   provenance, same chase graph — on every evaluation path. *)
+   The engine against [Reference] (reference.ml), a naive nested-loop
+   evaluator that shares no evaluation code with it: both must leave
+   the same active instance, labelled nulls aside, or both find the
+   program inconsistent.  The properties keep their historical names:
+   the hash-join engine against a nested-loop evaluator. *)
 
-let test_join_engines_identical_all_features () =
+let engine_facts (r : Chase.result) =
+  List.map
+    (fun (f : Fact.t) -> (f.Fact.pred, Array.to_list f.Fact.args))
+    (Database.active_all r.Chase.db)
+
+let agrees_with_reference program edb (outcome : (Chase.result, Chase.error) result) =
+  match outcome, Reference.run program edb with
+  | Ok r, Ok facts -> Reference.canonical (engine_facts r) = Reference.canonical facts
+  | Error (Chase.Inconsistent _), Error Reference.Inconsistent -> true
+  | _ -> false
+
+let check_reference msg program edb (r : Chase.result) =
+  match Reference.run program edb with
+  | Ok facts ->
+    check string' msg (Reference.canonical facts) (Reference.canonical (engine_facts r))
+  | Error _ -> Alcotest.failf "%s: the reference evaluator failed" msg
+
+let test_reference_all_features () =
   (* negation, aggregation, arithmetic conditions and an existential
      head in one program: every matcher path in a single fixpoint *)
   let src = {|
@@ -1377,10 +1396,80 @@ blocked("b").
 |}
   in
   let { Parser.program; facts } = parse_exn src in
-  let hash = Chase.run_exn ~join:Matcher.Hash program facts in
-  let nested = Chase.run_exn ~join:Matcher.Nested program facts in
-  check bool' "hash = nested, byte-identical" true
-    (chase_fingerprint hash = chase_fingerprint nested)
+  List.iter
+    (fun naive ->
+      check_reference (Printf.sprintf "naive %b = reference" naive) program facts
+        (Chase.run_exn ~naive program facts))
+    [ false; true ]
+
+let bundled_app app =
+  match Ekg_apps.Bundled.load app with
+  | Ok { Ekg_apps.Apps_util.pipeline; edb } -> (pipeline, edb)
+  | Error e -> Alcotest.failf "%s: %s" app e
+
+let test_reference_bundled_apps () =
+  List.iter
+    (fun app ->
+      let pipeline, edb = bundled_app app in
+      let program = pipeline.Ekg_core.Pipeline.program in
+      check_reference app program edb (Chase.run_exn program edb))
+    Ekg_apps.Bundled.names
+
+(* The cold chase's output bytes (what [profile APP --fingerprint]
+   prints) and the text of every goal explanation under both proof
+   strategies, pinned per bundled app.  A change that moves them on
+   purpose records the new digests, and why, in CHANGES.md. *)
+let pinned_digests =
+  [
+    ( "company-control", 19, "06d605798e09d92f2dec9ac0bb5f700b",
+      "046ac78a81aa761ee56a53862324abd4", "046ac78a81aa761ee56a53862324abd4" );
+    ( "stress-test", 4, "8d3feae6656b709cf8f620b55fa5c098",
+      "bbb95e9332a052bdae8c44fbf0feab19", "bbb95e9332a052bdae8c44fbf0feab19" );
+    ( "close-link", 4, "bea5782cff97f2fb012a6ad6f8633ffa",
+      "ce6ef4dacbe0277d8141fb62cbd3e4ea", "ce6ef4dacbe0277d8141fb62cbd3e4ea" );
+    ( "golden-power", 2, "f038631ca1d42d5a1d551ae64f670477",
+      "11984eeab7f7556df62903fb415464ec", "11984eeab7f7556df62903fb415464ec" );
+  ]
+
+let test_pinned_digests () =
+  List.iter
+    (fun (app, goals, output, primary, shortest) ->
+      let pipeline, edb = bundled_app app in
+      let res = Chase.run_exn pipeline.Ekg_core.Pipeline.program edb in
+      check string' (app ^ ": output") output
+        (Digest.to_hex (Digest.string (chase_fingerprint res)));
+      let derived =
+        List.filter
+          (fun (f : Fact.t) -> not (Provenance.is_edb res.Chase.prov f.Fact.id))
+          (Database.active res.Chase.db pipeline.Ekg_core.Pipeline.program.Program.goal)
+      in
+      check int' (app ^ ": goal explanations") goals (List.length derived);
+      let texts strategy =
+        List.map
+          (fun f ->
+            match Ekg_core.Pipeline.explain ~strategy pipeline res f with
+            | Ok e -> e.Ekg_core.Pipeline.text ^ "\n" ^ e.Ekg_core.Pipeline.deterministic_text
+            | Error e -> Alcotest.failf "%s: %s" app e)
+          derived
+        |> String.concat "\n" |> Digest.string |> Digest.to_hex
+      in
+      check string' (app ^ ": primary explanations") primary (texts `Primary);
+      check string' (app ^ ": shortest explanations") shortest (texts `Shortest))
+    pinned_digests
+
+let generated_kg entities =
+  snd
+    (Ekg_datagen.Kg.atoms
+       { (Ekg_datagen.Kg.default ~entities) with Ekg_datagen.Kg.exponent = 2.5; max_out_degree = 12 })
+
+let control_program = Ekg_apps.Apps_util.parse_program_exn Ekg_datagen.Kg.program_source
+
+let test_reference_generated_kgs () =
+  let kg = generated_kg 60 in
+  List.iter
+    (fun (name, program) -> check_reference name program kg (Chase.run_exn program kg))
+    [ ("generated control", control_program);
+      ("generated close link", Ekg_apps.Close_link.program) ]
 
 let join_program_plain = {|
 e(X, Y) -> path(X, Y).
@@ -1396,21 +1485,16 @@ e(X, Y), not reach(Y, X) -> oneway(X, Y).
 @goal(oneway).
 |}
 
+let edge_facts raw =
+  List.map
+    (fun (i, j) -> Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
+    raw
+
 let prop_join_engines_agree program_src name =
   QCheck2.Test.make ~name ~count:60 edges_gen (fun raw ->
-      let facts =
-        List.map
-          (fun (i, j) ->
-            Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
-          raw
-      in
+      let facts = edge_facts raw in
       let { Parser.program; _ } = parse_exn program_src in
-      match
-        ( Chase.run ~join:Matcher.Hash program facts,
-          Chase.run ~join:Matcher.Nested program facts )
-      with
-      | Ok h, Ok n -> chase_fingerprint h = chase_fingerprint n
-      | _ -> false)
+      agrees_with_reference program facts (Chase.run_checked program facts))
 
 let prop_join_engines_agree_plain =
   prop_join_engines_agree join_program_plain
@@ -1425,19 +1509,12 @@ let prop_join_engines_agree_naive =
      passes, covering the non-delta probe path *)
   QCheck2.Test.make ~name:"hash join = nested loop (naive full passes)"
     ~count:30 edges_gen (fun raw ->
-      let facts =
-        List.map
-          (fun (i, j) ->
-            Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
-          raw
-      in
-      let { Parser.program; _ } = parse_exn join_program_plain in
-      match
-        ( Chase.run ~naive:true ~join:Matcher.Hash program facts,
-          Chase.run ~naive:true ~join:Matcher.Nested program facts )
-      with
-      | Ok h, Ok n -> chase_fingerprint h = chase_fingerprint n
-      | _ -> false)
+      let facts = edge_facts raw in
+      List.for_all
+        (fun src ->
+          let { Parser.program; _ } = parse_exn src in
+          agrees_with_reference program facts (Chase.run_checked ~naive:true program facts))
+        [ join_program_plain; join_program_negation ])
 
 (* --- budgets and cooperative cancellation ----------------------------------- *)
 
@@ -1907,13 +1984,6 @@ path(X, X) -> false.
   | Ok _ -> Alcotest.fail "cycle admitted despite acyclicity constraint");
   check string' "original untouched by the rejected update" before (encoded res)
 
-let generated_kg entities =
-  snd
-    (Ekg_datagen.Kg.atoms
-       { (Ekg_datagen.Kg.default ~entities) with Ekg_datagen.Kg.exponent = 2.5; max_out_degree = 12 })
-
-let control_program = Ekg_apps.Apps_util.parse_program_exn Ekg_datagen.Kg.program_source
-
 let test_copy_costs_page_tables () =
   (* a copy shares every page: it allocates page tables, not the KG *)
   let res =
@@ -1998,17 +2068,11 @@ let test_reader_on_shared_pages () =
 
 (* --- re-derivation by head-bound probes ------------------------------------
 
-   Under the hash engine DRed re-derives an over-deleted fact by
-   probing the rules deriving it with their head bound to its values;
-   the nested engine, the reference, keeps the full pass.  Each test
-   checks content identity with a cold chase, and the pass count the
-   engine in use must report. *)
+   DRed re-derives an over-deleted fact by probing the rules deriving
+   it with their head bound to its values.  Each test checks content
+   identity with a cold chase, and that no rule ran a full pass. *)
 
-let probing = Matcher.strategy_of_env () = Matcher.Hash
-
-let check_no_full_pass msg (upd : Chase.update) =
-  if probing then check int' msg 0 upd.Chase.upd_full_passes
-  else check bool' (msg ^ " (nested: full pass)") true (upd.Chase.upd_full_passes >= 1)
+let check_no_full_pass msg (upd : Chase.update) = check int' msg 0 upd.Chase.upd_full_passes
 
 let test_rederive_through_second_rule () =
   let src = {|
@@ -2259,15 +2323,49 @@ let test_incr_rederivation_no_cycle () =
   check_matches_cold "retraction = cold chase" program res' [ edge "1" "0"; edge "0" "1" ];
   check bool' "proofs well-founded" true (proofs_well_founded res')
 
+let active_derived (r : Chase.result) =
+  List.length
+    (List.filter
+       (fun (f : Fact.t) -> not (Provenance.is_edb r.Chase.prov f.Fact.id))
+       (Database.active_all r.Chase.db))
+
+(* [derived_count] is the number of active derived facts, whichever
+   path made the instance: the cold chase's superseded t("b", 2) does
+   not count *)
+let test_incr_derived_count () =
+  let src = {|
+e0(X, W) -> e(X, W).
+e(X, W), S = sum(W) -> t(X, S).
+t(X, S), link(X, Y, V) -> e(Y, V).
+@goal(t).
+|}
+  in
+  let e0 x w = Atom.make "e0" [ Term.str x; Term.int w ] in
+  let link = Atom.make "link" [ Term.str "a"; Term.str "b"; Term.int 1 ] in
+  let base = [ e0 "a" 1; e0 "b" 2; link ] in
+  let program, cold = run_atoms src base in
+  check int' "cold chase" 5 cold.Chase.derived_count;
+  check int' "cold chase counts the active derived facts" (active_derived cold)
+    cold.Chase.derived_count;
+  let retracted, _ =
+    update_exn (Chase.retract_facts program (Chase.copy_result cold) [ e0 "a" 1 ])
+  in
+  check int' "after the retraction" (active_derived retracted) retracted.Chase.derived_count;
+  let readded, _ = update_exn (Chase.add_facts program retracted [ e0 "a" 1 ]) in
+  check_matches_cold "re-added = cold chase" program readded base;
+  check int' "re-added = cold chase" cold.Chase.derived_count readded.Chase.derived_count
+
 (* the paper's own programs: retract each scenario EDB fact in turn from
    a copy of the cold materialization, then re-add it.  After each step
    the maintained state equals a cold chase of the same base, with
    well-founded provenance, and an update fails exactly when that cold
    chase does: golden power's constraint c1 fires without the
    acquisition it screens or the strategic flag that makes it
-   screened *)
+   screened.  A seeded sample of the steps also meets the reference
+   evaluator. *)
 let test_incr_bundled_apps_retract_readd () =
   let failed = ref [] in
+  let sample = Random.State.make [| 19 |] in
   List.iter
     (fun app ->
       let program, edb =
@@ -2283,11 +2381,13 @@ let test_incr_bundled_apps_retract_readd () =
       in
       let step msg base update =
         match update, Chase.run_checked program base with
-        | Ok (res, _), Ok reference ->
+        | Ok (res, _), Ok cold ->
           check string' msg
-            (Database.fingerprint reference.Chase.db)
+            (Database.fingerprint cold.Chase.db)
             (Database.fingerprint res.Chase.db);
           check bool' (msg ^ ": proofs well-founded") true (proofs_well_founded res);
+          check int' (msg ^ ": derived count") (active_derived res) res.Chase.derived_count;
+          if Random.State.int sample 16 = 0 then check_reference msg program base res;
           Some res
         | Error (Chase.Inconsistent _), Error (Chase.Inconsistent _) ->
           failed := msg :: !failed;
@@ -2316,7 +2416,9 @@ let test_incr_bundled_apps_retract_readd () =
 
 (* random edge set, then a random add/retract sequence: the maintained
    state must stay byte-identical (content fingerprint) to a cold chase
-   of the final fact base, with well-founded provenance throughout *)
+   of the final fact base, with well-founded provenance throughout, and
+   equal the reference evaluator's instance of the current base after
+   every step *)
 let prop_incremental_equals_cold =
   let gen =
     QCheck2.Gen.(pair edges_gen (list_size (int_range 1 6) (pair bool (pair (int_range 0 5) (int_range 0 5)))))
@@ -2341,35 +2443,39 @@ let prop_incremental_equals_cold =
       | Ok res ->
         let keys = Hashtbl.create 16 in
         List.iter (fun (i, j) -> Hashtbl.replace keys (i, j) ()) raw;
+        let current () = Hashtbl.fold (fun ij () acc -> atom ij :: acc) keys [] in
         let res = ref res and ok = ref true in
         List.iter
           (fun (is_add, ij) ->
-            if !ok then
-              if is_add || not (Hashtbl.mem keys ij) then begin
-                Hashtbl.replace keys ij ();
-                match Chase.add_facts program !res [ atom ij ] with
-                | Ok (r, _) -> res := r
-                | Error _ -> ok := false
-              end
-              else begin
-                Hashtbl.remove keys ij;
-                match Chase.retract_facts program !res [ atom ij ] with
-                | Ok (r, _) -> res := r
-                | Error _ -> ok := false
-              end)
+            if !ok then begin
+              let update =
+                if is_add || not (Hashtbl.mem keys ij) then begin
+                  Hashtbl.replace keys ij ();
+                  Chase.add_facts program !res [ atom ij ]
+                end
+                else begin
+                  Hashtbl.remove keys ij;
+                  Chase.retract_facts program !res [ atom ij ]
+                end
+              in
+              match update with
+              | Ok (r, _) ->
+                res := r;
+                ok := agrees_with_reference program (current ()) (Ok r)
+              | Error _ -> ok := false
+            end)
           ops;
         !ok
         &&
-        let final_base =
-          Hashtbl.fold (fun ij () acc -> atom ij :: acc) keys []
-        in
+        let final_base = current () in
         match Chase.run program final_base with
         | Error _ -> false
         | Ok cold ->
           Database.fingerprint cold.Chase.db = Database.fingerprint !res.Chase.db
           && proofs_well_founded !res)
 
-(* same invariant through the stratified-negation path *)
+(* same invariant through the stratified-negation path, the final state
+   also against the reference evaluator *)
 let prop_incremental_negation_equals_cold =
   let gen =
     QCheck2.Gen.(pair edges_gen (list_size (int_range 1 5) (pair bool (int_range 0 5))))
@@ -2419,18 +2525,19 @@ node(X), not linked(X) -> isolated(X).
         match Chase.run program final_base with
         | Error _ -> false
         | Ok cold ->
-          Database.fingerprint cold.Chase.db = Database.fingerprint !res.Chase.db)
+          Database.fingerprint cold.Chase.db = Database.fingerprint !res.Chase.db
+          && agrees_with_reference program final_base (Ok !res))
 
-(* --- aggregation: hash ≡ nested, incremental ≡ cold ------------------------
+(* --- aggregation: engine ≡ reference, incremental ≡ cold -------------------
 
    Three kinds of aggregation program, each over a random pool of
    facts.  A scenario is fixed facts, a base (a subset of the pool)
    and a sequence of toggles: each toggle adds a pool fact when it is
-   absent and retracts it when present, one update at a time.  The
-   hash engine's touched-group evaluation must reproduce the nested
-   engine's full per-round re-evaluation byte for byte, and the
-   incrementally maintained state must equal a cold chase of the
-   current base after every update. *)
+   absent and retracts it when present, one update at a time.  A cold
+   chase, semi-naive or naive, must leave the reference evaluator's
+   instance, and the incrementally maintained state must equal a cold
+   chase of the current base, and the reference's, after every
+   update. *)
 
 type agg_scenario = {
   fixed : Atom.t list;
@@ -2552,13 +2659,7 @@ let prop_agg_engines_agree name src gen =
       let { Parser.program; _ } = parse_exn src in
       let facts = scenario_facts s s.base in
       List.for_all
-        (fun naive ->
-          match
-            ( Chase.run ~naive ~join:Matcher.Hash program facts,
-              Chase.run ~naive ~join:Matcher.Nested program facts )
-          with
-          | Ok h, Ok n -> chase_fingerprint h = chase_fingerprint n
-          | _ -> false)
+        (fun naive -> agrees_with_reference program facts (Chase.run_checked ~naive program facts))
         [ false; true ])
 
 (* [path]: which update path every toggle must take *)
@@ -2586,11 +2687,14 @@ let prop_agg_incremental_equals_cold name src gen path =
               | `Rechase -> not upd.Chase.upd_incremental
               | `Either -> true)
               &&
-              match Chase.run program (scenario_facts s present) with
+              let base = scenario_facts s present in
+              match Chase.run program base with
               | Error _ -> false
               | Ok cold ->
                 Database.fingerprint cold.Chase.db = Database.fingerprint r.Chase.db
-                && proofs_well_founded r))
+                && proofs_well_founded r
+                && r.Chase.derived_count = active_derived r
+                && agrees_with_reference program base (Ok r)))
           s.toggles)
 
 let test_incr_retract_under_superseded_sum () =
@@ -2730,8 +2834,9 @@ ok(Y) -> flagged(Y).
    Random ownership graphs over at most 8 companies, cycles allowed,
    stakes on a 0.1 grid up to 0.5 so product chains stay short; most
    of the pool starts present, so toggles mostly retract.  After every
-   update the instance equals a cold chase, every proof is
-   well-founded, and (hash engine) no rule ran a full pass. *)
+   update the instance equals a cold chase and the reference
+   evaluator's, every proof is well-founded, and no rule ran a full
+   pass. *)
 let prop_close_link_rederivation =
   let own x y s =
     Atom.make "own" [ str_i x; str_i y; Term.num (float_of_int s /. 10.) ]
@@ -2770,13 +2875,15 @@ let prop_close_link_rederivation =
             | Ok (r, upd) -> (
               res := r;
               upd.Chase.upd_incremental
-              && ((not probing) || upd.Chase.upd_full_passes = 0)
+              && upd.Chase.upd_full_passes = 0
               &&
-              match Chase.run program (scenario_facts s present) with
+              let base = scenario_facts s present in
+              match Chase.run program base with
               | Error _ -> false
               | Ok cold ->
                 Database.fingerprint cold.Chase.db = Database.fingerprint r.Chase.db
-                && proofs_well_founded r))
+                && proofs_well_founded r
+                && agrees_with_reference program base (Ok r)))
           s.toggles)
 
 (* Copy-on-write against in place, byte for byte.  Lineage A applies
@@ -3078,6 +3185,8 @@ let () =
             test_incr_no_circular_revival;
           Alcotest.test_case "re-derivation closes no cycle" `Quick
             test_incr_rederivation_no_cycle;
+          Alcotest.test_case "derived count counts active facts" `Quick
+            test_incr_derived_count;
           Alcotest.test_case "bundled apps retract and re-add each fact" `Quick
             test_incr_bundled_apps_retract_readd;
         ] );
@@ -3149,8 +3258,14 @@ let () =
           Alcotest.test_case "pred_card" `Quick test_pred_card;
           Alcotest.test_case "naive = semi-naive under planner" `Quick
             test_naive_matches_seminaive_under_planner;
-          Alcotest.test_case "join engines byte-identical" `Quick
-            test_join_engines_identical_all_features;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "all features, existentials" `Quick
+            test_reference_all_features;
+          Alcotest.test_case "bundled apps" `Quick test_reference_bundled_apps;
+          Alcotest.test_case "generated KGs" `Quick test_reference_generated_kgs;
+          Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
         ] );
       ("properties", qsuite);
     ]

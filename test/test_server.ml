@@ -1516,7 +1516,7 @@ let wide_event_keys =
     "ts"; "level"; "event"; "duration_ms"; "trace_id"; "method"; "target";
     "endpoint"; "status"; "error_code"; "queue_wait_ms"; "session";
     "cache_hit"; "degraded"; "chase_source"; "chase_rounds"; "chase_facts";
-    "plan_reorders"; "join_strategy"; "snapshot_scheduled"; "shed";
+    "plan_reorders"; "snapshot_scheduled"; "shed";
     "gc_minor_collections";
     "gc_major_collections"; "gc_promoted_words"; "gc_minor_words";
   ]
@@ -1578,12 +1578,6 @@ let test_wide_event_chase_fields () =
       (Json.mem_str "session" explained = Some "s1");
     check bool' "cold explain chased" true
       (Json.mem_str "chase_source" explained = Some "chased");
-    check bool' "chased request records its join engine" true
-      (match Json.mem_str "join_strategy" explained with
-      | Some ("hash" | "nested") -> true
-      | Some _ | None -> false);
-    check bool' "non-chased request has no join engine" true
-      (Json.mem_str "join_strategy" notfound = Some "none");
     check bool' "chase rounds counted" true
       (match Json.mem_int "chase_rounds" explained with
       | Some n -> n > 0
@@ -1649,9 +1643,9 @@ let test_chase_domains_shim () =
   check int' "explain ok at ~chase_domains:1" 200 (explain_inline st "s1").Http.status
 
 (* Every fact update logs its path, its phases and what its
-   re-derivation cost.  Close link re-derives by head-bound probes (the
-   nested reference engine keeps the full pass); a retraction that
-   enables a negated rule re-evaluates that rule in full; an
+   re-derivation cost.  Close link re-derives by head-bound probes; a
+   retraction that enables a negated rule re-evaluates that rule in
+   full; an
    existential head re-chases; a dormant session edits its mirror. *)
 let test_wide_event_update_fields () =
   let st, lines = capturing_state () in
@@ -1705,8 +1699,7 @@ own("A", "B", 0.5). own("B", "C", 0.6). own("A", "C", 0.3).
   check bool' "close link: incremental" true (Json.mem_str "update_path" j = Some "incremental");
   check bool' "close link: over-deleted" true
     (match Json.mem_int "facts_overdeleted" j with Some n -> n >= 1 | None -> false);
-  (if Ekg_engine.Matcher.strategy_of_env () = Ekg_engine.Matcher.Hash then
-     check bool' "close link: no full pass" true (Json.mem_int "full_passes" j = Some 0));
+  check bool' "close link: no full pass" true (Json.mem_int "full_passes" j = Some 0);
   List.iter
     (fun k -> check bool' ("close link: " ^ k) true (has_ms k j))
     [ "update_copy_ms"; "update_apply_ms"; "update_mirror_ms" ];
