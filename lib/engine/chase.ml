@@ -738,17 +738,7 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~max_rounds ~budget
             let probe r = !first && List.memq r o.probed in
             let delta_ids, delta_size = !delta in
             let delta_filter =
-              if naive || delta_ids = [] then None
-              else begin
-                let set = Hashtbl.create (max 8 delta_size) in
-                let preds = Hashtbl.create 8 in
-                List.iter
-                  (fun i ->
-                    Hashtbl.replace set i ();
-                    Hashtbl.replace preds (Database.pred_sym_of_fact st.db i) ())
-                  delta_ids;
-                Some { Matcher.mem = Hashtbl.mem set; has_pred = Hashtbl.mem preds }
-              end
+              if naive || delta_ids = [] then None else Some (Matcher.delta st.db delta_ids)
             in
             let card = Database.pred_card st.db in
             let planned rs =
@@ -767,7 +757,8 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~max_rounds ~budget
                   let t0 = clock () in
                   if full r || probe r || Option.is_some delta_filter then begin
                     let bound = if probe r then Some (Matcher.head_bound_vars r) else None in
-                    let n = Matcher.prepare ?bound st.db r plan in
+                    let delta = if full r then None else delta_filter in
+                    let n = Matcher.prepare ?bound ?delta st.db r plan in
                     if collect then join_builds := !join_builds + n
                   end;
                   let t1 = clock () in
@@ -993,6 +984,8 @@ type update = {
   upd_changed_preds : string list;
   upd_overdeleted : int;
   upd_full_passes : int;
+  upd_cone_ms : float;
+  upd_rounds_ms : float;
 }
 
 (* 2: aggregate inputs fold in ascending order; 3: a cold chase
@@ -1171,9 +1164,11 @@ let resolve_retractions (res : result) atoms =
 (* Full recompute: cold-chase [base] and report the update against
    [before], the active facts ahead of it. *)
 let rechase ?max_rounds ?budget (program : Program.t) ~base ~before ~seeds =
+  let t0 = Ekg_obs.Clock.now_s () in
   match run_checked ?max_rounds ?budget program base with
   | Error _ as e -> e
   | Ok fresh ->
+    let rounds_ms = (Ekg_obs.Clock.now_s () -. t0) *. 1000. in
     (* observable diff for the update report: the facts active on both
        sides, found by the fresh database's own key lookup (predicate
        and argument values) — each side holds a fact at most once *)
@@ -1198,6 +1193,8 @@ let rechase ?max_rounds ?budget (program : Program.t) ~base ~before ~seeds =
           (* the cold chase's first round of every stratum *)
           upd_full_passes =
             List.length (List.filter (fun r -> not (Rule.has_agg r)) program.Program.rules);
+          upd_cone_ms = 0.;
+          upd_rounds_ms = rounds_ms;
         } )
 
 let seed_preds (res : result) ~adds ~retract_ids =
@@ -1244,28 +1241,18 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
   let overdeleted = ref 0 in
   let rederived = ref 0 in
   let added = ref 0 in
-  (* premise -> consumers, over every derivation recorded before the
-     first insertion.  Facts inserted during this update never need the
-     index: deletions only target facts that predate their stratum's
-     evaluation.  Only retractions and negated atoms delete, so other
-     updates skip the walk over the provenance. *)
-  let consumers = Hashtbl.create 256 in
-  if
-    retract_ids <> []
-    || List.exists (List.exists (fun r -> Rule.negative_atoms r <> [])) strata
-  then
-    Provenance.iter prov (fun id (d : Provenance.derivation) ->
-        List.iter
-          (fun p ->
-            let prior = Option.value ~default:[] (Hashtbl.find_opt consumers p) in
-            Hashtbl.replace consumers p (id :: prior))
-          d.Provenance.premises);
   (* DRed over-deletion: everything reachable from the roots through
      any recorded derivation loses its support.  The cone runs through
      superseded aggregates too: they stay in the chase graph and facts
      derived from them keep citing them, so one whose support goes
-     takes its consumers with it. *)
+     takes its consumers with it.  The edges are the provenance's own
+     premise -> consumers index, built on the first deletion and kept
+     current since: an edge whose consumer no longer cites the premise
+     (its derivations were forgotten, say by an assertion making it
+     extensional) is not followed. *)
+  let cone_s = ref 0. in
   let delete_cone roots =
+    let t0 = Ekg_obs.Clock.now_s () in
     let queue = Queue.create () in
     let visited = Hashtbl.create 32 in
     let mark id =
@@ -1293,8 +1280,9 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
         Hashtbl.replace changed_preds f.Fact.pred ()
       end;
       if not (Provenance.is_edb prov id) then Provenance.forget prov id;
-      List.iter mark (Option.value ~default:[] (Hashtbl.find_opt consumers id))
-    done
+      Provenance.consumers prov id mark
+    done;
+    cone_s := !cone_s +. (Ekg_obs.Clock.now_s () -. t0)
   in
   delete_cone retract_ids;
   (* retraction seeds are gone for good: even if a rule re-derives the
@@ -1355,14 +1343,14 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
             (Rule.negative_atoms r))
         rules
     in
-    if neg_affected <> [] then begin
-      let targets = List.map (fun (r : Rule.t) -> r.Rule.id) neg_affected in
-      let roots = ref [] in
-      Provenance.iter prov (fun id (d : Provenance.derivation) ->
-          if List.mem d.Provenance.rule_id targets && Database.is_active db id
-          then roots := id :: !roots);
-      delete_cone !roots
-    end;
+    if neg_affected <> [] then
+      delete_cone
+        (List.concat_map
+           (fun (r : Rule.t) ->
+             List.filter_map
+               (fun (f : Fact.t) -> if derived_by st r f then Some f.Fact.id else None)
+               (Database.active db (Rule.head_pred r)))
+           neg_affected);
     (* plain rules the stratum's first round re-evaluates beyond the
        delta: negation-affected ones, whose conclusions all fell, and
        every rule that could supply an alternative proof for an
@@ -1403,6 +1391,7 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
       lost;
     }
   in
+  let rounds_t0 = Ekg_obs.Clock.now_s () and cone_before = !cone_s in
   match
     chase_strata st ~max_rounds ~budget ~t_start ~round0:res.rounds ~note
       ~opening strata
@@ -1415,6 +1404,8 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
       ~seeds:(seed_preds res ~adds ~retract_ids)
   | Error e -> Error e
   | Ok run ->
+    (* the negation cones ran inside the rounds, from the openings *)
+    let rounds_s = Ekg_obs.Clock.now_s () -. rounds_t0 -. (!cone_s -. cone_before) in
     let changed =
       Hashtbl.fold (fun p () acc -> p :: acc) changed_preds [] |> List.sort String.compare
     in
@@ -1435,6 +1426,8 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
           upd_changed_preds = changed;
           upd_overdeleted = !overdeleted;
           upd_full_passes = run.run_full_passes;
+          upd_cone_ms = !cone_s *. 1000.;
+          upd_rounds_ms = rounds_s *. 1000.;
         } )
     in
     (* The maintained result outlives the call, and the pages its

@@ -375,6 +375,15 @@ type update = {
       (** plain-rule evaluations over the whole instance during the
           update: 0 for an incremental update whose re-derivation took
           head-bound probes; every plain rule on a re-chase *)
+  upd_cone_ms : float;
+      (** milliseconds in the DRed over-deletion: the retraction cone
+          and the negation cones, the premise → consumers index built
+          on first need included ({!Provenance.consumers}); 0 on a
+          re-chase *)
+  upd_rounds_ms : float;
+      (** milliseconds in the chase rounds that followed the
+          retraction cone, the negation cones they opened with left
+          out; on a re-chase, its cold chase *)
 }
 
 val incrementable : Program.t -> bool

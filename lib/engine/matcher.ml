@@ -14,31 +14,30 @@ type agg_result = {
 
 exception Interrupted
 
+(* A round's delta: membership for the semi-naive partition, and each
+   predicate symbol's delta facts in ascending id order, from which a
+   seed pass takes its rows. *)
 type delta = {
-  mem : int -> bool;      (** fact id in the previous round's delta *)
-  has_pred : int -> bool; (** some delta fact has this predicate symbol *)
+  mem : int -> bool;
+  by_sym : (int, int list) Hashtbl.t;
 }
 
-(* Semi-naive evaluation: the union over k of joins whose k-th join
-   position is a delta fact while earlier positions are non-delta —
-   each new match is produced exactly once, seeded from the delta.
-   Positions follow the evaluation plan; the decomposition is valid
-   over any fixed order.  Passes whose seed predicate has no delta fact
-   are skipped outright, by interned symbol (no string hashing). *)
-let seed_positions ?plan ~delta db (r : Rule.t) =
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let n = Array.length positives in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init n Fun.id
-  in
-  List.filter
-    (fun k ->
-      match Database.pred_sym db positives.(order.(k)).Atom.pred with
-      | None -> false (* no facts of this predicate at all *)
-      | Some sym -> delta.has_pred sym)
-    (List.init n Fun.id)
+let delta db ids =
+  let set = Hashtbl.create (max 8 (List.length ids)) in
+  let acc = Hashtbl.create 8 in
+  List.iter
+    (fun id ->
+      if not (Hashtbl.mem set id) then begin
+        Hashtbl.replace set id ();
+        let sym = Database.pred_sym_of_fact db id in
+        Hashtbl.replace acc sym (id :: Option.value ~default:[] (Hashtbl.find_opt acc sym))
+      end)
+    ids;
+  let by_sym = Hashtbl.create (Hashtbl.length acc) in
+  Hashtbl.iter
+    (fun sym l -> Hashtbl.replace by_sym sym (List.sort Int.compare l))
+    acc;
+  { mem = Hashtbl.mem set; by_sym }
 
 (* --- hash-join evaluation ----------------------------------------------------
 
@@ -53,7 +52,8 @@ let seed_positions ?plan ~delta db (r : Rule.t) =
    chains are ascending, scans are ascending), which is ascending fact-id
    order within each join position, so the match sequence — and with it
    fact ids, labelled nulls and provenance — is a function of the
-   database and the plan. *)
+   database and the plan: the matches ordered by their fact-id tuples
+   in plan order. *)
 
 type arg_spec =
   | SConst of int  (* interned value id; -1 when the value is not in the db *)
@@ -76,6 +76,11 @@ let cols_of_mask arity mask =
     if mask land (1 lsl i) <> 0 then cols := i :: !cols
   done;
   Array.of_list !cols
+
+let plan_order ?plan (r : Rule.t) =
+  match plan with
+  | Some (p : Plan.t) -> p.Plan.order
+  | None -> Array.init (List.length (Rule.positive_atoms r)) Fun.id
 
 (* Compile the rule body to per-position probe specs.  [slots] maps
    variable names to dense binding slots; key masks come from the
@@ -140,36 +145,38 @@ let compile_nodes ?bound db (r : Rule.t) order =
   in
   (nodes, Hashtbl.length slots, slots)
 
-(* One pass over the rule's body in plan order.  Negation and
-   conditions are checked as soon as they can prune, and [used_facts]
-   comes back in body order regardless of the plan, so provenance
-   premises are plan-independent.  [interrupt] is polled once per join
-   node; answering [true] aborts the pass with {!Interrupted}, the
-   cooperative-cancellation point that keeps a pathological join from
-   running past its budget.  [delta_seed = Some (d, k)] restricts
-   position k to delta facts and earlier positions to non-delta facts:
-   one semi-naive pass.
+(* A join compiled once, run any number of times: [run ?seed_rows vids
+   emit] enumerates the body in plan order and hands [emit] each match
+   with its facts by body atom (an array [emit] must copy to keep).
+   Negation and conditions are checked as soon as they can prune, and
+   [used_facts] comes back in body order regardless of the plan, so
+   provenance premises are plan-independent.  [interrupt] is polled
+   once per join node; answering [true] aborts the run with
+   {!Interrupted}, the cooperative-cancellation point that keeps a
+   pathological join from running past its budget.
 
-   The aggregation passes add three hooks.  [bound] pre-binds variables
-   to interned value ids — a group probe, with the group key
-   substituted in as hash-key constants.  [seed_rows] replaces position
-   0's candidates with the given rows (ascending), and [admit] lets
-   inactive facts it accepts join anyway — touched-group discovery,
-   which must also see the contributors a group just lost. *)
-let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
+   [binders] (default: the plan's order) is the order whose first
+   binding of each variable θ takes its value from — the matched
+   tuple's own representation, not the interning representative — so a
+   pass under a seed-first plan renders what the round plan's pass
+   would.  [seed = (d, excluded)] keeps [d]'s facts out of the body
+   atoms [excluded] holds for: with [seed_rows] from [d], one
+   semi-naive pass.
+
+   Three more hooks.  [bound] names variables pre-bound before the
+   join, each run binding them to the interned ids [vids] — a group or
+   head-key probe, the key substituted in as hash-key constants.
+   [seed_rows] replaces position 0's candidates with the given rows
+   (ascending), and [admit] lets inactive facts it accepts join anyway
+   — touched-group discovery, which must also see the contributors a
+   group just lost. *)
+let compile_join ?interrupt ?plan ?binders ?seed ?(bound = [])
     ?(admit = fun _ -> false) db (r : Rule.t) =
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let n = Array.length positives in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init n Fun.id
-  in
-  let nodes, nslots, slots =
-    compile_nodes ~bound:(List.map fst bound) db r order
-  in
+  let order = plan_order ?plan r in
+  let n = Array.length order in
+  let nodes, nslots, slots = compile_nodes ~bound db r order in
   (* resolve each node's index handle once — rows cannot be appended
-     during a match pass, so freshness checked here holds throughout *)
+     during a match phase, so freshness checked here holds throughout *)
   let handles =
     Array.map
       (fun nd ->
@@ -179,28 +186,16 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
       nodes
   in
   let negatives = Rule.negative_atoms r in
-  (* no deactivations can happen during a pure-read match pass *)
+  (* no deactivations can happen during a pure-read match phase *)
   let live_all = Database.all_active db in
-  let pos_of_body = Array.make (max 1 n) 0 in
-  Array.iteri (fun pos b -> pos_of_body.(b) <- pos) order;
-  let mem, seed_pos =
-    match delta_seed with
-    | Some (d, k) -> (d.mem, k)
-    | None -> ((fun _ -> false), -1)
+  let mem, excluded =
+    match seed with
+    | Some (d, excluded) -> (d.mem, Array.map excluded order)
+    | None -> ((fun _ -> false), Array.make n false)
   in
   let vals = Array.make (max 1 nslots) (-1) in
-  (* a pre-bound value absent from the db can match nothing *)
-  let satisfiable =
-    List.for_all
-      (fun (v, vid) ->
-        match Hashtbl.find_opt slots v with
-        | Some s ->
-          vals.(s) <- vid;
-          vid >= 0
-        | None -> true)
-      bound
-  in
-  let facts = Array.make (max 1 n) (-1) in
+  let bound_slots = Array.of_list (List.map (Hashtbl.find_opt slots) bound) in
+  let facts = Array.make (max 1 n) (-1) in  (* by body atom *)
   (* condition lookup over the dense binding: verdicts only — values
      compare through [Value.compare], which identifies every member of
      an interning class, so the class representative is sufficient *)
@@ -217,43 +212,43 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
     | None -> None
     | Some f -> Some (fun () -> if f () then raise Interrupted)
   in
-  let out = ref [] in
   let has_conditions = r.conditions <> [] in
-  (* Per position, the (variable, argument index) pairs first bound
-     there in plan order — [emit] binds each variable exactly once,
-     from the matched fact's own argument array. *)
+  (* Per [binders] position, the body atom and the (variable, argument
+     index) pairs first bound there — [emit] binds each variable exactly
+     once, from that atom's matched fact. *)
+  let binder_order = match binders with Some o -> o | None -> order in
+  let positives = Array.of_list (Rule.positive_atoms r) in
   let binders =
     let seen = Hashtbl.create 16 in
     Array.map
-      (fun (nd : node) ->
-        List.rev
-          (snd
-             (List.fold_left
-                (fun (i, acc) (t : Term.t) ->
-                  match t with
-                  | Term.Var v when not (Hashtbl.mem seen v) ->
-                    Hashtbl.add seen v ();
-                    (i + 1, (v, i) :: acc)
-                  | Term.Var _ | Term.Cst _ -> (i + 1, acc))
-                (0, []) nd.nd_atom.Atom.args)))
-      nodes
+      (fun b ->
+        ( b,
+          List.rev
+            (snd
+               (List.fold_left
+                  (fun (i, acc) (t : Term.t) ->
+                    match t with
+                    | Term.Var v when not (Hashtbl.mem seen v) ->
+                      Hashtbl.add seen v ();
+                      (i + 1, (v, i) :: acc)
+                    | Term.Var _ | Term.Cst _ -> (i + 1, acc))
+                  (0, []) positives.(b).Atom.args)) ))
+      binder_order
   in
   let undos = Array.map (fun (nd : node) -> Array.make (max 1 nd.nd_arity) 0) nodes in
+  (* the current run's seed rows and match sink *)
+  let seed_rows = ref None and sink = ref (fun _ _ -> ()) in
   let emit () =
-    (* Reconstruct θ from the facts: each variable's value comes from
-       the {e fact} that first bound it in plan order — the matched
-       tuple's own representation, not the interning representative —
-       so head instantiation renders what the data holds. *)
+    (* Reconstruct θ from the facts, each variable from the fact that
+       first bound it in [binders] order. *)
     let subst = ref Subst.empty in
-    for pos = 0 to n - 1 do
-      match binders.(pos) with
-      | [] -> ()
-      | bs ->
-        let f = Database.fact db facts.(pos) in
-        List.iter
-          (fun (v, i) -> subst := Subst.bind !subst v f.Fact.args.(i))
-          bs
-    done;
+    Array.iter
+      (fun (b, bs) ->
+        if bs <> [] then begin
+          let f = Database.fact db facts.(b) in
+          List.iter (fun (v, i) -> subst := Subst.bind !subst v f.Fact.args.(i)) bs
+        end)
+      binders;
     let subst =
       if r.assignments = [] then !subst
       else
@@ -281,9 +276,9 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
     then begin
       let used = ref [] in
       for b = n - 1 downto 0 do
-        used := facts.(pos_of_body.(b)) :: !used
+        used := facts.(b) :: !used
       done;
-      out := { binding = subst; used_facts = !used } :: !out
+      !sink facts { binding = subst; used_facts = !used }
     end
   in
   (* The join loop proper.  Everything per-partial is preallocated —
@@ -300,7 +295,7 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
       if has_conditions && not (conditions_ok ()) then ()
       else if nd.nd_impossible then ()
       else
-        match nd.nd_group, seed_rows with
+        match nd.nd_group, !seed_rows with
         | None, _ -> ()
         | Some g, Some rows when pos = 0 -> Array.iter (try_row pos nd g) rows
         | Some g, _ ->
@@ -339,13 +334,10 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
     done
   and try_row pos (nd : node) g row =
     let fid = Database.Cols.fact_id g row in
-    let kok =
-      seed_pos < 0
-      || (if pos = seed_pos then mem fid
-          else if pos < seed_pos then not (mem fid)
-          else true)
-    in
-    if kok && (live_all || Database.is_active db fid || admit fid) then begin
+    if
+      ((not excluded.(pos)) || not (mem fid))
+      && (live_all || Database.is_active db fid || admit fid)
+    then begin
       let specs = nd.nd_specs in
       let arity = nd.nd_arity in
       let undo = undos.(pos) in
@@ -369,7 +361,7 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
         incr i
       done;
       if !ok then begin
-        facts.(pos) <- fid;
+        facts.(order.(pos)) <- fid;
         node (pos + 1)
       end;
       for j = 0 to !nundo - 1 do
@@ -377,17 +369,102 @@ let hash_matches ?interrupt ?plan ?delta_seed ?(bound = []) ?seed_rows
       done
     end
   in
-  if satisfiable then node 0;
+  fun ?seed_rows:rows vids f ->
+    seed_rows := rows;
+    sink := f;
+    (* a pre-bound value absent from the db can match nothing *)
+    let satisfiable = ref true in
+    Array.iteri
+      (fun i s ->
+        match s with
+        | Some s ->
+          vals.(s) <- vids.(i);
+          if vids.(i) < 0 then satisfiable := false
+        | None -> ())
+      bound_slots;
+    if !satisfiable then node 0;
+    Array.iter (function Some s -> vals.(s) <- -1 | None -> ()) bound_slots
+
+(* the matches of one run, in enumeration order *)
+let collect ?seed_rows ?(vids = [||]) run =
+  let out = ref [] in
+  run ?seed_rows vids (fun _ m -> out := m :: !out);
   List.rev !out
+
+(* the row holding fact [fid] in its column group: rows are in
+   ascending fact-id order *)
+let row_of_fact g fid =
+  let lo = ref 0 and hi = ref (Database.Cols.rows g) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Database.Cols.fact_id g mid < fid then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Database.Cols.rows g && Database.Cols.fact_id g !lo = fid then Some !lo
+  else None
+
+(* The rows of atom [a]'s column group holding [ids] (ascending, the
+   facts of [a]'s predicate), ascending. *)
+let rows_of db (a : Atom.t) ids =
+  match Database.pred_sym db a.Atom.pred with
+  | None -> [||]
+  | Some sym -> (
+    match Database.Cols.find db ~sym ~arity:(List.length a.Atom.args) with
+    | None -> [||]
+    | Some g -> Array.of_list (List.filter_map (row_of_fact g) ids))
+
+let delta_ids d db (a : Atom.t) =
+  match Database.pred_sym db a.Atom.pred with
+  | None -> []
+  | Some sym -> Option.value ~default:[] (Hashtbl.find_opt d.by_sym sym)
+
+(* A seed-first plan: atom [b] at join position 0, the rest greedily
+   after it — deterministic in the database's cardinalities, so
+   {!prepare} and the pass agree. *)
+let seed_plan db r b = Plan.compile ~first:b ~card:(Database.pred_card db) r
+
+let lex_compare (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec go i = if i = n then 0 else match Int.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c in
+  go 0
+
+(* Semi-naive evaluation: the union over k of joins whose k-th plan
+   position joins a delta fact while earlier positions join non-delta
+   facts — each new match is produced exactly once, seeded from the
+   delta.  Pass k starts from the delta rows of its seed atom: pass 0
+   under the round plan itself, so it enumerates in the round plan's
+   order; a later pass under a seed-first plan, keeping the round
+   plan's partition and binders, its matches then sorted by their
+   fact-id tuples in round-plan order — the order the round plan's
+   enumeration of the pass has.  A pass whose seed atom has no delta
+   fact is skipped. *)
+let delta_matches ?interrupt ?plan d db (r : Rule.t) =
+  let order = plan_order ?plan r in
+  let positives = Array.of_list (Rule.positive_atoms r) in
+  let rank = Array.make (Array.length order) 0 in
+  Array.iteri (fun k b -> rank.(b) <- k) order;
+  List.concat
+    (List.init (Array.length order) (fun k ->
+         let b = order.(k) in
+         match rows_of db positives.(b) (delta_ids d db positives.(b)) with
+         | [||] -> []
+         | rows ->
+           let seed = (d, fun b' -> rank.(b') < k) in
+           if k = 0 then collect ~seed_rows:rows (compile_join ?interrupt ?plan ~seed db r)
+           else begin
+             let keyed = ref [] in
+             let run =
+               compile_join ?interrupt ~plan:(seed_plan db r b) ~binders:order ~seed db r
+             in
+             run ~seed_rows:rows [||] (fun facts m ->
+                 keyed := (Array.map (fun b -> facts.(b)) order, m) :: !keyed);
+             List.map snd (List.sort (fun (a, _) (b, _) -> lex_compare a b) !keyed)
+           end))
 
 let match_rule ?interrupt ?delta ?plan db (r : Rule.t) =
   if Rule.has_agg r then invalid_arg "Matcher.match_rule: aggregating rule";
   match delta with
-  | None -> hash_matches ?interrupt ?plan db r
-  | Some delta ->
-    List.concat_map
-      (fun k -> hash_matches ?interrupt ?plan ~delta_seed:(delta, k) db r)
-      (seed_positions ?plan ~delta db r)
+  | None -> collect (compile_join ?interrupt ?plan db r)
+  | Some d -> delta_matches ?interrupt ?plan d db r
 
 (* --- aggregation ------------------------------------------------------- *)
 
@@ -448,73 +525,45 @@ let group_matches group_vars matches =
   GroupMap.fold (fun key rev acc -> (key, List.rev rev) :: acc) groups []
   |> List.rev
 
-(* Touched-group discovery joins each body atom's changed facts first:
-   a seed-first plan, deterministic in the database's cardinalities so
-   {!prepare} and the pass agree. *)
-let seed_plan db body b = Plan.compile ~first:b ~card:(Database.pred_card db) body
-
-(* the row holding fact [fid] in its column group: rows are in
-   ascending fact-id order *)
-let row_of_fact g fid =
-  let lo = ref 0 and hi = ref (Database.Cols.rows g) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Database.Cols.fact_id g mid < fid then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Database.Cols.rows g && Database.Cols.fact_id g !lo = fid then Some !lo
-  else None
-
+(* Touched-group discovery joins each body atom's changed facts first,
+   under its seed-first plan. *)
 let touched_groups ?interrupt ~changed db (r : Rule.t) =
   let _, body, _ = agg_parts r in
   let group_vars = Rule.group_vars r in
-  let set = Hashtbl.create (max 8 (List.length changed)) in
-  List.iter (fun id -> Hashtbl.replace set id ()) changed;
+  let d = delta db changed in
   let keys = ref GroupSet.empty in
   List.iteri
     (fun b (a : Atom.t) ->
-      match Database.pred_sym db a.Atom.pred with
-      | None -> ()
-      | Some sym -> (
-        match Database.Cols.find db ~sym ~arity:(List.length a.Atom.args) with
-        | None -> ()
-        | Some g ->
-          let rows =
-            List.filter_map
-              (fun id ->
-                if Database.pred_sym_of_fact db id = sym then row_of_fact g id
-                else None)
-              changed
-            |> List.sort_uniq Int.compare |> Array.of_list
-          in
-          if Array.length rows > 0 then
-            List.iter
-              (fun m -> keys := GroupSet.add (group_key group_vars m.binding) !keys)
-              (hash_matches ?interrupt ~plan:(seed_plan db body b) ~seed_rows:rows
-                 ~admit:(Hashtbl.mem set) db body)))
+      match rows_of db a (delta_ids d db a) with
+      | [||] -> ()
+      | rows ->
+        let run = compile_join ?interrupt ~plan:(seed_plan db body b) ~admit:d.mem db body in
+        run ~seed_rows:rows [||] (fun _ m ->
+            keys := GroupSet.add (group_key group_vars m.binding) !keys))
     (Rule.positive_atoms body);
   GroupSet.elements !keys
 
-(* The matches whose [vars] take the values [key] — one group's, or
-   (plain rule, head variables) one re-derivation key's: the full pass
-   under the same plan with the key pre-bound, so they come out in the
-   full pass's order — exactly the subsequence it would have produced
-   for this key. *)
-let probe_group ?interrupt ?plan db body group_vars key =
-  hash_matches ?interrupt ?plan
-    ~bound:(List.map2 (fun v x -> (v, Database.value_id db x)) group_vars key)
-    db body
-  |> List.filter (fun m -> GroupKey.compare (group_key group_vars m.binding) key = 0)
+(* Probes keyed on [vars], compiled once: [probe key] is the full pass
+   under the same plan with [vars] bound to [key] — one group's
+   matches, or (plain rule, head variables) one re-derivation key's —
+   so they come out in the full pass's order, exactly the subsequence
+   it would have produced for this key. *)
+let key_probe ?interrupt ?plan db body vars =
+  let run = compile_join ?interrupt ?plan ~bound:vars db body in
+  fun key ->
+    collect ~vids:(Array.of_list (List.map (Database.value_id db) key)) run
+    |> List.filter (fun m -> GroupKey.compare (group_key vars m.binding) key = 0)
 
 let match_agg_rule ?interrupt ?plan ?groups db (r : Rule.t) =
   let agg, body, deferred = agg_parts r in
   let group_vars = Rule.group_vars r in
   let grouped =
     match groups with
-    | None -> group_matches group_vars (hash_matches ?interrupt ?plan db body)
+    | None -> group_matches group_vars (collect (compile_join ?interrupt ?plan db body))
     | Some keys ->
+      let probe = key_probe ?interrupt ?plan db body group_vars in
       List.concat_map
-        (fun key ->
-          group_matches group_vars (probe_group ?interrupt ?plan db body group_vars key))
+        (fun key -> group_matches group_vars (probe key))
         (GroupSet.elements (GroupSet.of_list keys))
   in
   (* Variables bound to the same value by every contributor (such as
@@ -601,25 +650,27 @@ let head_probe_matches ?interrupt ?plan ?delta ~heads db (r : Rule.t) =
             end)
       heads
   in
-  let fresh =
-    match delta with
-    | None -> Fun.const true
-    | Some d -> fun m -> not (List.exists d.mem m.used_facts)
-  in
-  List.concat_map
-    (fun key -> List.filter fresh (probe_group ?interrupt ?plan db r vars key))
-    keys
+  match keys with
+  | [] -> []
+  | keys ->
+    let fresh =
+      match delta with
+      | None -> Fun.const true
+      | Some d -> fun m -> not (List.exists d.mem m.used_facts)
+    in
+    let probe = key_probe ?interrupt ?plan db r vars in
+    List.concat_map (fun key -> List.filter fresh (probe key)) keys
 
 (* Plan-phase index preparation: ensure the hash indexes every join
    position will probe, so the pure-read match phase never builds.  For
    an aggregating rule, [changed] selects the pass
    about to run: absent, the full pass; present, the touched-group
    discovery seeded from those facts and the group probes.  For a plain
-   rule, [bound] adds the indexes of the probes that pre-bind those
-   variables — a superset of the full pass's.  Returns the number of
-   indexes that did extension work — the chase's [join_builds]
-   counter. *)
-let prepare ?changed ?bound db (r : Rule.t) (plan : Plan.t) =
+   rule, [delta] adds the indexes of its seed passes' seed-first plans,
+   and [bound] those of the probes that pre-bind those variables — a
+   superset of the full pass's.  Returns the number of indexes that did
+   extension work — the chase's [join_builds] counter. *)
+let prepare ?changed ?bound ?delta:round_delta db (r : Rule.t) (plan : Plan.t) =
   let ensure ?bound rule order =
     let nodes, _, _ = compile_nodes ?bound db rule order in
     Array.fold_left
@@ -634,19 +685,30 @@ let prepare ?changed ?bound db (r : Rule.t) (plan : Plan.t) =
       0 nodes
   in
   match r.agg, changed with
-  | None, _ -> ensure ?bound r plan.Plan.order
+  | None, _ ->
+    let seeded =
+      match round_delta with
+      | None -> 0
+      | Some d ->
+        let positives = Array.of_list (Rule.positive_atoms r) in
+        let acc = ref 0 in
+        Array.iteri
+          (fun k b ->
+            if k > 0 && delta_ids d db positives.(b) <> [] then
+              acc := !acc + ensure r (seed_plan db r b).Plan.order)
+          plan.Plan.order;
+        !acc
+    in
+    ensure ?bound r plan.Plan.order + seeded
   | Some _, None ->
     let _, body, _ = agg_parts r in
     ensure body plan.Plan.order
   | Some _, Some changed ->
     let _, body, _ = agg_parts r in
     let group_vars = Rule.group_vars r in
-    let syms = Hashtbl.create 8 in
-    List.iter (fun id -> Hashtbl.replace syms (Database.pred_sym_of_fact db id) ()) changed;
-    let seeded b (a : Atom.t) =
-      match Database.pred_sym db a.Atom.pred with
-      | Some sym when Hashtbl.mem syms sym -> ensure body (seed_plan db body b).Plan.order
-      | Some _ | None -> 0
+    let d = delta db changed in
+    let seeded b a =
+      if delta_ids d db a = [] then 0 else ensure body (seed_plan db body b).Plan.order
     in
     ensure ~bound:group_vars body plan.Plan.order
     + List.fold_left ( + ) 0 (List.mapi seeded (Rule.positive_atoms body))

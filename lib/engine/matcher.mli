@@ -26,12 +26,13 @@ type agg_result = {
   contributors : Provenance.contributor list;  (** one per distinct body match *)
 }
 
-type delta = {
-  mem : int -> bool;      (** fact id in the previous round's delta *)
-  has_pred : int -> bool; (** some delta fact has this predicate {e symbol}
-                              ({!Database.pred_sym}) — interned, so the
-                              per-pass skip test hashes no strings *)
-}
+type delta
+(** A round's delta: the facts the previous round activated. *)
+
+val delta : Database.t -> int list -> delta
+(** The delta of the given fact ids (duplicates ignored): a membership
+    set for the semi-naive partition, and per predicate symbol the
+    ids in ascending order, which seed passes start from. *)
 
 exception Interrupted
 (** Raised from inside a join enumeration when the [interrupt] hook
@@ -47,19 +48,26 @@ exception Interrupted
     columns bound so far ({!Plan.key_masks}), with dense interned-int
     bindings.  Candidate rows come in ascending fact-id order at each
     join position, so the match sequence is a function of the database
-    and the plan.  The test suite checks the chase built on it against
-    an independent naive evaluator. *)
+    and the plan: the matches ordered by their fact-id tuples in plan
+    order.  The test suite checks the chase built on it against an
+    independent naive evaluator. *)
 
 val match_rule :
   ?interrupt:(unit -> bool) ->
   ?delta:delta -> ?plan:Plan.t -> Database.t -> Rule.t -> match_result list
-(** Matches of a non-aggregating rule.  With [delta], only matches
-    using at least one delta fact are returned (semi-naive
-    evaluation): one pass per join position whose predicate has delta
-    facts, seeded from them, concatenated in plan order.  [interrupt] is
-    polled once per join node; answering [true] aborts the enumeration
-    with {!Interrupted}.  Raises [Invalid_argument] on aggregating
-    rules. *)
+(** Matches of a non-aggregating rule.  With [delta], only the
+    matches using a delta fact (semi-naive evaluation), in the full
+    pass's order under [plan] once grouped by the first plan position
+    holding a delta fact: pass k (position k holds a delta fact,
+    earlier positions none) for k ascending, each ordered by fact-id
+    tuple in [plan]'s order, bindings as the full pass renders them.
+    A pass starts from its atom's delta rows, so its join work follows
+    the delta: pass 0 under [plan], a later pass under a seed-first
+    plan ({!Plan.compile} [~first]) whose matches are then sorted.
+    Passes whose atom has no delta fact are skipped.  [interrupt] is
+    polled once per join node; answering [true] aborts the
+    enumeration with {!Interrupted}.  Raises [Invalid_argument] on
+    aggregating rules. *)
 
 val head_bound_vars : Rule.t -> string list
 (** The head variables some positive body atom binds, in head order —
@@ -76,7 +84,8 @@ val head_probe_matches :
     and repeated variables, are skipped; the rest are keyed by their
     values at {!head_bound_vars},
     and each distinct key runs one hash join under [plan] with those
-    variables pre-bound (the indexes of {!prepare} [~bound]).  A probe's
+    variables pre-bound (the indexes of {!prepare} [~bound]), compiled
+    once for all the keys.  A probe's
     matches are the full pass's matches with that key, in the full
     pass's order, and the probes run in the order their keys first
     occur in [heads]; together they include every match deriving one of
@@ -86,15 +95,17 @@ val head_probe_matches :
     key. *)
 
 val prepare :
-  ?changed:int list -> ?bound:string list -> Database.t -> Rule.t -> Plan.t -> int
+  ?changed:int list -> ?bound:string list -> ?delta:delta ->
+  Database.t -> Rule.t -> Plan.t -> int
 (** Ensure the hash indexes the rule's join positions will probe
     ({!Database.ensure_index} on each {!Plan.key_masks} mask).  For an
     aggregating rule, [changed] names the pass about to run: absent,
     the full pass under [plan]; present, the {!touched_groups}
     discovery seeded from [changed] and the group probes of
-    {!match_agg_rule} [~groups].  For a plain rule, [bound] also covers
-    the {!head_probe_matches} probes pre-binding those variables (the
-    full pass's indexes included).  {e Mutates the database}: call in a
+    {!match_agg_rule} [~groups].  For a plain rule, [delta] also covers
+    the seed-first plans of {!match_rule} [~delta]'s passes, and
+    [bound] the {!head_probe_matches} probes pre-binding those
+    variables (the full pass's indexes included).  {e Mutates the database}: call in a
     round's plan phase, before its match passes, and never on a result
     published to readers.  Returns the number of indexes built or
     extended. *)
@@ -126,8 +137,9 @@ val match_agg_rule :
     result); [interrupt] as in {!match_rule}.  Without [groups], one
     full pass over the body.  With [groups], only those keys, each
     re-aggregated from a bound probe of the body with the key
-    substituted in as hash-key constants; contributors come out in the
-    full pass's enumeration order under [plan], so the result equals
+    substituted in as hash-key constants (one join compiled for all
+    the keys); contributors come out in the full pass's enumeration
+    order under [plan], so the result equals
     the full pass restricted to [groups].  A group's value folds its
     inputs in ascending {!Ekg_kernel.Value.compare} order, so it
     depends only on the contributor multiset.  Raises

@@ -44,11 +44,29 @@ let none =
   let d = { rule_id = ""; premises = []; binding = Subst.empty; contributors = []; round = 0 } in
   { rev_items = []; primary = d; count = 0; seen = KeySet.empty }
 
+(* Premise -> consumer chains, in the layout of the join indexes'
+   chains: [first] holds each premise's newest edge, [next] links an
+   edge to the premise's next older one, [target] names the consumer.
+   Forgetting a fact's derivations bumps its generation, and an edge
+   stamped with an older generation of its consumer is stale: the
+   derivation that cited the premise is gone.  Once stale edges
+   outnumber live ones the index is rebuilt, so it stays within twice
+   the recorded premises however many updates re-derive. *)
+type consumers = {
+  first : int Paged.t;   (* by premise fact id: newest edge, or -1 *)
+  next : int Paged.t;    (* by edge *)
+  target : int Paged.t;  (* by edge: the consumer *)
+  stamp : int Paged.t;   (* by edge: the consumer's generation then *)
+  gen : int Paged.t;     (* by fact id *)
+  mutable stale : int;   (* edges stamped with an older generation *)
+}
+
 type t = {
   entries : entry Paged.t;       (* by fact id *)
   superseded : int Paged.t;      (* by fact id: the superseding fact, or -1 *)
   mutable derived : int;         (* entries other than [none] *)
   mutable n_superseded : int;
+  mutable consumers : consumers option;  (* built on first need *)
 }
 
 let create () =
@@ -57,30 +75,63 @@ let create () =
     superseded = Paged.create ~bits:Paged.slot_bits (-1);
     derived = 0;
     n_superseded = 0;
+    consumers = None;
   }
 
 let copy t =
-  { t with entries = Paged.copy t.entries; superseded = Paged.copy t.superseded }
+  {
+    t with
+    entries = Paged.copy t.entries;
+    superseded = Paged.copy t.superseded;
+    consumers =
+      Option.map
+        (fun c ->
+          {
+            first = Paged.copy c.first;
+            next = Paged.copy c.next;
+            target = Paged.copy c.target;
+            stamp = Paged.copy c.stamp;
+            gen = Paged.copy c.gen;
+            stale = c.stale;
+          })
+        t.consumers;
+  }
 
 let entry t id = if id >= 0 && id < Paged.length t.entries then Paged.get t.entries id else none
+
+let generation c id = if id < Paged.length c.gen then Paged.unsafe_get_int c.gen id else 0
+
+let add_edges c ~fact_id d =
+  let stamp = generation c fact_id in
+  List.iter
+    (fun p ->
+      let e = Paged.length c.next in
+      Paged.grow c.first (p + 1);
+      Paged.push_int c.next (Paged.unsafe_get_int c.first p);
+      Paged.push_int c.target fact_id;
+      Paged.push_int c.stamp stamp;
+      Paged.set_int c.first p e)
+    d.premises
 
 let key_of d = (d.rule_id, d.premises)
 
 let record t ~fact_id d =
   let e = entry t fact_id in
-  if e == none then begin
-    Paged.grow t.entries (fact_id + 1);
-    Paged.set t.entries fact_id { rev_items = [ d ]; primary = d; count = 1; seen = KeySet.empty };
-    t.derived <- t.derived + 1
-  end
-  else begin
-    let key = key_of d in
-    let known =
-      if e.count <= scan_limit then
-        List.exists (fun x -> Key.compare (key_of x) key = 0) e.rev_items
-      else KeySet.mem key e.seen
-    in
-    if not known then begin
+  let key = key_of d in
+  let known =
+    if e == none then false
+    else if e.count <= scan_limit then
+      List.exists (fun x -> Key.compare (key_of x) key = 0) e.rev_items
+    else KeySet.mem key e.seen
+  in
+  if not known then begin
+    if e == none then begin
+      Paged.grow t.entries (fact_id + 1);
+      Paged.set t.entries fact_id
+        { rev_items = [ d ]; primary = d; count = 1; seen = KeySet.empty };
+      t.derived <- t.derived + 1
+    end
+    else begin
       let rev_items = d :: e.rev_items and count = e.count + 1 in
       let seen =
         if count <= scan_limit then KeySet.empty
@@ -88,29 +139,62 @@ let record t ~fact_id d =
         else KeySet.add key e.seen
       in
       Paged.set t.entries fact_id { e with rev_items; count; seen }
-    end
+    end;
+    Option.iter (fun c -> add_edges c ~fact_id d) t.consumers
   end
 
 let alternatives t id = List.rev (entry t id).rev_items
 
 let forget t id =
-  if entry t id != none then begin
+  let e = entry t id in
+  if e != none then begin
     Paged.set t.entries id none;
-    t.derived <- t.derived - 1
+    t.derived <- t.derived - 1;
+    match t.consumers with
+    | Some c ->
+      Paged.grow c.gen (id + 1);
+      Paged.set_int c.gen id (Paged.unsafe_get_int c.gen id + 1);
+      c.stale <- List.fold_left (fun n d -> n + List.length d.premises) c.stale e.rev_items
+    | None -> ()
   end
 
-let iter t f =
-  for id = 0 to Paged.length t.entries - 1 do
-    List.iter (f id) (List.rev (Paged.unsafe_get t.entries id).rev_items)
-  done
+(* the index, built from every recorded derivation on first need and
+   rebuilt once it is mostly stale *)
+let consumer_index t =
+  match t.consumers with
+  | Some c when 2 * c.stale <= Paged.length c.next -> c
+  | Some _ | None ->
+    let edges () = Paged.create ~bits:Paged.append_bits 0 in
+    let c =
+      {
+        first = Paged.create ~bits:Paged.slot_bits (-1);
+        next = edges ();
+        target = edges ();
+        stamp = edges ();
+        gen = Paged.create ~bits:Paged.slot_bits 0;
+        stale = 0;
+      }
+    in
+    for id = 0 to Paged.length t.entries - 1 do
+      List.iter (add_edges c ~fact_id:id) (List.rev (Paged.unsafe_get t.entries id).rev_items)
+    done;
+    t.consumers <- Some c;
+    c
 
-let cited t id =
-  let rec go i =
-    i < Paged.length t.entries
-    && (List.exists (fun d -> List.mem id d.premises) (Paged.unsafe_get t.entries i).rev_items
-       || go (i + 1))
+(* [f] on each live edge's consumer until it answers [true] *)
+let exists_consumer t id f =
+  let c = consumer_index t in
+  let rec go e =
+    e >= 0
+    && ((let fact = Paged.unsafe_get_int c.target e in
+         Paged.unsafe_get_int c.stamp e = generation c fact && f fact)
+       || go (Paged.unsafe_get_int c.next e))
   in
-  go 0
+  id < Paged.length c.first && go (Paged.unsafe_get_int c.first id)
+
+let consumers t id f = ignore (exists_consumer t id (fun c -> f c; false))
+
+let cited t id = exists_consumer t id (fun _ -> true)
 
 let record_superseded t ~old_fact ~by =
   Paged.grow t.superseded (old_fact + 1);

@@ -27,7 +27,8 @@ val create : unit -> t
 
 val copy : t -> t
 (** A copy that shares every page with the original ({!Paged}): one
-    immutable entry per fact id, so the copy costs page tables.
+    immutable entry per fact id and the {!consumers} index's int
+    chains, so the copy costs page tables.
     Recording or forgetting derivations on either side copies the pages
     it touches and never shows through the other (the companion of
     {!Database.copy} inside {!Chase.copy_result}). *)
@@ -44,17 +45,27 @@ val forget : t -> int -> unit
 (** Drop every recorded derivation of the fact — the DRed over-deletion
     step of the incremental chase ({!Chase.retract_facts}): a fact whose
     support was retracted loses its history before re-derivation gets a
-    chance to record a fresh, still-valid proof. *)
+    chance to record a fresh, still-valid proof.  The fact's
+    {!consumers} edges go stale with its derivations. *)
 
-val iter : t -> (int -> derivation -> unit) -> unit
-(** Visit every (fact id, derivation) pair, alternatives included: fact
-    ids ascending, each fact's derivations in recorded order — the
-    incremental chase walks this once to build the premise → consumers
-    reverse index its deletion cone follows. *)
+val consumers : t -> int -> (int -> unit) -> unit
+(** [consumers t p f] calls [f] on every fact a recorded derivation of
+    which has [p] among its premises (a fact once per such derivation)
+    — the edges the DRed over-deletion of {!Chase.retract_facts}
+    follows.  The premise → consumer index behind it is built from
+    every recorded derivation on the first call (or {!cited}), and from
+    then on {!record} extends it.  It keeps int chains on shadow-paged
+    vectors, shared by {!copy} like the rest.  An edge is followed only
+    while its consumer still cites the premise: {!forget} retires the
+    fact's edges, and the index is rebuilt once retired edges
+    outnumber live ones.  {e Mutates} [t] when it builds the index:
+    call it on a writer's copy, never on a result published to
+    readers. *)
 
 val cited : t -> int -> bool
-(** Whether a recorded derivation has the fact among its premises — a
-    scan over every derivation. *)
+(** Whether a recorded derivation has the fact among its premises: the
+    first live edge of its {!consumers} chain, building the index on
+    first need (so, like {!consumers}, a writer's call). *)
 
 val record_superseded : t -> old_fact:int -> by:int -> unit
 (** Note that a stale aggregate fact was replaced by a newer one. *)

@@ -569,6 +569,8 @@ let update_edb_only (session : session) op atoms =
         upd_changed_preds = changed;
         upd_overdeleted = 0;
         upd_full_passes = 0;
+        upd_cone_ms = 0.;
+        upd_rounds_ms = 0.;
       }
     in
     (* request atom -> whether the mirror holds it *)
@@ -686,6 +688,8 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
         Ctx.put "update_path" (Str path);
         Ctx.put "update_copy_ms" (Float copy_ms);
         Ctx.put "update_apply_ms" (Float apply_ms);
+        Ctx.put "update_cone_ms" (Float upd.Chase.upd_cone_ms);
+        Ctx.put "update_rounds_ms" (Float upd.Chase.upd_rounds_ms);
         Ctx.put "update_mirror_ms" (Float mirror_ms);
         Ok upd
       | Error _ as e -> e)

@@ -1516,6 +1516,99 @@ let prop_join_engines_agree_naive =
           agrees_with_reference program facts (Chase.run_checked ~naive:true program facts))
         [ join_program_plain; join_program_negation ])
 
+(* Match order, which fact ids depend on.  On the programs above, over
+   a cold chase of random edges: for every plain rule, under its
+   cost-based plan and under a random one, the semi-naive passes over a
+   random delta must return the full pass's matches that use a delta
+   fact, ordered by the first plan position holding one, then by their
+   fact-id tuple in plan order; and head-bound probes must return, key
+   by key in the order the keys first occur, the full pass's matches
+   with that key. *)
+let prop_match_order =
+  let gen = QCheck2.Gen.(pair edges_gen (int_range 0 1_000_000)) in
+  QCheck2.Test.make ~name:"seed passes and head probes keep the full pass's order" ~count:60
+    gen (fun (raw, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let facts = edge_facts raw in
+      let shape (m : Matcher.match_result) = (m.used_facts, Subst.to_list m.binding) in
+      List.for_all
+        (fun src ->
+          let { Parser.program; _ } = parse_exn src in
+          let res = Chase.run_exn program facts in
+          let db = res.Chase.db in
+          let delta_ids =
+            List.filter (fun _ -> Random.State.int rng 3 = 0) (List.init (Database.size db) Fun.id)
+          in
+          let in_delta = Hashtbl.create 16 in
+          List.iter (fun id -> Hashtbl.replace in_delta id ()) delta_ids;
+          let delta = Matcher.delta db delta_ids in
+          List.for_all
+            (fun (r : Rule.t) ->
+              let n = List.length (Rule.positive_atoms r) in
+              let shuffled =
+                let a = Array.init n Fun.id in
+                for i = n - 1 downto 1 do
+                  let j = Random.State.int rng (i + 1) in
+                  let t = a.(i) in
+                  a.(i) <- a.(j);
+                  a.(j) <- t
+                done;
+                { Plan.order = a; reordered = true }
+              in
+              List.for_all
+                (fun (plan : Plan.t) ->
+                  let vars = Matcher.head_bound_vars r in
+                  ignore (Matcher.prepare ~bound:vars ~delta db r plan);
+                  let full = Matcher.match_rule ~plan db r in
+                  let tuple (m : Matcher.match_result) =
+                    let used = Array.of_list m.used_facts in
+                    Array.to_list (Array.map (fun b -> used.(b)) plan.Plan.order)
+                  in
+                  let first_delta m =
+                    let rec go k = function
+                      | [] -> None
+                      | id :: rest -> if Hashtbl.mem in_delta id then Some k else go (k + 1) rest
+                    in
+                    go 0 (tuple m)
+                  in
+                  let expected =
+                    List.filter_map
+                      (fun m -> Option.map (fun k -> ((k, tuple m), m)) (first_delta m))
+                      full
+                    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+                    |> List.map snd
+                  in
+                  let seeded = Matcher.match_rule ~delta ~plan db r in
+                  let heads =
+                    List.filter
+                      (fun _ -> Random.State.bool rng)
+                      (Database.active db (Rule.head_pred r))
+                  in
+                  let keys =
+                    List.fold_left
+                      (fun acc (f : Fact.t) ->
+                        match Subst.match_atom Subst.empty ~pattern:r.head f.Fact.args with
+                        | Some s ->
+                          let k = Matcher.group_key vars s in
+                          if List.mem k acc then acc else acc @ [ k ]
+                        | None -> acc)
+                      [] heads
+                  in
+                  let probed_expected =
+                    List.concat_map
+                      (fun k ->
+                        List.filter
+                          (fun (m : Matcher.match_result) -> Matcher.group_key vars m.binding = k)
+                          full)
+                      keys
+                  in
+                  let probed = Matcher.head_probe_matches ~plan ~heads db r in
+                  List.map shape seeded = List.map shape expected
+                  && (vars = [] || List.map shape probed = List.map shape probed_expected))
+                [ Plan.compile ~card:(Database.pred_card db) r; shuffled ])
+            program.Program.rules)
+        [ join_program_plain; join_program_negation ])
+
 (* --- budgets and cooperative cancellation ----------------------------------- *)
 
 (* one new fact per round, for a million rounds: the shape a runaway
@@ -1752,6 +1845,29 @@ block(X) -> blocked(X).
   check bool' "incremental path taken" true upd.Chase.upd_incremental;
   check int' "winner withdrawn" 0 (List.length (actives res' "winner"));
   check_matches_cold "negation disablement = cold chase" program res' [ cand; block ]
+
+(* An update that asserts a derived fact below a negation while making
+   that negation fail: the asserted fact is extensional from then on,
+   so the negated rule's over-deletion must not take it with the
+   conclusion it used to be derived from. *)
+let test_incr_asserted_fact_outlives_negation_cone () =
+  let src = {|
+a(X) -> q(X).
+b(X), not q(X) -> r(X).
+r(X) -> s(X).
+@goal(s).
+|}
+  in
+  let b = Atom.make "b" [ Term.str "1" ]
+  and s = Atom.make "s" [ Term.str "1" ]
+  and a = Atom.make "a" [ Term.str "1" ] in
+  let program, res = run_atoms src [ b ] in
+  check bool' "s derived before" true (List.mem {|s("1")|} (actives res "s"));
+  let res', upd = update_exn (Chase.add_facts program res [ s; a ]) in
+  check bool' "incremental path taken" true upd.Chase.upd_incremental;
+  check int' "r withdrawn" 0 (List.length (actives res' "r"));
+  check bool' "asserted s stays" true (List.mem {|s("1")|} (actives res' "s"));
+  check_matches_cold "assertion under a negation cone = cold chase" program res' [ b; s; a ]
 
 let test_incr_add_then_retract_roundtrip () =
   let base = [ edge "a" "b"; edge "b" "c" ] in
@@ -2474,59 +2590,82 @@ let prop_incremental_equals_cold =
           Database.fingerprint cold.Chase.db = Database.fingerprint !res.Chase.db
           && proofs_well_founded !res)
 
-(* same invariant through the stratified-negation path, the final state
-   also against the reference evaluator *)
+(* same invariant through the stratified-negation path, with a rule
+   below the negation: batches of up to three atoms, asserted or
+   retracted in one update, derived predicates' atoms included (an
+   assertion makes the fact extensional); after every update the state
+   equals a cold chase and the reference evaluator's instance of the
+   current base *)
 let prop_incremental_negation_equals_cold =
   let gen =
-    QCheck2.Gen.(pair edges_gen (list_size (int_range 1 5) (pair bool (int_range 0 5))))
+    QCheck2.Gen.(
+      pair edges_gen
+        (list_size (int_range 1 5)
+           (pair bool (list_size (int_range 1 3) (pair (int_range 0 3) (int_range 0 5))))))
   in
-  QCheck2.Test.make
+  let atom_of (kind, i) =
+    match kind with
+    | 0 -> edge (string_of_int i) (string_of_int ((i + 1) mod 6))
+    | 1 -> Atom.make "linked" [ Term.str (string_of_int i) ]
+    | 2 -> Atom.make "isolated" [ Term.str (string_of_int i) ]
+    | _ -> Atom.make "lonely" [ Term.str (string_of_int i) ]
+  in
+  let print (raw, batches) =
+    Printf.sprintf "base=[%s] batches=[%s]"
+      (String.concat ";" (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) raw))
+      (String.concat "; "
+         (List.map
+            (fun (is_add, atoms) ->
+              (if is_add then "add " else "del ")
+              ^ String.concat "," (List.map (fun a -> Atom.to_string (atom_of a)) atoms))
+            batches))
+  in
+  QCheck2.Test.make ~print
     ~name:"incremental updates respect stratified negation" ~count:60 gen
-    (fun (raw, ops) ->
+    (fun (raw, batches) ->
       let src = {|
 e(X, Y) -> linked(X).
 node(X), not linked(X) -> isolated(X).
-@goal(isolated).
+isolated(X) -> lonely(X).
+@goal(lonely).
 |}
       in
       let { Parser.program; _ } = parse_exn src in
-      let node i = Atom.make "node" [ Term.str (string_of_int i) ] in
-      let atom (i, j) = edge (string_of_int i) (string_of_int j) in
-      let base = List.init 6 node @ List.map atom raw in
-      match Chase.run program base with
+      let nodes = List.init 6 (fun i -> Atom.make "node" [ Term.str (string_of_int i) ]) in
+      let base =
+        ref
+          (List.sort_uniq Atom.compare
+             (List.map (fun (i, j) -> edge (string_of_int i) (string_of_int j)) raw))
+      in
+      match Chase.run program (nodes @ !base) with
       | Error _ -> false
       | Ok res ->
-        let keys = Hashtbl.create 16 in
-        List.iter (fun ij -> Hashtbl.replace keys ij ()) raw;
         let res = ref res and ok = ref true in
         List.iter
-          (fun (is_add, i) ->
+          (fun (is_add, batch) ->
             if !ok then begin
-              let ij = (i, (i + 1) mod 6) in
-              if is_add || not (Hashtbl.mem keys ij) then begin
-                Hashtbl.replace keys ij ();
-                match Chase.add_facts program !res [ atom ij ] with
-                | Ok (r, _) -> res := r
-                | Error _ -> ok := false
-              end
-              else begin
-                Hashtbl.remove keys ij;
-                match Chase.retract_facts program !res [ atom ij ] with
-                | Ok (r, _) -> res := r
-                | Error _ -> ok := false
-              end
+              let atoms = List.sort_uniq Atom.compare (List.map atom_of batch) in
+              let held = List.filter (fun a -> List.exists (Atom.equal a) !base) atoms in
+              let update =
+                if is_add || held = [] then begin
+                  base := List.sort_uniq Atom.compare (atoms @ !base);
+                  Chase.add_facts program !res atoms
+                end
+                else begin
+                  base := List.filter (fun a -> not (List.exists (Atom.equal a) held)) !base;
+                  Chase.retract_facts program !res held
+                end
+              in
+              match update, Chase.run program (nodes @ !base) with
+              | Ok (r, _), Ok cold ->
+                res := r;
+                ok :=
+                  Database.fingerprint cold.Chase.db = Database.fingerprint r.Chase.db
+                  && agrees_with_reference program (nodes @ !base) (Ok r)
+              | _ -> ok := false
             end)
-          ops;
-        !ok
-        &&
-        let final_base =
-          List.init 6 node @ Hashtbl.fold (fun ij () acc -> atom ij :: acc) keys []
-        in
-        match Chase.run program final_base with
-        | Error _ -> false
-        | Ok cold ->
-          Database.fingerprint cold.Chase.db = Database.fingerprint !res.Chase.db
-          && agrees_with_reference program final_base (Ok !res))
+          batches;
+        !ok)
 
 (* --- aggregation: engine ≡ reference, incremental ≡ cold -------------------
 
@@ -3051,6 +3190,7 @@ let qsuite =
       prop_join_engines_agree_plain;
       prop_join_engines_agree_negation;
       prop_join_engines_agree_naive;
+      prop_match_order;
       prop_unlimited_budget_is_identity;
       prop_incremental_equals_cold;
       prop_incremental_negation_equals_cold;
@@ -3137,6 +3277,8 @@ let () =
             test_incr_retraction_enables_negation;
           Alcotest.test_case "addition disables negation" `Quick
             test_incr_addition_disables_negation;
+          Alcotest.test_case "asserted fact outlives a negation cone" `Quick
+            test_incr_asserted_fact_outlives_negation_cone;
           Alcotest.test_case "add-then-retract round trip" `Quick
             test_incr_add_then_retract_roundtrip;
           Alcotest.test_case "unknown fact rejected" `Quick

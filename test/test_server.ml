@@ -1702,7 +1702,11 @@ own("A", "B", 0.5). own("B", "C", 0.6). own("A", "C", 0.3).
   check bool' "close link: no full pass" true (Json.mem_int "full_passes" j = Some 0);
   List.iter
     (fun k -> check bool' ("close link: " ^ k) true (has_ms k j))
-    [ "update_copy_ms"; "update_apply_ms"; "update_mirror_ms" ];
+    [ "update_copy_ms"; "update_apply_ms"; "update_cone_ms"; "update_rounds_ms";
+      "update_mirror_ms" ];
+  let num k = match Json.member k j with Some (Json.Num ms) -> ms | _ -> nan in
+  check bool' "close link: cone and rounds inside apply" true
+    (num "update_cone_ms" +. num "update_rounds_ms" <= num "update_apply_ms" +. 1e-3);
   let negation =
     session
       {|
