@@ -72,8 +72,8 @@ val add_facts :
 (** Live maintenance of a completed reasoning run: assert new
     extensional facts and warm-start the semi-naive chase from them
     ({!Chase.add_facts}).  The returned {!Chase.update} reports what
-    moved — the service layer uses [upd_changed_preds] to invalidate
-    only the cached explanations the update could have touched. *)
+    moved — the service layer uses [upd_changed_preds] to drop only
+    the cached query answers the update could have touched. *)
 
 val retract_facts :
   ?budget:Chase.budget ->

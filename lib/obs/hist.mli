@@ -1,10 +1,9 @@
-(** The one latency histogram shared by the service metrics and the
+(** The one latency histogram shared by the metrics registry and the
     tracer: log-spaced millisecond buckets with an overflow bucket,
     count/sum/max, and a Prometheus-style quantile estimator.
 
     Operations are not synchronized — embed a histogram behind the
-    owner's lock (as {!Metrics} and the server's endpoint metrics
-    do). *)
+    owner's lock (as {!Metrics} does). *)
 
 type t
 

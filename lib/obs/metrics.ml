@@ -88,6 +88,16 @@ let value t ?(labels = []) name =
         | Some (Scalar r) -> Some !r
         | Some (H _) | None -> None))
 
+let series t name f =
+  with_lock t (fun () ->
+      match List.find_opt (fun fam -> fam.name = name) t.families with
+      | None -> []
+      | Some fam ->
+        List.map
+          (fun (labels, c) ->
+            f labels (match c with Scalar r -> `Value !r | H h -> `Hist h))
+          fam.series)
+
 let render_family buf (f : family) =
   Prom.header buf ~name:f.name ~help:f.help ~typ:(typ_string f.kind);
   List.iter

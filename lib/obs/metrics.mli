@@ -54,6 +54,17 @@ val declare_histogram : t -> ?help:string -> ?labels:(string * string) list -> s
 val value : t -> ?labels:(string * string) list -> string -> float option
 (** The current value of a counter or gauge series, if recorded. *)
 
+val series :
+  t ->
+  string ->
+  ((string * string) list -> [ `Value of float | `Hist of Hist.t ] -> 'a) ->
+  'a list
+(** [series t name f] applies [f] to every series of the metric [name]
+    — its labels and its counter or gauge value, or its histogram — in
+    insertion order, under the registry lock: [f] reads a histogram
+    consistently, and must not record into [t].  [[]] when [name] was
+    never recorded. *)
+
 val to_prometheus : t -> string
 (** The full registry in Prometheus text exposition format. *)
 

@@ -1,8 +1,8 @@
 (** Prometheus text exposition format (version 0.0.4): [# HELP] /
     [# TYPE] headers, label escaping, and sample lines.  Pure
-    rendering — the data lives in {!Metrics} and the server's endpoint
-    metrics; both render through these helpers so the escaping rules
-    exist once. *)
+    rendering — the data lives in {!Metrics}, and everything that
+    renders exposition text goes through these helpers so the escaping
+    rules exist once. *)
 
 val escape_label : string -> string
 (** Escape a label {e value}: backslash, double quote and newline, per

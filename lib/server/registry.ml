@@ -3,11 +3,6 @@ open Ekg_datalog
 open Ekg_engine
 open Ekg_apps
 
-type cached_explanation = {
-  explanations : Pipeline.explanation list;
-  preds : string list;  (* predicates whose change invalidates the entry *)
-}
-
 (* one concrete query's cached answers, generation-stamped: an entry
    whose [ca_gen] no longer matches the session's [update_gen] must
    never serve.  [ca_result] never holds its scoped instance
@@ -43,7 +38,6 @@ type session = {
   created_at : float;
   lock : Mutex.t;
   mutable chase : Chase.result option;
-  explain_cache : (string * string, cached_explanation) Hashtbl.t;
   query_cache : (string, query_entry) Hashtbl.t;  (* keyed pred ^ "/" ^ mask *)
   mutable update_gen : int;
   mutable explain_count : int;
@@ -61,7 +55,6 @@ type persist = {
 
 type t = {
   root : string;
-  metrics : Metrics.t;
   obs : Ekg_obs.Metrics.t;
   fault : Fault.t;
   persist : persist option;
@@ -74,6 +67,8 @@ type t = {
   mutable next_id : int;
 }
 
+let session_cache_hits_metric = "ekg_session_cache_hits_total"
+let session_cache_misses_metric = "ekg_session_cache_misses_total"
 let evictions_metric = "ekg_store_evictions_total"
 let recovered_sessions_metric = "ekg_store_recovered_sessions_total"
 
@@ -89,7 +84,7 @@ let query_seconds_metric = "ekg_query_seconds_total"
 
 let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?store
     ?(snapshot_mode = Ekg_store.Snapshotter.Write_behind)
-    ?(max_hot_sessions = 0) metrics =
+    ?(max_hot_sessions = 0) () =
   let persist =
     Option.map
       (fun store ->
@@ -102,7 +97,6 @@ let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?
   in
   {
     root;
-    metrics;
     obs;
     fault;
     persist;
@@ -244,7 +238,6 @@ let make_session ~id ~name ~spec ~pipeline ~edb ~created_at ~update_gen =
     created_at;
     lock = Mutex.create ();
     chase = None;
-    explain_cache = Hashtbl.create 16;
     query_cache = Hashtbl.create 8;
     update_gen;
     explain_count = 0;
@@ -411,10 +404,14 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
         session.last_used <- Unix.gettimeofday ();
         match session.chase with
         | Some result ->
-          Metrics.cache_hit t.metrics;
+          Ekg_obs.Metrics.incr t.obs
+            ~help:"Chase materializations served from the session cache"
+            session_cache_hits_metric;
           Ok (result, `Hot)
         | None -> (
-          Metrics.cache_miss t.metrics;
+          Ekg_obs.Metrics.incr t.obs
+            ~help:"Chase materializations computed on demand"
+            session_cache_misses_metric;
           match try_warm_restore t session with
           | Some result ->
             session.chase <- Some result;
@@ -469,18 +466,6 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
 let incremental_rounds_metric = "ekg_chase_incremental_rounds_total"
 let retracted_facts_metric = "ekg_chase_retracted_facts_total"
 
-(* drop cached explanations that an update to [changed] predicates could
-   have altered; called with the session lock held *)
-let invalidate_cache_locked (session : session) changed =
-  let stale =
-    Hashtbl.fold
-      (fun key entry acc ->
-        if List.exists (fun p -> List.mem p changed) entry.preds then key :: acc
-        else acc)
-      session.explain_cache []
-  in
-  List.iter (Hashtbl.remove session.explain_cache) stale
-
 (* drop cached query answers whose predicate the update could have
    re-derived ([changed] is already the affected-predicate closure);
    the specializations themselves survive — they depend only on the
@@ -497,25 +482,6 @@ let invalidate_queries_locked (session : session) changed =
       end)
     session.query_cache;
   !dropped
-
-let cached_explanations (session : session) ~strategy ~query =
-  with_lock session.lock (fun () ->
-      Option.map
-        (fun e -> e.explanations)
-        (Hashtbl.find_opt session.explain_cache (strategy, query)))
-
-let generation (session : session) =
-  with_lock session.lock (fun () -> session.update_gen)
-
-let cache_explanations (session : session) ~generation ~strategy ~query ~preds
-    explanations =
-  with_lock session.lock (fun () ->
-      (* a fact update committed while this result was being computed:
-         its invalidation already ran, so storing the pre-update result
-         now would resurrect exactly what it evicted — drop it *)
-      if session.update_gen = generation then
-        Hashtbl.replace session.explain_cache (strategy, query)
-          { explanations; preds })
 
 let record_update t (upd : Chase.update) =
   Ekg_obs.Metrics.add t.obs
@@ -643,10 +609,10 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
              detects after mutating (Inconsistent, budget trips).  So
              the update runs against a private copy and is published by
              pointer swap on success; every error path discards the
-             copy, leaving the served snapshot, the EDB mirror and the
-             explanation cache exactly as they were.  The
-             non-incrementable fallback re-chases without touching its
-             input, so it needs no copy. *)
+             copy, leaving the served snapshot and the EDB mirror
+             exactly as they were.  The non-incrementable fallback
+             re-chases without touching its input, so it needs no
+             copy. *)
           let t0 = clock_ms () in
           let target =
             if Pipeline.incrementable session.pipeline then
@@ -669,7 +635,6 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
       match outcome with
       | Ok (upd, path, copy_ms, apply_ms, mirror_ms) ->
         session.update_gen <- session.update_gen + 1;
-        invalidate_cache_locked session upd.Chase.upd_changed_preds;
         let dropped =
           invalidate_queries_locked session upd.Chase.upd_changed_preds
         in
@@ -967,7 +932,6 @@ let session_json (session : session) =
         explained,
         traced,
         edb_facts,
-        cached_explanations,
         update_gen,
         last_used,
         queried,
@@ -977,7 +941,6 @@ let session_json (session : session) =
           session.explain_count,
           Option.is_some session.last_trace,
           List.length session.edb,
-          Hashtbl.length session.explain_cache,
           session.update_gen,
           session.last_used,
           session.query_count,
@@ -1001,7 +964,6 @@ let session_json (session : session) =
       "chase_cached", Json.bool cached;
       "tier", Json.str (if cached then "hot" else "dormant");
       "update_gen", Json.int update_gen;
-      "cached_explanations", Json.int cached_explanations;
       "explain_requests", Json.int explained;
       "cached_queries", Json.int cached_queries;
       "query_requests", Json.int queried;

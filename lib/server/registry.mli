@@ -2,21 +2,14 @@
     running.  A session pins a compiled [Pipeline.t] (structural
     analysis + both template families) together with its EDB; the
     chase materialization is computed on the first explanation request
-    and cached, so every later request over the same knowledge graph
-    skips program analysis {i and} reasoning entirely.  All entry
-    points are safe to call from concurrent domains. *)
+    and kept, so every later request over the same knowledge graph
+    skips program analysis {i and} reasoning, and an explanation is
+    only the templates' instantiation along a proof.  All entry points
+    are safe to call from concurrent domains. *)
 
 open Ekg_core
 open Ekg_datalog
 open Ekg_engine
-
-type cached_explanation = {
-  explanations : Pipeline.explanation list;
-  preds : string list;
-      (** predicates whose change invalidates the entry: the query's
-          own predicate plus every predicate appearing in the cached
-          proofs *)
-}
 
 type cached_answers = {
   ca_result : Pipeline.query_result;
@@ -71,18 +64,14 @@ type session = {
           the result via {!materialize}, or read this field under the
           lock as {!query} does, may keep using it without the session
           lock. *)
-  explain_cache : (string * string, cached_explanation) Hashtbl.t;
-      (** finished explanations keyed by (strategy, query text);
-          entries survive fact updates that cannot affect them *)
   query_cache : (string, query_entry) Hashtbl.t;
       (** the query lane's per-session LRU, keyed [pred ^ "/" ^ mask];
           specializations survive fact updates, cached answers are
           invalidated predicate-selectively *)
   mutable update_gen : int;
-      (** bumped by every committed fact update; {!cache_explanations}
-          refuses to store a result computed under an older generation,
-          so an update racing a long explanation cannot have its cache
-          invalidation undone *)
+      (** bumped by every committed fact update; a snapshot records it,
+          so a warm restore refuses a materialization of an older base,
+          and the query lane's cached answers are stamped with it *)
   mutable explain_count : int;
   mutable query_count : int;
   mutable last_trace : Ekg_obs.Trace.span option;
@@ -97,6 +86,12 @@ type session = {
 }
 
 type t
+
+val session_cache_hits_metric : string
+val session_cache_misses_metric : string
+(** ["ekg_session_cache_{hits,misses}_total"] — {!materialize} calls
+    served by the session's kept materialization, and those that had to
+    restore or chase one. *)
 
 val evictions_metric : string
 (** ["ekg_store_evictions_total"] — hot sessions demoted to disk by
@@ -141,11 +136,12 @@ val create :
   ?store:Ekg_store.Store.t ->
   ?snapshot_mode:Ekg_store.Snapshotter.mode ->
   ?max_hot_sessions:int ->
-  Metrics.t ->
+  unit ->
   t
 (** [root] (default ["."]) anchors [Files] paths; requests may not
     escape it.  [obs] (default a {!Ekg_obs.Metrics.noop} registry)
-    receives the [ekg_chase_*] series of every materialization.
+    receives the session-cache counters and the [ekg_chase_*] series
+    of every materialization.
     [fault] (default {!Fault.Off}): {!Fault.Slow_chase} injects its
     configured wall-clock into every materialization — in short,
     budget-aware slices, so a request deadline still trips within a
@@ -214,7 +210,8 @@ val materialize :
   session ->
   (Chase.result, Chase.error) result
 (** The cached chase result, computing it on first use.  Counts a
-    cache hit or miss on the registry's metrics; a miss runs the chase
+    cache hit or miss ({!session_cache_hits_metric},
+    {!session_cache_misses_metric}) on [obs]; a miss runs the chase
     with the registry's [obs] sink, so [result.stats] carries per-rule
     timings and the [ekg_chase_*] series advance.  [tracer]/[parent]
     thread the request trace into a cold chase, so its per-stratum
@@ -261,13 +258,13 @@ val update_facts :
     immutable snapshot throughout; without one only the dormant EDB
     mirror changes and the next materialization picks up the new base
     (added atoms are deduplicated against the mirror and within the
-    request).  Cached explanations whose predicates intersect the
-    update's [upd_changed_preds] are invalidated; the rest survive, as
-    do the session's compiled templates.
+    request).  The query lane's cached answers on the update's
+    [upd_changed_preds] are dropped; its specializations survive, as do
+    the session's compiled templates.
 
     {e Every} error leaves the session exactly as it was — the served
-    materialization, the EDB mirror and the explanation cache all
-    predate the failed request.  That covers validation errors
+    materialization and the EDB mirror both predate the failed
+    request.  That covers validation errors
     (non-ground addition, unknown or intensional retraction), budget
     trips mid-propagation, and {!Chase.Inconsistent} (409): the engine
     detects a constraint violation only after mutating, but it mutated
@@ -275,32 +272,6 @@ val update_facts :
     Advances the {!incremental_rounds_metric} and
     {!retracted_facts_metric} series and the session's [update_gen] on
     success. *)
-
-val cached_explanations :
-  session -> strategy:string -> query:string -> Pipeline.explanation list option
-(** The cached result of an identical earlier explanation request, if
-    no intervening fact update could have changed it. *)
-
-val generation : session -> int
-(** The session's current update generation.  Capture it before
-    computing an explanation and hand it to {!cache_explanations}:
-    the store is then skipped if any fact update committed in
-    between. *)
-
-val cache_explanations :
-  session ->
-  generation:int ->
-  strategy:string ->
-  query:string ->
-  preds:string list ->
-  Pipeline.explanation list ->
-  unit
-(** Cache a finished (non-degraded) explanation result under
-    (strategy, query); [preds] lists the predicates whose change must
-    evict it.  A no-op when the session's update generation no longer
-    equals [generation] — the result predates a committed fact update
-    whose invalidation already ran, so caching it would serve stale
-    explanations as [cached:true]. *)
 
 type query_outcome = {
   qo_result : Pipeline.query_result;

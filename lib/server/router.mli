@@ -8,8 +8,12 @@
                                          [?format=prometheus]
     POST /v1/sessions                    load a program/glossary/EDB triple
     GET  /v1/sessions                    list sessions
-    POST /v1/sessions/:id/explain        explain the facts matching an atom query
+    GET|POST /v1/sessions/:id/explain    explain the facts matching an atom query,
+                                         paged; GET takes URL parameters, POST
+                                         the same ones as JSON members
     POST /v1/sessions/:id/explain:batch  explain many queries over one chase
+    GET|POST /v1/sessions/:id/query      answer a point query (magic-sets lane
+                                         or a lookup on the materialization)
     GET  /v1/sessions/:id/templates      both template families of a session
     GET  /v1/sessions/:id/trace          span tree of the session's last explain
     GET  /v1/debug/runtime               live runtime gauges (GC, sampler sources)
@@ -63,8 +67,8 @@ val make_state :
   ?log:Ekg_obs.Log.t ->
   unit ->
   state
-(** Fresh registry + metrics + observability registry + tracer; [root]
-    anchors [program_path] / [facts_dir] session specs.
+(** Fresh registry + metrics registry + tracer; [root] anchors
+    [program_path] / [facts_dir] session specs.
     [chase_domains] (default [1]) must be [1]: the chase is sequential,
     and any other value raises [Invalid_argument].  It remains only for
     callers that still pass [~chase_domains:1].
@@ -73,9 +77,9 @@ val make_state :
     stretches materializations (see {!Registry.create}).
     [default_deadline_ms] (default [30_000]) applies when a request
     carries no [X-Ekg-Deadline-Ms]; [max_deadline_ms] (default
-    [300_000]) caps what a client may ask for.  The mandatory chase
+    [300_000]) caps what a client may ask for.  The request, chase
     and robustness series are pre-declared so Prometheus scrapes see
-    them before the first materialization or shed.
+    them before the first request, materialization or shed.
 
     [store] enables the persistence tier (see {!Registry.create}):
     snapshots after creation/update/materialization, warm restores on
@@ -87,11 +91,12 @@ val make_state :
     snapshot work runs (default write-behind on a dedicated domain). *)
 
 val registry : state -> Registry.t
-val metrics : state -> Metrics.t
 
 val obs : state -> Ekg_obs.Metrics.t
-(** The chase/pipeline-stage series appended to the Prometheus
-    exposition. *)
+(** The one metrics registry: request counts, latency and errors per
+    route label, session-cache hits and misses, uptime, and the chase,
+    pipeline-stage, query-lane, lock and store series.  [GET
+    /v1/metrics] renders it as JSON or as Prometheus text. *)
 
 val tracer : state -> Ekg_obs.Trace.t
 (** The request tracer (ring buffer of recent explain traces). *)
@@ -115,13 +120,16 @@ val fault : state -> Fault.t
 
 val handle : ?queue_wait_s:float -> state -> Http.request -> Http.response
 (** Dispatch one request, recording latency and status against the
-    route label (path parameters collapsed to [:id]) and stamping the
+    route label (path parameters collapsed to [:id]) in
+    [ekg_requests_total], [ekg_request_errors_total],
+    [ekg_endpoint_{requests,errors}_total] and the
+    [ekg_request_duration_ms] histogram, and stamping the
     [X-Ekg-Trace-Id] header.  Also emits the request's {e wide event}
     — one JSONL record carrying trace id, endpoint, status/error code,
     [queue_wait_s] (the admission-queue wait the server measured),
     per-request GC deltas, and whatever the handled tiers contributed
-    through {!Ekg_obs.Log.Ctx} (session, chase source and cost, cache
-    hits, snapshot scheduling) — and maintains the in-flight table
+    through {!Ekg_obs.Log.Ctx} (session, chase source and cost,
+    query-cache hits, snapshot scheduling) — and maintains the in-flight table
     behind [GET /v1/debug/inflight]. *)
 
 val handle_overload : state -> Http.request -> Http.response

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Server smoke test: boot the daemon on an ephemeral port, hit
 # /v1/health, scrape /v1/metrics in Prometheus format (the mandatory
-# series must be present), check the legacy paths answer 301 with a
-# Location header, exercise the live fact-update walkthrough, scrape
+# series must be present) and as JSON, check the legacy paths answer
+# 301 with a Location header, exercise the live fact-update walkthrough, scrape
 # the /v1/debug surface, check the wide-event JSONL log, shut it down
 # gracefully.
 # Usage: smoke.sh [path/to/serve.exe]
@@ -63,6 +63,15 @@ for series in ekg_requests_total ekg_chase_rounds_total \
   if ! grep -q "^$series" <<<"$METRICS"; then
     echo "smoke: /v1/metrics is missing mandatory series $series" >&2
     printf '%s\n' "$METRICS" >&2
+    exit 1
+  fi
+done
+
+# the default form is JSON, read from the same registry
+METRICS_JSON="$(curl -fsS "http://127.0.0.1:$PORT/v1/metrics")"
+for key in '"requests_total"' '"session_cache"' '"endpoints"'; do
+  if ! grep -qF "$key" <<<"$METRICS_JSON"; then
+    echo "smoke: JSON /v1/metrics is missing $key: $METRICS_JSON" >&2
     exit 1
   fi
 done

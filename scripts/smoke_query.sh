@@ -67,7 +67,7 @@ grep -q '"explanation"' <<<"$BODY" \
 grep -q 'exercises control over' <<<"$BODY" \
   || fail "explanation text is not verbalized" "$BODY"
 
-# 4. GET explain: same grammar, same paged envelope, one shared cache
+# 4. GET explain: same grammar, same paged envelope
 BODY="$(curl -fsSG --data-urlencode 'query=control("A", "D")' "$BASE/explain")"
 grep -q '"explanations"' <<<"$BODY" \
   || fail "GET explain returned no explanations" "$BODY"
