@@ -28,30 +28,27 @@ module Prng = Ekg_kernel.Prng
    series at zero instead of omitting it. *)
 
 let obs = Ekg_obs.Metrics.create ()
-let batches_metric = "ekg_loadgen_batches_total"
-let updates_metric = "ekg_loadgen_update_requests_total"
-let facts_metric = "ekg_loadgen_facts_streamed_total"
-let reads_metric = "ekg_loadgen_read_requests_total"
-let errors_metric = "ekg_loadgen_errors_total"
-let sheds_metric = "ekg_loadgen_shed_responses_total"
-let retries_metric = "ekg_loadgen_retries_total"
+let counter = Ekg_obs.Metrics.counter
+let batches_metric =
+  counter ~help:"CDC batches replayed against the server" "ekg_loadgen_batches_total"
+let updates_metric =
+  counter ~help:"POST/DELETE /facts requests issued" "ekg_loadgen_update_requests_total"
+let facts_metric =
+  counter ~help:"Facts streamed through the update lane (adds + retracts)"
+    "ekg_loadgen_facts_streamed_total"
+let reads_metric =
+  counter ~help:"Reader-worker /query and /explain requests issued"
+    "ekg_loadgen_read_requests_total"
+let errors_metric =
+  counter ~help:"Non-2xx responses (503 sheds counted separately)" "ekg_loadgen_errors_total"
+let sheds_metric = counter ~help:"503 shed responses observed" "ekg_loadgen_shed_responses_total"
+let retries_metric =
+  counter ~help:"Update requests retried after a shed" "ekg_loadgen_retries_total"
 
 let () =
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"CDC batches replayed against the server" batches_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"POST/DELETE /facts requests issued" updates_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Facts streamed through the update lane (adds + retracts)"
-    facts_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Reader-worker /query and /explain requests issued" reads_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Non-2xx responses (503 sheds counted separately)" errors_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"503 shed responses observed" sheds_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Update requests retried after a shed" retries_metric
+  List.iter (Ekg_obs.Metrics.declare obs)
+    [ batches_metric; updates_metric; facts_metric; reads_metric; errors_metric;
+      sheds_metric; retries_metric ]
 
 (* --- a minimal loopback HTTP/1.1 client -------------------------------------
 
@@ -428,7 +425,10 @@ let replay_run data url rate readers domains queue_high_water
               List.iter
                 (fun g ->
                   match Json.mem_str "name" g with
-                  | Some "ekg_runtime_gc_top_heap_words" ->
+                  | Some name
+                    when name
+                         = Ekg_obs.Metrics.name
+                             Ekg_obs.Runtime.top_heap_words_metric ->
                     let v =
                       Option.bind (Json.member "value" g) Json.get_num
                       |> Option.value ~default:0.0

@@ -164,6 +164,11 @@ type specialization =
           the query is answered from a private full chase *)
   | Sp_edb  (** extensional predicate: a simple scan over the EDB *)
 
+val unknown_pred : t -> string -> string option
+(** [Some message] when the program does not mention the predicate:
+    a query or explanation of it is the caller's error, answered before
+    any chase. *)
+
 val specialize : t -> pred:string -> mask:string -> (specialization, string) result
 (** Plan how queries of the given shape will be answered.  Depends only
     on the (immutable) program and the pattern, so serving layers cache

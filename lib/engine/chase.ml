@@ -566,44 +566,67 @@ type rule_acc = {
   mutable acc_insert : float;  (* insertion *)
 }
 
+(* the series a [?stats] run records: eight totals, two per-rule
+   histograms, and two series per rule labelled by rule and stratum *)
+module M = Ekg_obs.Metrics
+
+let runs_metric = M.counter ~help:"Chase materializations completed" "ekg_chase_runs_total"
+let rounds_metric = M.counter ~help:"Fixpoint rounds executed" "ekg_chase_rounds_total"
+let facts_derived_metric =
+  M.counter ~help:"Facts derived beyond the EDB" "ekg_chase_facts_derived_total"
+let agg_superseded_metric =
+  M.counter ~help:"Aggregate facts superseded by a later refinement"
+    "ekg_chase_agg_superseded_total"
+let seconds_metric =
+  M.counter ~help:"Seconds spent in chase materializations" "ekg_chase_seconds_total"
+let plan_reorders_metric =
+  M.counter ~help:"Join plans that deviated from textual body order"
+    "ekg_chase_plan_reorders_total"
+let join_builds_metric =
+  M.counter ~help:"Hash-join indexes built or extended during round planning"
+    "ekg_chase_join_builds_total"
+let join_probe_hits_metric =
+  M.counter ~help:"Matches emitted by the join probe phase" "ekg_chase_join_probe_hits_total"
+let join_build_seconds_metric =
+  M.histogram ~help:"Per-rule index build seconds per chase" "ekg_chase_join_build_seconds"
+let join_probe_seconds_metric =
+  M.histogram ~help:"Per-rule probe (match-phase) seconds per chase"
+    "ekg_chase_join_probe_seconds"
+let rule_seconds_metric =
+  M.counter ~help:"Evaluation seconds per rule" "ekg_chase_rule_seconds_total"
+let rule_facts_metric = M.counter ~help:"Facts derived per rule" "ekg_chase_rule_facts_total"
+
+let declare_stats sink =
+  List.iter (M.declare sink)
+    [ runs_metric; rounds_metric; facts_derived_metric; agg_superseded_metric;
+      seconds_metric; plan_reorders_metric; join_builds_metric; join_probe_hits_metric ];
+  M.declare sink join_build_seconds_metric;
+  M.declare sink join_probe_seconds_metric
+
 let push_stats sink ~rounds ~derived (s : stats) =
-  let open Ekg_obs in
-  Metrics.incr sink ~help:"Chase materializations completed" "ekg_chase_runs_total";
-  Metrics.add sink ~help:"Fixpoint rounds executed" "ekg_chase_rounds_total"
-    (float_of_int rounds);
-  Metrics.add sink ~help:"Facts derived beyond the EDB"
-    "ekg_chase_facts_derived_total" (float_of_int derived);
-  Metrics.add sink ~help:"Stale monotonic-aggregate facts superseded"
-    "ekg_chase_agg_superseded_total" (float_of_int s.agg_superseded);
-  Metrics.add sink ~help:"Chase wall-clock seconds" "ekg_chase_seconds_total"
-    s.wall_s;
-  Metrics.add sink
-    ~help:"Join plans that deviated from textual body order"
-    "ekg_chase_plan_reorders_total" (float_of_int s.plan_reorders);
-  Metrics.add sink
-    ~help:"Hash-join indexes built or extended during round planning"
-    "ekg_chase_join_builds_total" (float_of_int s.join_builds);
-  Metrics.add sink
-    ~help:"Matches emitted by the join probe phase"
-    "ekg_chase_join_probe_hits_total" (float_of_int s.join_probe_hits);
-  List.iter
-    (fun (r : rule_stat) ->
-      if r.build_s > 0. then
-        Metrics.observe sink ~help:"Per-rule index build seconds per chase"
-          "ekg_chase_join_build_seconds" r.build_s;
-      Metrics.observe sink ~help:"Per-rule probe (match-phase) seconds per chase"
-        "ekg_chase_join_probe_seconds" r.probe_s)
-    s.per_rule;
-  List.iter
-    (fun (r : rule_stat) ->
-      let labels =
-        [ ("rule", r.rule_id); ("stratum", string_of_int r.stratum) ]
-      in
-      Metrics.add sink ~help:"Evaluation seconds per rule"
-        ~labels "ekg_chase_rule_seconds_total" r.time_s;
-      Metrics.add sink ~help:"Facts derived per rule" ~labels
-        "ekg_chase_rule_facts_total" (float_of_int r.facts))
-    s.per_rule
+  let total f v = M.Add (f, [], v) in
+  let per_rule (r : rule_stat) =
+    let labels = [ ("rule", r.rule_id); ("stratum", string_of_int r.stratum) ] in
+    (if r.build_s > 0. then [ M.Observe (join_build_seconds_metric, [], r.build_s) ]
+     else [])
+    @ [
+        M.Observe (join_probe_seconds_metric, [], r.probe_s);
+        M.Add (rule_seconds_metric, labels, r.time_s);
+        M.Add (rule_facts_metric, labels, float_of_int r.facts);
+      ]
+  in
+  M.record sink
+    ([
+       total runs_metric 1.;
+       total rounds_metric (float_of_int rounds);
+       total facts_derived_metric (float_of_int derived);
+       total agg_superseded_metric (float_of_int s.agg_superseded);
+       total seconds_metric s.wall_s;
+       total plan_reorders_metric (float_of_int s.plan_reorders);
+       total join_builds_metric (float_of_int s.join_builds);
+       total join_probe_hits_metric (float_of_int s.join_probe_hits);
+     ]
+    @ List.concat_map per_rule s.per_rule)
 
 (* --- the round loop --------------------------------------------------------
 

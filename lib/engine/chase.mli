@@ -241,7 +241,13 @@ val run :
     outright — [result.stats] stays [None] and the hot path pays a
     single branch, so instrumented call sites can leave observability
     off for free.  Without [stats] the hot path is likewise untouched
-    — no clock reads per rule. *)
+    — no clock reads per rule.  A run's totals are one
+    {!Ekg_obs.Metrics.record}. *)
+
+val declare_stats : Ekg_obs.Metrics.t -> unit
+(** Declare at zero the series every [?stats] run records (the totals
+    and the join histograms), so a registry that will receive chases
+    exposes them before the first. *)
 
 val run_exn :
   ?naive:bool ->

@@ -4,60 +4,54 @@
    mutex op behind one branch, so adopting the wrapper costs nothing
    when observability is off. *)
 
-let wait_metric = "ekg_lock_wait_seconds"
-let hold_metric = "ekg_lock_hold_seconds"
-let acquisitions_metric = "ekg_lock_acquisitions_total"
-let contended_metric = "ekg_lock_contended_total"
-
-let wait_help = "Time spent waiting to acquire an instrumented lock."
-let hold_help = "Time an instrumented lock was held per critical section."
-let acquisitions_help = "Acquisitions of an instrumented lock."
-let contended_help = "Acquisitions that found an instrumented lock already held."
+let wait_metric =
+  Metrics.histogram ~help:"Time spent waiting to acquire an instrumented lock."
+    "ekg_lock_wait_seconds"
+let hold_metric =
+  Metrics.histogram ~help:"Time an instrumented lock was held per critical section."
+    "ekg_lock_hold_seconds"
+let acquisitions_metric =
+  Metrics.counter ~help:"Acquisitions of an instrumented lock." "ekg_lock_acquisitions_total"
+let contended_metric =
+  Metrics.counter ~help:"Acquisitions that found an instrumented lock already held."
+    "ekg_lock_contended_total"
 
 type t = {
   name : string;
   mutex : Mutex.t;
-  mutable obs : Metrics.t;
+  obs : Metrics.t;
   labels : (string * string) list;
   mutable acquired_at : float;
       (* read and written only while holding [mutex], so the current
          holder sees its own acquisition time *)
 }
 
-let create ?obs name =
-  let obs = match obs with Some o -> o | None -> Metrics.noop () in
-  {
-    name;
-    mutex = Mutex.create ();
-    obs;
-    labels = [ ("lock", name) ];
-    acquired_at = 0.;
-  }
+let create ?(obs = Metrics.noop ()) name =
+  let labels = [ ("lock", name) ] in
+  Metrics.declare obs ~labels wait_metric;
+  Metrics.declare obs ~labels hold_metric;
+  Metrics.declare obs ~labels acquisitions_metric;
+  Metrics.declare obs ~labels contended_metric;
+  { name; mutex = Mutex.create (); obs; labels; acquired_at = 0. }
 
 let name t = t.name
 let mutex t = t.mutex
-let set_obs t obs = t.obs <- obs
-
-let declare obs name =
-  let labels = [ ("lock", name) ] in
-  Metrics.declare_histogram obs ~help:wait_help ~labels wait_metric;
-  Metrics.declare_histogram obs ~help:hold_help ~labels hold_metric;
-  Metrics.declare_counter obs ~help:acquisitions_help ~labels acquisitions_metric;
-  Metrics.declare_counter obs ~help:contended_help ~labels contended_metric
 
 let lock t =
   if Metrics.enabled t.obs then begin
-    (if Mutex.try_lock t.mutex then
-       Metrics.observe t.obs ~help:wait_help ~labels:t.labels wait_metric 0.
-     else begin
-       Metrics.incr t.obs ~help:contended_help ~labels:t.labels contended_metric;
-       let t0 = Clock.now_s () in
-       Mutex.lock t.mutex;
-       Metrics.observe t.obs ~help:wait_help ~labels:t.labels wait_metric
-         (Float.max 0. (Clock.now_s () -. t0))
-     end);
-    Metrics.incr t.obs ~help:acquisitions_help ~labels:t.labels
-      acquisitions_metric;
+    let wait, contended =
+      if Mutex.try_lock t.mutex then 0., []
+      else begin
+        let t0 = Clock.now_s () in
+        Mutex.lock t.mutex;
+        ( Float.max 0. (Clock.now_s () -. t0),
+          [ Metrics.Add (contended_metric, t.labels, 1.) ] )
+      end
+    in
+    Metrics.record t.obs
+      (Metrics.Observe (wait_metric, t.labels, wait)
+      :: Metrics.Add (acquisitions_metric, t.labels, 1.)
+      :: contended);
     t.acquired_at <- Clock.now_s ()
   end
   else Mutex.lock t.mutex
@@ -68,7 +62,7 @@ let unlock t =
     Mutex.unlock t.mutex;
     (* observed after release so hold times never include the metrics
        registry's own lock *)
-    Metrics.observe t.obs ~help:hold_help ~labels:t.labels hold_metric held
+    Metrics.observe t.obs ~labels:t.labels hold_metric held
   end
   else Mutex.unlock t.mutex
 

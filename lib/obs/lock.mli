@@ -18,10 +18,10 @@
 type t
 
 val create : ?obs:Metrics.t -> string -> t
-(** [obs] defaults to a noop registry (uninstrumented until
-    {!set_obs}). *)
+(** [create ~obs name] declares the lock's four series in [obs] at
+    zero, so scrapes see them before the first acquisition.  [obs]
+    defaults to a noop registry (uninstrumented). *)
 
-val set_obs : t -> Metrics.t -> unit
 val name : t -> string
 
 val mutex : t -> Mutex.t
@@ -31,19 +31,18 @@ val mutex : t -> Mutex.t
     loop — otherwise the hold histogram absorbs the blocked time and
     stops describing contention. *)
 
-val declare : Metrics.t -> string -> unit
-(** Pre-register the four series for lock name [name] so scrapes see
-    them at zero before the first acquisition. *)
-
 val lock : t -> unit
+(** Acquire; its wait, acquisition and (if the lock was held) contention
+    are one {!Metrics.record}. *)
+
 val unlock : t -> unit
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [lock]/[unlock] around [f], release guaranteed on exceptions. *)
 
-(** {1 Series names} *)
+(** {1 Families} *)
 
-val wait_metric : string
-val hold_metric : string
-val acquisitions_metric : string
-val contended_metric : string
+val wait_metric : Metrics.histogram
+val hold_metric : Metrics.histogram
+val acquisitions_metric : Metrics.counter
+val contended_metric : Metrics.counter

@@ -1,129 +1,145 @@
 type kind = Counter | Gauge | Histogram
 
+type desc = { name : string; help : string; kind : kind }
+
+(* ['kind] is phantom: it keeps a counter out of [set] and [observe] *)
+type 'kind family = desc
+type counter = [ `Counter ] family
+type gauge = [ `Gauge ] family
+type histogram = [ `Histogram ] family
+
+let counter ~help name = { name; help; kind = Counter }
+let gauge ~help name = { name; help; kind = Gauge }
+let histogram ~help name = { name; help; kind = Histogram }
+let name (f : _ family) = f.name
+
+module Names = Hashtbl.Make (String)
+
+type labels = (string * string) list
+
 type cell =
   | Scalar of float ref
   | H of Hist.t
 
-type family = {
-  name : string;
-  help : string;
-  kind : kind;
-  mutable series : ((string * string) list * cell) list;  (* insertion order *)
+(* a family's series in one registry *)
+type entry = {
+  desc : desc;
+  cells : (labels, cell) Hashtbl.t;
+  mutable series : (labels * cell) list;  (* newest first *)
 }
 
 type t = {
   lock : Mutex.t;
-  mutable families : family list;  (* insertion order *)
+  entries : entry Names.t;
+  mutable families : entry list;  (* newest first *)
   enabled : bool;
 }
 
-let create () = { lock = Mutex.create (); families = []; enabled = true }
-let noop () = { lock = Mutex.create (); families = []; enabled = false }
+type view = t
+
+let make enabled =
+  { lock = Mutex.create (); entries = Names.create 64; families = []; enabled }
+
+let create () = make true
+let noop () = make false
 let enabled t = t.enabled
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+type update =
+  | Add of counter * labels * float
+  | Set of gauge * labels * float
+  | Observe of histogram * labels * float
+
+(* find-or-create, under the registry lock; the first family of a name
+   fixes its help and kind *)
+let cell t (d : desc) labels =
+  let e =
+    match Names.find_opt t.entries d.name with
+    | Some e -> e
+    | None ->
+      let e = { desc = d; cells = Hashtbl.create 4; series = [] } in
+      Names.add t.entries d.name e;
+      t.families <- e :: t.families;
+      e
+  in
+  match Hashtbl.find_opt e.cells labels with
+  | Some c -> c
+  | None ->
+    let c = match e.desc.kind with Histogram -> H (Hist.create ()) | _ -> Scalar (ref 0.) in
+    Hashtbl.add e.cells labels c;
+    e.series <- (labels, c) :: e.series;
+    c
+
+let apply t = function
+  | Add (f, labels, v) -> (
+    match cell t f labels with Scalar r -> r := !r +. v | H _ -> ())
+  | Set (f, labels, v) -> (
+    match cell t f labels with Scalar r -> r := v | H _ -> ())
+  | Observe (f, labels, seconds) -> (
+    match cell t f labels with H h -> Hist.observe h seconds | Scalar _ -> ())
+
+let record t updates =
+  if t.enabled then Mutex.protect t.lock (fun () -> List.iter (apply t) updates)
+
+let add t ?(labels = []) f v = record t [ Add (f, labels, v) ]
+let incr t ?labels f = add t ?labels f 1.
+let set t ?(labels = []) f v = record t [ Set (f, labels, v) ]
+let observe t ?(labels = []) f seconds = record t [ Observe (f, labels, seconds) ]
+
+let declare t ?(labels = []) f =
+  if t.enabled then Mutex.protect t.lock (fun () -> ignore (cell t f labels))
+
+let snapshot t f = Mutex.protect t.lock (fun () -> f t)
+
+let scalar v name labels =
+  match Names.find_opt v.entries name with
+  | None -> None
+  | Some e -> (
+    match Hashtbl.find_opt e.cells labels with
+    | Some (Scalar r) -> Some !r
+    | Some (H _) | None -> None)
+
+let get v ?(labels = []) (f : _ family) = scalar v f.name labels
+
+let histograms v (f : histogram) =
+  match Names.find_opt v.entries f.name with
+  | None -> []
+  | Some e ->
+    List.fold_left
+      (fun acc (labels, c) ->
+        match c with H h -> (labels, h) :: acc | Scalar _ -> acc)
+      [] e.series
+
+let value t ?(labels = []) name = snapshot t (fun v -> scalar v name labels)
 
 let typ_string = function
   | Counter -> "counter"
   | Gauge -> "gauge"
   | Histogram -> "histogram"
 
-(* find-or-create under the registry lock; the first recording of a
-   name fixes help and kind *)
-let cell t ~kind ~help name labels =
-  let family =
-    match List.find_opt (fun f -> f.name = name) t.families with
-    | Some f -> f
-    | None ->
-      let f = { name; help; kind; series = [] } in
-      t.families <- t.families @ [ f ];
-      f
-  in
-  match List.assoc_opt labels family.series with
-  | Some c -> c
-  | None ->
-    let c = match family.kind with Histogram -> H (Hist.create ()) | _ -> Scalar (ref 0.) in
-    family.series <- family.series @ [ (labels, c) ];
-    c
-
-let add t ?(help = "") ?(labels = []) name v =
-  if t.enabled then
-    with_lock t (fun () ->
-        match cell t ~kind:Counter ~help name labels with
-        | Scalar r -> r := !r +. v
-        | H _ -> ())
-
-let incr t ?help ?labels name = add t ?help ?labels name 1.
-
-let set t ?(help = "") ?(labels = []) name v =
-  if t.enabled then
-    with_lock t (fun () ->
-        match cell t ~kind:Gauge ~help name labels with
-        | Scalar r -> r := v
-        | H _ -> ())
-
-let observe t ?(help = "") ?(labels = []) name seconds =
-  if t.enabled then
-    with_lock t (fun () ->
-        match cell t ~kind:Histogram ~help name labels with
-        | H h -> Hist.observe h seconds
-        | Scalar _ -> ())
-
-let declare t ~kind ?(help = "") ?(labels = []) name =
-  if t.enabled then
-    with_lock t (fun () -> ignore (cell t ~kind ~help name labels))
-
-let declare_counter t ?help ?labels name = declare t ~kind:Counter ?help ?labels name
-let declare_gauge t ?help ?labels name = declare t ~kind:Gauge ?help ?labels name
-let declare_histogram t ?help ?labels name = declare t ~kind:Histogram ?help ?labels name
-
-let value t ?(labels = []) name =
-  with_lock t (fun () ->
-      match List.find_opt (fun f -> f.name = name) t.families with
-      | None -> None
-      | Some f -> (
-        match List.assoc_opt labels f.series with
-        | Some (Scalar r) -> Some !r
-        | Some (H _) | None -> None))
-
-let series t name f =
-  with_lock t (fun () ->
-      match List.find_opt (fun fam -> fam.name = name) t.families with
-      | None -> []
-      | Some fam ->
-        List.map
-          (fun (labels, c) ->
-            f labels (match c with Scalar r -> `Value !r | H h -> `Hist h))
-          fam.series)
-
-let render_family buf (f : family) =
-  Prom.header buf ~name:f.name ~help:f.help ~typ:(typ_string f.kind);
+let render_family buf e =
+  let name = e.desc.name in
+  Prom.header buf ~name ~typ:(typ_string e.desc.kind) e.desc.help;
   List.iter
     (fun (labels, c) ->
       match c with
-      | Scalar r -> Prom.sample buf ~name:f.name ~labels !r
+      | Scalar r -> Prom.sample buf ~name ~labels !r
       | H h ->
         List.iter
           (fun (le, cum) ->
-            Prom.sample buf ~name:(f.name ^ "_bucket")
+            Prom.sample buf ~name:(name ^ "_bucket")
               ~labels:(labels @ [ ("le", Prom.number le) ])
               (float_of_int cum))
           (Hist.cumulative h);
-        Prom.sample buf ~name:(f.name ^ "_bucket")
+        Prom.sample buf ~name:(name ^ "_bucket")
           ~labels:(labels @ [ ("le", "+Inf") ])
           (float_of_int (Hist.count h));
-        Prom.sample buf ~name:(f.name ^ "_sum") ~labels (Hist.sum_ms h);
-        Prom.sample buf ~name:(f.name ^ "_count") ~labels
+        Prom.sample buf ~name:(name ^ "_sum") ~labels (Hist.sum_ms h);
+        Prom.sample buf ~name:(name ^ "_count") ~labels
           (float_of_int (Hist.count h)))
-    f.series
-
-let render buf t =
-  if t.enabled then
-    with_lock t (fun () -> List.iter (render_family buf) t.families)
+    (List.rev e.series)
 
 let to_prometheus t =
   let buf = Buffer.create 1024 in
-  render buf t;
+  if t.enabled then
+    snapshot t (fun t -> List.iter (render_family buf) (List.rev t.families));
   Buffer.contents buf

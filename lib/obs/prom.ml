@@ -21,8 +21,8 @@ let number v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-let header buf ~name ~help ~typ =
-  Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
+let header buf ~name ~typ text =
+  Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help text));
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ)
 
 let sample buf ~name ?(labels = []) v =

@@ -15,8 +15,9 @@ val number : float -> string
 (** Render a sample value: integral floats without a decimal point,
     non-finite values as [+Inf]/[-Inf]/[NaN]. *)
 
-val header : Buffer.t -> name:string -> help:string -> typ:string -> unit
-(** Append the [# HELP]/[# TYPE] pair for a metric family. *)
+val header : Buffer.t -> name:string -> typ:string -> string -> unit
+(** [header buf ~name ~typ help] appends the [# HELP]/[# TYPE] pair for
+    a metric family. *)
 
 val sample :
   Buffer.t -> name:string -> ?labels:(string * string) list -> float -> unit

@@ -6,13 +6,32 @@
    bottom of the dependency order while the server and store feed it. *)
 
 type sample = {
-  s_name : string;
-  s_help : string;
+  s_gauge : Metrics.gauge;
   s_labels : (string * string) list;
   s_value : float;
 }
 
-let samples_metric = "ekg_runtime_samples_total"
+let samples_metric =
+  Metrics.counter ~help:"Runtime sampler passes." "ekg_runtime_samples_total"
+let heap_words_metric =
+  Metrics.gauge ~help:"Major heap size in words." "ekg_runtime_gc_heap_words"
+let top_heap_words_metric =
+  Metrics.gauge ~help:"Largest major heap size reached, in words."
+    "ekg_runtime_gc_top_heap_words"
+let minor_collections_metric =
+  Metrics.gauge ~help:"Minor collections since process start."
+    "ekg_runtime_gc_minor_collections"
+let major_collections_metric =
+  Metrics.gauge ~help:"Major collection cycles since process start."
+    "ekg_runtime_gc_major_collections"
+let compactions_metric =
+  Metrics.gauge ~help:"Heap compactions since process start." "ekg_runtime_gc_compactions"
+let promoted_words_metric =
+  Metrics.gauge ~help:"Words promoted from the minor heap since process start."
+    "ekg_runtime_gc_promoted_words"
+let alloc_rate_metric =
+  Metrics.gauge ~help:"Allocation rate between the last two sampler passes."
+    "ekg_runtime_alloc_rate_words_per_s"
 
 type t = {
   obs : Metrics.t;
@@ -44,8 +63,7 @@ let register t name f =
   t.sources <- (List.remove_assoc name t.sources) @ [ (name, f) ];
   Mutex.unlock t.lock
 
-let gauge ?(labels = []) s_name s_help s_value =
-  { s_name; s_help; s_labels = labels; s_value }
+let gauge s_gauge s_value = { s_gauge; s_labels = []; s_value }
 
 let gc_samples t ~now =
   let st = Gc.quick_stat () in
@@ -60,20 +78,13 @@ let gc_samples t ~now =
   t.last_t <- now;
   t.last_alloc_words <- alloc_words;
   [
-    gauge "ekg_runtime_gc_heap_words" "Major heap size in words."
-      (float_of_int st.heap_words);
-    gauge "ekg_runtime_gc_top_heap_words" "Largest major heap size reached, in words."
-      (float_of_int st.top_heap_words);
-    gauge "ekg_runtime_gc_minor_collections" "Minor collections since process start."
-      (float_of_int st.minor_collections);
-    gauge "ekg_runtime_gc_major_collections" "Major collection cycles since process start."
-      (float_of_int st.major_collections);
-    gauge "ekg_runtime_gc_compactions" "Heap compactions since process start."
-      (float_of_int st.compactions);
-    gauge "ekg_runtime_gc_promoted_words" "Words promoted from the minor heap since process start."
-      st.promoted_words;
-    gauge "ekg_runtime_alloc_rate_words_per_s"
-      "Allocation rate between the last two sampler passes." rate;
+    gauge heap_words_metric (float_of_int st.heap_words);
+    gauge top_heap_words_metric (float_of_int st.top_heap_words);
+    gauge minor_collections_metric (float_of_int st.minor_collections);
+    gauge major_collections_metric (float_of_int st.major_collections);
+    gauge compactions_metric (float_of_int st.compactions);
+    gauge promoted_words_metric st.promoted_words;
+    gauge alloc_rate_metric rate;
   ]
 
 let sample t =
@@ -86,10 +97,9 @@ let sample t =
     List.concat_map (fun (_, f) -> try f () with _ -> []) sources
   in
   let all = gc @ extra in
-  List.iter
-    (fun s -> Metrics.set t.obs ~help:s.s_help ~labels:s.s_labels s.s_name s.s_value)
-    all;
-  Metrics.incr t.obs ~help:"Runtime sampler passes." samples_metric;
+  Metrics.record t.obs
+    (List.map (fun s -> Metrics.Set (s.s_gauge, s.s_labels, s.s_value)) all
+    @ [ Metrics.Add (samples_metric, [], 1.) ]);
   all
 
 let loop t () =

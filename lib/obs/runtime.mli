@@ -14,8 +14,7 @@
     in flight. *)
 
 type sample = {
-  s_name : string;              (** metric name, e.g. ["ekg_runtime_gc_heap_words"] *)
-  s_help : string;
+  s_gauge : Metrics.gauge;  (** the gauge family the value is set on *)
   s_labels : (string * string) list;
   s_value : float;
 }
@@ -38,7 +37,8 @@ val register : t -> string -> (unit -> sample list) -> unit
 val sample : t -> sample list
 (** One synchronous sampler pass: read the GC, consult every source,
     publish all gauges, and return them — the [/v1/debug/runtime]
-    document renders this list directly. *)
+    document renders this list directly.  The gauges and the pass
+    counter are one {!Metrics.record}. *)
 
 val start : t -> unit
 (** Spawn the background domain (idempotent). *)
@@ -49,5 +49,8 @@ val stop : t -> unit
 (** Stop and join the background domain (idempotent, prompt even for
     multi-second periods). *)
 
-val samples_metric : string
-(** ["ekg_runtime_samples_total"] — sampler passes completed. *)
+val samples_metric : Metrics.counter
+(** [ekg_runtime_samples_total] — sampler passes completed. *)
+
+val top_heap_words_metric : Metrics.gauge
+(** [ekg_runtime_gc_top_heap_words] — the largest major heap reached. *)

@@ -25,7 +25,6 @@ let create ?(capacity = 128) ?on_finish ?lock_obs () =
     on_finish;
   }
 
-let set_lock_obs t obs = Lock.set_obs t.lock obs
 let with_lock t f = Lock.with_lock t.lock f
 
 let push_root t sp =

@@ -28,9 +28,6 @@ val create :
     mutex with wait/hold histograms labeled [{lock="tracer"}] (see
     {!Lock}). *)
 
-val set_lock_obs : t -> Metrics.t -> unit
-(** Re-bind the ring-mutex instrumentation sink. *)
-
 val with_span :
   t -> ?parent:span -> ?labels:(string * string) list -> string -> (span -> 'a) -> 'a
 (** [with_span t name f] times [f]: the span is finished (duration

@@ -67,24 +67,61 @@ type t = {
   mutable next_id : int;
 }
 
-let session_cache_hits_metric = "ekg_session_cache_hits_total"
-let session_cache_misses_metric = "ekg_session_cache_misses_total"
-let evictions_metric = "ekg_store_evictions_total"
-let recovered_sessions_metric = "ekg_store_recovered_sessions_total"
+let counter = Ekg_obs.Metrics.counter
+let session_cache_hits_metric =
+  counter ~help:"Chase materializations served from the session cache"
+    "ekg_session_cache_hits_total"
+let session_cache_misses_metric =
+  counter ~help:"Chase materializations computed on demand" "ekg_session_cache_misses_total"
+let evictions_metric =
+  counter ~help:"Hot sessions demoted to disk by the --max-hot-sessions bound"
+    "ekg_store_evictions_total"
+let recovered_sessions_metric =
+  counter ~help:"Sessions re-registered from snapshots at startup"
+    "ekg_store_recovered_sessions_total"
+let incremental_rounds_metric =
+  counter ~help:"Chase rounds spent maintaining materializations incrementally"
+    "ekg_chase_incremental_rounds_total"
+let retracted_facts_metric =
+  counter ~help:"Facts removed from materializations by retraction"
+    "ekg_chase_retracted_facts_total"
 
-(* the query lane's series, declared at startup by the router *)
-let query_requests_metric = "ekg_query_requests_total"
-let query_materialized_metric = "ekg_query_materialized_total"
-let query_rewrite_hits_metric = "ekg_query_rewrite_cache_hits_total"
-let query_rewrite_misses_metric = "ekg_query_rewrite_cache_misses_total"
-let query_answer_hits_metric = "ekg_query_answer_cache_hits_total"
-let query_answer_misses_metric = "ekg_query_answer_cache_misses_total"
-let query_invalidations_metric = "ekg_query_cache_invalidations_total"
-let query_seconds_metric = "ekg_query_seconds_total"
+(* the query lane's series *)
+let query_requests_metric =
+  counter ~help:"Point queries served by the query lane" "ekg_query_requests_total"
+let query_materialized_metric =
+  counter ~help:"Point queries answered by a lookup on the served materialization"
+    "ekg_query_materialized_total"
+let query_rewrite_hits_metric =
+  counter ~help:"Query shapes answered from a cached specialization"
+    "ekg_query_rewrite_cache_hits_total"
+let query_rewrite_misses_metric =
+  counter ~help:"Query shapes that paid for the magic-sets rewrite"
+    "ekg_query_rewrite_cache_misses_total"
+let query_answer_hits_metric =
+  counter ~help:"Point queries answered from the per-session answer cache"
+    "ekg_query_answer_cache_hits_total"
+let query_answer_misses_metric =
+  counter ~help:"Point queries that ran a scoped chase (answer cache miss)"
+    "ekg_query_answer_cache_misses_total"
+let query_invalidations_metric =
+  counter ~help:"Cached query answers dropped by fact updates"
+    "ekg_query_cache_invalidations_total"
+let query_seconds_metric =
+  counter ~help:"Seconds spent answering point queries" "ekg_query_seconds_total"
 
 let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?store
     ?(snapshot_mode = Ekg_store.Snapshotter.Write_behind)
     ?(max_hot_sessions = 0) () =
+  (* every series the registry and its chases record exists from the
+     first scrape *)
+  Chase.declare_stats obs;
+  List.iter (Ekg_obs.Metrics.declare obs)
+    ([ session_cache_hits_metric; session_cache_misses_metric; incremental_rounds_metric;
+       retracted_facts_metric; query_requests_metric; query_materialized_metric;
+       query_rewrite_hits_metric; query_rewrite_misses_metric; query_answer_hits_metric;
+       query_answer_misses_metric; query_invalidations_metric; query_seconds_metric ]
+    @ if Option.is_some store then [ evictions_metric; recovered_sessions_metric ] else []);
   let persist =
     Option.map
       (fun store ->
@@ -359,9 +396,7 @@ let evict t p (victim : session) =
                  re-chase on next use"
                 victim.id e));
         victim.chase <- None;
-        Ekg_obs.Metrics.incr t.obs
-          ~help:"Hot sessions demoted to disk by the --max-hot-sessions bound"
-          evictions_metric)
+        Ekg_obs.Metrics.incr t.obs evictions_metric)
 
 let hot_count t =
   with_reg_lock t (fun () ->
@@ -404,14 +439,10 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
         session.last_used <- Unix.gettimeofday ();
         match session.chase with
         | Some result ->
-          Ekg_obs.Metrics.incr t.obs
-            ~help:"Chase materializations served from the session cache"
-            session_cache_hits_metric;
+          Ekg_obs.Metrics.incr t.obs session_cache_hits_metric;
           Ok (result, `Hot)
         | None -> (
-          Ekg_obs.Metrics.incr t.obs
-            ~help:"Chase materializations computed on demand"
-            session_cache_misses_metric;
+          Ekg_obs.Metrics.incr t.obs session_cache_misses_metric;
           match try_warm_restore t session with
           | Some result ->
             session.chase <- Some result;
@@ -463,9 +494,6 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
 
 (* --- live fact updates ------------------------------------------------------ *)
 
-let incremental_rounds_metric = "ekg_chase_incremental_rounds_total"
-let retracted_facts_metric = "ekg_chase_retracted_facts_total"
-
 (* drop cached query answers whose predicate the update could have
    re-derived ([changed] is already the affected-predicate closure);
    the specializations themselves survive — they depend only on the
@@ -484,14 +512,11 @@ let invalidate_queries_locked (session : session) changed =
   !dropped
 
 let record_update t (upd : Chase.update) =
-  Ekg_obs.Metrics.add t.obs
-    ~help:"Chase rounds spent maintaining materializations incrementally"
-    incremental_rounds_metric
-    (float_of_int upd.Chase.upd_rounds);
-  Ekg_obs.Metrics.add t.obs
-    ~help:"Facts removed from materializations by retraction"
-    retracted_facts_metric
-    (float_of_int upd.Chase.upd_retracted)
+  Ekg_obs.Metrics.record t.obs
+    [
+      Add (incremental_rounds_metric, [], float_of_int upd.Chase.upd_rounds);
+      Add (retracted_facts_metric, [], float_of_int upd.Chase.upd_retracted);
+    ]
 
 (* ground atoms under [Atom.equal], which identifies numerically equal
    [Int] and [Num] arguments — as [Value.hash] does *)
@@ -639,9 +664,8 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
           invalidate_queries_locked session upd.Chase.upd_changed_preds
         in
         if dropped > 0 then
-          Ekg_obs.Metrics.add t.obs
-            ~help:"Cached query answers dropped by fact updates"
-            query_invalidations_metric (float_of_int dropped);
+          Ekg_obs.Metrics.add t.obs query_invalidations_metric
+            (float_of_int dropped);
         record_update t upd;
         let open Ekg_obs.Log in
         Ctx.put "chase_rounds" (Int upd.Chase.upd_rounds);
@@ -716,13 +740,11 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
   let shape_key = pred ^ "/" ^ mask in
   let answer_key = Atom.to_string atom in
   let t0 = Ekg_obs.Clock.now_s () in
-  let count name help = Ekg_obs.Metrics.incr t.obs ~help name in
+  let count = Ekg_obs.Metrics.incr t.obs in
   let finish () =
-    Ekg_obs.Metrics.add t.obs ~help:"Seconds spent answering point queries"
-      query_seconds_metric
-      (Ekg_obs.Clock.now_s () -. t0)
+    Ekg_obs.Metrics.add t.obs query_seconds_metric (Ekg_obs.Clock.now_s () -. t0)
   in
-  count query_requests_metric "Point queries served by the query lane";
+  count query_requests_metric;
   let prelim =
     with_lock session.lock (fun () ->
         let now = Unix.gettimeofday () in
@@ -770,28 +792,21 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
     match Pipeline.query_materialized session.pipeline res atom with
     | Error e -> Error (`Unknown_pred e)
     | Ok result ->
-      count query_materialized_metric
-        "Point queries answered by a lookup on the served materialization";
+      count query_materialized_metric;
       note_query_event result ~cache_hit:false;
       finish ();
       Ok { qo_result = result; qo_rewrite_cached = false; qo_answer_cached = false })
   | `Hit result ->
-    count query_rewrite_hits_metric
-      "Query shapes answered from a cached specialization";
-    count query_answer_hits_metric
-      "Point queries answered from the per-session answer cache";
+    count query_rewrite_hits_metric;
+    count query_answer_hits_metric;
     note_query_event result ~cache_hit:true;
     finish ();
     Ok { qo_result = result; qo_rewrite_cached = true; qo_answer_cached = true }
   | `Run (spec, rewrite_cached, gen, edb) -> (
     count
       (if rewrite_cached then query_rewrite_hits_metric
-       else query_rewrite_misses_metric)
-      (if rewrite_cached then
-         "Query shapes answered from a cached specialization"
-       else "Query shapes that paid for the magic-sets rewrite");
-    count query_answer_misses_metric
-      "Point queries that ran a scoped chase (answer cache miss)";
+       else query_rewrite_misses_metric);
+    count query_answer_misses_metric;
     let injected =
       match t.fault with
       | Fault.Slow_chase s -> fault_slow_chase budget s
@@ -916,9 +931,7 @@ let recover t =
                     match numeric_suffix id with
                     | Some n when n >= t.next_id -> t.next_id <- n + 1
                     | _ -> ());
-                Ekg_obs.Metrics.incr t.obs
-                  ~help:"Sessions re-registered from snapshots at startup"
-                  recovered_sessions_metric;
+                Ekg_obs.Metrics.incr t.obs recovered_sessions_metric;
                 (session :: ok, failed)))
         ([], [])
         (Ekg_store.Store.scan p.store)

@@ -87,47 +87,28 @@ type session = {
 
 type t
 
-val session_cache_hits_metric : string
-val session_cache_misses_metric : string
-(** ["ekg_session_cache_{hits,misses}_total"] — {!materialize} calls
-    served by the session's kept materialization, and those that had to
-    restore or chase one. *)
+(** {2 Metric families}
 
-val evictions_metric : string
-(** ["ekg_store_evictions_total"] — hot sessions demoted to disk by
-    the [--max-hot-sessions] bound. *)
+    The registry's series, declared at zero by {!create}; their help
+    texts say what they count. *)
 
-val recovered_sessions_metric : string
-(** ["ekg_store_recovered_sessions_total"] — sessions re-registered
-    from snapshots at startup. *)
+val session_cache_hits_metric : Ekg_obs.Metrics.counter
+val session_cache_misses_metric : Ekg_obs.Metrics.counter
+val evictions_metric : Ekg_obs.Metrics.counter
+val recovered_sessions_metric : Ekg_obs.Metrics.counter
 
-val query_requests_metric : string
-(** ["ekg_query_requests_total"] — point queries served by the query
-    lane, on either path. *)
+val query_materialized_metric : Ekg_obs.Metrics.counter
+(** Only a lookup on the served materialization advances it; the
+    rewrite and answer cache series count the dormant path alone. *)
 
-val query_materialized_metric : string
-(** ["ekg_query_materialized_total"] — point queries answered by a
-    lookup on the session's served materialization.  Only that path
-    advances it; the rewrite and answer cache series count the dormant
-    path alone. *)
+val query_rewrite_misses_metric : Ekg_obs.Metrics.counter
+val query_answer_hits_metric : Ekg_obs.Metrics.counter
+val query_answer_misses_metric : Ekg_obs.Metrics.counter
 
-val query_rewrite_hits_metric : string
-val query_rewrite_misses_metric : string
-(** ["ekg_query_rewrite_cache_{hits,misses}_total"] — whether a query's
-    shape found its magic-sets specialization already cached. *)
+val incremental_rounds_metric : Ekg_obs.Metrics.counter
 
-val query_answer_hits_metric : string
-val query_answer_misses_metric : string
-(** ["ekg_query_answer_cache_{hits,misses}_total"] — whether the
-    concrete query found a current-generation cached answer set. *)
-
-val query_invalidations_metric : string
-(** ["ekg_query_cache_invalidations_total"] — cached query answers
-    dropped by fact updates. *)
-
-val query_seconds_metric : string
-(** ["ekg_query_seconds_total"] — seconds spent answering point
-    queries. *)
+val retracted_facts_metric : Ekg_obs.Metrics.counter
+(** Over-deleted facts that were re-derived are not counted. *)
 
 val create :
   ?root:string ->
@@ -141,7 +122,9 @@ val create :
 (** [root] (default ["."]) anchors [Files] paths; requests may not
     escape it.  [obs] (default a {!Ekg_obs.Metrics.noop} registry)
     receives the session-cache counters and the [ekg_chase_*] series
-    of every materialization.
+    of every materialization; every series below, the chase's
+    ({!Chase.declare_stats}) and, with [store], the snapshotter's are
+    declared there at zero.
     [fault] (default {!Fault.Off}): {!Fault.Slow_chase} injects its
     configured wall-clock into every materialization — in short,
     budget-aware slices, so a request deadline still trips within a
@@ -232,15 +215,6 @@ val materialize :
     both outcomes then enforce the [max_hot_sessions] bound by
     demoting least-recently-used sessions (synchronously persisting
     each victim before dropping its materialization). *)
-
-val incremental_rounds_metric : string
-(** ["ekg_chase_incremental_rounds_total"] — chase rounds spent
-    maintaining materializations in place. *)
-
-val retracted_facts_metric : string
-(** ["ekg_chase_retracted_facts_total"] — facts removed from
-    materializations by retraction (over-deletions that were re-derived
-    are not counted). *)
 
 val update_facts :
   ?budget:Chase.budget ->

@@ -18,26 +18,40 @@ type state = {
   inflight : (int, inflight) Hashtbl.t;
   inflight_lock : Ekg_obs.Lock.t;
   inflight_seq : int Atomic.t;
-  accounting : Mutex.t;
-      (* held by [record_request] and by both forms of /v1/metrics, so a
-         document reads the request series as one snapshot *)
   fault : Fault.t;
   default_deadline_ms : float;
   max_deadline_ms : float;
   started_at : float;
 }
 
-let shed_metric = "ekg_server_shed_total"
-let deadline_metric = "ekg_request_deadline_exceeded_total"
-let queue_depth_metric = "ekg_server_queue_depth"
+let counter = Ekg_obs.Metrics.counter
+let shed_metric =
+  counter ~help:"Requests shed by admission control (503 overloaded)" "ekg_server_shed_total"
+let deadline_metric =
+  counter ~help:"Requests that exhausted their deadline (504)"
+    "ekg_request_deadline_exceeded_total"
+let queue_depth_metric =
+  Ekg_obs.Metrics.gauge ~help:"Requests queued awaiting a worker" "ekg_server_queue_depth"
+let uptime_metric =
+  Ekg_obs.Metrics.gauge ~help:"Seconds since the server started" "ekg_uptime_seconds"
 
 (* request accounting ([record_request]) *)
-let uptime_metric = "ekg_uptime_seconds"
-let requests_metric = "ekg_requests_total"
-let errors_metric = "ekg_request_errors_total"
-let endpoint_requests_metric = "ekg_endpoint_requests_total"
-let endpoint_errors_metric = "ekg_endpoint_errors_total"
-let duration_metric = "ekg_request_duration_ms"
+let requests_metric = counter ~help:"Requests served, all endpoints" "ekg_requests_total"
+let errors_metric =
+  counter ~help:"Responses with status >= 400, all endpoints" "ekg_request_errors_total"
+let endpoint_requests_metric =
+  counter ~help:"Requests per route label" "ekg_endpoint_requests_total"
+let endpoint_errors_metric =
+  counter ~help:"Error responses per route label" "ekg_endpoint_errors_total"
+let duration_metric =
+  Ekg_obs.Metrics.histogram ~help:"Request latency per route label, in milliseconds"
+    "ekg_request_duration_ms"
+
+(* every finished span, fed by the tracer's [on_finish] *)
+let stage_seconds_metric =
+  counter ~help:"Seconds spent per pipeline/request stage" "ekg_pipeline_stage_seconds_total"
+let stage_calls_metric =
+  counter ~help:"Spans finished per pipeline/request stage" "ekg_pipeline_stage_calls_total"
 
 let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
     ?(default_deadline_ms = 30_000.) ?(max_deadline_ms = 300_000.) ?store
@@ -48,21 +62,12 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
          "Router.make_state: ~chase_domains:%d: the chase is sequential, only 1 is accepted"
          chase_domains);
   let obs = Ekg_obs.Metrics.create () in
-  (* declared first, the request series lead the exposition and are
-     the first families a request's lookups meet; the per-route-label
-     families join with the first request *)
-  Ekg_obs.Metrics.declare_gauge obs ~help:"Seconds since the server started"
-    uptime_metric;
-  List.iter
-    (fun (name, help) -> Ekg_obs.Metrics.declare_counter obs ~help name)
-    [
-      requests_metric, "Requests served, all endpoints";
-      errors_metric, "Responses with status >= 400, all endpoints";
-      ( Registry.session_cache_hits_metric,
-        "Chase materializations served from the session cache" );
-      ( Registry.session_cache_misses_metric,
-        "Chase materializations computed on demand" );
-    ];
+  (* the router's own series render (at zero) from the first scrape;
+     every other owner declares its series when it is handed [obs] *)
+  Ekg_obs.Metrics.declare obs uptime_metric;
+  Ekg_obs.Metrics.declare obs queue_depth_metric;
+  List.iter (Ekg_obs.Metrics.declare obs)
+    [ requests_metric; errors_metric; shed_metric; deadline_metric ];
   (* no sink by default: request handling still feeds the slow-request
      ring (so /v1/debug/slowlog works out of the box) but no line is
      rendered until a sink — the --log-file flag — asks for one *)
@@ -75,108 +80,13 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
     Ekg_obs.Trace.create ~lock_obs:obs
       ~on_finish:(fun (span : Ekg_obs.Trace.span) ->
         let labels = [ "stage", span.name ] in
-        Ekg_obs.Metrics.add obs
-          ~help:"Seconds spent per pipeline/request stage" ~labels
-          "ekg_pipeline_stage_seconds_total" span.dur_s;
-        Ekg_obs.Metrics.incr obs
-          ~help:"Spans finished per pipeline/request stage" ~labels
-          "ekg_pipeline_stage_calls_total")
+        Ekg_obs.Metrics.record obs
+          [
+            Add (stage_seconds_metric, labels, span.dur_s);
+            Add (stage_calls_metric, labels, 1.);
+          ])
       ()
   in
-  (* the mandatory series must be scrapeable before the first chase *)
-  Ekg_obs.Metrics.declare_counter obs ~help:"Chase materializations completed"
-    "ekg_chase_runs_total";
-  Ekg_obs.Metrics.declare_counter obs ~help:"Fixpoint rounds executed"
-    "ekg_chase_rounds_total";
-  Ekg_obs.Metrics.declare_counter obs ~help:"Facts derived beyond the EDB"
-    "ekg_chase_facts_derived_total";
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Join plans that deviated from textual body order"
-    "ekg_chase_plan_reorders_total";
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Hash-join indexes built or extended during round planning"
-    "ekg_chase_join_builds_total";
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Matches emitted by the join probe phase"
-    "ekg_chase_join_probe_hits_total";
-  Ekg_obs.Metrics.declare_histogram obs
-    ~help:"Per-rule index build seconds per chase"
-    "ekg_chase_join_build_seconds";
-  Ekg_obs.Metrics.declare_histogram obs
-    ~help:"Per-rule probe (match-phase) seconds per chase"
-    "ekg_chase_join_probe_seconds";
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Seconds spent in chase materializations"
-    "ekg_chase_seconds_total";
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Aggregate facts superseded by a later refinement"
-    "ekg_chase_agg_superseded_total";
-  (* the contention histograms of the process-wide instrumented locks
-     likewise render (at zero) from the first scrape *)
-  List.iter (Ekg_obs.Lock.declare obs) [ "registry"; "tracer"; "inflight" ];
-  if Option.is_some store then Ekg_obs.Lock.declare obs "snapshotter";
-  (* the live-update series likewise exist from the first scrape *)
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Chase rounds spent maintaining materializations incrementally"
-    Registry.incremental_rounds_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Facts removed from materializations by retraction"
-    Registry.retracted_facts_metric;
-  (* the query lane's series likewise render (at zero) from the first
-     scrape *)
-  List.iter
-    (fun (name, help) -> Ekg_obs.Metrics.declare_counter obs ~help name)
-    [
-      ( Registry.query_requests_metric,
-        "Point queries served by the query lane" );
-      ( Registry.query_materialized_metric,
-        "Point queries answered by a lookup on the served materialization" );
-      ( Registry.query_rewrite_hits_metric,
-        "Query shapes answered from a cached specialization" );
-      ( Registry.query_rewrite_misses_metric,
-        "Query shapes that paid for the magic-sets rewrite" );
-      ( Registry.query_answer_hits_metric,
-        "Point queries answered from the per-session answer cache" );
-      ( Registry.query_answer_misses_metric,
-        "Point queries that ran a scoped chase (answer cache miss)" );
-      ( Registry.query_invalidations_metric,
-        "Cached query answers dropped by fact updates" );
-      ( Registry.query_seconds_metric,
-        "Seconds spent answering point queries" );
-    ];
-  (* ditto for the robustness series: a scrape must see them at zero
-     before the first shed / deadline trip *)
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Requests shed by admission control (503 overloaded)" shed_metric;
-  Ekg_obs.Metrics.declare_counter obs
-    ~help:"Requests that exhausted their deadline (504)" deadline_metric;
-  Ekg_obs.Metrics.set obs ~help:"Requests queued awaiting a worker"
-    queue_depth_metric 0.;
-  (* the persistence series likewise appear at zero from the first
-     scrape when a store is configured *)
-  if Option.is_some store then begin
-    Ekg_obs.Metrics.declare_counter obs
-      ~help:"Cumulative session snapshot bytes written"
-      Ekg_store.Store.snapshot_bytes_metric;
-    Ekg_obs.Metrics.declare_counter obs
-      ~help:"Seconds spent encoding and durably writing session snapshots"
-      Ekg_store.Store.snapshot_seconds_metric;
-    Ekg_obs.Metrics.declare_counter obs
-      ~help:"Seconds spent reading and decoding snapshots on warm restores"
-      Ekg_store.Store.restore_seconds_metric;
-    Ekg_obs.Metrics.declare_counter obs
-      ~help:"Hot sessions demoted to disk by the --max-hot-sessions bound"
-      Registry.evictions_metric;
-    Ekg_obs.Metrics.declare_counter obs
-      ~help:"Sessions re-registered from snapshots at startup"
-      Registry.recovered_sessions_metric;
-    Ekg_obs.Metrics.declare_gauge obs
-      ~help:"Snapshot requests pending or in flight on the write-behind queue"
-      Ekg_store.Snapshotter.queue_depth_metric;
-    Ekg_obs.Metrics.declare_gauge obs
-      ~help:"Seconds the current in-flight snapshot save has been running"
-      Ekg_store.Snapshotter.stall_metric
-  end;
   let registry =
     Registry.create ?root ~obs ~fault ?store ?snapshot_mode ?max_hot_sessions ()
   in
@@ -199,7 +109,6 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
     inflight = Hashtbl.create 32;
     inflight_lock = Ekg_obs.Lock.create ~obs "inflight";
     inflight_seq = Atomic.make 0;
-    accounting = Mutex.create ();
     fault;
     default_deadline_ms;
     max_deadline_ms;
@@ -269,57 +178,52 @@ let wants_prometheus (req : Http.request) =
    in [ekg_requests_total] and under its route label in
    [ekg_endpoint_requests_total]; a status >= 400 counts in both error
    series too, and the label's [ekg_request_duration_ms] histogram takes
-   the latency.  The JSON form of [/v1/metrics] reads these series
-   back; [st.accounting] keeps both forms from reading a request half
-   counted. *)
+   the latency — one recording, so the JSON form of [/v1/metrics],
+   which reads these series back as one snapshot, never sees a request
+   half counted. *)
 
 let record_request st ~endpoint ~status ~seconds =
-  let labels = [ "endpoint", endpoint ] and error = status >= 400 in
-  Mutex.protect st.accounting @@ fun () ->
-  Ekg_obs.Metrics.incr st.obs requests_metric;
-  if error then Ekg_obs.Metrics.incr st.obs errors_metric;
-  Ekg_obs.Metrics.incr st.obs ~help:"Requests per route label" ~labels
-    endpoint_requests_metric;
+  let labels = [ "endpoint", endpoint ]
+  and error = if status >= 400 then 1. else 0. in
   (* adding 0 gives a new label its error series at 0 *)
-  Ekg_obs.Metrics.add st.obs ~help:"Error responses per route label" ~labels
-    endpoint_errors_metric
-    (if error then 1. else 0.);
-  Ekg_obs.Metrics.observe st.obs
-    ~help:"Request latency per route label, in milliseconds" ~labels
-    duration_metric seconds
+  Ekg_obs.Metrics.record st.obs
+    [
+      Add (requests_metric, [], 1.);
+      Add (errors_metric, [], error);
+      Add (endpoint_requests_metric, labels, 1.);
+      Add (endpoint_errors_metric, labels, error);
+      Observe (duration_metric, labels, seconds);
+    ]
 
-let metrics_json st ~uptime_s =
-  let count ?(labels = []) name =
+let metrics_json ~uptime_s view =
+  let count ?labels family =
     Json.int
       (int_of_float
-         (Option.value ~default:0. (Ekg_obs.Metrics.value st.obs ~labels name)))
+         (Option.value ~default:0. (Ekg_obs.Metrics.get view ?labels family)))
   in
-  let latency = function
-    | `Hist h ->
-      let open Ekg_obs in
-      Json.Obj
-        [
-          "count", Json.int (Hist.count h);
-          "sum", Json.num (Hist.sum_ms h);
-          "max", Json.num (Hist.max_ms h);
-          "p50", Json.num (Hist.quantile h 0.50);
-          "p95", Json.num (Hist.quantile h 0.95);
-          "p99", Json.num (Hist.quantile h 0.99);
-        ]
-    | `Value _ -> Json.Obj []
+  let latency h =
+    let open Ekg_obs in
+    Json.Obj
+      [
+        "count", Json.int (Hist.count h);
+        "sum", Json.num (Hist.sum_ms h);
+        "max", Json.num (Hist.max_ms h);
+        "p50", Json.num (Hist.quantile h 0.50);
+        "p95", Json.num (Hist.quantile h 0.95);
+        "p99", Json.num (Hist.quantile h 0.99);
+      ]
   in
   let endpoints =
-    Ekg_obs.Metrics.series st.obs duration_metric (fun labels reading ->
-        List.assoc "endpoint" labels, latency reading)
+    Ekg_obs.Metrics.histograms view duration_metric
+    |> List.map (fun (labels, h) -> List.assoc "endpoint" labels, (labels, h))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (endpoint, latency) ->
-           let labels = [ "endpoint", endpoint ] in
+    |> List.map (fun (endpoint, (labels, h)) ->
            ( endpoint,
              Json.Obj
                [
                  "requests", count ~labels endpoint_requests_metric;
                  "errors", count ~labels endpoint_errors_metric;
-                 "latency_ms", latency;
+                 "latency_ms", latency h;
                ] ))
   in
   Json.Obj
@@ -341,12 +245,10 @@ let metrics_doc st (req : Http.request) =
   if wants_prometheus req then begin
     Ekg_obs.Metrics.set st.obs uptime_metric uptime_s;
     Http.response ~content_type:"text/plain; version=0.0.4" 200
-      (Mutex.protect st.accounting (fun () ->
-           Ekg_obs.Metrics.to_prometheus st.obs))
+      (Ekg_obs.Metrics.to_prometheus st.obs)
   end
   else
-    json_response 200
-      (Mutex.protect st.accounting (fun () -> metrics_json st ~uptime_s))
+    json_response 200 (Ekg_obs.Metrics.snapshot st.obs (metrics_json ~uptime_s))
 
 let delete_session st id =
   match Registry.remove st.registry id with
@@ -411,8 +313,7 @@ let explanation_json (e : Pipeline.explanation) =
 let chase_error_response st err =
   let code, message, detail = Errors.of_chase err in
   if code = Errors.Deadline_exceeded then
-    Ekg_obs.Metrics.incr st.obs
-      ~help:"Requests that exhausted their deadline (504)" deadline_metric;
+    Ekg_obs.Metrics.incr st.obs deadline_metric;
   Errors.response ~detail code message
 
 let strategy_of_param = function
@@ -509,6 +410,17 @@ let materialize_in st ~deadline_s ~span session =
       Registry.materialize ~budget:(deadline_budget deadline_s)
         ~tracer:st.tracer ~parent:chase_span st.registry session)
 
+(* An explain query's atom.  It must parse, and the session's program
+   must define its predicate, as the query lane requires: either is the
+   caller's error, answered before any chase. *)
+let explain_atom (session : Registry.session) qtext =
+  match Ekg_datalog.Parser.parse_atom qtext with
+  | Error e -> Error ("query: " ^ e)
+  | Ok atom -> (
+    match Pipeline.unknown_pred session.pipeline atom.Ekg_datalog.Atom.pred with
+    | Some e -> Error ("query: " ^ e)
+    | None -> Ok atom)
+
 (* One atom's explanations over the request's materialization: the step
    the explain lane and every explain:batch item share.  Past the
    deadline, verbalization degrades to template skeletons. *)
@@ -531,10 +443,8 @@ let explain_lane st ~trace_id ~deadline_s (session : Registry.session) param =
     Errors.response Errors.Invalid_request
       "missing \"query\" (an atom, e.g. control(\"A\", X))"
   | Some qtext -> (
-    (* parse the atom up front: a syntax error is the caller's fault
-       and must not count as a failed reasoning run *)
-    match Ekg_datalog.Parser.parse_atom qtext with
-    | Error e -> Errors.response Errors.Invalid_atom ("query: " ^ e)
+    match explain_atom session qtext with
+    | Error e -> Errors.response Errors.Invalid_atom e
     | Ok atom -> (
       match
         ( strategy_of_param (param "strategy"),
@@ -799,27 +709,35 @@ let explain_batch st ~trace_id ~deadline_s (session : Registry.session)
     | Error e -> Errors.response Errors.Invalid_request e
     | Ok ([], _) -> Errors.response Errors.Invalid_request "empty batch"
     | Ok (items, default_strategy) -> (
+      (* every item's query is checked before the chase *)
+      let checked =
+        List.map
+          (fun item ->
+            match batch_item_spec ~default_strategy item with
+            | Error e -> Error (batch_item_error Errors.Invalid_request e)
+            | Ok (query, strategy) -> (
+              match explain_atom session query with
+              | Error e -> Error (batch_item_error ~query Errors.Invalid_atom e)
+              | Ok atom -> Ok (query, strategy, atom)))
+          items
+      in
       Registry.note_explain session;
       traced st ~trace_id session "explain-batch-request"
         [ "items", string_of_int (List.length items) ]
       @@ fun span ->
-      (* one chase shared by every item — the whole point of batching *)
-      match materialize_in st ~deadline_s ~span session with
-      | Error err -> chase_error_response st err
-      | Ok result ->
-        let explain_item item =
-          match batch_item_spec ~default_strategy item with
-          | Error e -> batch_item_error Errors.Invalid_request e
-          | Ok (query, strategy) -> (
-            if Ekg_obs.Clock.now_s () >= deadline_s then
-              (* past the deadline: later items are not even attempted *)
-              batch_item_error ~query Errors.Deadline_exceeded
-                "request deadline exhausted before this item"
-            else
-              match Ekg_datalog.Parser.parse_atom query with
-              | Error e ->
-                batch_item_error ~query Errors.Invalid_atom ("query: " ^ e)
-              | Ok atom -> (
+      (* one chase shared by every item — the whole point of batching —
+         run by the first item that passed its check *)
+      let chase = lazy (materialize_in st ~deadline_s ~span session) in
+      let explain_item = function
+        | Error refused -> Ok refused
+        | Ok (query, strategy, atom) ->
+          Result.map
+            (fun result ->
+              if Ekg_obs.Clock.now_s () >= deadline_s then
+                (* past the deadline: later items are not even attempted *)
+                batch_item_error ~query Errors.Deadline_exceeded
+                  "request deadline exhausted before this item"
+              else
                 match
                   explain_step st ~deadline_s ~span session result ~strategy atom
                 with
@@ -833,9 +751,14 @@ let explain_batch st ~trace_id ~deadline_s (session : Registry.session)
                       "count", Json.int (List.length explanations);
                       ( "explanations",
                         Json.Arr (List.map explanation_json explanations) );
-                    ]))
-        in
-        let results = List.map explain_item items in
+                    ])
+            (Lazy.force chase)
+      in
+      let results = List.map explain_item checked in
+      match List.find_map (function Error e -> Some e | Ok _ -> None) results with
+      | Some err -> chase_error_response st err
+      | None ->
+        let results = List.map Result.get_ok results in
         let ok, failed =
           List.partition
             (fun item -> Json.mem_str "status" item = Some "ok")
@@ -880,7 +803,7 @@ let debug_runtime st =
              (List.map
                 (fun (s : Ekg_obs.Runtime.sample) ->
                   Json.Obj
-                    ([ "name", Json.str s.s_name ]
+                    ([ "name", Json.str (Ekg_obs.Metrics.name s.s_gauge) ]
                     @ (if s.s_labels = [] then []
                        else
                          [
@@ -1177,8 +1100,7 @@ let handle ?(queue_wait_s = 0.) st req =
     Http.resp_headers = ("X-Ekg-Trace-Id", trace_id) :: resp.Http.resp_headers }
 
 let handle_overload st (req : Http.request) =
-  Ekg_obs.Metrics.incr st.obs
-    ~help:"Requests shed by admission control (503 overloaded)" shed_metric;
+  Ekg_obs.Metrics.incr st.obs shed_metric;
   let resp =
     Errors.response
       ~headers:[ "Retry-After", "1" ]
@@ -1198,8 +1120,7 @@ let handle_overload st (req : Http.request) =
   resp
 
 let set_queue_depth st depth =
-  Ekg_obs.Metrics.set st.obs ~help:"Requests queued awaiting a worker"
-    queue_depth_metric (float_of_int depth)
+  Ekg_obs.Metrics.set st.obs queue_depth_metric (float_of_int depth)
 
 let handle_parse_error st err =
   let code =

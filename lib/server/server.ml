@@ -185,6 +185,16 @@ let accept_loop t () =
 
 (* --- lifecycle ------------------------------------------------------------- *)
 
+(* the HTTP pool's gauges, set by the runtime sampler *)
+let workers_metric =
+  Ekg_obs.Metrics.gauge ~help:"HTTP worker domains in the pool" "ekg_server_workers"
+let utilization_metric =
+  Ekg_obs.Metrics.gauge ~help:"Fraction of pool capacity spent handling connections since start"
+    "ekg_server_pool_utilization"
+let worker_busy_metric =
+  Ekg_obs.Metrics.gauge ~help:"Seconds this worker domain spent handling connections"
+    "ekg_server_worker_busy_seconds_total"
+
 let start ?(config = default_config) state =
   let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
@@ -233,32 +243,16 @@ let start ?(config = default_config) state =
       let n = Array.length t.worker_busy in
       let wall = Float.max 1e-9 (Unix.gettimeofday () -. t.started_at) in
       let total = Array.fold_left ( +. ) 0. t.worker_busy in
-      Ekg_obs.Runtime.
-        [
-          {
-            s_name = "ekg_server_workers";
-            s_help = "HTTP worker domains in the pool";
-            s_labels = [];
-            s_value = float_of_int n;
-          };
-          {
-            s_name = "ekg_server_pool_utilization";
-            s_help =
-              "Fraction of pool capacity spent handling connections \
-               since start";
-            s_labels = [];
-            s_value = Float.min 1. (total /. (wall *. float_of_int n));
-          };
-        ]
-      @ List.init n (fun i ->
-            Ekg_obs.Runtime.
-              {
-                s_name = "ekg_server_worker_busy_seconds_total";
-                s_help = "Seconds this worker domain spent handling \
-                          connections";
-                s_labels = [ ("worker", string_of_int i) ];
-                s_value = t.worker_busy.(i);
-              }));
+      let sample ?(labels = []) s_gauge s_value =
+        { Ekg_obs.Runtime.s_gauge; s_labels = labels; s_value }
+      in
+      sample workers_metric (float_of_int n)
+      :: sample utilization_metric
+           (Float.min 1. (total /. (wall *. float_of_int n)))
+      :: List.init n (fun i ->
+             sample
+               ~labels:[ ("worker", string_of_int i) ]
+               worker_busy_metric t.worker_busy.(i)));
   t
 
 let port t = t.bound_port

@@ -11,8 +11,12 @@ let mode_to_string = function
   | Write_behind -> "behind"
   | Sync -> "sync"
 
-let queue_depth_metric = "ekg_store_snapshot_queue_depth"
-let stall_metric = "ekg_store_snapshot_stall_seconds"
+let queue_depth_metric =
+  Ekg_obs.Metrics.gauge ~help:"Snapshot requests pending or in flight on the write-behind queue"
+    "ekg_store_snapshot_queue_depth"
+let stall_metric =
+  Ekg_obs.Metrics.gauge ~help:"Seconds the current in-flight snapshot save has been running"
+    "ekg_store_snapshot_stall_seconds"
 
 type t = {
   store : Store.t;
@@ -79,6 +83,11 @@ let worker_loop t =
   go ()
 
 let create ?(mode = Write_behind) ?obs store =
+  Option.iter
+    (fun obs ->
+      Ekg_obs.Metrics.declare obs queue_depth_metric;
+      Ekg_obs.Metrics.declare obs stall_metric)
+    obs;
   let t =
     {
       store;
@@ -95,8 +104,6 @@ let create ?(mode = Write_behind) ?obs store =
   in
   if mode = Write_behind then t.worker <- Some (Domain.spawn (fun () -> worker_loop t));
   t
-
-let set_obs t obs = Ekg_obs.Lock.set_obs t.lock obs
 
 let request t ~sid capture =
   match t.snap_mode with
@@ -155,15 +162,9 @@ let stall_s t =
 let runtime_samples t () =
   [
     {
-      Ekg_obs.Runtime.s_name = queue_depth_metric;
-      s_help = "Snapshot requests pending or in flight on the write-behind queue.";
+      Ekg_obs.Runtime.s_gauge = queue_depth_metric;
       s_labels = [];
       s_value = float_of_int (depth t);
     };
-    {
-      Ekg_obs.Runtime.s_name = stall_metric;
-      s_help = "Seconds the current in-flight snapshot save has been running.";
-      s_labels = [];
-      s_value = stall_s t;
-    };
+    { Ekg_obs.Runtime.s_gauge = stall_metric; s_labels = []; s_value = stall_s t };
   ]

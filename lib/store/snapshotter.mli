@@ -30,10 +30,9 @@ type t
 val create : ?mode:mode -> ?obs:Ekg_obs.Metrics.t -> Store.t -> t
 (** Spawns the background domain iff [mode] (default [Write_behind])
     is [Write_behind].  [obs] instruments the snapshotter's queue
-    mutex (wait/hold histograms labeled [{lock="snapshotter"}]). *)
-
-val set_obs : t -> Ekg_obs.Metrics.t -> unit
-(** Re-bind the lock instrumentation sink (see {!Store.set_obs}). *)
+    mutex (wait/hold histograms labeled [{lock="snapshotter"}]), and
+    gets that lock's series and the two gauges of {!runtime_samples}
+    declared at zero. *)
 
 val mode : t -> mode
 
@@ -46,14 +45,9 @@ val stall_s : t -> float
     idle) — a large value means a snapshot is stalling the drain. *)
 
 val runtime_samples : t -> unit -> Ekg_obs.Runtime.sample list
-(** A {!Ekg_obs.Runtime.register} source publishing
-    {!queue_depth_metric} and {!stall_metric}. *)
-
-val queue_depth_metric : string
-(** ["ekg_store_snapshot_queue_depth"]. *)
-
-val stall_metric : string
-(** ["ekg_store_snapshot_stall_seconds"]. *)
+(** A {!Ekg_obs.Runtime.register} source publishing {!depth} as
+    [ekg_store_snapshot_queue_depth] and {!stall_s} as
+    [ekg_store_snapshot_stall_seconds]. *)
 
 val request : t -> sid:string -> (unit -> Codec.t option) -> unit
 (** Ask for session [sid] to be persisted.  [capture] runs on the

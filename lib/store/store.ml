@@ -3,9 +3,15 @@ type t = {
   mutable obs : Ekg_obs.Metrics.t;
 }
 
-let snapshot_bytes_metric = "ekg_store_snapshot_bytes"
-let snapshot_seconds_metric = "ekg_store_snapshot_seconds"
-let restore_seconds_metric = "ekg_store_restore_seconds"
+let snapshot_bytes_metric =
+  Ekg_obs.Metrics.counter ~help:"Cumulative session snapshot bytes written"
+    "ekg_store_snapshot_bytes"
+let snapshot_seconds_metric =
+  Ekg_obs.Metrics.counter ~help:"Seconds spent encoding and durably writing session snapshots"
+    "ekg_store_snapshot_seconds"
+let restore_seconds_metric =
+  Ekg_obs.Metrics.counter ~help:"Seconds spent reading and decoding snapshots on warm restores"
+    "ekg_store_restore_seconds"
 
 let suffix = ".snap"
 
@@ -19,7 +25,10 @@ let valid_id id =
        id
 
 let dir t = t.dir
-let set_obs t obs = t.obs <- obs
+let set_obs t obs =
+  List.iter (Ekg_obs.Metrics.declare obs)
+    [ snapshot_bytes_metric; snapshot_seconds_metric; restore_seconds_metric ];
+  t.obs <- obs
 let path t id = Filename.concat t.dir (id ^ suffix)
 
 let rec mkdir_p dir =
@@ -28,7 +37,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_dir ?(obs = Ekg_obs.Metrics.noop ()) dir =
+let open_dir dir =
   match
     mkdir_p dir;
     Sys.is_directory dir
@@ -45,7 +54,7 @@ let open_dir ?(obs = Ekg_obs.Metrics.noop ()) dir =
         if Filename.check_suffix f ".tmp" then
           try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir);
-    Ok { dir; obs }
+    Ok { dir; obs = Ekg_obs.Metrics.noop () }
 
 (* fsync the directory so the rename itself is durable; best-effort —
    some filesystems refuse fsync on directories *)
@@ -88,14 +97,11 @@ let save t snap =
       (try Sys.remove tmp with Sys_error _ -> ());
       Error (Printf.sprintf "%s: %s (%s)" final (Unix.error_message err) syscall)
     | () ->
-      Ekg_obs.Metrics.add t.obs
-        ~help:"Cumulative session snapshot bytes written"
-        snapshot_bytes_metric
-        (float_of_int (String.length bytes));
-      Ekg_obs.Metrics.add t.obs
-        ~help:"Seconds spent encoding and durably writing session snapshots"
-        snapshot_seconds_metric
-        (Ekg_obs.Clock.now_s () -. t0);
+      Ekg_obs.Metrics.record t.obs
+        [
+          Add (snapshot_bytes_metric, [], float_of_int (String.length bytes));
+          Add (snapshot_seconds_metric, [], Ekg_obs.Clock.now_s () -. t0);
+        ];
       Ok (String.length bytes)
   end
 
@@ -125,9 +131,7 @@ let load t id =
   match load_with Codec.decode t id with
   | Error _ as e -> e
   | Ok _ as ok ->
-    Ekg_obs.Metrics.add t.obs
-      ~help:"Seconds spent reading and decoding snapshots on warm restores"
-      restore_seconds_metric
+    Ekg_obs.Metrics.add t.obs restore_seconds_metric
       (Ekg_obs.Clock.now_s () -. t0);
     ok
 

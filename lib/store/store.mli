@@ -8,25 +8,15 @@
     or the new complete snapshot, never a torn file.  (A torn tmp file
     left by a crash is ignored by {!scan} and swept by {!open_dir}.)
 
-    The store records its timing/volume series on the registry it is
-    created with: {!snapshot_seconds_metric} and
-    {!snapshot_bytes_metric} on every save, {!restore_seconds_metric}
-    on every successful full load. *)
+    The store records its series on the registry {!set_obs} gives it,
+    where it declares them at zero: [ekg_store_snapshot_bytes] and
+    [ekg_store_snapshot_seconds] (encoding and durably writing) on every
+    save, [ekg_store_restore_seconds] (reading and decoding) on every
+    successful full load. *)
 
 type t
 
-val snapshot_bytes_metric : string
-(** ["ekg_store_snapshot_bytes"] — cumulative snapshot bytes written. *)
-
-val snapshot_seconds_metric : string
-(** ["ekg_store_snapshot_seconds"] — cumulative seconds spent encoding
-    and durably writing snapshots. *)
-
-val restore_seconds_metric : string
-(** ["ekg_store_restore_seconds"] — cumulative seconds spent reading
-    and decoding snapshots on warm restores. *)
-
-val open_dir : ?obs:Ekg_obs.Metrics.t -> string -> (t, string) result
+val open_dir : string -> (t, string) result
 (** Create (mkdir -p) or open the store directory; sweeps orphaned
     [*.tmp] files from interrupted writes.  The error is the system
     message (not a directory, permission, …). *)
@@ -34,9 +24,10 @@ val open_dir : ?obs:Ekg_obs.Metrics.t -> string -> (t, string) result
 val dir : t -> string
 
 val set_obs : t -> Ekg_obs.Metrics.t -> unit
-(** Re-bind the metrics registry the store records on — the server
-    opens the store before its observability registry exists, then
-    points it at the scrapeable one. *)
+(** Re-bind the metrics registry the store records on, declaring the
+    store's series there — the server opens the store before its
+    observability registry exists, then points it at the scrapeable
+    one. *)
 
 val path : t -> string -> string
 (** [path t id] is the snapshot file of session [id] —

@@ -207,8 +207,10 @@ own("B", "C", 0.7).
 
 (* (hits, misses) of the registry's kept materializations *)
 let session_cache_counts obs =
-  let count name =
-    int_of_float (Option.value ~default:0. (Ekg_obs.Metrics.value obs name))
+  let count family =
+    int_of_float
+      (Option.value ~default:0.
+         (Ekg_obs.Metrics.value obs (Ekg_obs.Metrics.name family)))
   in
   ( count Registry.session_cache_hits_metric,
     count Registry.session_cache_misses_metric )
@@ -577,9 +579,9 @@ let test_router_batch_explain () =
       check bool' "second item invalid_atom" true
         (Option.bind (Json.member "error" second) (Json.mem_str "code")
         = Some "invalid_atom");
-      check bool' "third item no_explanation" true
+      check bool' "third item invalid_atom" true
         (Option.bind (Json.member "error" third) (Json.mem_str "code")
-        = Some "no_explanation")
+        = Some "invalid_atom")
     | _ -> Alcotest.fail "expected three items"));
   (* a bare array body works too, and the whole batch shares one chase:
      the registry saw exactly one miss across both batches *)
@@ -1130,7 +1132,8 @@ let test_persistence_warm_restore_after_restart () =
   check string' "same id" "s1" session.Registry.id;
   check bool' "recovered dormant" true
     (Ekg_obs.Metrics.value (Router.obs st2)
-       Registry.recovered_sessions_metric = Some 1.);
+       (Ekg_obs.Metrics.name Registry.recovered_sessions_metric)
+    = Some 1.);
   let r = materialize_exn reg2 session in
   check string' "restored fingerprint identical" fp1
     (Ekg_engine.Database.fingerprint r.Ekg_engine.Chase.db);
@@ -1240,7 +1243,8 @@ let test_persistence_lru_eviction () =
   ignore (materialize_exn reg s2);
   check int' "still one hot session" 1 (Registry.hot_count reg);
   check bool' "s1 was demoted" true
-    (Ekg_obs.Metrics.value obs Registry.evictions_metric = Some 1.);
+    (Ekg_obs.Metrics.value obs (Ekg_obs.Metrics.name Registry.evictions_metric)
+    = Some 1.);
   (* the demoted session still serves — warm-restored from its
      eviction snapshot, fingerprint-identical *)
   let rounds_before = chase_rounds obs in
@@ -1249,7 +1253,8 @@ let test_persistence_lru_eviction () =
     (Ekg_engine.Database.fingerprint r1'.Ekg_engine.Chase.db);
   check bool' "restore, not re-chase" true (chase_rounds obs = rounds_before);
   check bool' "s2 demoted in turn" true
-    (Ekg_obs.Metrics.value obs Registry.evictions_metric = Some 2.);
+    (Ekg_obs.Metrics.value obs (Ekg_obs.Metrics.name Registry.evictions_metric)
+    = Some 2.);
   Registry.stop_persistence reg
 
 let test_router_delete_session () =
@@ -1963,7 +1968,10 @@ let test_query_lane_switch () =
   (* only the materialized lane advances its series, and it leaves the
      dormant lane's cache counters alone *)
   let obs = Router.obs st in
-  let value name = Option.value ~default:0. (Ekg_obs.Metrics.value obs name) in
+  let value family =
+    Option.value ~default:0.
+      (Ekg_obs.Metrics.value obs (Ekg_obs.Metrics.name family))
+  in
   check (Alcotest.float 0.) "three lookups" 3. (value Registry.query_materialized_metric);
   check (Alcotest.float 0.) "one rewrite miss, from the dormant query" 1.
     (value Registry.query_rewrite_misses_metric);
@@ -2466,6 +2474,47 @@ let test_explain_post_pages () =
     (List.map Json.to_string all)
     (List.map Json.to_string paged)
 
+(* An explain of a predicate the program does not define is refused
+   before any chase, as the query lane refuses it: GET, POST and a batch
+   item answer invalid_atom, and the session stays dormant *)
+let test_explain_undefined_predicate () =
+  let st = Router.make_state () in
+  let created =
+    Router.handle st
+      (request ~body:{|{"app":"company-control"}|} Http.POST [ "v1"; "sessions" ])
+  in
+  check int' "created" 201 created.Http.status;
+  let query = {|zzz("q")|} in
+  let get = get_explain st "s1" query in
+  let post =
+    Router.handle st
+      (request
+         ~body:(Json.to_string (Json.Obj [ "query", Json.str query ]))
+         Http.POST [ "v1"; "sessions"; "s1"; "explain" ])
+  in
+  List.iter
+    (fun (verb, r) ->
+      check int' (verb ^ " explain answers 400") 400 r.Http.status;
+      check (Alcotest.option string') (verb ^ " explain code")
+        (Some "invalid_atom") (envelope_code r))
+    [ "GET", get; "POST", post ];
+  let batch =
+    json_of
+      (Router.handle st
+         (request ~body:{|["zzz(\"q\")"]|} Http.POST
+            [ "v1"; "sessions"; "s1"; "explain:batch" ]))
+  in
+  check (Alcotest.option string') "batch item code" (Some "invalid_atom")
+    (match Option.bind (Json.member "items" batch) Json.get_arr with
+    | Some [ item ] -> Option.bind (Json.member "error" item) (Json.mem_str "code")
+    | _ -> None);
+  check int' "no chase ran" 0 (snd (session_cache_counts (Router.obs st)));
+  let sessions = json_of (Router.handle st (request Http.GET [ "v1"; "sessions" ])) in
+  check (Alcotest.option string') "the session is still dormant" (Some "dormant")
+    (match Option.bind (Json.member "sessions" sessions) Json.get_arr with
+    | Some [ session ] -> Json.mem_str "tier" session
+    | _ -> None)
+
 (* legacy (pre-/v1) trace path still answers with a redirect *)
 let test_legacy_trace_redirect () =
   let st = Router.make_state () in
@@ -2571,6 +2620,46 @@ let test_prometheus_exposition_valid () =
       lines
   in
   check bool' "samples parsed" true (samples <> []);
+  (* each family has one TYPE and one non-empty HELP line, and every
+     sample belongs to a typed family, a histogram's _bucket/_sum/_count
+     series to their base name *)
+  let headers kind =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "#" :: k :: name :: text when k = kind -> Some (name, String.concat " " text)
+        | _ -> None)
+      lines
+  in
+  let types = headers "TYPE" and helps = headers "HELP" in
+  let lines_of name l = List.length (List.filter (fun (n, _) -> n = name) l) in
+  List.iter
+    (fun (name, _) ->
+      check int' (name ^ " has one TYPE line") 1 (lines_of name types);
+      check int' (name ^ " has one HELP line") 1 (lines_of name helps);
+      check bool' (name ^ " has a non-empty HELP") true
+        (List.assoc name helps <> ""))
+    types;
+  List.iter
+    (fun (name, _) ->
+      check bool' (name ^ " HELP has a TYPE") true (List.mem_assoc name types))
+    helps;
+  let family name =
+    let strip suffix =
+      let n = String.length name and k = String.length suffix in
+      if n > k && String.sub name (n - k) k = suffix then
+        Some (String.sub name 0 (n - k))
+      else None
+    in
+    match List.find_map strip [ "_bucket"; "_sum"; "_count" ] with
+    | Some base when List.assoc_opt base types = Some "histogram" -> base
+    | _ -> name
+  in
+  List.iter
+    (fun (name, _, _) ->
+      check bool' (name ^ " belongs to a typed family") true
+        (List.mem_assoc (family name) types))
+    samples;
   (* every histogram's cumulative buckets must be monotone in [le],
      ending at the +Inf bucket, which must equal the _count series *)
   let bucket_suffix = "_bucket" in
@@ -2670,6 +2759,50 @@ let test_prometheus_exposition_valid () =
           "ekg_store_snapshot_stall_seconds";
         ];
       Registry.stop_persistence (Router.registry st))
+
+let help_lines ~prefix exposition =
+  List.filter
+    (fun line -> String.starts_with ~prefix:("# HELP " ^ prefix) line)
+    (String.split_on_char '\n' exposition)
+
+let help_family line = List.nth (String.split_on_char ' ' line) 2
+
+(* The chase's families are defined once: after a materialization, the
+   server renders each ekg_chase_* HELP line that a bare registry renders
+   after a chase of the same program, and adds only the registry's
+   fact-update series *)
+let test_chase_help_lines () =
+  let st = Router.make_state () in
+  create_inline_session st;
+  check int' "explain ok" 200 (explain_inline st "s1").Http.status;
+  let server =
+    help_lines ~prefix:"ekg_chase_"
+      (Router.handle st
+         (request ~query:[ "format", "prometheus" ] Http.GET [ "v1"; "metrics" ]))
+        .Http.resp_body
+  in
+  let { Ekg_datalog.Parser.program; facts } = parse_exn inline_program in
+  let bare = Ekg_obs.Metrics.create () in
+  (match Ekg_engine.Chase.run_checked ~stats:bare program facts with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "bare chase failed");
+  let bare = help_lines ~prefix:"ekg_chase_" (Ekg_obs.Metrics.to_prometheus bare) in
+  check bool' "the bare chase renders its families" true (List.length bare >= 10);
+  List.iter
+    (fun line ->
+      check (Alcotest.option string') (help_family line) (Some line)
+        (List.find_opt (fun l -> help_family l = help_family line) server))
+    bare;
+  check (Alcotest.list string') "server-only chase families"
+    (List.sort compare
+       (List.map Ekg_obs.Metrics.name
+          [ Registry.incremental_rounds_metric; Registry.retracted_facts_metric ]))
+    (List.sort compare
+       (List.filter_map
+          (fun line ->
+            let f = help_family line in
+            if List.exists (fun l -> help_family l = f) bare then None else Some f)
+          server))
 
 (* The server records its request latencies in seconds into
    [Ekg_obs.Hist]; the quantiles it reports must hold at the edges. *)
@@ -3145,6 +3278,8 @@ let () =
           Alcotest.test_case "wide events" `Quick test_query_wide_events;
           Alcotest.test_case "GET explain parity" `Quick test_explain_get_parity;
           Alcotest.test_case "POST explain pages" `Quick test_explain_post_pages;
+          Alcotest.test_case "explain of an undefined predicate" `Quick
+            test_explain_undefined_predicate;
           Alcotest.test_case "materialized once hot" `Quick test_query_lane_switch;
           Alcotest.test_case "hot session runs no chase" `Quick
             test_query_hot_session_runs_no_chase;
@@ -3195,6 +3330,8 @@ let () =
         [
           Alcotest.test_case "every line valid + buckets monotone" `Quick
             test_prometheus_exposition_valid;
+          Alcotest.test_case "chase help lines match a bare chase" `Quick
+            test_chase_help_lines;
         ] );
       ( "integration",
         [
