@@ -49,7 +49,7 @@ type state = {
   (* every fact id activated or deactivated, in order, one entry per
      change: an aggregate rule reads the suffix since its last
      evaluation to find touched groups *)
-  log : Intvec.t;
+  log : int Paged.t;
   (* set on the incremental path, whose groups were first evaluated by
      an earlier chase: a group without an [agg_current] entry may still
      have a fact, found by its head pattern *)
@@ -67,7 +67,7 @@ let make_state ?(lookup_groups = false) ?(active_derived = 0) db prov =
     db;
     prov;
     agg_current = Hashtbl.create 64;
-    log = Intvec.create ();
+    log = Paged.create ~bits:Paged.append_bits 0;
     lookup_groups;
     phase = Hashtbl.create 8;
     id_order = not lookup_groups;
@@ -78,7 +78,7 @@ let make_state ?(lookup_groups = false) ?(active_derived = 0) db prov =
   }
 
 let log_since st from =
-  List.init (Intvec.length st.log - from) (fun i -> Intvec.get st.log (from + i))
+  List.init (Paged.length st.log - from) (fun i -> Paged.get_int st.log (from + i))
 
 (* [existentials] is [Rule.existential_vars r], hoisted by callers so
    per-match insertion does not recompute it (it walks the whole body). *)
@@ -108,52 +108,36 @@ let instantiate_head st ~existentials (r : Rule.t) binding =
 (* Restricted-chase preemption (§5: "application of chase steps that
    generate facts isomorphic to facts already in the chase is
    pre-empted"): skip an existential head when the database already
-   holds a fact the instantiated non-existential positions map onto
-   homomorphically — constants must agree, labelled nulls may map to
-   any value (consistently), existential positions are unconstrained.
-   Treating nulls as mappable is what terminates recursive existential
-   chains such as person → hasParent → person. *)
+   holds a fact of the head's predicate and arity that the instantiated
+   non-existential positions map onto homomorphically — constants must
+   agree, labelled nulls may map to any value (consistently),
+   existential positions are unconstrained.  Treating nulls as mappable
+   is what terminates recursive existential chains such as person →
+   hasParent → person.  One probe of the head's pattern: constants stay
+   constants, each null becomes one variable wherever it occurs, each
+   existential position a variable of its own. *)
 let isomorphic_exists st ~existentials (r : Rule.t) binding =
-  if existentials = [] then false
-  else begin
-    (* per head position: [`Const c], [`Null n] or [`Free] *)
-    let shape =
-      List.map
-        (fun (t : Term.t) ->
-          match t with
-          | Term.Cst (Value.Null _ as n) -> `Null n
-          | Term.Cst c -> `Const c
-          | Term.Var v -> (
-            match Subst.find binding v with
-            | Some (Value.Null _ as n) -> `Null n
-            | Some c -> `Const c
-            | None -> `Free))
-        r.head.Atom.args
-    in
-    let homomorphic (f : Fact.t) =
-      let mapping = Hashtbl.create 4 in
-      let ok = ref true in
-      List.iteri
-        (fun i s ->
-          if !ok then
-            match s with
-            | `Free -> ()
-            | `Const c -> if not (Value.equal c f.args.(i)) then ok := false
-            | `Null n -> (
-              match Hashtbl.find_opt mapping n with
-              | Some v -> if not (Value.equal v f.args.(i)) then ok := false
-              | None -> Hashtbl.add mapping n f.args.(i)))
-        shape;
-      !ok
-    in
-    List.exists homomorphic (Database.active st.db (Rule.head_pred r))
-  end
+  existentials <> []
+  &&
+  let position i (t : Term.t) =
+    let value = match t with Term.Cst c -> Some c | Term.Var v -> Subst.find binding v in
+    match value with
+    | Some (Value.Null n) -> Term.var ("null " ^ string_of_int n)
+    | Some c -> Term.cst c
+    | None -> Term.var ("free " ^ string_of_int i)
+  in
+  Database.exists_matching st.db
+    (Atom.make (Rule.head_pred r) (List.mapi position r.head.Atom.args))
+    Subst.empty
 
-(* What an insertion did, for an update's bookkeeping: [`Changed p] is
-   a change to [p]'s provenance or aggregate values that activated
-   nothing. *)
+(* What an insertion did to a fact, given by predicate and id, for an
+   update's bookkeeping: [`Changed p] is a change to [p]'s provenance or
+   aggregate values that activated nothing. *)
 type event =
-  [ `Added of Fact.t | `Reactivated of Fact.t | `Superseded of Fact.t | `Changed of string ]
+  [ `Added of string * int
+  | `Reactivated of string * int
+  | `Superseded of string * int
+  | `Changed of string ]
 
 (* An order every recorded derivation respects, premises first: the
    round that last activated a fact, that round's phase (plain inserts,
@@ -192,6 +176,7 @@ let rec strictly_ascending = function
 
 let insert_plain_matches st ~round ~(note : event -> unit) (r : Rule.t) matches =
   let existentials = Rule.existential_vars r in
+  let pred = Rule.head_pred r in
   List.filter_map
     (fun (m : Matcher.match_result) ->
       if isomorphic_exists st ~existentials r m.binding then None
@@ -210,48 +195,48 @@ let insert_plain_matches st ~round ~(note : event -> unit) (r : Rule.t) matches 
               round;
             }
           in
-          match Database.add st.db (Rule.head_pred r) tuple with
-          | `Existing f when revivable st f.Fact.id ->
-            Database.reactivate st.db f.Fact.id;
-            Intvec.push st.log f.Fact.id;
-            Provenance.forget st.prov f.Fact.id;
-            Provenance.record st.prov ~fact_id:f.Fact.id derivation;
+          match Database.add st.db pred tuple with
+          | `Existing id when revivable st id ->
+            Database.reactivate st.db id;
+            Paged.push_int st.log id;
+            Provenance.forget st.prov id;
+            Provenance.record st.prov ~fact_id:id derivation;
             st.revived <- st.revived + 1;
             st.id_order <- false;
-            note (`Reactivated f);
-            Some f.Fact.id
-          | `Existing f ->
+            note (`Reactivated (pred, id));
+            Some id
+          | `Existing id ->
             (* an alternative derivation of a known fact: keep it for
                shortest-proof selection, but it is not a new fact —
                provided it is not circular (premises must precede).
                Provenance changed although the instance did not, so
                shortest-proof explanations may shift *)
             if
-              (not (Provenance.is_edb st.prov f.Fact.id))
-              && List.for_all (fun p -> precedes st p f.Fact.id) derivation.premises
+              (not (Provenance.is_edb st.prov id))
+              && List.for_all (fun p -> precedes st p id) derivation.premises
             then begin
-              Provenance.record st.prov ~fact_id:f.Fact.id derivation;
-              note (`Changed f.Fact.pred)
+              Provenance.record st.prov ~fact_id:id derivation;
+              note (`Changed pred)
             end;
             None
-          | `Added f ->
+          | `Added id ->
             st.derived <- st.derived + 1;
-            Provenance.record st.prov ~fact_id:f.Fact.id derivation;
-            Intvec.push st.log f.Fact.id;
-            note (`Added f);
-            Some f.Fact.id))
+            Provenance.record st.prov ~fact_id:id derivation;
+            Paged.push_int st.log id;
+            note (`Added (pred, id));
+            Some id))
     matches
 
-let derived_by st (r : Rule.t) (f : Fact.t) =
+let derived_by st (r : Rule.t) id =
   List.exists
     (fun (d : Provenance.derivation) -> d.rule_id = r.id)
-    (Provenance.alternatives st.prov f.Fact.id)
+    (Provenance.alternatives st.prov id)
 
 (* The active facts rule [r] derived for group [key], found by the head
    with the group key bound. *)
 let group_facts st (r : Rule.t) key =
   Database.matching st.db r.head (Subst.of_list (List.combine (Rule.group_vars r) key))
-  |> List.filter_map (fun ((f : Fact.t), _) -> if derived_by st r f then Some f else None)
+  |> List.filter_map (fun ((f : Fact.t), _) -> if derived_by st r f.Fact.id then Some f else None)
 
 (* The fact rule [r] holds for a group that this chase has not
    evaluated yet — only on the incremental path, which keeps no
@@ -274,6 +259,7 @@ let current_group_fact st (r : Rule.t) key =
 let insert_agg_groups st ~round ~(note : event -> unit) (r : Rule.t) groups =
   let existentials = Rule.existential_vars r in
   let group_vars = Rule.group_vars r in
+  let pred = Rule.head_pred r in
   List.filter_map
     (fun (g : Matcher.agg_result) ->
       match instantiate_head st ~existentials r g.group_binding with
@@ -286,12 +272,12 @@ let insert_agg_groups st ~round ~(note : event -> unit) (r : Rule.t) groups =
           | Some _ as p -> p
           | None -> current_group_fact st r key
         in
-        let derive (f : Fact.t) =
+        let derive id =
           let premises =
             List.concat_map (fun (c : Provenance.contributor) -> c.facts) g.contributors
             |> List.sort_uniq Int.compare
           in
-          Provenance.record st.prov ~fact_id:f.Fact.id
+          Provenance.record st.prov ~fact_id:id
             {
               Provenance.rule_id = r.id;
               premises;
@@ -300,38 +286,38 @@ let insert_agg_groups st ~round ~(note : event -> unit) (r : Rule.t) groups =
               round;
             };
           (match previous with
-          | Some old_id when old_id <> f.Fact.id && Database.is_active st.db old_id ->
+          | Some old_id when old_id <> id && Database.is_active st.db old_id ->
             (* stale monotonic aggregate: supersede it *)
             if not (Provenance.is_edb st.prov old_id) then
               st.active_derived <- st.active_derived - 1;
             Database.deactivate st.db old_id;
-            Intvec.push st.log old_id;
+            Paged.push_int st.log old_id;
             st.superseded <- st.superseded + 1;
-            Provenance.record_superseded st.prov ~old_fact:old_id ~by:f.Fact.id;
-            note (`Superseded (Database.fact st.db old_id))
+            Provenance.record_superseded st.prov ~old_fact:old_id ~by:id;
+            note (`Superseded (pred, old_id))
           | Some _ | None -> ());
-          Hashtbl.replace st.agg_current reg_key f.Fact.id;
-          Intvec.push st.log f.Fact.id;
-          Some f.Fact.id
+          Hashtbl.replace st.agg_current reg_key id;
+          Paged.push_int st.log id;
+          Some id
         in
-        match Database.add st.db (Rule.head_pred r) tuple with
-        | `Existing f when Database.is_active st.db f.Fact.id ->
+        match Database.add st.db pred tuple with
+        | `Existing id when Database.is_active st.db id ->
           (* The group's tuple is unchanged (e.g. the aggregate does not
              appear in the head): nothing new. *)
-          if previous = None then Hashtbl.replace st.agg_current reg_key f.Fact.id;
+          if previous = None then Hashtbl.replace st.agg_current reg_key id;
           None
-        | `Existing f ->
+        | `Existing id ->
           (* the value came back to a superseded or over-deleted tuple *)
-          Database.reactivate st.db f.Fact.id;
-          Provenance.forget st.prov f.Fact.id;
+          Database.reactivate st.db id;
+          Provenance.forget st.prov id;
           st.revived <- st.revived + 1;
           st.id_order <- false;
-          note (`Reactivated f);
-          derive f
-        | `Added f ->
+          note (`Reactivated (pred, id));
+          derive id
+        | `Added id ->
           st.derived <- st.derived + 1;
-          note (`Added f);
-          derive f))
+          note (`Added (pred, id));
+          derive id))
     groups
 
 (* One evaluation of an aggregate rule, after {!Matcher.prepare} with
@@ -389,7 +375,7 @@ let stale_group st (r : Rule.t) ~covered (groups : Matcher.agg_result list) =
     List.exists
       (fun (f : Fact.t) ->
         Array.length f.Fact.args = List.length r.head.Atom.args
-        && derived_by st r f
+        && derived_by st r f.Fact.id
         &&
         match Subst.match_atom Subst.empty ~pattern:r.head f.Fact.args with
         | Some s -> not (Matcher.GroupSet.mem (Matcher.group_key group_vars s) kept)
@@ -740,7 +726,7 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~max_rounds ~budget
     let due () =
       fst !delta <> []
       || (!first && (o.full <> [] || o.probed <> []))
-      || List.exists (fun (_, (_, cursor)) -> !cursor < Intvec.length st.log) agg
+      || List.exists (fun (_, (_, cursor)) -> !cursor < Paged.length st.log) agg
     in
     let continue = ref true in
     while !continue && (not !overflow) && g.stopped = None do
@@ -833,7 +819,7 @@ let chase_strata ?(naive = false) ?stats ?obs ?parent st ~max_rounds ~budget
               (fun (r, (acc, cursor), plan) ->
                 let regroup = full r in
                 let changed = if regroup then [] else log_since st !cursor in
-                cursor := Intvec.length st.log;
+                cursor := Paged.length st.log;
                 if regroup || changed <> [] then begin
                   let changed = if regroup then None else Some changed in
                   let t0 = clock () in
@@ -1223,7 +1209,7 @@ let rechase ?max_rounds ?budget (program : Program.t) ~base ~before ~seeds =
 let seed_preds (res : result) ~adds ~retract_ids =
   List.sort_uniq String.compare
     (List.map (fun (a : Atom.t) -> a.Atom.pred) adds
-    @ List.map (fun id -> (Database.fact res.db id).Fact.pred) retract_ids)
+    @ List.map (Database.pred_of_fact res.db) retract_ids)
 
 (* Full-recompute fallback: rebuild the fact base and cold-chase it.
    Non-destructive — the input result is left untouched. *)
@@ -1244,11 +1230,11 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
      change, so a fact logged an odd number of times has flipped *)
   let active_before () =
     let flipped = Hashtbl.create 64 in
-    Intvec.iter
-      (fun id ->
-        if Hashtbl.mem flipped id then Hashtbl.remove flipped id
-        else Hashtbl.replace flipped id ())
-      st.log;
+    for i = 0 to Paged.length st.log - 1 do
+      let id = Paged.get_int st.log i in
+      if Hashtbl.mem flipped id then Hashtbl.remove flipped id
+      else Hashtbl.replace flipped id ()
+    done;
     let acc = ref [] in
     for id = size_before - 1 downto 0 do
       if Database.is_active db id <> Hashtbl.mem flipped id then
@@ -1294,13 +1280,13 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
         if not (Provenance.is_edb prov id) then
           st.active_derived <- st.active_derived - 1;
         Database.deactivate db id;
-        Intvec.push st.log id;
+        Paged.push_int st.log id;
         Hashtbl.replace deleted id ();
         incr retracted_total;
         incr overdeleted;
-        let f = Database.fact db id in
-        Hashtbl.replace deleted_preds f.Fact.pred ();
-        Hashtbl.replace changed_preds f.Fact.pred ()
+        let pred = Database.pred_of_fact db id in
+        Hashtbl.replace deleted_preds pred ();
+        Hashtbl.replace changed_preds pred ()
       end;
       if not (Provenance.is_edb prov id) then Provenance.forget prov id;
       Provenance.consumers prov id mark
@@ -1313,46 +1299,47 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
   List.iter (fun id -> Hashtbl.remove deleted id) retract_ids;
   let newly_active = ref [] in  (* delta seeds for strata not yet evaluated *)
   let note : event -> unit = function
-    | `Added f ->
+    | `Added (pred, id) ->
       incr added;
-      Hashtbl.replace changed_preds f.Fact.pred ();
-      newly_active := f.Fact.id :: !newly_active
-    | `Reactivated f ->
-      Hashtbl.replace changed_preds f.Fact.pred ();
-      if Hashtbl.mem deleted f.Fact.id then begin
+      Hashtbl.replace changed_preds pred ();
+      newly_active := id :: !newly_active
+    | `Reactivated (pred, id) ->
+      Hashtbl.replace changed_preds pred ();
+      if Hashtbl.mem deleted id then begin
         (* an over-deleted fact restored by a surviving proof *)
-        Hashtbl.remove deleted f.Fact.id;
+        Hashtbl.remove deleted id;
         incr rederived
       end
       else incr added;
-      newly_active := f.Fact.id :: !newly_active
-    | `Superseded f ->
-      Hashtbl.replace deleted f.Fact.id ();
+      newly_active := id :: !newly_active
+    | `Superseded (pred, id) ->
+      Hashtbl.replace deleted id ();
       incr retracted_total;
-      Hashtbl.replace changed_preds f.Fact.pred ()
+      Hashtbl.replace changed_preds pred ()
     | `Changed p -> Hashtbl.replace changed_preds p ()
   in
   List.iter2
     (fun (a : Atom.t) tuple ->
-      match Database.add db a.Atom.pred tuple with
-      | `Added f ->
-        Intvec.push st.log f.Fact.id;
-        note (`Added f)
-      | `Existing f ->
-        if not (Database.is_active db f.Fact.id) then begin
+      let pred = a.Atom.pred in
+      match Database.add db pred tuple with
+      | `Added id ->
+        Paged.push_int st.log id;
+        note (`Added (pred, id))
+      | `Existing id ->
+        if not (Database.is_active db id) then begin
           (* resurrect a previously retracted or over-deleted tuple as
              extensional data, under its original id *)
-          Provenance.forget prov f.Fact.id;
-          Database.reactivate db f.Fact.id;
-          Intvec.push st.log f.Fact.id;
-          note (`Added f)
+          Provenance.forget prov id;
+          Database.reactivate db id;
+          Paged.push_int st.log id;
+          note (`Added (pred, id))
         end
-        else if not (Provenance.is_edb prov f.Fact.id) then begin
+        else if not (Provenance.is_edb prov id) then begin
           (* an active derived fact asserted extensionally: a cold chase
              on the new base records no derivation for it *)
-          Provenance.forget prov f.Fact.id;
+          Provenance.forget prov id;
           st.active_derived <- st.active_derived - 1;
-          note (`Changed f.Fact.pred)
+          note (`Changed pred)
         end)
     adds add_tuples;
   let opening rules =
@@ -1371,7 +1358,7 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited) program (res
         (List.concat_map
            (fun (r : Rule.t) ->
              List.filter_map
-               (fun (f : Fact.t) -> if derived_by st r f then Some f.Fact.id else None)
+               (fun (f : Fact.t) -> if derived_by st r f.Fact.id then Some f.Fact.id else None)
                (Database.active db (Rule.head_pred r)))
            neg_affected);
     (* plain rules the stratum's first round re-evaluates beyond the

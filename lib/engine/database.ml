@@ -3,10 +3,8 @@ open Ekg_datalog
 
 (* Every mutable container below is a shadow-paged vector ({!Paged}),
    so [copy] costs page tables and a writer copies the pages it
-   touches.  The symbol table and the small group and mask tables are
-   copied whole. *)
-
-let no_fact = { Fact.id = -1; pred = ""; args = [||] }
+   touches.  The symbol table and the small group tables are copied
+   whole. *)
 
 (* A hash index over a column group, keyed by a bitmask of key columns.
    Slots are open addressing with linear probing, four ints per slot:
@@ -97,16 +95,17 @@ let ix_add ix h row =
   end;
   ix.ix_rows <- row + 1
 
-(* Struct-of-arrays storage for one (predicate symbol, arity): each
-   argument position is a column of interned value ids, and [cg_rows]
-   maps row number back to fact id.  Row order is insertion order,
-   i.e. ascending fact id, so scans and index chains enumerate facts
-   in id order and a match pass depends only on the database and its
-   plan.  Every insertion maintains the full-key index [cg_key] (set
-   semantics and exact lookup) and one index per column (the readers'
-   {!matching}); the planner's other masks are extended by
-   [ensure_index]. *)
+(* Struct-of-arrays storage for one (predicate symbol, arity), the only
+   home of its facts: each argument position is a column of interned
+   value ids, and [cg_rows] maps row number back to fact id.  Row order
+   is insertion order, i.e. ascending fact id, so scans and index
+   chains enumerate facts in id order and a match pass depends only on
+   the database and its plan.  Every insertion maintains the full-key
+   index [cg_key] (set semantics and exact lookup) and one index per
+   column (the readers' {!matching}); the planner's other masks are
+   extended by [ensure_index]. *)
 type colgroup = {
+  cg_sym : int;
   cg_arity : int;
   cg_cols : int Paged.t array;             (* per argument position: vids *)
   cg_rows : int Paged.t;                   (* row -> fact id *)
@@ -125,7 +124,7 @@ let cols_of_mask arity mask =
   done;
   Array.of_list !cols
 
-let group_create arity =
+let group_create sym arity =
   let indexes = Hashtbl.create 8 in
   let index mask =
     let ix = ix_create mask (cols_of_mask arity mask) in
@@ -138,6 +137,7 @@ let group_create arity =
         if 1 lsl i = key.ix_mask then key else index (1 lsl i))
   in
   {
+    cg_sym = sym;
     cg_arity = arity;
     cg_cols = Array.init arity (fun _ -> Paged.create ~bits:Paged.append_bits 0);
     cg_rows = Paged.create ~bits:Paged.append_bits 0;
@@ -159,16 +159,19 @@ let group_copy g =
     cg_indexes = indexes;
   }
 
+(* A fact's location, one int: its group's number above [row_bits],
+   its row below. *)
+let row_bits = 32
+let row_mask = (1 lsl row_bits) - 1
+
 type t = {
   syms : Symtab.t;
-  (* fact ids are dense from 0 *)
-  facts : Fact.t Paged.t;                  (* fact by id *)
-  fact_syms : int Paged.t;                 (* pred symbol by fact id *)
-  mutable by_pred : int Paged.t array;     (* fact ids by pred symbol *)
+  mutable groups : colgroup array;       (* by group number, in creation order *)
+  mutable pred_groups : int list array;  (* by pred symbol: its group numbers *)
+  locs : int Paged.t;                    (* by fact id, dense from 0: its location *)
   (* activation state: 32 bits per word, set = active *)
   active_bits : int Paged.t;
   mutable inactive_count : int;
-  groups : (int * int, colgroup) Hashtbl.t;  (* (sym, arity) -> group *)
   (* value interning: one dense id per [Value.equal]-class.  The
      matcher's hash-join core compares and hashes interned ids instead
      of values — [Value.equal] identifies numerically equal [Int]/[Num]
@@ -185,12 +188,11 @@ type t = {
 let create () =
   {
     syms = Symtab.create ();
-    facts = Paged.create ~bits:Paged.append_bits no_fact;
-    fact_syms = Paged.create ~bits:Paged.append_bits 0;
-    by_pred = [||];
+    groups = [||];
+    pred_groups = [||];
+    locs = Paged.create ~bits:Paged.append_bits 0;
     active_bits = Paged.create ~bits:Paged.slot_bits 0;
     inactive_count = 0;
-    groups = Hashtbl.create 32;
     val_slots = Paged.make ~bits:Paged.slot_bits 1024 (-1);
     val_cap_mask = 1023;
     val_arr = Paged.create ~bits:Paged.append_bits (Value.Int 0);
@@ -198,32 +200,42 @@ let create () =
   }
 
 let copy t =
-  let groups = Hashtbl.create (Hashtbl.length t.groups) in
-  Hashtbl.iter (fun k g -> Hashtbl.replace groups k (group_copy g)) t.groups;
   {
     syms = Symtab.copy t.syms;
-    facts = Paged.copy t.facts;
-    fact_syms = Paged.copy t.fact_syms;
-    by_pred = Array.map Paged.copy t.by_pred;
+    groups = Array.map group_copy t.groups;
+    pred_groups = Array.copy t.pred_groups;
+    locs = Paged.copy t.locs;
     active_bits = Paged.copy t.active_bits;
     inactive_count = t.inactive_count;
-    groups;
     val_slots = Paged.copy t.val_slots;
     val_cap_mask = t.val_cap_mask;
     val_arr = Paged.copy t.val_arr;
     null_counter = t.null_counter;
   }
 
-let size t = Paged.length t.facts
+let size t = Paged.length t.locs
 
 let intern t pred =
   let sym = Symtab.intern t.syms pred in
   (* symbols are dense and assigned in order: a fresh one is next *)
-  if sym = Array.length t.by_pred then
-    t.by_pred <- Array.append t.by_pred [| Paged.create ~bits:Paged.append_bits 0 |];
+  if sym = Array.length t.pred_groups then t.pred_groups <- Array.append t.pred_groups [| [] |];
   sym
 
 let pred_sym t pred = Symtab.find t.syms pred
+
+(* the number of the group of [arity] among a predicate's [groups], or -1 *)
+let rec group_in t arity = function
+  | [] -> -1
+  | gi :: rest -> if t.groups.(gi).cg_arity = arity then gi else group_in t arity rest
+
+let group_of t sym arity =
+  match group_in t arity t.pred_groups.(sym) with
+  | gi when gi >= 0 -> gi
+  | _ ->
+    let gi = Array.length t.groups in
+    t.groups <- Array.append t.groups [| group_create sym arity |];
+    t.pred_groups.(sym) <- t.pred_groups.(sym) @ [ gi ];
+    gi
 
 (* --- activation bitmap ------------------------------------------------------ *)
 
@@ -278,6 +290,28 @@ let value_of_id t vid =
   if vid < 0 || vid >= Paged.length t.val_arr then invalid_arg "Database.value_of_id";
   Paged.unsafe_get t.val_arr vid
 
+(* --- fact views ------------------------------------------------------------- *)
+
+(* The view of fact [id], which must exist, read off its group's
+   columns: every argument is its interning class's representative.
+   Readers build one per fact they return (the EDB mirror one per EDB
+   fact and update), so the common arities allocate their arrays in
+   place. *)
+let view t id =
+  let loc = Paged.unsafe_get_int t.locs id in
+  let g = t.groups.(loc lsr row_bits) and row = loc land row_mask in
+  let arg i = Paged.unsafe_get t.val_arr (Paged.unsafe_get_int g.cg_cols.(i) row) in
+  {
+    Fact.id;
+    pred = Symtab.name t.syms g.cg_sym;
+    args =
+      (match g.cg_arity with
+      | 1 -> [| arg 0 |]
+      | 2 -> [| arg 0; arg 1 |]
+      | 3 -> [| arg 0; arg 1; arg 2 |]
+      | n -> Array.init n arg);
+  }
+
 (* --- insertion -------------------------------------------------------------- *)
 
 (* Deterministic key mixing (pure 63-bit int arithmetic, no per-process
@@ -290,57 +324,41 @@ let row_hash g keycols row =
   Array.iter (fun c -> h := key_hash_add !h (Paged.unsafe_get_int g.cg_cols.(c) row)) keycols;
   !h
 
-(* The fact holding exactly [args] in group [g] — the full-key index's
-   chain for their ids — or -1. *)
-let find_id t g args =
-  let vids = Array.map (value_id t) args in
-  if Array.exists (fun vid -> vid < 0) vids then -1
-  else begin
-    let ix = g.cg_key in
-    let h = Array.fold_left (fun h c -> key_hash_add h vids.(c)) 0 ix.ix_keycols in
-    let same row =
-      let ok = ref true in
-      Array.iteri
-        (fun i vid -> if Paged.unsafe_get_int g.cg_cols.(i) row <> vid then ok := false)
-        vids;
-      !ok
-    in
-    let rec walk row =
-      if row < 0 then -1
-      else if same row then Paged.unsafe_get_int g.cg_rows row
-      else walk (Paged.unsafe_get_int ix.ix_next row)
-    in
-    walk (ix_first ix h)
-  end
-
-let group_of t sym arity =
-  match Hashtbl.find_opt t.groups (sym, arity) with
-  | Some g -> g
-  | None ->
-    let g = group_create arity in
-    Hashtbl.add t.groups (sym, arity) g;
-    g
+(* The fact whose columns in group [g] hold exactly the interned ids
+   [vids] — the full-key index's chain for them — or -1. *)
+let find_vids g vids =
+  let ix = g.cg_key in
+  let h = Array.fold_left (fun h c -> key_hash_add h vids.(c)) 0 ix.ix_keycols in
+  let rec same row i =
+    i = Array.length vids
+    || (Paged.unsafe_get_int g.cg_cols.(i) row = vids.(i) && same row (i + 1))
+  in
+  let rec walk row =
+    if row < 0 then -1
+    else if same row 0 then Paged.unsafe_get_int g.cg_rows row
+    else walk (Paged.unsafe_get_int ix.ix_next row)
+  in
+  walk (ix_first ix h)
 
 let add t pred args =
-  let sym = intern t pred in
-  let g = group_of t sym (Array.length args) in
-  match find_id t g args with
-  | id when id >= 0 -> `Existing (Paged.unsafe_get t.facts id)
+  let gi = group_of t (intern t pred) (Array.length args) in
+  let g = t.groups.(gi) in
+  (* a stored tuple's values are all interned already: interning them
+     first adds nothing unless the tuple is new *)
+  let vids = Array.map (intern_value t) args in
+  match find_vids g vids with
+  | id when id >= 0 -> `Existing id
   | _ ->
-    let id = size t in
-    let f = { Fact.id; pred; args } in
-    Paged.push t.facts f;
-    Paged.push_int t.fact_syms sym;
-    Paged.push_int t.by_pred.(sym) id;
+    let id = size t and row = Paged.length g.cg_rows in
+    Paged.push_int t.locs ((gi lsl row_bits) lor row);
     bit_set t id;
-    let row = Paged.length g.cg_rows in
-    Array.iteri (fun i v -> Paged.push_int g.cg_cols.(i) (intern_value t v)) args;
+    Array.iteri (fun i vid -> Paged.push_int g.cg_cols.(i) vid) vids;
     Paged.push_int g.cg_rows id;
     let index ix = ix_add ix (row_hash g ix.ix_keycols row) row in
     index g.cg_key;
     (* an arity-1 group's single column is its full key *)
     Array.iter (fun ix -> if ix != g.cg_key then index ix) g.cg_singles;
-    `Added f
+    `Added id
 
 let add_atom t (a : Atom.t) =
   if not (Atom.is_ground a) then Error ("non-ground fact: " ^ Atom.to_string a)
@@ -369,49 +387,59 @@ let all_active t = t.inactive_count = 0
 
 let fact t id =
   if id < 0 || id >= size t then raise Not_found;
-  Paged.unsafe_get t.facts id
+  view t id
 
 let pred_sym_of_fact t id =
   if id < 0 || id >= size t then raise Not_found;
-  Paged.unsafe_get_int t.fact_syms id
+  t.groups.(Paged.unsafe_get_int t.locs id lsr row_bits).cg_sym
+
+let pred_of_fact t id = Symtab.name t.syms (pred_sym_of_fact t id)
 
 let find_exact t pred args =
   match Symtab.find t.syms pred with
   | None -> None
-  | Some sym -> (
-    match Hashtbl.find_opt t.groups (sym, Array.length args) with
-    | None -> None
-    | Some g ->
-      let id = find_id t g args in
-      if id < 0 then None else Some (Paged.unsafe_get t.facts id))
-
-let posting_fold f acc t pred =
-  match Symtab.find t.syms pred with
-  | None -> acc
   | Some sym ->
-    let ids = t.by_pred.(sym) in
-    let acc = ref acc in
-    for i = Paged.length ids - 1 downto 0 do
-      acc := f (Paged.unsafe_get_int ids i) !acc
-    done;
-    !acc
+    let gi = group_in t (Array.length args) t.pred_groups.(sym) in
+    let vids = Array.map (value_id t) args in
+    if gi < 0 || Array.exists (fun vid -> vid < 0) vids then None
+    else
+      match find_vids t.groups.(gi) vids with
+      | id when id >= 0 -> Some (view t id)
+      | _ -> None
 
-let all_of_pred t pred = posting_fold (fun id acc -> fact t id :: acc) [] t pred
+(* The ids of a predicate's facts that [keep] accepts, ascending: each
+   group's rows are, and a predicate has a group per arity its facts
+   use. *)
+let pred_ids t pred keep =
+  match Symtab.find t.syms pred with
+  | None -> []
+  | Some sym ->
+    List.fold_left
+      (fun acc gi ->
+        let rows = t.groups.(gi).cg_rows in
+        let ids = ref [] in
+        for row = Paged.length rows - 1 downto 0 do
+          let id = Paged.unsafe_get_int rows row in
+          if keep id then ids := id :: !ids
+        done;
+        List.merge Int.compare acc !ids)
+      [] t.pred_groups.(sym)
 
-let active t pred =
-  posting_fold
-    (fun id acc -> if is_active t id then Paged.unsafe_get t.facts id :: acc else acc)
-    [] t pred
+let all_of_pred t pred = List.map (view t) (pred_ids t pred (fun _ -> true))
+let active t pred = List.map (view t) (pred_ids t pred (is_active t))
 
 let pred_card t pred =
   match Symtab.find t.syms pred with
   | None -> 0
-  | Some sym -> Paged.length t.by_pred.(sym)
+  | Some sym ->
+    List.fold_left
+      (fun n gi -> n + Paged.length t.groups.(gi).cg_rows)
+      0 t.pred_groups.(sym)
 
 let active_all t =
   let acc = ref [] in
   for id = size t - 1 downto 0 do
-    if is_active t id then acc := Paged.unsafe_get t.facts id :: !acc
+    if is_active t id then acc := view t id :: !acc
   done;
   !acc
 
@@ -420,7 +448,7 @@ let active_size t = size t - t.inactive_count
 let fingerprint t =
   let lines = ref [] in
   for id = size t - 1 downto 0 do
-    if is_active t id then lines := Fact.to_string (Paged.unsafe_get t.facts id) :: !lines
+    if is_active t id then lines := Fact.to_string (view t id) :: !lines
   done;
   String.concat "\n" (List.sort String.compare !lines)
 
@@ -439,9 +467,10 @@ let exists_candidate t (pattern : Atom.t) subst f =
   match Symtab.find t.syms pattern.pred with
   | None -> false
   | Some sym -> (
-    match Hashtbl.find_opt t.groups (sym, List.length pattern.args) with
-    | None -> false
-    | Some g ->
+    match group_in t (List.length pattern.args) t.pred_groups.(sym) with
+    | gi when gi < 0 -> false
+    | gi ->
+      let g = t.groups.(gi) in
       (* interned ids of the bound positions, -1 where unbound *)
       let vids = Array.make g.cg_arity (-1) in
       let impossible = ref false in
@@ -495,7 +524,7 @@ let matching t (pattern : Atom.t) subst =
   ignore
     (exists_candidate t pattern subst (fun id ->
          (if is_active t id then
-            let f = Paged.unsafe_get t.facts id in
+            let f = view t id in
             match Subst.match_atom subst ~pattern f.Fact.args with
             | Some s -> acc := (f, s) :: !acc
             | None -> ());
@@ -504,8 +533,7 @@ let matching t (pattern : Atom.t) subst =
 
 let exists_matching t (pattern : Atom.t) subst =
   exists_candidate t pattern subst (fun id ->
-      is_active t id
-      && Subst.match_atom subst ~pattern (Paged.unsafe_get t.facts id).Fact.args <> None)
+      is_active t id && Subst.match_atom subst ~pattern (view t id).Fact.args <> None)
 
 (* --- columnar access and hash indexes ---------------------------------------
 
@@ -519,7 +547,10 @@ let exists_matching t (pattern : Atom.t) subst =
 module Cols = struct
   type group = colgroup
 
-  let find t ~sym ~arity = Hashtbl.find_opt t.groups (sym, arity)
+  let find t ~sym ~arity =
+    match group_in t arity t.pred_groups.(sym) with
+    | gi when gi >= 0 -> Some t.groups.(gi)
+    | _ -> None
   let rows (g : group) = Paged.length g.cg_rows
   let arity (g : group) = g.cg_arity
   let fact_id (g : group) row = Paged.unsafe_get_int g.cg_rows row
@@ -529,7 +560,7 @@ end
 let ensure_index t ~sym ~arity ~mask =
   if mask = 0 then 0
   else
-    match Hashtbl.find_opt t.groups (sym, arity) with
+    match Cols.find t ~sym ~arity with
     | None -> 0
     | Some g ->
       let ix =
@@ -561,22 +592,25 @@ let chain_next (ix : index_handle) row = Paged.unsafe_get_int ix.ix_next row
 
    The encoding stores the insertion sequence, not the index
    structures: [decode] replays every fact through [add] in id order,
-   which rebuilds the postings, the columnar representation (column
-   groups and their kept indexes, interned value ids, activation
-   bitmap) and re-interns predicates in exactly the original order
-   (symbols are assigned at first insertion).  The symbol table is
-   still written explicitly so decode can verify the replay reproduced
-   it bit-for-bit.  The planner's other indexes are not persisted —
-   [ensure_index] rebuilds them on demand. *)
+   which rebuilds the columnar representation (column groups and their
+   kept indexes, interned value ids, activation bitmap) and re-interns
+   predicates in exactly the original order (symbols are assigned at
+   first insertion).  The symbol table is still written explicitly so
+   decode can verify the replay reproduced it bit-for-bit.  The
+   planner's other indexes are not persisted — [ensure_index] rebuilds
+   them on demand. *)
 
 let encode b t =
   Symtab.encode b t.syms;
   Wire.w_int b (size t);
   for id = 0 to size t - 1 do
-    let f = Paged.unsafe_get t.facts id in
-    Wire.w_int b (Paged.unsafe_get_int t.fact_syms id);
-    Wire.w_int b (Array.length f.Fact.args);
-    Array.iter (Wire.w_value b) f.Fact.args
+    let loc = Paged.unsafe_get_int t.locs id in
+    let g = t.groups.(loc lsr row_bits) and row = loc land row_mask in
+    Wire.w_int b g.cg_sym;
+    Wire.w_int b g.cg_arity;
+    Array.iter
+      (fun col -> Wire.w_value b (Paged.unsafe_get t.val_arr (Paged.unsafe_get_int col row)))
+      g.cg_cols
   done;
   Wire.w_int b t.inactive_count;
   (* ascending id order reproduces the sorted list the previous
@@ -602,7 +636,7 @@ let decode r =
       args.(i) <- Wire.r_value r
     done;
     match add t (Symtab.name syms sym) args with
-    | `Added f when f.Fact.id = id -> ()
+    | `Added id' when id' = id -> ()
     | `Added _ | `Existing _ ->
       raise (Wire.Corrupt "Database: replay did not reproduce fact ids")
   done;

@@ -5,7 +5,17 @@
     deactivated fact stays addressable by id (the chase graph may
     reference it) but no longer participates in rule matching.  The
     chase uses deactivation to supersede stale monotonic-aggregation
-    results. *)
+    results.
+
+    A fact is stored once, as interned value ids in its column group
+    (see {!Cols}); the database keeps one int per fact locating it.
+    Every reader that returns a {!Fact.t} — {!fact}, {!find_exact},
+    {!matching}, {!active}, {!all_of_pred}, {!active_all} — builds a
+    fresh view from the columns, and {!fingerprint} and {!encode} read
+    the columns too.  Each value of a view is the first-interned
+    representative of its {!Value.equal} class ({!value_of_id}): a
+    tuple inserted as [p(1.0)] reads back as [p(1)] once [1] was
+    interned first. *)
 
 open Ekg_kernel
 open Ekg_datalog
@@ -24,11 +34,13 @@ val copy : t -> t
     the original while an incremental update runs against the copy
     ({!Chase.copy_result}), and the join indexes survive the copy. *)
 
-val add : t -> string -> Value.t array -> [ `Added of Fact.t | `Existing of Fact.t ]
-(** Insert or retrieve. A previously deactivated identical tuple is
-    treated as existing (it is not resurrected). *)
+val add : t -> string -> Value.t array -> [ `Added of int | `Existing of int ]
+(** Insert or retrieve, answering the fact's id; builds no {!Fact.t}.
+    A tuple whose values are {!Value.equal} to a stored one's, position
+    by position, is that fact.  A previously deactivated identical
+    tuple is treated as existing (it is not resurrected). *)
 
-val add_atom : t -> Atom.t -> ([ `Added of Fact.t | `Existing of Fact.t ], string) result
+val add_atom : t -> Atom.t -> ([ `Added of int | `Existing of int ], string) result
 (** Convenience for ground atoms; [Error] on non-ground input. *)
 
 val deactivate : t -> int -> unit
@@ -55,19 +67,23 @@ val fingerprint : t -> string
     stated over. *)
 
 val fact : t -> int -> Fact.t
-(** Raises [Not_found] for unknown ids. *)
+(** A view of the fact, built from its column group: every argument is
+    its class's representative, so the view may differ from the tuple
+    {!add} was given in [Int]/[Num] carrier only.  Raises [Not_found]
+    for unknown ids. *)
 
 val find_exact : t -> string -> Value.t array -> Fact.t option
 (** Lookup by tuple regardless of activity. *)
 
 val active : t -> string -> Fact.t list
-(** Active facts of a predicate, in insertion order. *)
+(** Active facts of a predicate, in ascending id order — across the
+    predicate's arities, which the EDB may mix. *)
 
 val all_of_pred : t -> string -> Fact.t list
-(** Active and inactive, in insertion order. *)
+(** Active and inactive, in ascending id order. *)
 
 val active_all : t -> Fact.t list
-(** All active facts, insertion order. *)
+(** All active facts, in ascending id order. *)
 
 val size : t -> int
 (** Number of facts ever inserted (active + inactive). *)
@@ -101,18 +117,23 @@ val pred_sym_of_fact : t -> int -> int
 (** The predicate symbol of a fact id; raises [Not_found] for unknown
     ids. *)
 
+val pred_of_fact : t -> int -> string
+(** The predicate of a fact id, without building its view; raises
+    [Not_found] for unknown ids. *)
+
 val pred_card : t -> string -> int
 (** Number of facts ever inserted for the predicate (active +
-    inactive), in O(1) — the join planner's cardinality estimate. *)
+    inactive), summed over its column groups (one per arity) — the
+    join planner's cardinality estimate. *)
 
 (** {1 Columnar storage and hash-join indexes}
 
-    Facts are stored as a struct-of-arrays representation: one {e
+    Facts are stored only as a struct-of-arrays representation: one {e
     column group} per (predicate symbol, arity), holding a column of
-    interned value ids per argument position plus a row → fact-id map.
-    Rows are in insertion order (ascending fact id), and activation is
-    a bitmap checked per candidate row — deactivated facts stay in the
-    columns forever.
+    interned value ids per argument position plus a row → fact-id map;
+    each fact id maps back to its group and row.  Rows are in insertion
+    order (ascending fact id), and activation is a bitmap checked per
+    candidate row — deactivated facts stay in the columns forever.
 
     A group's hash indexes key its rows on the columns named by a
     bitmask.  Each index keeps, per key hash, a {e chain} of rows in
@@ -154,8 +175,10 @@ val value_id : t -> Value.t -> int
     id. *)
 
 val value_of_id : t -> int -> Value.t
-(** Inverse of {!value_id} (the first-interned representative);
-    raises [Invalid_argument] on ids never returned by interning. *)
+(** The representative of the class: the first value interned under
+    the id, which every view and {!encode} render for all of the
+    class's members.  Raises [Invalid_argument] on ids never returned
+    by interning. *)
 
 val key_hash_add : int -> int -> int
 (** Fold a key column's value id into a probe hash (seed [0], columns
@@ -189,9 +212,10 @@ val chain_next : index_handle -> int -> int
 (** The row after [row] in its chain (ascending), or [-1] at the end. *)
 
 val encode : Buffer.t -> t -> unit
-(** Snapshot codec hook: the full store — facts in id order, activation
-    state, null counter, symbol table — in the engine's binary wire
-    form.  {!decode} replays the insertion sequence, so the restored
+(** Snapshot codec hook: the full store — facts in id order, read off
+    their columns (so each value is its class's representative),
+    activation state, null counter, symbol table — in the engine's
+    binary wire form.  {!decode} replays the insertion sequence, so the restored
     database carries identical fact ids, symbols, insertion-kept
     indexes and {!fingerprint}; planner indexes are rebuilt on demand. *)
 

@@ -7,7 +7,7 @@ type t = {
   args : Value.t array;
 }
 
-let atom f = Atom.make f.pred (List.map Term.cst (Array.to_list f.args))
+let atom f = Atom.make f.pred (Array.fold_right (fun v args -> Term.cst v :: args) f.args [])
 let arg f i = f.args.(i)
 
 let to_string f = Atom.to_string (atom f)

@@ -46,7 +46,9 @@ let delta db ids =
    position the matcher probes a multi-column hash index on the key
    columns bound so far ({!Plan.key_masks}) instead of scanning the
    group.  Bindings live in a dense int array of interned value
-   ids; [Subst.t] is only materialized per {e emitted} match.
+   ids; [Subst.t] is only materialized per {e emitted} match, each
+   variable bound to its id's class representative, so θ does not
+   depend on which fact bound a variable.
 
    The enumeration visits candidate rows in ascending row order (index
    chains are ascending, scans are ascending), which is ascending fact-id
@@ -155,22 +157,16 @@ let compile_nodes ?bound db (r : Rule.t) order =
    {!Interrupted}, the cooperative-cancellation point that keeps a
    pathological join from running past its budget.
 
-   [binders] (default: the plan's order) is the order whose first
-   binding of each variable θ takes its value from — the matched
-   tuple's own representation, not the interning representative — so a
-   pass under a seed-first plan renders what the round plan's pass
-   would.  [seed = (d, excluded)] keeps [d]'s facts out of the body
-   atoms [excluded] holds for: with [seed_rows] from [d], one
-   semi-naive pass.
-
-   Three more hooks.  [bound] names variables pre-bound before the
+   [seed = (d, excluded)] keeps [d]'s facts out of the body atoms
+   [excluded] holds for: with [seed_rows] from [d], one semi-naive
+   pass.  Three more hooks.  [bound] names variables pre-bound before the
    join, each run binding them to the interned ids [vids] — a group or
    head-key probe, the key substituted in as hash-key constants.
    [seed_rows] replaces position 0's candidates with the given rows
    (ascending), and [admit] lets inactive facts it accepts join anyway
    — touched-group discovery, which must also see the contributors a
    group just lost. *)
-let compile_join ?interrupt ?plan ?binders ?seed ?(bound = [])
+let compile_join ?interrupt ?plan ?seed ?(bound = [])
     ?(admit = fun _ -> false) db (r : Rule.t) =
   let order = plan_order ?plan r in
   let n = Array.length order in
@@ -213,42 +209,18 @@ let compile_join ?interrupt ?plan ?binders ?seed ?(bound = [])
     | Some f -> Some (fun () -> if f () then raise Interrupted)
   in
   let has_conditions = r.conditions <> [] in
-  (* Per [binders] position, the body atom and the (variable, argument
-     index) pairs first bound there — [emit] binds each variable exactly
-     once, from that atom's matched fact. *)
-  let binder_order = match binders with Some o -> o | None -> order in
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let binders =
-    let seen = Hashtbl.create 16 in
-    Array.map
-      (fun b ->
-        ( b,
-          List.rev
-            (snd
-               (List.fold_left
-                  (fun (i, acc) (t : Term.t) ->
-                    match t with
-                    | Term.Var v when not (Hashtbl.mem seen v) ->
-                      Hashtbl.add seen v ();
-                      (i + 1, (v, i) :: acc)
-                    | Term.Var _ | Term.Cst _ -> (i + 1, acc))
-                  (0, []) positives.(b).Atom.args)) ))
-      binder_order
-  in
+  (* the variable of each slot: every slot is bound when a match is
+     emitted *)
+  let slot_vars = Array.make nslots "" in
+  Hashtbl.iter (fun v s -> slot_vars.(s) <- v) slots;
   let undos = Array.map (fun (nd : node) -> Array.make (max 1 nd.nd_arity) 0) nodes in
   (* the current run's seed rows and match sink *)
   let seed_rows = ref None and sink = ref (fun _ _ -> ()) in
   let emit () =
-    (* Reconstruct θ from the facts, each variable from the fact that
-       first bound it in [binders] order. *)
     let subst = ref Subst.empty in
-    Array.iter
-      (fun (b, bs) ->
-        if bs <> [] then begin
-          let f = Database.fact db facts.(b) in
-          List.iter (fun (v, i) -> subst := Subst.bind !subst v f.Fact.args.(i)) bs
-        end)
-      binders;
+    Array.iteri
+      (fun s v -> subst := Subst.bind !subst v (Database.value_of_id db vals.(s)))
+      slot_vars;
     let subst =
       if r.assignments = [] then !subst
       else
@@ -433,9 +405,9 @@ let lex_compare (a : int array) (b : int array) =
    delta.  Pass k starts from the delta rows of its seed atom: pass 0
    under the round plan itself, so it enumerates in the round plan's
    order; a later pass under a seed-first plan, keeping the round
-   plan's partition and binders, its matches then sorted by their
-   fact-id tuples in round-plan order — the order the round plan's
-   enumeration of the pass has.  A pass whose seed atom has no delta
+   plan's partition, its matches then sorted by their fact-id tuples in
+   round-plan order — the order the round plan's enumeration of the
+   pass has.  A pass whose seed atom has no delta
    fact is skipped. *)
 let delta_matches ?interrupt ?plan d db (r : Rule.t) =
   let order = plan_order ?plan r in
@@ -453,7 +425,7 @@ let delta_matches ?interrupt ?plan d db (r : Rule.t) =
            else begin
              let keyed = ref [] in
              let run =
-               compile_join ?interrupt ~plan:(seed_plan db r b) ~binders:order ~seed db r
+               compile_join ?interrupt ~plan:(seed_plan db r b) ~seed db r
              in
              run ~seed_rows:rows [||] (fun facts m ->
                  keyed := (Array.map (fun b -> facts.(b)) order, m) :: !keyed);

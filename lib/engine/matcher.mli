@@ -49,7 +49,10 @@ exception Interrupted
     bindings.  Candidate rows come in ascending fact-id order at each
     join position, so the match sequence is a function of the database
     and the plan: the matches ordered by their fact-id tuples in plan
-    order.  The test suite checks the chase built on it against an
+    order.  An emitted θ binds each variable to its interned id's
+    class representative ({!Database.value_of_id}), the value every
+    fact view shows, so θ reads no fact and does not depend on the
+    plan.  The test suite checks the chase built on it against an
     independent naive evaluator. *)
 
 val match_rule :
@@ -60,7 +63,7 @@ val match_rule :
     pass's order under [plan] once grouped by the first plan position
     holding a delta fact: pass k (position k holds a delta fact,
     earlier positions none) for k ascending, each ordered by fact-id
-    tuple in [plan]'s order, bindings as the full pass renders them.
+    tuple in [plan]'s order.
     A pass starts from its atom's delta rows, so its join work follows
     the delta: pass 0 under [plan], a later pass under a seed-first
     plan ({!Plan.compile} [~first]) whose matches are then sorted.

@@ -19,7 +19,7 @@ type 'a t
 
 val append_bits : int
 (** log2 of the page size for vectors that grow at the end — fact
-    tables, columns, postings.  A write touches the last page. *)
+    locations, columns, row maps.  A write touches the last page. *)
 
 val slot_bits : int
 (** log2 of the page size for vectors written at random positions —

@@ -4,9 +4,9 @@
 # lib/store, lib/datagen) must open with an odoc module-level comment —
 # `(**` as the first non-blank characters — so `dune build @doc` renders
 # a synopsis for every module and new interfaces cannot land
-# undocumented — and that every metric name the prose docs mention exists
-# in the code (below).  Run from anywhere; exits non-zero listing
-# offenders.
+# undocumented — that every metric name the prose docs mention exists
+# in the code, and that every code reference they make is defined
+# (both below).  Run from anywhere; exits non-zero listing offenders.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,8 +56,52 @@ for tok in $(grep -ohE 'ekg_[a-z0-9_]+(\*|\{[a-z0-9_,]+\}[a-z0-9_]*)?' $docs | s
   done
 done
 
+# Every backticked code reference `Module.name` in the prose docs whose
+# module has a file under lib/ must name something that module's .ml or
+# .mli defines: a `let`, `and`, `val`, `type` or `external` binding, or
+# a record field.  In a dotted path (`Ekg_obs.Metrics.noop`) the module
+# is the last capitalized component.
+declare -A verdict=()
+while IFS=: read -r doc line ref; do
+  mod="${ref%.*}" name="${ref##*.}"
+  mod="${mod##*.}"
+  if [ -z "${verdict[$ref]+set}" ]; then
+    file="${mod,}"
+    mapfile -t sources < <(find lib -name "$file.ml" -o -name "$file.mli")
+    if [ "${#sources[@]}" -eq 0 ]; then
+      verdict[$ref]=skip
+    elif grep -qE \
+      -e "(^|[^A-Za-z0-9_'.])(let|and|val|type|external)[[:space:]]+((rec|nonrec)[[:space:]]+)?('[a-z_]+[[:space:]]+|\([^)]*\)[[:space:]]+)?$name([^A-Za-z0-9_']|\$)" \
+      -e "(^|[{;])[[:space:]]*(mutable[[:space:]]+)?$name[[:space:]]*:([^:=]|\$)" \
+      "${sources[@]}"; then
+      verdict[$ref]=ok
+    else
+      verdict[$ref]=stale
+    fi
+  fi
+  if [ "${verdict[$ref]}" = stale ]; then
+    echo "doc-lint: $doc:$line: \`$ref\` — $mod defines no $name" >&2
+    fail=1
+  fi
+done < <(
+  for doc in $docs; do
+    grep -noE '`[^`]+`' "$doc" |
+      awk -v doc="$doc" '{
+        n = index($0, ":"); s = " " substr($0, n + 1)
+        while (match(s, /[^A-Za-z0-9_.]([A-Z][A-Za-z0-9_]*\.)+[a-z_][A-Za-z0-9_]*/)) {
+          print doc ":" substr($0, 1, n - 1) ":" substr(s, RSTART + 1, RLENGTH - 1)
+          s = substr(s, RSTART + RLENGTH)
+        }
+      }'
+  done
+)
+refs=0
+for v in "${verdict[@]}"; do
+  [ "$v" = skip ] || refs=$((refs + 1))
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doc-lint: failed" >&2
   exit 1
 fi
-echo "doc-lint: ok ($(ls lib/engine/*.mli lib/core/*.mli lib/store/*.mli lib/datagen/*.mli | wc -l | tr -d ' ') interfaces documented, doc metric names defined)"
+echo "doc-lint: ok ($(ls lib/engine/*.mli lib/core/*.mli lib/store/*.mli lib/datagen/*.mli | wc -l | tr -d ' ') interfaces documented, doc metric names defined, $refs code references defined)"

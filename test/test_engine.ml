@@ -32,10 +32,10 @@ let test_database_dedup () =
   let db = Database.create () in
   let t = [| Value.str "a"; Value.int 1 |] in
   (match Database.add db "p" t with
-  | `Added f -> check int' "first id" 0 f.id
+  | `Added id -> check int' "first id" 0 id
   | `Existing _ -> Alcotest.fail "fresh tuple reported existing");
   (match Database.add db "p" [| Value.str "a"; Value.int 1 |] with
-  | `Existing f -> check int' "same id" 0 f.id
+  | `Existing id -> check int' "same id" 0 id
   | `Added _ -> Alcotest.fail "duplicate tuple added twice");
   check int' "size counts distinct tuples" 1 (Database.size db)
 
@@ -48,11 +48,11 @@ let test_database_numeric_key_equality () =
 
 let test_database_deactivation () =
   let db = Database.create () in
-  let f = match Database.add db "p" [| Value.int 1 |] with `Added f -> f | `Existing f -> f in
+  let id = match Database.add db "p" [| Value.int 1 |] with `Added id | `Existing id -> id in
   check int' "active before" 1 (List.length (Database.active db "p"));
-  Database.deactivate db f.id;
+  Database.deactivate db id;
   check int' "inactive after" 0 (List.length (Database.active db "p"));
-  check int' "still addressable" f.id (Database.fact db f.id).id;
+  check int' "still addressable" id (Database.fact db id).id;
   check int' "still listed among all" 1 (List.length (Database.all_of_pred db "p"))
 
 let test_database_matching () =
@@ -63,6 +63,187 @@ let test_database_matching () =
   check int' "two matches" 2 (List.length (Database.matching db pattern Subst.empty));
   let bound = Subst.bind Subst.empty "Y" (Value.str "b") in
   check int' "one match under binding" 1 (List.length (Database.matching db pattern bound))
+
+(* --- database readers against a list model ----------------------------------- *)
+
+(* A naive model of one database: its facts by id, each value replaced
+   by the first-interned member of its [Value.equal] class, with their
+   activation, and those representatives in interning order. *)
+type db_model = {
+  mutable m_facts : (string * Value.t array * bool) array;
+  mutable m_reps : Value.t list;
+}
+
+let model_find m pred args =
+  let rec go id =
+    if id = Array.length m.m_facts then None
+    else
+      let p, a, _ = m.m_facts.(id) in
+      if p = pred && Array.length a = Array.length args && Array.for_all2 Value.equal a args
+      then Some id
+      else go (id + 1)
+  in
+  go 0
+
+let model_add m pred args =
+  if model_find m pred args = None then begin
+    Array.iter
+      (fun v -> if not (List.exists (Value.equal v) m.m_reps) then m.m_reps <- m.m_reps @ [ v ])
+      args;
+    let rep v = List.find (Value.equal v) m.m_reps in
+    m.m_facts <- Array.append m.m_facts [| (pred, Array.map rep args, true) |]
+  end
+
+let model_fingerprint m =
+  Array.to_list m.m_facts
+  |> List.filter_map (fun (p, a, active) ->
+         if active then Some (Atom.to_string (Atom.make p (Array.to_list (Array.map Term.cst a))))
+         else None)
+  |> List.sort String.compare |> String.concat "\n"
+
+type db_op =
+  | Op_add of int * string * Value.t list  (* on live database [k mod live] *)
+  | Op_deactivate of int * int             (* fact [i mod size] *)
+  | Op_reactivate of int * int
+  | Op_copy of int
+
+(* two members of one class, [1] and [1.0], and values no fact holds *)
+let db_values = [| Value.int 1; Value.num 1.0; Value.int 2; Value.num 2.5; Value.str "a"; Value.str "b" |]
+let db_probes = Array.to_list db_values @ [ Value.num 2.0; Value.str "zz" ]
+
+let db_op_to_string = function
+  | Op_add (k, p, vs) ->
+    Printf.sprintf "add#%d %s(%s)" k p (String.concat ", " (List.map Value.to_string vs))
+  | Op_deactivate (k, i) -> Printf.sprintf "deactivate#%d %d" k i
+  | Op_reactivate (k, i) -> Printf.sprintf "reactivate#%d %d" k i
+  | Op_copy k -> Printf.sprintf "copy#%d" k
+
+(* Every reader of [db] against the model, values compared under
+   [Value.equal]; the fingerprint, which renders them, as a string. *)
+let check_readers what m db =
+  let fail reader = QCheck2.Test.fail_reportf "%s: %s disagrees with the model" what reader in
+  let n = Array.length m.m_facts in
+  let ids keep = List.filter keep (List.init n Fun.id) in
+  let is_active id = match m.m_facts.(id) with _, _, a -> a in
+  let of_pred pred id = match m.m_facts.(id) with p, _, _ -> p = pred in
+  let same (f : Fact.t) id =
+    let p, a, _ = m.m_facts.(id) in
+    f.Fact.id = id && f.Fact.pred = p
+    && Array.length f.Fact.args = Array.length a
+    && Array.for_all2 Value.equal f.Fact.args a
+  in
+  let same_list reader facts ids =
+    if not (List.length facts = List.length ids && List.for_all2 same facts ids) then fail reader
+  in
+  if Database.size db <> n then fail "size";
+  if Database.active_size db <> List.length (ids is_active) then fail "active_size";
+  for id = 0 to n - 1 do
+    if not (same (Database.fact db id) id) then fail (Printf.sprintf "fact %d" id)
+  done;
+  same_list "active_all" (Database.active_all db) (ids is_active);
+  List.iter
+    (fun pred ->
+      same_list ("active " ^ pred) (Database.active db pred)
+        (ids (fun id -> of_pred pred id && is_active id));
+      same_list ("all_of_pred " ^ pred) (Database.all_of_pred db pred) (ids (of_pred pred));
+      if Database.pred_card db pred <> List.length (ids (of_pred pred)) then fail "pred_card";
+      let tuples =
+        List.map (fun v -> [ v ]) db_probes
+        @ List.concat_map (fun v -> List.map (fun w -> [ v; w ]) db_probes) db_probes
+      in
+      List.iter
+        (fun args ->
+          let args = Array.of_list args in
+          match Database.find_exact db pred args, model_find m pred args with
+          | None, None -> ()
+          | Some f, Some id when same f id -> ()
+          | Some _, _ | None, Some _ -> fail "find_exact")
+        tuples;
+      let v = Term.var and c = Term.cst in
+      let patterns =
+        List.map (fun args -> (args, Subst.empty))
+          ([ [ v "X" ]; [ v "X"; v "Y" ]; [ v "X"; v "X" ] ]
+          @ List.concat_map (fun x -> [ [ c x ]; [ c x; v "Y" ]; [ v "X"; c x ] ]) db_probes)
+        @ List.map (fun x -> ([ v "X"; v "Y" ], Subst.bind Subst.empty "X" x)) db_probes
+      in
+      List.iter
+        (fun (args, subst) ->
+          let pattern = Atom.make pred args in
+          let expected =
+            List.filter_map
+              (fun id ->
+                let p, a, active = m.m_facts.(id) in
+                if p = pred && active && Array.length a = List.length args then
+                  Option.map (fun s -> (id, s)) (Subst.match_atom subst ~pattern a)
+                else None)
+              (List.init n Fun.id)
+          in
+          let got = Database.matching db pattern subst in
+          if
+            not
+              (List.length got = List.length expected
+              && List.for_all2 (fun (f, s) (id, s') -> same f id && Subst.equal s s') got expected)
+          then fail ("matching " ^ Atom.to_string pattern);
+          if Database.exists_matching db pattern subst <> (expected <> []) then
+            fail ("exists_matching " ^ Atom.to_string pattern))
+        patterns)
+    [ "p"; "q"; "r" ];
+  if Database.fingerprint db <> model_fingerprint m then fail "fingerprint"
+
+let prop_database_readers_match_model =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 25)
+        (frequency
+           [
+             ( 6,
+               map3
+                 (fun k (pred, arity) vs -> Op_add (k, pred, List.filteri (fun i _ -> i < arity) vs))
+                 (int_bound 3)
+                 (oneofl [ ("p", 1); ("p", 2); ("q", 2) ])
+                 (list_repeat 2 (oneofa db_values)) );
+             (2, map2 (fun k i -> Op_deactivate (k, i)) (int_bound 3) (int_bound 40));
+             (1, map2 (fun k i -> Op_reactivate (k, i)) (int_bound 3) (int_bound 40));
+             (1, map (fun k -> Op_copy k) (int_bound 3));
+           ]))
+  in
+  let print ops = String.concat "; " (List.map db_op_to_string ops) in
+  QCheck2.Test.make ~name:"readers = list model, copies and codec included" ~count:60 ~print gen
+    (fun ops ->
+      let live = ref [| (Database.create (), { m_facts = [||]; m_reps = [] }) |] in
+      List.iteri
+        (fun step op ->
+          let pick k = !live.(k mod Array.length !live) in
+          (match op with
+          | Op_add (k, pred, vs) ->
+            let db, m = pick k in
+            let args = Array.of_list vs in
+            ignore (Database.add db pred args);
+            model_add m pred args
+          | Op_deactivate (k, i) | Op_reactivate (k, i) ->
+            let db, m = pick k in
+            let n = Array.length m.m_facts in
+            if n > 0 then begin
+              let id = i mod n and on = match op with Op_reactivate _ -> true | _ -> false in
+              if on then Database.reactivate db id else Database.deactivate db id;
+              let p, a, _ = m.m_facts.(id) in
+              m.m_facts.(id) <- (p, a, on)
+            end
+          | Op_copy k ->
+            let db, m = pick k in
+            live :=
+              Array.append !live
+                [| (Database.copy db, { m_facts = Array.copy m.m_facts; m_reps = m.m_reps }) |]);
+          Array.iteri
+            (fun k (db, m) ->
+              let what = Printf.sprintf "step %d, database %d" step k in
+              check_readers what m db;
+              let b = Buffer.create 256 in
+              Database.encode b db;
+              check_readers (what ^ " decoded") m (Database.decode (Wire.reader (Buffer.contents b))))
+            !live)
+        ops;
+      true)
 
 (* --- columnar storage and hash indexes -------------------------------------- *)
 
@@ -150,15 +331,11 @@ let test_database_index_probe () =
 
 let test_database_all_active () =
   let db = Database.create () in
-  let f =
-    match Database.add db "p" [| Value.int 1 |] with
-    | `Added f -> f
-    | `Existing f -> f
-  in
+  let id = match Database.add db "p" [| Value.int 1 |] with `Added id | `Existing id -> id in
   check bool' "all active initially" true (Database.all_active db);
-  Database.deactivate db f.id;
+  Database.deactivate db id;
   check bool' "not all active after deactivate" false (Database.all_active db);
-  Database.reactivate db f.id;
+  Database.reactivate db id;
   check bool' "all active after reactivate" true (Database.all_active db)
 
 (* --- plain chase ------------------------------------------------------------- *)
@@ -1242,21 +1419,6 @@ path(X, Z), e(Z, Y) -> path(X, Y).
 
 (* --- join planning and interning ------------------------------------------- *)
 
-let test_intvec () =
-  let v = Intvec.create ~capacity:2 () in
-  check int' "empty" 0 (Intvec.length v);
-  for i = 0 to 99 do
-    Intvec.push v (i * 3)
-  done;
-  check int' "length after growth" 100 (Intvec.length v);
-  check int' "get" 21 (Intvec.get v 7);
-  check bool' "to_list is insertion order" true
-    (Intvec.to_list v = List.init 100 (fun i -> i * 3));
-  check bool' "exists finds" true (Intvec.exists (fun x -> x = 297) v);
-  check bool' "exists misses" false (Intvec.exists (fun x -> x = 298) v);
-  let folded = Intvec.fold_left (fun acc x -> acc + x) 0 v in
-  check int' "fold" (3 * (99 * 100 / 2)) folded
-
 let test_symtab () =
   let t = Symtab.create () in
   let a = Symtab.intern t "own" in
@@ -1315,7 +1477,7 @@ let test_pred_card () =
   check int' "unknown predicate" 0 (Database.pred_card db "p");
   let id =
     match Database.add db "p" [| Value.int 1 |] with
-    | `Added f -> f.Fact.id
+    | `Added id -> id
     | `Existing _ -> Alcotest.fail "fresh"
   in
   ignore (Database.add db "p" [| Value.int 2 |]);
@@ -1401,6 +1563,33 @@ blocked("b").
       check_reference (Printf.sprintf "naive %b = reference" naive) program facts
         (Chase.run_exn ~naive program facts))
     [ false; true ]
+
+(* An EDB may use a predicate at two arities: preemption compares an
+   existential head only with facts of its own arity, as the reference
+   does. *)
+let check_preemption msg src =
+  let { Parser.program; facts } = parse_exn src in
+  match Chase.run_checked program facts with
+  | Ok r -> check_reference msg program facts r
+  | Error e -> Alcotest.failf "%s: %s" msg (Chase.error_to_string e)
+
+let test_preemption_ignores_a_shorter_fact () =
+  (* hasParent("a") covers no hasParent("a", ν) *)
+  check_preemption "arity-1 fact preempts nothing"
+    {|
+person(X) -> hasParent(X, Y).
+@goal(hasParent).
+person("a"). hasParent("a").
+|}
+
+let test_preemption_beside_a_shorter_fact () =
+  (* the head's second position is bound: no arity-1 fact has one *)
+  check_preemption "arity-1 fact beside a binary head"
+    {|
+person(X) -> hasParent(Y, X).
+@goal(hasParent).
+person("a"). hasParent("z").
+|}
 
 let bundled_app app =
   match Ekg_apps.Bundled.load app with
@@ -2118,6 +2307,19 @@ let test_copy_costs_page_tables () =
     (Printf.sprintf "copy allocated %.0f words of a %d-word result" allocated reachable)
     true
     (allocated <= 0.02 *. float_of_int reachable)
+
+let test_bytes_per_fact () =
+  (* each fact is stored once, in its column group: interned ids, one
+     int locating it, its activation bit and its provenance *)
+  let res =
+    match Chase.run control_program (generated_kg 4000) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "cold chase: %s" e
+  in
+  let per_fact = Obj.reachable_words (Obj.repr res) * 8 / Database.size res.Chase.db in
+  check bool'
+    (Printf.sprintf "%d bytes reachable per fact (at most 460)" per_fact)
+    true (per_fact <= 460)
 
 let test_reader_on_shared_pages () =
   (* one domain re-reads a published result while another writes
@@ -3215,6 +3417,7 @@ let () =
             test_database_index_probe;
           Alcotest.test_case "all-active fast path" `Quick
             test_database_all_active;
+          QCheck_alcotest.to_alcotest prop_database_readers_match_model;
         ] );
       ( "chase",
         [
@@ -3253,6 +3456,10 @@ let () =
             test_chase_isomorphism_preemption;
           Alcotest.test_case "satisfied by data" `Quick
             test_chase_existential_satisfied_by_data;
+          Alcotest.test_case "a shorter fact preempts nothing" `Quick
+            test_preemption_ignores_a_shorter_fact;
+          Alcotest.test_case "a shorter fact beside a bound position" `Quick
+            test_preemption_beside_a_shorter_fact;
         ] );
       ( "termination",
         [ Alcotest.test_case "max rounds guard" `Quick test_chase_max_rounds ] );
@@ -3311,6 +3518,7 @@ let () =
             test_copy_result_isolates_inconsistency;
           Alcotest.test_case "copy_result costs page tables" `Quick
             test_copy_costs_page_tables;
+          Alcotest.test_case "a fact costs at most 460 bytes" `Quick test_bytes_per_fact;
           Alcotest.test_case "a version stays intact beside its descendants" `Quick
             test_reader_on_shared_pages;
           Alcotest.test_case "re-derived through a second rule" `Quick
@@ -3393,7 +3601,6 @@ let () =
       ("query", [ Alcotest.test_case "patterns" `Quick test_query_patterns ]);
       ( "parallel",
         [
-          Alcotest.test_case "intvec" `Quick test_intvec;
           Alcotest.test_case "symtab" `Quick test_symtab;
           Alcotest.test_case "plan ordering" `Quick test_plan_ordering;
           Alcotest.test_case "exists_matching" `Quick test_exists_matching;
