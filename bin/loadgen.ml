@@ -273,14 +273,10 @@ let start_embedded ~data ~domains ~queue_high_water =
     }
   in
   let server = Server.start ~config state in
-  Ekg_obs.Runtime.start (Router.runtime state);
   {
     sh_host = "127.0.0.1";
     sh_port = Server.port server;
-    sh_shutdown =
-      (fun () ->
-        Ekg_obs.Runtime.stop (Router.runtime state);
-        Server.stop server);
+    sh_shutdown = (fun () -> Server.stop server);
   }
 
 (* one mutable bundle per traffic source, merged after the domains join *)

@@ -100,9 +100,6 @@ let run host port domains chase_domains root preload fault queue_high_water
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      (* background sampler: GC gauges, server pool utilization,
-         snapshotter queue depth — the live side of /v1/debug/runtime *)
-      Ekg_obs.Runtime.start (Router.runtime state);
       Fmt.pr "ekg-serve: listening on http://%s:%d (%d worker domains, root %s)@."
         host (Server.port server) domains root;
       (match log_file with
@@ -124,7 +121,6 @@ let run host port domains chase_domains root preload fault queue_high_water
              Printf.sprintf ", max %d hot" max_hot_sessions
            else ""));
       Server.wait server;
-      Ekg_obs.Runtime.stop (Router.runtime state);
       (* drain pending write-behind snapshots before exiting, so the
          store holds every committed update *)
       Registry.stop_persistence (Router.registry state);

@@ -223,9 +223,13 @@ val run :
     additionally bounds the run by deadline / rounds / facts / cancel
     hook, failing with {!Budget_exceeded} or {!Cancelled} and partial
     stats.  [naive] disables semi-naive
-    delta filtering (every rule re-evaluated in full each round);
-    results are identical, only performance differs — kept for the
-    ablation benchmarks.
+    delta filtering (every rule re-evaluated in full each round) —
+    kept for the ablation benchmarks.  The two modes agree on the
+    programs [test/reference.ml] compares.  Known exception: a plain
+    rule deriving a tuple that a value-in-head aggregate first adopts
+    and then supersedes in a later round.  The naive run keeps the
+    tuple active, as the reference evaluator does, and the semi-naive
+    run does not (ROADMAP item 6's [e0]/[e]/[t]/[link]/[f0] program).
 
     [obs] opens one ["chase.stratum"] span per stratum (under
     [parent] when given), labelled with the stratum index and its

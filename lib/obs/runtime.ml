@@ -1,9 +1,10 @@
-(* The background runtime sampler: one domain waking every [period_s]
-   to publish process-level gauges — GC heap and allocation rate from
-   [Gc.quick_stat], plus whatever gauge sources upper tiers register
-   (worker-pool utilization, snapshotter queue depth).  Sources are
-   plain closures returning samples, so this module stays at the
-   bottom of the dependency order while the server and store feed it. *)
+(* The runtime sampler: each pass publishes process-level gauges — GC
+   heap and allocation rate from [Gc.quick_stat], plus whatever gauge
+   sources upper tiers register (worker-pool utilization, snapshotter
+   queue depth).  Passes run when a reader asks for the gauges (a
+   Prometheus scrape, [/v1/debug/runtime]).  Sources are plain closures
+   returning samples, so this module stays at the bottom of the
+   dependency order while the server and store feed it. *)
 
 type sample = {
   s_gauge : Metrics.gauge;
@@ -35,33 +36,18 @@ let alloc_rate_metric =
 
 type t = {
   obs : Metrics.t;
-  period_s : float;
-  lock : Mutex.t;
+  lock : Mutex.t;  (* one pass at a time: passes update [last_*] *)
   mutable sources : (string * (unit -> sample list)) list;  (* insertion order *)
-  mutable stop_requested : bool;
-  mutable worker : unit Domain.t option;
   mutable last_t : float;
   mutable last_alloc_words : float;
 }
 
-let create ?(period_s = 1.0) obs =
-  {
-    obs;
-    period_s = Float.max 0.01 period_s;
-    lock = Mutex.create ();
-    sources = [];
-    stop_requested = false;
-    worker = None;
-    last_t = 0.;
-    last_alloc_words = 0.;
-  }
-
-let period_s t = t.period_s
+let create obs =
+  { obs; lock = Mutex.create (); sources = []; last_t = 0.; last_alloc_words = 0. }
 
 let register t name f =
-  Mutex.lock t.lock;
-  t.sources <- (List.remove_assoc name t.sources) @ [ (name, f) ];
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      t.sources <- List.remove_assoc name t.sources @ [ (name, f) ])
 
 let gauge s_gauge s_value = { s_gauge; s_labels = []; s_value }
 
@@ -88,52 +74,11 @@ let gc_samples t ~now =
   ]
 
 let sample t =
-  let now = Clock.now_s () in
-  let gc = gc_samples t ~now in
-  Mutex.lock t.lock;
-  let sources = t.sources in
-  Mutex.unlock t.lock;
-  let extra =
-    List.concat_map (fun (_, f) -> try f () with _ -> []) sources
-  in
-  let all = gc @ extra in
-  Metrics.record t.obs
-    (List.map (fun s -> Metrics.Set (s.s_gauge, s.s_labels, s.s_value)) all
-    @ [ Metrics.Add (samples_metric, [], 1.) ]);
-  all
-
-let loop t () =
-  (* sleep in short slices so stop requests take effect promptly even
-     with multi-second periods *)
-  let slice = 0.05 in
-  while not t.stop_requested do
-    ignore (sample t);
-    let slept = ref 0. in
-    while (not t.stop_requested) && !slept < t.period_s do
-      let d = Float.min slice (t.period_s -. !slept) in
-      Unix.sleepf d;
-      slept := !slept +. d
-    done
-  done
-
-let start t =
-  Mutex.lock t.lock;
-  let spawn = t.worker = None in
-  if spawn then t.stop_requested <- false;
-  Mutex.unlock t.lock;
-  if spawn then begin
-    let d = Domain.spawn (loop t) in
-    Mutex.lock t.lock;
-    t.worker <- Some d;
-    Mutex.unlock t.lock
-  end
-
-let running t = t.worker <> None
-
-let stop t =
-  t.stop_requested <- true;
-  Mutex.lock t.lock;
-  let w = t.worker in
-  t.worker <- None;
-  Mutex.unlock t.lock;
-  match w with Some d -> Domain.join d | None -> ()
+  Mutex.protect t.lock (fun () ->
+      let gc = gc_samples t ~now:(Clock.now_s ()) in
+      let extra = List.concat_map (fun (_, f) -> try f () with _ -> []) t.sources in
+      let all = gc @ extra in
+      Metrics.record t.obs
+        (List.map (fun s -> Metrics.Set (s.s_gauge, s.s_labels, s.s_value)) all
+        @ [ Metrics.Add (samples_metric, [], 1.) ]);
+      all)

@@ -1,17 +1,19 @@
-(** The background runtime sampler: a single domain waking every
-    [period_s] to publish process-level gauges into a {!Metrics.t} —
-    GC heap size, allocation rate, collection counts from
-    [Gc.quick_stat], plus whatever {e sources} upper tiers register
-    (the server's worker-pool busy clocks, the snapshotter's queue
-    depth).  Sources are plain closures returning samples, so this
-    module stays at the bottom of the dependency order while any tier
-    can feed it.
+(** The runtime sampler: each pass publishes process-level gauges
+    into a {!Metrics.t} — GC heap size, allocation rate, collection
+    counts from [Gc.quick_stat], plus whatever {e sources} upper tiers
+    register (the server's worker-pool busy clocks, the snapshotter's
+    queue depth).  No domain runs it: a pass runs when something reads
+    the gauges — a Prometheus scrape of [/v1/metrics] and
+    [GET /v1/debug/runtime] each sample first.  Sources are plain
+    closures returning samples, so this module stays at the bottom of
+    the dependency order while any tier can feed it.
 
     The GC gauges ([ekg_runtime_gc_*], [ekg_runtime_alloc_rate_words_per_s])
     answer the scale-out questions the request-scoped series cannot:
     is the heap growing, is allocation pressure rising, are major
     collections becoming frequent — independent of any request being
-    in flight. *)
+    in flight.  The allocation rate covers the time between the last
+    two passes, that is, between scrapes. *)
 
 type sample = {
   s_gauge : Metrics.gauge;  (** the gauge family the value is set on *)
@@ -21,13 +23,8 @@ type sample = {
 
 type t
 
-val create : ?period_s:float -> Metrics.t -> t
-(** A sampler publishing into the given registry every [period_s]
-    (default [1.]) once {!start}ed.  Creation does not spawn the
-    domain, so tests (and the [/v1/debug/runtime] handler) can drive
-    it synchronously with {!sample}. *)
-
-val period_s : t -> float
+val create : Metrics.t -> t
+(** A sampler publishing into the given registry on each {!sample}. *)
 
 val register : t -> string -> (unit -> sample list) -> unit
 (** [register t name source] adds (or replaces, by [name]) a gauge
@@ -38,16 +35,8 @@ val sample : t -> sample list
 (** One synchronous sampler pass: read the GC, consult every source,
     publish all gauges, and return them — the [/v1/debug/runtime]
     document renders this list directly.  The gauges and the pass
-    counter are one {!Metrics.record}. *)
-
-val start : t -> unit
-(** Spawn the background domain (idempotent). *)
-
-val running : t -> bool
-
-val stop : t -> unit
-(** Stop and join the background domain (idempotent, prompt even for
-    multi-second periods). *)
+    counter are one {!Metrics.record}; concurrent passes run one at a
+    time. *)
 
 val samples_metric : Metrics.counter
 (** [ekg_runtime_samples_total] — sampler passes completed. *)

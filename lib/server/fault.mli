@@ -13,8 +13,8 @@ type t =
           request — simulates slow handlers so the admission queue
           fills deterministically *)
   | Refuse_accept
-      (** the acceptor stops accepting; connections pile up in the
-          listen backlog — simulates an acceptor stall *)
+      (** the server's reader stops accepting; connections pile up in
+          the listen backlog — simulates an accept stall *)
   | Slow_chase of float
       (** seconds injected into every chase materialization (sliced,
           budget-aware) — simulates expensive reasoning so deadlines

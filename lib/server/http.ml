@@ -107,9 +107,8 @@ let split_target target =
 
 (* --- request parsing ------------------------------------------------------- *)
 
-let find_header_end buf =
+let find_header_end s =
   (* offset just past the first CRLFCRLF, if present *)
-  let s = Buffer.contents buf in
   let n = String.length s in
   let rec scan i =
     if i + 3 >= n then None
@@ -167,80 +166,41 @@ let parse_header_block block =
           }
     | _ -> Error (Bad_request ("malformed request line: " ^ request_line)))
 
-let parse_request ?(max_header_bytes = 16 * 1024) ?(max_body_bytes = 4 * 1024 * 1024)
-    ~read () =
-  let chunk = Bytes.create 8192 in
-  let buf = Buffer.create 1024 in
-  let eof = ref false in
-  let fill () =
-    if not !eof then begin
-      let n = read chunk 0 (Bytes.length chunk) in
-      if n = 0 then eof := true else Buffer.add_subbytes buf chunk 0 n
-    end
-  in
-  let rec read_headers () =
-    match find_header_end buf with
-    | Some off when off - 4 <= max_header_bytes -> Ok off
-    | Some _ -> Error (Headers_too_large max_header_bytes)
-    | None ->
-      if Buffer.length buf > max_header_bytes then
-        Error (Headers_too_large max_header_bytes)
-      else if !eof then
-        Error (if Buffer.length buf = 0 then Closed else Bad_request "truncated request")
-      else begin
-        fill ();
-        read_headers ()
-      end
-  in
-  match read_headers () with
-  | Error e -> Error e
-  | Ok body_off -> (
-    let raw = Buffer.contents buf in
-    let block = String.sub raw 0 (body_off - 4) in
-    match parse_header_block block with
+let parse_prefix ?(max_header_bytes = 16 * 1024) ?(max_body_bytes = 4 * 1024 * 1024)
+    ~eof buf =
+  let n = Buffer.length buf in
+  (* a header block within the limit ends in the first
+     [max_header_bytes + 4] bytes, so only those are scanned *)
+  let head = Buffer.sub buf 0 (min n (max_header_bytes + 4)) in
+  match find_header_end head with
+  | None ->
+    if n > max_header_bytes then Error (Headers_too_large max_header_bytes)
+    else if not eof then Ok None
+    else Error (if n = 0 then Closed else Bad_request "truncated request")
+  | Some body_off -> (
+    match parse_header_block (String.sub head 0 (body_off - 4)) with
     | Error e -> Error e
     | Ok req -> (
-      let content_length =
-        match List.assoc_opt "content-length" req.headers with
-        | None -> Ok None
-        | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 -> Ok (Some n)
-          | _ -> Error (Bad_request ("invalid Content-Length: " ^ v)))
-      in
-      match content_length with
-      | Error e -> Error e
-      | Ok None -> (
+      match List.assoc_opt "content-length" req.headers with
+      | None -> (
         match req.meth with
         | POST | PUT -> Error Length_required
-        | _ -> Ok req)
-      | Ok (Some len) ->
-        if len > max_body_bytes then Error (Payload_too_large max_body_bytes)
-        else begin
-          let rec read_body () =
-            if Buffer.length buf - body_off >= len then
-              Ok (String.sub (Buffer.contents buf) body_off len)
-            else if !eof then Error (Bad_request "truncated body")
-            else begin
-              fill ();
-              read_body ()
-            end
-          in
-          match read_body () with
-          | Error e -> Error e
-          | Ok body -> Ok { req with body }
-        end))
+        | _ -> Ok (Some req))
+      | Some v -> (
+        match int_of_string_opt (String.trim v) with
+        | Some len when len > max_body_bytes -> Error (Payload_too_large max_body_bytes)
+        | Some len when len >= 0 ->
+          if n - body_off >= len then Ok (Some { req with body = Buffer.sub buf body_off len })
+          else if not eof then Ok None
+          else Error (Bad_request "truncated body")
+        | _ -> Error (Bad_request ("invalid Content-Length: " ^ v)))))
 
 let parse_request_string ?max_header_bytes ?max_body_bytes s =
-  let pos = ref 0 in
-  let read bytes off len =
-    let available = String.length s - !pos in
-    let n = min len available in
-    Bytes.blit_string s !pos bytes off n;
-    pos := !pos + n;
-    n
-  in
-  parse_request ?max_header_bytes ?max_body_bytes ~read ()
+  let buf = Buffer.create (String.length s) in
+  Buffer.add_string buf s;
+  (* at end of input the parser answers a request or an error *)
+  Result.bind (parse_prefix ?max_header_bytes ?max_body_bytes ~eof:true buf)
+    (Option.to_result ~none:Closed)
 
 (* --- responses ------------------------------------------------------------- *)
 

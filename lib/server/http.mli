@@ -30,16 +30,20 @@ val error_message : error -> string
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 
-val parse_request :
+val parse_prefix :
   ?max_header_bytes:int ->
   ?max_body_bytes:int ->
-  read:(bytes -> int -> int -> int) ->
-  unit ->
-  (request, error) result
-(** Pull one request from [read] (a [Unix.read]-shaped function; return
-    [0] for end-of-stream).  Defaults: 16 KiB of headers, 4 MiB of
-    body.  [GET]/[HEAD]/[DELETE]/[OPTIONS] may omit [Content-Length]
-    (empty body); [POST]/[PUT] must declare one. *)
+  eof:bool ->
+  Buffer.t ->
+  (request option, error) result
+(** Parse the bytes of a connection received so far: [Ok (Some r)] once
+    they hold a complete request, [Ok None] while more bytes may still
+    complete one, or the framing error.  [eof] says the peer sent
+    everything it will, so a prefix becomes an error:
+    {!Closed} when nothing arrived, [Bad_request] otherwise.  Defaults:
+    16 KiB of headers, 4 MiB of body.  [GET]/[HEAD]/[DELETE]/[OPTIONS]
+    may omit [Content-Length] (empty body); [POST]/[PUT] must declare
+    one.  Bytes past the declared body are ignored. *)
 
 val parse_request_string :
   ?max_header_bytes:int -> ?max_body_bytes:int -> string -> (request, error) result

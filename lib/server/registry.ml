@@ -23,7 +23,7 @@ type query_entry = {
   qe_answers : (string, cached_answers) Hashtbl.t;
 }
 
-type spec =
+type spec = Ekg_store.Codec.spec =
   | App of string
   | Files of { program : string; glossary : string option; facts_dir : string option }
   | Inline of { program : string; glossary : string option }
@@ -156,23 +156,7 @@ let with_lock lock f =
    per-label histogram series must not be. *)
 let with_reg_lock t f = Ekg_obs.Lock.with_lock t.lock f
 
-(* --- persistence ------------------------------------------------------------
-
-   The store sits below the server layer, so it mirrors [spec] rather
-   than depending on it. *)
-
-let codec_spec : spec -> Ekg_store.Codec.spec = function
-  | App app -> Ekg_store.Codec.App app
-  | Files { program; glossary; facts_dir } ->
-    Ekg_store.Codec.Files { program; glossary; facts_dir }
-  | Inline { program; glossary } -> Ekg_store.Codec.Inline { program; glossary }
-
-let spec_of_codec : Ekg_store.Codec.spec -> spec = function
-  | Ekg_store.Codec.App app -> App app
-  | Ekg_store.Codec.Files { program; glossary; facts_dir } ->
-    Files { program; glossary; facts_dir }
-  | Ekg_store.Codec.Inline { program; glossary } ->
-    Inline { program; glossary }
+(* --- persistence ------------------------------------------------------------ *)
 
 (* Build the snapshot value with [session.lock] held.  Cheap: the EDB
    mirror and a published chase result are both immutable under the
@@ -183,7 +167,7 @@ let snapshot_of_locked (session : session) =
   {
     Ekg_store.Codec.id = session.id;
     name = session.name;
-    spec = codec_spec session.spec;
+    spec = session.spec;
     program_hash = session.program_hash;
     update_gen = session.update_gen;
     created_at = session.created_at;
@@ -904,7 +888,7 @@ let recover t =
             match Ekg_store.Store.load_meta p.store id with
             | Error e -> (ok, (id, e) :: failed)
             | Ok snap -> (
-              let spec = spec_of_codec snap.Ekg_store.Codec.spec in
+              let spec = snap.Ekg_store.Codec.spec in
               match load t spec with
               | Error e -> (ok, (id, "program reload failed: " ^ e) :: failed)
               | Ok { Apps_util.pipeline; edb = _ } ->

@@ -35,7 +35,7 @@ type query_entry = {
     fact updates — plus an LRU of recently answered concrete
     queries. *)
 
-type spec =
+type spec = Ekg_store.Codec.spec =
   | App of string
       (** a bundled paper application, e.g. ["company-control"] *)
   | Files of { program : string; glossary : string option; facts_dir : string option }

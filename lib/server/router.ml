@@ -97,9 +97,6 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
       Ekg_obs.Runtime.register runtime "snapshotter"
         (Ekg_store.Snapshotter.runtime_samples sn))
     (Registry.snapshotter registry);
-  (* one synchronous pass so every runtime gauge renders from boot,
-     whether or not the background sampler is ever started *)
-  ignore (Ekg_obs.Runtime.sample runtime);
   {
     registry;
     obs;
@@ -243,6 +240,8 @@ let metrics_json ~uptime_s view =
 let metrics_doc st (req : Http.request) =
   let uptime_s = Unix.gettimeofday () -. st.started_at in
   if wants_prometheus req then begin
+    (* the runtime gauges are sampled on scrape; no domain refreshes them *)
+    ignore (Ekg_obs.Runtime.sample st.runtime);
     Ekg_obs.Metrics.set st.obs uptime_metric uptime_s;
     Http.response ~content_type:"text/plain; version=0.0.4" 200
       (Ekg_obs.Metrics.to_prometheus st.obs)
@@ -792,12 +791,6 @@ let debug_runtime st =
     (Json.Obj
        [
          "uptime_seconds", Json.num (Unix.gettimeofday () -. st.started_at);
-         ( "sampler",
-           Json.Obj
-             [
-               "period_s", Json.num (Ekg_obs.Runtime.period_s st.runtime);
-               "running", Json.bool (Ekg_obs.Runtime.running st.runtime);
-             ] );
          ( "gauges",
            Json.Arr
              (List.map

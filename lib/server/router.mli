@@ -108,15 +108,16 @@ val log : state -> Ekg_obs.Log.t
     write JSONL. *)
 
 val runtime : state -> Ekg_obs.Runtime.t
-(** The runtime sampler (created stopped; the daemon {!Ekg_obs.Runtime.start}s
-    it, and [GET /v1/debug/runtime] drives a synchronous pass either way).
-    The server registers its worker-pool source here; the snapshotter
-    gauges are pre-registered when a store is configured. *)
+(** The runtime sampler.  No domain runs it: a Prometheus scrape of
+    [GET /v1/metrics] and [GET /v1/debug/runtime] each drive one pass
+    before they render.  The server registers its worker-pool source
+    here; the snapshotter gauges are pre-registered when a store is
+    configured. *)
 
 val fault : state -> Fault.t
-(** The injected fault, for the accept/dispatch loops ({!Fault.Delay}
-    and {!Fault.Slow_chase} are consumed inside the router/registry;
-    {!Fault.Refuse_accept} must be honoured by the acceptor). *)
+(** The injected fault, for the server's reader ({!Fault.Delay} and
+    {!Fault.Slow_chase} are consumed inside the router/registry;
+    {!Fault.Refuse_accept} must be honoured by the reader). *)
 
 val handle : ?queue_wait_s:float -> state -> Http.request -> Http.response
 (** Dispatch one request, recording latency and status against the

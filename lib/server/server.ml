@@ -25,24 +25,26 @@ type t = {
   listener : Unix.file_descr;
   bound_port : int;
   stop_requested : bool Atomic.t;
-  accepting_done : bool Atomic.t;
-  queue : (Unix.file_descr * float) Queue.t;
-      (* admitted, with enqueue timestamp so the dequeuing worker can
-         report the admission-queue wait; guarded by [qlock] *)
-  shed_queue : Unix.file_descr Queue.t; (* past high-water; guarded by [qlock] *)
+  reading_done : bool Atomic.t;
+  queue : (Unix.file_descr * Http.request * float) Queue.t;
+      (* admitted requests, with the admission timestamp so the
+         dequeuing worker can report the queue wait; guarded by [qlock] *)
   qlock : Mutex.t;
   qcond : Condition.t;      (* workers wait here *)
-  shed_cond : Condition.t;  (* the shed domain waits here *)
   worker_busy : float array;
-      (* per-worker busy clocks (seconds handling connections), one
-         slot per worker domain, each written only by its own worker;
-         published by the runtime sampler as utilization gauges *)
+      (* per-worker busy clocks (seconds handling requests), one slot
+         per worker domain, each written only by its own worker;
+         published through the runtime sampler as utilization gauges *)
   started_at : float;
   mutable threads : unit Domain.t list;
   joined : bool Atomic.t;
 }
 
-(* --- per-connection work --------------------------------------------------- *)
+(* a request not complete this long after its accept is closed unanswered;
+   a reply's writes time out after as long *)
+let io_timeout_s = 10.
+
+let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let rec write_all fd s off len =
   if len > 0 then begin
@@ -53,47 +55,20 @@ let rec write_all fd s off len =
     write_all fd s (off + n) (len - n)
   end
 
-let serve_connection t ~respond fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try
-        (* a stuck or silent client must not pin a worker domain *)
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
-        let read bytes off len =
-          try Unix.read fd bytes off len
-          with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-        in
-        let response =
-          match
-            Http.parse_request ~max_header_bytes:t.config.max_header_bytes
-              ~max_body_bytes:t.config.max_body_bytes ~read ()
-          with
-          | Ok request -> Some (respond request)
-          | Error Http.Closed -> None
-          | Error err -> Some (Router.handle_parse_error t.state err)
-        in
-        match response with
-        | None -> ()
-        | Some resp ->
-          let payload = Http.response_to_string resp in
-          write_all fd payload 0 (String.length payload);
-          (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
-      with Unix.Unix_error _ -> ())
+(* Write the whole response and close.  The socket goes back to blocking
+   mode first, so a response larger than the socket buffer is written
+   whole, and a client that stops reading costs at most [io_timeout_s]. *)
+let reply fd resp =
+  (try
+     Unix.clear_nonblock fd;
+     Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout_s;
+     let payload = Http.response_to_string resp in
+     write_all fd payload 0 (String.length payload);
+     Unix.shutdown fd Unix.SHUTDOWN_SEND
+   with Unix.Unix_error _ -> ());
+  close fd
 
-let handle_connection t ~queue_wait_s fd =
-  serve_connection t ~respond:(Router.handle ~queue_wait_s t.state) fd
-
-(* The shed lane still answers probes: liveness and scrapes must observe
-   the overload, not join it.  Everything else gets the 503 envelope. *)
-let shed_respond t (req : Http.request) =
-  match req.meth, req.path with
-  | Http.GET, ([ "v1"; ("health" | "metrics") ] | [ "health" | "metrics" ]) ->
-    Router.handle t.state req
-  | _ -> Router.handle_overload t.state req
-
-(* --- domains --------------------------------------------------------------- *)
+(* --- the workers ------------------------------------------------------------ *)
 
 let worker_loop t ~slot () =
   let rec next () =
@@ -104,7 +79,7 @@ let worker_loop t ~slot () =
         Router.set_queue_depth t.state (Queue.length t.queue);
         Some job
       end
-      else if Atomic.get t.accepting_done then None
+      else if Atomic.get t.reading_done then None
       else begin
         Condition.wait t.qcond t.qlock;
         await ()
@@ -114,73 +89,137 @@ let worker_loop t ~slot () =
     Mutex.unlock t.qlock;
     match job with
     | None -> ()
-    | Some (fd, enqueued_at) ->
+    | Some (fd, req, admitted_at) ->
       let t0 = Unix.gettimeofday () in
-      let queue_wait_s = Float.max 0. (t0 -. enqueued_at) in
-      handle_connection t ~queue_wait_s fd;
+      let queue_wait_s = Float.max 0. (t0 -. admitted_at) in
+      reply fd (Router.handle ~queue_wait_s t.state req);
       t.worker_busy.(slot) <-
         t.worker_busy.(slot) +. Float.max 0. (Unix.gettimeofday () -. t0);
       next ()
   in
   next ()
 
-let shed_loop t () =
-  let rec next () =
-    Mutex.lock t.qlock;
-    let rec await () =
-      if not (Queue.is_empty t.shed_queue) then Some (Queue.pop t.shed_queue)
-      else if Atomic.get t.accepting_done then None
-      else begin
-        Condition.wait t.shed_cond t.qlock;
-        await ()
-      end
-    in
-    let job = await () in
-    Mutex.unlock t.qlock;
-    match job with
-    | None -> ()
-    | Some fd ->
-      serve_connection t ~respond:(shed_respond t) fd;
-      next ()
-  in
-  next ()
+(* --- the reader ---------------------------------------------------------------
 
-let enqueue t fd =
-  Mutex.lock t.qlock;
-  if Queue.length t.queue >= t.config.queue_high_water then begin
-    Queue.push fd t.shed_queue;
-    Condition.signal t.shed_cond
-  end
+   One domain reads every request before admitting it: [Unix.select]
+   over the listener and each connection whose request is still
+   arriving, with non-blocking reads into a per-connection buffer.  A
+   complete request is answered here when it is a probe (liveness and
+   scrapes must observe load, not join it) or when the queue sits at
+   [queue_high_water]; anything else is queued for the workers. *)
+
+type arriving = { fd : Unix.file_descr; buf : Buffer.t; deadline : float }
+
+let is_probe (req : Http.request) =
+  match req.meth, req.path with
+  | Http.GET, ([ "v1"; ("health" | "metrics") ] | [ ("health" | "metrics") ]) -> true
+  | _ -> false
+
+let admit t fd req =
+  if is_probe req then reply fd (Router.handle t.state req)
   else begin
-    Queue.push (fd, Unix.gettimeofday ()) t.queue;
-    Router.set_queue_depth t.state (Queue.length t.queue);
-    Condition.signal t.qcond
-  end;
-  Mutex.unlock t.qlock
+    Mutex.lock t.qlock;
+    let shed = Queue.length t.queue >= t.config.queue_high_water in
+    if not shed then begin
+      Queue.push (fd, req, Unix.gettimeofday ()) t.queue;
+      Router.set_queue_depth t.state (Queue.length t.queue);
+      Condition.signal t.qcond
+    end;
+    Mutex.unlock t.qlock;
+    if shed then reply fd (Router.handle_overload t.state req)
+  end
 
-let accept_loop t () =
-  while not (Atomic.get t.stop_requested) do
-    match Router.fault t.state with
-    | Fault.Refuse_accept ->
-      (* injected acceptor stall: connections queue in the listen backlog *)
-      (try Unix.sleepf 0.05 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | _ -> (
-      match Unix.select [ t.listener ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.listener with
-        | fd, _ -> enqueue t fd
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  done;
-  (* graceful drain: no new connections; publish the done flag before
-     waking every worker (and the shed lane) so the queued connections
-     are answered and the pool can wind down *)
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  Atomic.set t.accepting_done true;
+(* Read what has arrived on [c]; [true] while its request is incomplete. *)
+let advance t chunk c =
+  match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+    true
+  | exception Unix.Unix_error _ ->
+    close c.fd;
+    false
+  | n -> (
+    Buffer.add_subbytes c.buf chunk 0 n;
+    match
+      Http.parse_prefix ~max_header_bytes:t.config.max_header_bytes
+        ~max_body_bytes:t.config.max_body_bytes ~eof:(n = 0) c.buf
+    with
+    | Ok None -> true
+    | Ok (Some req) ->
+      admit t c.fd req;
+      false
+    | Error Http.Closed ->
+      close c.fd;
+      false
+    | Error err ->
+      reply c.fd (Router.handle_parse_error t.state err);
+      false)
+
+(* [Unix.select] rejects descriptors at or past FD_SETSIZE (1024), which
+   only a large [queue_high_water] keeps open at once *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+
+(* Accept one connection and try one read right away: the request has
+   usually arrived by then. *)
+let accept t chunk arriving =
+  match Unix.accept ~cloexec:true t.listener with
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+    ->
+    arriving
+  | fd, _ ->
+    Unix.set_nonblock fd;
+    let c =
+      { fd; buf = Buffer.create 1024; deadline = Unix.gettimeofday () +. io_timeout_s }
+    in
+    if not (advance t chunk c) then arriving
+    else if selectable fd then c :: arriving
+    else (close fd; arriving)
+
+let reader_loop t () =
+  let chunk = Bytes.create 65536 in
+  (* on stop, the listener closes at once; connections already arriving
+     are read until complete or past their deadline *)
+  let rec loop ~listening arriving =
+    let listening =
+      if listening && Atomic.get t.stop_requested then (close t.listener; false)
+      else listening
+    in
+    if listening || arriving <> [] then begin
+      let accepting =
+        listening
+        && List.length arriving < t.config.backlog
+        && (match Router.fault t.state with
+            | Fault.Refuse_accept -> false (* connections wait in the listen backlog *)
+            | _ -> true)
+      in
+      let fds = List.map (fun c -> c.fd) arriving in
+      let ready =
+        match Unix.select (if accepting then t.listener :: fds else fds) [] [] 0.25 with
+        | ready, _, _ -> ready
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      let arriving =
+        List.filter (fun c -> (not (List.mem c.fd ready)) || advance t chunk c) arriving
+      in
+      let arriving =
+        if accepting && List.mem t.listener ready then accept t chunk arriving
+        else arriving
+      in
+      let now = Unix.gettimeofday () in
+      let expired, arriving = List.partition (fun c -> c.deadline <= now) arriving in
+      List.iter (fun c -> close c.fd) expired;
+      loop ~listening arriving
+    end
+  in
+  loop ~listening:true [];
+  (* publish the done flag before waking every worker, so the queued
+     requests are answered and the pool can wind down *)
+  Atomic.set t.reading_done true;
   Mutex.lock t.qlock;
   Condition.broadcast t.qcond;
-  Condition.broadcast t.shed_cond;
   Mutex.unlock t.qlock
 
 (* --- lifecycle ------------------------------------------------------------- *)
@@ -201,9 +240,10 @@ let start ?(config = default_config) state =
      Unix.setsockopt listener Unix.SO_REUSEADDR true;
      Unix.bind listener
        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listener config.backlog
+     Unix.listen listener config.backlog;
+     Unix.set_nonblock listener
    with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
+     close listener;
      raise e);
   let bound_port =
     match Unix.getsockname listener with
@@ -217,12 +257,10 @@ let start ?(config = default_config) state =
       listener;
       bound_port;
       stop_requested = Atomic.make false;
-      accepting_done = Atomic.make false;
+      reading_done = Atomic.make false;
       queue = Queue.create ();
-      shed_queue = Queue.create ();
       qlock = Mutex.create ();
       qcond = Condition.create ();
-      shed_cond = Condition.create ();
       worker_busy = Array.make (max 1 config.domains) 0.;
       started_at = Unix.gettimeofday ();
       threads = [];
@@ -233,9 +271,7 @@ let start ?(config = default_config) state =
     List.init (max 1 config.domains) (fun i ->
         Domain.spawn (worker_loop t ~slot:i))
   in
-  let shedder = Domain.spawn (shed_loop t) in
-  let acceptor = Domain.spawn (accept_loop t) in
-  t.threads <- acceptor :: shedder :: workers;
+  t.threads <- Domain.spawn (reader_loop t) :: workers;
   (* publish per-worker busy clocks through the runtime sampler so
      [GET /v1/debug/runtime] and the metrics endpoint expose HTTP
      pool utilization *)

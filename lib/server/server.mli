@@ -1,27 +1,32 @@
-(** The daemon: a TCP listener whose accepted connections are fanned
-    out to an OCaml 5 [Domain] worker pool, behind bounded admission
-    control.  One domain runs the accept loop (polling so shutdown is
-    prompt), [config.domains] workers drain the admission queue, and a
-    dedicated {e shed lane} domain answers connections that arrive
-    while the queue sits at [queue_high_water] or above: probes
-    ([GET /v1/health], [GET /v1/metrics], and their legacy aliases) are
-    served inline so liveness survives overload, everything else is
-    answered immediately with [503] + [Retry-After] + the [overloaded]
-    envelope ({!Router.handle_overload}) instead of waiting behind work
-    that will time out anyway.  Each connection carries exactly one
-    HTTP request.  [stop] performs a graceful drain: stop accepting,
-    finish every queued connection — admitted and shed — then join all
-    domains. *)
+(** The daemon: a TCP listener, one {e reader} domain and an OCaml 5
+    [Domain] worker pool, behind bounded admission control.  The reader
+    multiplexes the listener and every connection whose request is
+    still arriving with [Unix.select], reads without blocking, and
+    parses each request before admitting it.  A complete request is
+    then answered by the reader itself when it is a probe
+    ([GET /v1/health], [GET /v1/metrics], and their legacy aliases), so
+    liveness and scrapes never wait behind work, or when the admission
+    queue sits at [queue_high_water] or above ([503] + [Retry-After] +
+    the [overloaded] envelope, {!Router.handle_overload}).  Anything
+    else is queued; a worker touches the socket only to write its
+    response.  A request not complete 10 s after its accept is closed
+    unanswered, and at most [backlog] connections are read at once —
+    later ones wait in the kernel's listen backlog.  Each connection
+    carries exactly one HTTP request.  [stop] performs a graceful
+    drain: close the listener, finish reading the requests already
+    arriving, answer every queued one, then join all domains. *)
 
 type config = {
   host : string;           (** bind address, default ["127.0.0.1"] *)
   port : int;              (** [0] picks an ephemeral port *)
   domains : int;           (** worker domains, default 4 *)
   backlog : int;
+      (** the listen backlog, and the most connections whose requests
+          are read at once (default 64) *)
   max_body_bytes : int;
   max_header_bytes : int;
   queue_high_water : int;
-      (** admission-queue depth at or above which new connections are
+      (** admission-queue depth at or above which new requests are
           shed (default 64); [0] sheds every non-probe request — useful
           for drills and smoke tests *)
 }
@@ -31,9 +36,9 @@ val default_config : config
 type t
 
 val start : ?config:config -> Router.state -> t
-(** Bind, listen, and spawn the accept domain, the shed-lane domain and
-    the workers.  Honours the router state's {!Fault.Refuse_accept}
-    fault (the acceptor idles instead of accepting).  Raises
+(** Bind, listen, and spawn the reader and the workers.  Honours the
+    router state's {!Fault.Refuse_accept} fault (the reader stops
+    accepting; connections wait in the listen backlog).  Raises
     [Unix.Unix_error] if the address cannot be bound. *)
 
 val port : t -> int
@@ -45,7 +50,7 @@ val request_stop : t -> unit
 
 val stop : t -> unit
 (** [request_stop] then drain and join every domain.  Idempotent;
-    blocks until in-flight and queued connections are answered. *)
+    blocks until in-flight and queued requests are answered. *)
 
 val wait : t -> unit
 (** Block until {!request_stop} is called (e.g. by a signal handler),

@@ -27,8 +27,9 @@ open Ekg_datalog
 open Ekg_engine
 
 (** How the session was created — persisted so a restarted daemon can
-    recompile the pipeline.  Mirrors the registry's spec type; the
-    mirror lives here because the store layer sits below the server. *)
+    recompile the pipeline.  The registry re-exports this type as
+    [Registry.spec]: it lives here because the store layer sits below
+    the server. *)
 type spec =
   | App of string
   | Files of { program : string; glossary : string option; facts_dir : string option }

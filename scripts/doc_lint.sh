@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Documentation lint: every public interface of the reasoning,
-# persistence and data-generation layers (lib/engine, lib/core,
-# lib/store, lib/datagen) must open with an odoc module-level comment —
-# `(**` as the first non-blank characters — so `dune build @doc` renders
-# a synopsis for every module and new interfaces cannot land
-# undocumented — that every metric name the prose docs mention exists
-# in the code, and that every code reference they make is defined
-# (both below).  Run from anywhere; exits non-zero listing offenders.
+# Documentation lint: every public interface under lib/ must open with
+# an odoc module-level comment — `(**` as the first non-blank
+# characters — so `dune build @doc` renders a synopsis for every module
+# and new interfaces cannot land undocumented — that every metric name
+# the prose docs mention exists in the code, that every code reference
+# they make is defined, and that every command-line flag they name is
+# defined (all three below).  Run from anywhere; exits non-zero listing
+# offenders.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
-for f in lib/engine/*.mli lib/core/*.mli lib/store/*.mli lib/datagen/*.mli; do
+interfaces=(lib/*/*.mli)
+for f in "${interfaces[@]}"; do
   # first non-blank line must start a doc comment
   first="$(awk 'NF {print; exit}' "$f")"
   case "$first" in
@@ -95,6 +96,30 @@ done < <(
       }'
   done
 )
+# Every backticked `--flag` in the prose docs must be defined by some
+# cmdliner `info [ … ]` under bin/ or bench/; `--help` is cmdliner's
+# own.
+flags="$(
+  grep -rhoE 'info[[:space:]]*\[[^]]*\]' bin bench --include='*.ml' |
+    grep -oE '"[a-z0-9-]+"' | tr -d '"' | sort -u
+)"
+stale_flags="$(
+  for doc in $docs; do
+    { grep -noE '`[^`]+`' "$doc" || true; } |
+      while IFS=: read -r line span; do
+        for flag in $(grep -oE -- '(^|[^a-z0-9-])--[a-z][a-z0-9-]*' <<<"$span" | sed -E 's/^[^-]*--//'); do
+          if [ "$flag" != help ] && ! grep -qxF "$flag" <<<"$flags"; then
+            echo "$doc:$line: \`--$flag\`"
+          fi
+        done
+      done
+  done
+)"
+if [ -n "$stale_flags" ]; then
+  sed -E 's/^/doc-lint: /; s/$/ — no info [ … ] under bin\/ or bench\/ defines it/' <<<"$stale_flags" >&2
+  fail=1
+fi
+
 refs=0
 for v in "${verdict[@]}"; do
   [ "$v" = skip ] || refs=$((refs + 1))
@@ -104,4 +129,4 @@ if [ "$fail" -ne 0 ]; then
   echo "doc-lint: failed" >&2
   exit 1
 fi
-echo "doc-lint: ok ($(ls lib/engine/*.mli lib/core/*.mli lib/store/*.mli lib/datagen/*.mli | wc -l | tr -d ' ') interfaces documented, doc metric names defined, $refs code references defined)"
+echo "doc-lint: ok (${#interfaces[@]} interfaces documented, doc metric names defined, $refs code references defined, $(wc -l <<<"$flags" | tr -d ' ') flag names defined)"

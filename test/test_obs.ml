@@ -491,23 +491,6 @@ let test_runtime_sources () =
   | Some s -> check float' "replaced, not duplicated" 9. s.Runtime.s_value
   | None -> Alcotest.fail "replaced source not consulted")
 
-let test_runtime_start_stop () =
-  let m = Metrics.create () in
-  let rt = Runtime.create ~period_s:0.01 m in
-  check bool' "created stopped" false (Runtime.running rt);
-  Runtime.start rt;
-  Runtime.start rt;
-  (* idempotent *)
-  check bool' "running" true (Runtime.running rt);
-  Unix.sleepf 0.08;
-  Runtime.stop rt;
-  Runtime.stop rt;
-  (* idempotent *)
-  check bool' "stopped" false (Runtime.running rt);
-  match Metrics.value m (Metrics.name Runtime.samples_metric) with
-  | Some n -> check bool' "background passes ran" true (n >= 1.)
-  | None -> Alcotest.fail "no pass recorded"
-
 (* --- instrumented locks ------------------------------------------------------ *)
 
 let lock_series m name family =
@@ -723,7 +706,6 @@ let () =
         [
           Alcotest.test_case "gc gauges" `Quick test_runtime_gc_gauges;
           Alcotest.test_case "sources" `Quick test_runtime_sources;
-          Alcotest.test_case "start/stop" `Quick test_runtime_start_stop;
         ] );
       ( "lock",
         [

@@ -138,6 +138,35 @@ let test_http_header_limit () =
   | Error (Http.Headers_too_large _) -> ()
   | _ -> Alcotest.fail "oversized headers accepted"
 
+(* the reader's parser sees a request a few bytes at a time: every
+   proper prefix is "not yet", the whole is the same request the
+   string parser reads, and a limit trips before the request is whole *)
+let test_http_prefixes () =
+  let req =
+    "POST /v1/sessions HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}"
+  in
+  let buf = Buffer.create 64 in
+  String.iteri
+    (fun i c ->
+      (match Http.parse_prefix ~eof:false buf with
+      | Ok None -> ()
+      | _ -> Alcotest.failf "prefix of %d bytes answered" i);
+      Buffer.add_char buf c)
+    req;
+  (match Http.parse_prefix ~eof:false buf, parse req with
+  | Ok (Some r), Ok r' -> check bool' "same request as the string parser" true (r = r')
+  | _ -> Alcotest.fail "complete request not parsed");
+  let cut = Buffer.create 64 in
+  Buffer.add_string cut (String.sub req 0 (String.length req - 1));
+  (match Http.parse_prefix ~eof:true cut with
+  | Error (Http.Bad_request "truncated body") -> ()
+  | _ -> Alcotest.fail "end of input inside the body is not a truncated body");
+  let big = Buffer.create 512 in
+  Buffer.add_string big ("GET / HTTP/1.1\r\nBig: " ^ String.make 300 'x');
+  match Http.parse_prefix ~max_header_bytes:256 ~eof:false big with
+  | Error (Http.Headers_too_large 256) -> ()
+  | _ -> Alcotest.fail "oversized header block waited for more bytes"
+
 let test_http_response_serialization () =
   let s = Http.response_to_string (Http.response 404 "{\"error\":\"x\"}") in
   check bool' "status line" true
@@ -1317,11 +1346,6 @@ let test_debug_runtime_endpoint () =
     (match Json.member "uptime_seconds" j with
     | Some (Json.Num u) -> u >= 0.
     | _ -> false);
-  (match Json.member "sampler" j with
-  | Some s ->
-    check bool' "sampler not started by make_state" true
-      (Json.mem_bool "running" s = Some false)
-  | None -> Alcotest.fail "sampler block missing");
   (match Json.member "gauges" j with
   | Some (Json.Arr gauges) ->
     let names =
@@ -2767,6 +2791,42 @@ let help_lines ~prefix exposition =
 
 let help_family line = List.nth (String.split_on_char ' ' line) 2
 
+(* No domain samples the runtime: a Prometheus scrape samples first, so
+   every scrape shows gauges as fresh as the scrape itself. *)
+let test_scrape_samples_runtime () =
+  let st = Router.make_state () in
+  let scrape () =
+    let r =
+      Router.handle st
+        (request ~query:[ "format", "prometheus" ] Http.GET [ "v1"; "metrics" ])
+    in
+    check int' "scrape 200" 200 r.Http.status;
+    let value name =
+      List.find_map
+        (fun line ->
+          if String.starts_with ~prefix:(name ^ " ") line then
+            let _, _, v = parse_sample_line line in
+            Some v
+          else None)
+        (String.split_on_char '\n' r.Http.resp_body)
+    in
+    ( Option.value ~default:0. (value "ekg_runtime_samples_total"),
+      value "ekg_runtime_gc_heap_words" )
+  in
+  let before =
+    Option.value ~default:0.
+      (Ekg_obs.Metrics.value (Router.obs st) "ekg_runtime_samples_total")
+  in
+  let first, heap1 = scrape () in
+  let second, heap2 = scrape () in
+  check (Alcotest.float 0.) "the first scrape sampled once" (before +. 1.) first;
+  check (Alcotest.float 0.) "the second scrape sampled once" (first +. 1.) second;
+  List.iter
+    (fun heap ->
+      check bool' "heap gauge non-zero" true
+        (match heap with Some h -> h > 0. | None -> false))
+    [ heap1; heap2 ]
+
 (* The chase's families are defined once: after a materialization, the
    server renders each ekg_chase_* HELP line that a bare registry renders
    after a chase of the same program, and adds only the registry's
@@ -3186,6 +3246,139 @@ let test_server_drain_on_stop () =
   check int' "every in-flight request was drained" 3
     (List.length (List.filter (fun s -> s = 201) statuses))
 
+
+(* --- the reader: slow clients and probes --------------------------------- *)
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* what the server sends before it closes the connection, or [None]
+   when it stays silent for [timeout] seconds *)
+let read_reply ?(timeout = 5.) fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Some (Buffer.contents buf)
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Some (Buffer.contents buf)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
+  in
+  go ()
+
+let test_server_probe_never_queues () =
+  (* the delay fault pins the one worker on a request while a second
+     waits in the queue, far below the high-water mark; a probe must
+     not wait behind them *)
+  let st = Router.make_state ~fault:(Fault.Delay 1.0) () in
+  let config = { Server.default_config with port = 0; domains = 1 } in
+  let server = Server.start ~config st in
+  let port = Server.port server in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let body = Json.to_string (Json.Obj [ "program", Json.str inline_program ]) in
+  let clients =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let status, _, _ =
+              http_call ~port ~meth:"POST" ~path:"/v1/sessions" ~body ()
+            in
+            status))
+  in
+  let depth () = Ekg_obs.Metrics.value (Router.obs st) "ekg_server_queue_depth" in
+  let give_up = Unix.gettimeofday () +. 5. in
+  while depth () <> Some 1. && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.01
+  done;
+  check bool' "one request waits in the queue" true (depth () = Some 1.);
+  let t0 = Unix.gettimeofday () in
+  let status, _, _ = http_call ~port ~meth:"GET" ~path:"/v1/health" ~body:"" () in
+  let took = Unix.gettimeofday () -. t0 in
+  check int' "health answers" 200 status;
+  if took > 0.1 then Alcotest.failf "health took %.2f s behind queued work" took;
+  check Alcotest.(list int) "both admitted" [ 201; 201 ] (List.map Domain.join clients)
+
+let test_server_half_request () =
+  (* a client that sends half a request and goes silent holds no worker *)
+  let st = Router.make_state () in
+  let config = { Server.default_config with port = 0; domains = 1 } in
+  let server = Server.start ~config st in
+  let port = Server.port server in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let silent = connect port in
+  Fun.protect ~finally:(fun () -> Unix.close silent) @@ fun () ->
+  send silent
+    "POST /v1/sessions HTTP/1.1\r\nHost: localhost\r\nContent-Length: 100\r\n\r\n{";
+  let body = Json.to_string (Json.Obj [ "program", Json.str inline_program ]) in
+  let t0 = Unix.gettimeofday () in
+  let status, _, _ = http_call ~port ~meth:"POST" ~path:"/v1/sessions" ~body () in
+  let took = Unix.gettimeofday () -. t0 in
+  check int' "created beside the silent client" 201 status;
+  if took > 1. then Alcotest.failf "the create took %.2f s behind half a request" took;
+  (* its end of input answers the truncated body *)
+  Unix.shutdown silent Unix.SHUTDOWN_SEND;
+  match read_reply silent with
+  | Some raw ->
+    check bool' "400 for the truncated body" true
+      (String.starts_with ~prefix:"HTTP/1.1 400" raw && contains raw "truncated body")
+  | None -> Alcotest.fail "no answer after the client's end of input"
+
+let test_server_refuse_accept () =
+  (* connections wait in the listen backlog, unanswered, and stop stays prompt *)
+  let st = Router.make_state ~fault:Fault.Refuse_accept () in
+  let config = { Server.default_config with port = 0; domains = 1 } in
+  let server = Server.start ~config st in
+  let port = Server.port server in
+  let fd = connect port in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd "GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  check bool' "no answer within 300 ms" true (read_reply ~timeout:0.3 fd = None);
+  let t0 = Unix.gettimeofday () in
+  Server.stop server;
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 1. then Alcotest.failf "stop took %.2f s" took
+
+let test_server_unselectable_descriptor () =
+  (* a connection whose descriptor [Unix.select] cannot take is closed
+     when its request is incomplete; the reader keeps serving *)
+  let st = Router.make_state () in
+  let config = { Server.default_config with port = 0; domains = 1 } in
+  let server = Server.start ~config st in
+  let port = Server.port server in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let selectable fd =
+    match Unix.select [ fd ] [] [] 0. with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  in
+  (* hold descriptors until the next one is past FD_SETSIZE; a process
+     whose descriptor limit stops short of it never meets the case *)
+  let rec fill held =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 with
+    | fd -> if selectable fd then fill (fd :: held) else Some (fd :: held)
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) ->
+      List.iter Unix.close held;
+      None
+  in
+  match fill [] with
+  | None -> ()
+  | Some held ->
+    let reply =
+      Fun.protect ~finally:(fun () -> List.iter Unix.close held) @@ fun () ->
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      send fd "GET /v1/health HTTP/1.1\r\n";
+      read_reply fd
+    in
+    check Alcotest.(option string) "closed unanswered" (Some "") reply;
+    let status, _, _ = http_call ~port ~meth:"GET" ~path:"/v1/health" ~body:"" () in
+    check int' "the reader still serves" 200 status
+
 (* --------------------------------------------------------------------------- *)
 
 let () =
@@ -3207,6 +3400,7 @@ let () =
           Alcotest.test_case "oversized body" `Quick test_http_oversized_body;
           Alcotest.test_case "bad requests" `Quick test_http_bad_requests;
           Alcotest.test_case "header limit" `Quick test_http_header_limit;
+          Alcotest.test_case "prefixes" `Quick test_http_prefixes;
           Alcotest.test_case "response serialization" `Quick test_http_response_serialization;
         ] );
       ( "metrics",
@@ -3332,6 +3526,8 @@ let () =
             test_prometheus_exposition_valid;
           Alcotest.test_case "chase help lines match a bare chase" `Quick
             test_chase_help_lines;
+          Alcotest.test_case "scrape samples the runtime" `Quick
+            test_scrape_samples_runtime;
         ] );
       ( "integration",
         [
@@ -3339,5 +3535,11 @@ let () =
           Alcotest.test_case "deterministic shedding" `Quick test_server_shedding;
           Alcotest.test_case "shed under load" `Quick test_server_shed_under_load;
           Alcotest.test_case "drain on stop" `Quick test_server_drain_on_stop;
+          Alcotest.test_case "probes never queue" `Quick test_server_probe_never_queues;
+          Alcotest.test_case "half a request pins nothing" `Quick
+            test_server_half_request;
+          Alcotest.test_case "refused accept" `Quick test_server_refuse_accept;
+          Alcotest.test_case "descriptor past select's limit" `Quick
+            test_server_unselectable_descriptor;
         ] );
     ]
