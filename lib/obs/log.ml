@@ -221,8 +221,8 @@ module Ctx = struct
   (* overwrite in place so the collected list keeps first-put order —
      consumers render the fields as-is and a re-put key must not jump *)
   let store acc k v =
-    if List.mem_assoc k !acc then
-      acc := List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) !acc
+    if List.exists (fun (k', _) -> String.equal k k') !acc then
+      acc := List.map (fun (k', v') -> if String.equal k k' then (k, v) else (k', v')) !acc
     else acc := (k, v) :: !acc
 
   let put k v =
@@ -242,10 +242,10 @@ module Ctx = struct
       in
       store acc k (Float (prev +. d))
 
-  let collect f =
+  let collect ?(init = []) f =
     let slot = Domain.DLS.get slot_key in
     let saved = !slot in
-    let acc = ref [] in
+    let acc = ref (List.rev init) in
     slot := Some acc;
     match f () with
     | v ->

@@ -114,9 +114,11 @@ module Ctx : sig
   val add : string -> float -> unit
   (** Accumulate onto a numeric field (starting from [0.]). *)
 
-  val collect : (unit -> 'a) -> 'a * (string * value) list
+  val collect : ?init:(string * value) list -> (unit -> 'a) -> 'a * (string * value) list
   (** [collect f] runs [f] with a fresh field scope and returns its
       result with the fields recorded during the call, in first-put
-      order.  Scopes nest: the inner scope shadows the outer for its
-      duration.  Re-raises [f]'s exception after closing the scope. *)
+      order.  [init] (default none) is put first, in order, so a later
+      put overrides one of its fields in place.  Scopes nest: the inner
+      scope shadows the outer for its duration.  Re-raises [f]'s
+      exception after closing the scope. *)
 end

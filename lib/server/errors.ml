@@ -8,6 +8,7 @@ type code =
   | Length_required
   | Payload_too_large
   | Headers_too_large
+  | Request_timeout
   | Not_found
   | Session_not_found
   | No_trace
@@ -32,6 +33,7 @@ let all =
     Length_required;
     Payload_too_large;
     Headers_too_large;
+    Request_timeout;
     Not_found;
     Session_not_found;
     No_trace;
@@ -56,6 +58,7 @@ let id = function
   | Length_required -> "length_required"
   | Payload_too_large -> "payload_too_large"
   | Headers_too_large -> "headers_too_large"
+  | Request_timeout -> "request_timeout"
   | Not_found -> "not_found"
   | Session_not_found -> "session_not_found"
   | No_trace -> "no_trace"
@@ -77,6 +80,7 @@ let status = function
   | Length_required -> 411
   | Payload_too_large -> 413
   | Headers_too_large -> 431
+  | Request_timeout -> 408
   | Not_found | Session_not_found | No_trace | No_explanation | Unknown_fact -> 404
   | Method_not_allowed -> 405
   | Inconsistent_program -> 409
@@ -88,7 +92,7 @@ let status = function
    caller changing anything — transient load or a too-tight deadline.
    Client mistakes and genuine engine limits are not retryable. *)
 let retryable = function
-  | Overloaded | Deadline_exceeded | Cancelled -> true
+  | Overloaded | Deadline_exceeded | Cancelled | Request_timeout -> true
   | Moved_permanently | Parse_error | Invalid_atom | Invalid_request
   | Length_required
   | Payload_too_large | Headers_too_large | Not_found | Session_not_found | No_trace
@@ -109,8 +113,11 @@ let envelope ?(detail = []) code message =
   in
   Json.Obj [ "error", Json.Obj fields ]
 
+(* the request's wide event takes its error code from here *)
 let response ?detail ?(headers = []) code message =
-  Http.response ~headers (status code) (Json.to_string (envelope ?detail code message))
+  let status = status code in
+  if status >= 400 then Ekg_obs.Log.Ctx.put "error_code" (Ekg_obs.Log.Str (id code));
+  Http.response ~headers status (Json.to_string (envelope ?detail code message))
 
 let partial_detail (p : Chase.partial) =
   [
@@ -137,7 +144,3 @@ let of_chase (err : Chase.error) =
   | Chase.Budget_exceeded ((`Facts | `Rounds), p) ->
     Budget_exceeded, message, partial_detail p
   | Chase.Cancelled p -> Cancelled, message, partial_detail p
-
-let chase_response err =
-  let code, message, detail = of_chase err in
-  response ~detail code message

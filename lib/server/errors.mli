@@ -18,6 +18,7 @@ type code =
   | Length_required      (** body-bearing method without [Content-Length] — 411 *)
   | Payload_too_large    (** 413 *)
   | Headers_too_large    (** 431 *)
+  | Request_timeout      (** request incomplete at its read deadline — 408 *)
   | Not_found            (** unknown route — 404 *)
   | Session_not_found    (** 404 *)
   | No_trace             (** session has no recorded trace yet — 404 *)
@@ -51,7 +52,10 @@ val response :
   code ->
   string ->
   Http.response
-(** The full HTTP response: {!status}, JSON {!envelope} body. *)
+(** The full HTTP response: {!status}, JSON {!envelope} body.  A status
+    of 400 or above also puts the code's {!id} as the [error_code]
+    field of the current {!Ekg_obs.Log.Ctx} scope: the request's wide
+    event takes it from here. *)
 
 val partial_detail : Chase.partial -> (string * Json.t) list
 (** Partial chase progress as envelope detail fields
@@ -59,6 +63,3 @@ val partial_detail : Chase.partial -> (string * Json.t) list
 
 val of_chase : Chase.error -> code * string * (string * Json.t) list
 (** Map a typed chase error to (code, message, detail). *)
-
-val chase_response : Chase.error -> Http.response
-(** {!of_chase} rendered as a response. *)

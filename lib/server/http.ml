@@ -222,6 +222,7 @@ let status_text = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 409 -> "Conflict"
   | 411 -> "Length Required"
   | 413 -> "Payload Too Large"

@@ -3,13 +3,11 @@ open Ekg_datalog
 open Ekg_engine
 open Ekg_apps
 
-(* one concrete query's cached answers, generation-stamped: an entry
-   whose [ca_gen] no longer matches the session's [update_gen] must
-   never serve.  [ca_result] never holds its scoped instance
-   ([q_scoped = None]): that instance's database copies the whole EDB *)
+(* one concrete query's cached answers; a committed update clears them
+   all.  [ca_result] never holds its scoped instance ([q_scoped =
+   None]): that instance's database copies the whole EDB *)
 type cached_answers = {
   ca_result : Pipeline.query_result;
-  ca_gen : int;
   mutable ca_used : float;
 }
 
@@ -17,7 +15,6 @@ type cached_answers = {
    specialization — pure in the immutable program, so it survives fact
    updates — plus an LRU of recently answered concrete queries *)
 type query_entry = {
-  qe_pred : string;
   qe_spec : Pipeline.specialization;
   mutable qe_used : float;
   qe_answers : (string, cached_answers) Hashtbl.t;
@@ -298,40 +295,21 @@ let find t id =
 let list t = with_reg_lock t (fun () -> List.rev t.sessions)
 let count t = with_reg_lock t (fun () -> List.length t.sessions)
 
-(* Slow-chase fault: burn the configured wall-clock before the real run,
-   in short slices so the request budget still trips promptly. *)
-let fault_slow_chase (budget : Chase.budget) seconds =
-  let t0 = Ekg_obs.Clock.now_s () in
-  let finish = t0 +. seconds in
-  let tripped = ref None in
-  let over () =
-    let now = Ekg_obs.Clock.now_s () in
-    (match budget.Chase.cancel with
-    | Some f when f () -> tripped := Some `Cancel
-    | _ -> ());
-    (match budget.Chase.deadline_s with
-    | Some d when now >= d && !tripped = None -> tripped := Some `Deadline
-    | _ -> ());
-    !tripped <> None || now >= finish
-  in
-  while not (over ()) do
-    Unix.sleepf 0.005
-  done;
-  match !tripped with
-  | None -> Ok ()
-  | Some reason ->
-    let partial =
-      {
-        Chase.partial_rounds = 0;
-        partial_derived = 0;
-        partial_wall_s = Ekg_obs.Clock.now_s () -. t0;
-        partial_stratum_rounds = [];
-      }
+(* Slow-chase fault: sleep the configured wall-clock before the real
+   run, in short slices, until it is up or the request's deadline has
+   passed.  The chase then runs under the same budget, so its own guard
+   reports a trip. *)
+let fault_slow_chase t (budget : Chase.budget) =
+  match t.fault with
+  | Fault.Slow_chase seconds ->
+    let until =
+      Float.min (Ekg_obs.Clock.now_s () +. seconds)
+        (Option.value budget.Chase.deadline_s ~default:Float.infinity)
     in
-    Error
-      (match reason with
-      | `Cancel -> Chase.Cancelled partial
-      | `Deadline -> Chase.Budget_exceeded (`Deadline, partial))
+    while Ekg_obs.Clock.now_s () < until do
+      Unix.sleepf 0.005
+    done
+  | _ -> ()
 
 (* Warm restore: a dormant session whose snapshot carries a
    materialization of exactly this program (identity hash) at exactly
@@ -432,22 +410,15 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
             session.chase <- Some result;
             Ok (result, `Restored)
           | None -> (
-            let injected =
-              match t.fault with
-              | Fault.Slow_chase s -> fault_slow_chase budget s
-              | _ -> Ok ()
-            in
-            match injected with
-            | Error _ as e -> e
-            | Ok () -> (
-              match
-                Chase.run_checked ~stats:t.obs ~budget ?obs:tracer ?parent
-                  session.pipeline.Pipeline.program session.edb
-              with
-              | Ok result ->
-                session.chase <- Some result;
-                Ok (result, `Chased)
-              | Error _ as e -> e))))
+            fault_slow_chase t budget;
+            match
+              Chase.run_checked ~stats:t.obs ~budget ?obs:tracer ?parent
+                session.pipeline.Pipeline.program session.edb
+            with
+            | Ok result ->
+              session.chase <- Some result;
+              Ok (result, `Chased)
+            | Error _ as e -> e)))
   in
   match outcome with
   | Error _ as e -> e
@@ -478,22 +449,17 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
 
 (* --- live fact updates ------------------------------------------------------ *)
 
-(* drop cached query answers whose predicate the update could have
-   re-derived ([changed] is already the affected-predicate closure);
-   the specializations themselves survive — they depend only on the
-   immutable program.  Returns the number of answers dropped; called
-   with the session lock held. *)
-let invalidate_queries_locked (session : session) changed =
-  let dropped = ref 0 in
-  Hashtbl.iter
-    (fun _ (entry : query_entry) ->
-      if List.mem entry.qe_pred changed && Hashtbl.length entry.qe_answers > 0
-      then begin
-        dropped := !dropped + Hashtbl.length entry.qe_answers;
-        Hashtbl.reset entry.qe_answers
-      end)
-    session.query_cache;
-  !dropped
+(* A committed update clears every cached query answer; the
+   specializations survive — they depend only on the immutable program.
+   Returns the number of answers dropped; called with the session lock
+   held. *)
+let clear_answers_locked (session : session) =
+  Hashtbl.fold
+    (fun _ (entry : query_entry) dropped ->
+      let n = Hashtbl.length entry.qe_answers in
+      if n > 0 then Hashtbl.reset entry.qe_answers;
+      dropped + n)
+    session.query_cache 0
 
 let record_update t (upd : Chase.update) =
   Ekg_obs.Metrics.record t.obs
@@ -644,9 +610,7 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
       match outcome with
       | Ok (upd, path, copy_ms, apply_ms, mirror_ms) ->
         session.update_gen <- session.update_gen + 1;
-        let dropped =
-          invalidate_queries_locked session upd.Chase.upd_changed_preds
-        in
+        let dropped = clear_answers_locked session in
         if dropped > 0 then
           Ekg_obs.Metrics.add t.obs query_invalidations_metric
             (float_of_int dropped);
@@ -682,8 +646,8 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
    dormant session never builds or waits on a materialization: the
    program is magic-sets-specialized per query shape (cached in an LRU
    keyed predicate + mask), a private scoped chase runs over a snapshot
-   of the EDB mirror, and concrete answers are cached
-   generation-stamped. *)
+   of the EDB mirror, and concrete answers are cached until the next
+   committed update clears them. *)
 
 let max_query_shapes = 64
 let max_answers_per_shape = 8
@@ -742,11 +706,6 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
           match Hashtbl.find_opt session.query_cache shape_key with
           | Some entry -> (
             entry.qe_used <- now;
-            (* a stale-generation answer must never serve: drop on sight *)
-            (match Hashtbl.find_opt entry.qe_answers answer_key with
-            | Some c when c.ca_gen <> gen ->
-              Hashtbl.remove entry.qe_answers answer_key
-            | _ -> ());
             match Hashtbl.find_opt entry.qe_answers answer_key with
             | Some c when not explain ->
               c.ca_used <- now;
@@ -761,7 +720,6 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
             | Ok spec ->
               Hashtbl.replace session.query_cache shape_key
                 {
-                  qe_pred = pred;
                   qe_spec = spec;
                   qe_used = now;
                   qe_answers = Hashtbl.create 4;
@@ -791,34 +749,25 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
       (if rewrite_cached then query_rewrite_hits_metric
        else query_rewrite_misses_metric);
     count query_answer_misses_metric;
-    let injected =
-      match t.fault with
-      | Fault.Slow_chase s -> fault_slow_chase budget s
-      | _ -> Ok ()
-    in
-    let outcome =
-      match injected with
-      | Error e -> Error e
-      | Ok () ->
-        Pipeline.query ~stats:t.obs ~budget ?obs:tracer ?parent session.pipeline spec
-          edb atom
-    in
-    match outcome with
+    fault_slow_chase t budget;
+    match
+      Pipeline.query ~stats:t.obs ~budget ?obs:tracer ?parent session.pipeline spec
+        edb atom
+    with
     | Error err ->
       finish ();
       Error (`Chase err)
     | Ok result ->
       with_lock session.lock (fun () ->
-          (* a fact update committed while the chase ran: its
-             invalidation already happened, so storing now would serve
-             a stale generation — drop instead *)
+          (* a fact update committed while the chase ran: it already
+             cleared the cache, so storing now would serve an answer of
+             the older base — drop instead *)
           if session.update_gen = gen then
             match Hashtbl.find_opt session.query_cache shape_key with
             | Some entry ->
               Hashtbl.replace entry.qe_answers answer_key
                 {
                   ca_result = { result with Pipeline.q_scoped = None };
-                  ca_gen = gen;
                   ca_used = Unix.gettimeofday ();
                 };
               lru_trim entry.qe_answers max_answers_per_shape (fun c -> c.ca_used)

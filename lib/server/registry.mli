@@ -15,16 +15,13 @@ type cached_answers = {
   ca_result : Pipeline.query_result;
       (** answers and bindings only: [q_scoped] is always [None], since
           a scoped instance's database copies the whole EDB *)
-  ca_gen : int;    (** update generation the result was computed under *)
   mutable ca_used : float;  (** answer-LRU clock *)
 }
-(** One concrete query's cached answers on a dormant session.
-    Generation-stamped: an entry whose [ca_gen] no longer matches the
-    session's [update_gen] must never serve, and is dropped eagerly by
-    invalidation or lazily at lookup. *)
+(** One concrete query's cached answers on a dormant session.  A
+    committed fact update clears every cached answer of the session,
+    whatever predicates it changed. *)
 
 type query_entry = {
-  qe_pred : string;  (** queried predicate — the invalidation key *)
   qe_spec : Pipeline.specialization;
   mutable qe_used : float;  (** shape-LRU clock *)
   qe_answers : (string, cached_answers) Hashtbl.t;
@@ -66,12 +63,13 @@ type session = {
           lock. *)
   query_cache : (string, query_entry) Hashtbl.t;
       (** the query lane's per-session LRU, keyed [pred ^ "/" ^ mask];
-          specializations survive fact updates, cached answers are
-          invalidated predicate-selectively *)
+          specializations survive fact updates, a committed update
+          clears every cached answer *)
   mutable update_gen : int;
       (** bumped by every committed fact update; a snapshot records it,
           so a warm restore refuses a materialization of an older base,
-          and the query lane's cached answers are stamped with it *)
+          and the query lane refuses to cache an answer computed under
+          an older one *)
   mutable explain_count : int;
   mutable query_count : int;
   mutable last_trace : Ekg_obs.Trace.span option;
@@ -125,10 +123,11 @@ val create :
     of every materialization; every series below, the chase's
     ({!Chase.declare_stats}) and, with [store], the snapshotter's are
     declared there at zero.
-    [fault] (default {!Fault.Off}): {!Fault.Slow_chase} injects its
-    configured wall-clock into every materialization — in short,
-    budget-aware slices, so a request deadline still trips within a
-    few milliseconds of the instant it expires.
+    [fault] (default {!Fault.Off}): {!Fault.Slow_chase} sleeps its
+    configured wall-clock before every chase, in short slices that stop
+    once the request's deadline has passed; the chase then runs under
+    the same budget, so its own guard reports the trip within a few
+    milliseconds of the instant the deadline expires.
 
     [store] turns persistence on: sessions are snapshotted after
     creation, committed fact updates and fresh materializations
@@ -245,7 +244,8 @@ val update_facts :
     the discarded private copy, never the published snapshot.
     Advances the {!incremental_rounds_metric} and
     {!retracted_facts_metric} series and the session's [update_gen] on
-    success. *)
+    success, and clears every cached query answer of the session,
+    counting them in [ekg_query_cache_invalidations_total]. *)
 
 type query_outcome = {
   qo_result : Pipeline.query_result;
@@ -278,8 +278,9 @@ val query :
     - {b Dormant}: the session's program is magic-sets-specialized for
       the query's bound/free shape ({!Pipeline.specialize}, cached in a
       per-session LRU), a private scoped chase runs over a snapshot of
-      the EDB mirror, and the concrete answers are cached stamped with
-      the session's update generation.  A query never builds or waits
+      the EDB mirror, and the concrete answers are cached until the
+      next committed fact update, unless an update committed while the
+      scoped chase ran.  A query never builds or waits
       on a materialization, so a dormant session stays dormant.
       [budget] bounds the scoped chase exactly as in {!materialize}
       (deadline trips surface as [`Chase (Budget_exceeded _)] with

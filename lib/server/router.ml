@@ -24,6 +24,14 @@ type state = {
   started_at : float;
 }
 
+(* what a route's handler gets besides the state *)
+type call = {
+  req : Http.request;
+  trace_id : string;
+  deadline : (float, string) result;
+  id : string;  (* the path's [:id] segment; [""] on a route without one *)
+}
+
 let counter = Ekg_obs.Metrics.counter
 let shed_metric =
   counter ~help:"Requests shed by admission control (503 overloaded)" "ekg_server_shed_total"
@@ -35,7 +43,7 @@ let queue_depth_metric =
 let uptime_metric =
   Ekg_obs.Metrics.gauge ~help:"Seconds since the server started" "ekg_uptime_seconds"
 
-(* request accounting ([record_request]) *)
+(* request accounting ([account]) *)
 let requests_metric = counter ~help:"Requests served, all endpoints" "ekg_requests_total"
 let errors_metric =
   counter ~help:"Responses with status >= 400, all endpoints" "ekg_request_errors_total"
@@ -169,28 +177,11 @@ let wants_prometheus (req : Http.request) =
     | Some accept -> contains accept "text/plain"
     | None -> false)
 
-(* --- request accounting -------------------------------------------------------
+(* --- the metrics document --------------------------------------------------------
 
-   One registry holds every series.  Each answered request counts once
-   in [ekg_requests_total] and under its route label in
-   [ekg_endpoint_requests_total]; a status >= 400 counts in both error
-   series too, and the label's [ekg_request_duration_ms] histogram takes
-   the latency — one recording, so the JSON form of [/v1/metrics],
-   which reads these series back as one snapshot, never sees a request
-   half counted. *)
-
-let record_request st ~endpoint ~status ~seconds =
-  let labels = [ "endpoint", endpoint ]
-  and error = if status >= 400 then 1. else 0. in
-  (* adding 0 gives a new label its error series at 0 *)
-  Ekg_obs.Metrics.record st.obs
-    [
-      Add (requests_metric, [], 1.);
-      Add (errors_metric, [], error);
-      Add (endpoint_requests_metric, labels, 1.);
-      Add (endpoint_errors_metric, labels, error);
-      Observe (duration_metric, labels, seconds);
-    ]
+   One registry holds every series; the JSON form reads the request
+   series back as one snapshot, as [account] records them in one
+   batch, so it never sees a request half counted. *)
 
 let metrics_json ~uptime_s view =
   let count ?labels family =
@@ -602,8 +593,7 @@ let facts_of_body body =
     go [] items
   | Some _ -> Error "\"facts\" must be an array of atom strings"
 
-let update_facts st ~deadline_s op (session : Registry.session)
-    (req : Http.request) =
+let update_facts op st { req; _ } deadline_s (session : Registry.session) =
   match Json.parse req.body with
   | Error e -> Errors.response Errors.Parse_error e
   | Ok body -> (
@@ -641,7 +631,7 @@ let update_facts st ~deadline_s op (session : Registry.session)
    restore).  The scale replay driver's identity gate compares this
    against a local cold chase on the final EDB; the full fact dump
    would be megabytes at registry scale, the digest is 32 bytes. *)
-let session_fingerprint st ~deadline_s (session : Registry.session) =
+let session_fingerprint st _ deadline_s (session : Registry.session) =
   match
     Registry.materialize ~budget:(deadline_budget deadline_s) st.registry session
   with
@@ -688,8 +678,7 @@ let batch_item_spec ~default_strategy = function
       | Some _ -> Result.map (fun s -> q, s) (strategy_of o)))
   | _ -> Error "each item must be a query string or an object with \"query\""
 
-let explain_batch st ~trace_id ~deadline_s (session : Registry.session)
-    (req : Http.request) =
+let explain_batch st { req; trace_id; _ } deadline_s (session : Registry.session) =
   match Json.parse req.body with
   | Error e -> Errors.response Errors.Parse_error e
   | Ok body -> (
@@ -878,7 +867,26 @@ let debug_slowlog st =
                 entries) );
        ])
 
-(* --- dispatch -------------------------------------------------------------- *)
+(* --- the route table ------------------------------------------------------------
+
+   Every v1 route is declared once in [routes]; dispatch, the 405 and
+   its [Allow], the metric label, [classify], the legacy redirects and
+   the [Delay] fault's scope are all read off it. *)
+
+type cls = Probe | Session | Debug
+
+type route = {
+  meth : Http.meth;
+  segs : string list;  (* the path literal below /v1; [":id"] takes any segment *)
+  cls : cls;
+  label : string;   (* "GET /v1/sessions/:id/query" *)
+  handler : state -> call -> Http.response;
+}
+
+let route meth path cls handler =
+  match String.split_on_char '/' path with
+  | "" :: "v1" :: segs -> { meth; segs; cls; label = Http.meth_to_string meth ^ " " ^ path; handler }
+  | _ -> invalid_arg ("Router.route: not a /v1 path: " ^ path)
 
 let with_session st id k =
   match Registry.find st.registry id with
@@ -887,84 +895,97 @@ let with_session st id k =
     Ekg_obs.Log.Ctx.put "session" (Ekg_obs.Log.Str id);
     k session
 
-(* (route label, handler) — the label collapses path parameters so the
-   metrics aggregate per endpoint, not per session. *)
-let route_v1 st ~trace_id ~deadline (req : Http.request) rest =
-  let with_deadline k =
-    match deadline with
-    | Error e -> Errors.response Errors.Invalid_request e
-    | Ok deadline_s -> k deadline_s
-  in
-  (* the GET and POST forms of a read decode their parameters, then
-     share one lane *)
-  let read lane id =
-    with_deadline (fun deadline_s ->
-        with_session st id (fun s ->
-            match read_params req with
-            | Error e -> Errors.response Errors.Parse_error e
-            | Ok param -> lane st ~trace_id ~deadline_s s param))
-  in
-  match req.meth, rest with
-  | Http.GET, [ "health" ] -> "GET /v1/health", health st
-  | Http.GET, [ "metrics" ] -> "GET /v1/metrics", metrics_doc st req
-  | Http.GET, [ "sessions" ] -> "GET /v1/sessions", list_sessions st
-  | Http.POST, [ "sessions" ] -> "POST /v1/sessions", create_session st req
-  | Http.DELETE, [ "sessions"; id ] ->
-    "DELETE /v1/sessions/:id", delete_session st id
-  | Http.POST, [ "sessions"; id; "explain" ] ->
-    "POST /v1/sessions/:id/explain", read explain_lane id
-  | Http.GET, [ "sessions"; id; "explain" ] ->
-    "GET /v1/sessions/:id/explain", read explain_lane id
-  | Http.GET, [ "sessions"; id; "query" ] ->
-    "GET /v1/sessions/:id/query", read query_lane id
-  | Http.POST, [ "sessions"; id; "query" ] ->
-    "POST /v1/sessions/:id/query", read query_lane id
-  | Http.POST, [ "sessions"; id; "explain:batch" ] ->
-    ( "POST /v1/sessions/:id/explain:batch",
-      with_deadline (fun deadline_s ->
-          with_session st id (fun s ->
-              explain_batch st ~trace_id ~deadline_s s req)) )
-  | Http.POST, [ "sessions"; id; "facts" ] ->
-    ( "POST /v1/sessions/:id/facts",
-      with_deadline (fun deadline_s ->
-          with_session st id (fun s -> update_facts st ~deadline_s `Add s req)) )
-  | Http.DELETE, [ "sessions"; id; "facts" ] ->
-    ( "DELETE /v1/sessions/:id/facts",
-      with_deadline (fun deadline_s ->
-          with_session st id (fun s ->
-              update_facts st ~deadline_s `Retract s req)) )
-  | Http.GET, [ "sessions"; id; "fingerprint" ] ->
-    ( "GET /v1/sessions/:id/fingerprint",
-      with_deadline (fun deadline_s ->
-          with_session st id (fun s -> session_fingerprint st ~deadline_s s)) )
-  | Http.GET, [ "sessions"; id; "templates" ] ->
-    "GET /v1/sessions/:id/templates", with_session st id templates
-  | Http.GET, [ "sessions"; id; "trace" ] ->
-    "GET /v1/sessions/:id/trace", with_session st id session_trace
-  | Http.GET, [ "debug"; "runtime" ] -> "GET /v1/debug/runtime", debug_runtime st
-  | Http.GET, [ "debug"; "sessions" ] ->
-    "GET /v1/debug/sessions", debug_sessions st
-  | Http.GET, [ "debug"; "inflight" ] ->
-    "GET /v1/debug/inflight", debug_inflight st
-  | Http.GET, [ "debug"; "slowlog" ] -> "GET /v1/debug/slowlog", debug_slowlog st
-  | _, ([ "health" ] | [ "metrics" ] | [ "sessions" ]
-       | [ "debug"; ("runtime" | "sessions" | "inflight" | "slowlog") ]
-       | [ "sessions"; _;
-           ("explain" | "explain:batch" | "query" | "templates" | "trace"
-           | "facts" | "fingerprint") ]) ->
-    ( Http.meth_to_string req.meth ^ " (known path)",
-      Errors.response Errors.Method_not_allowed
-        ("method " ^ Http.meth_to_string req.meth ^ " not allowed on "
-       ^ req.target) )
-  | _ ->
-    ( "(unmatched)",
-      Errors.response Errors.Not_found ("no route for " ^ req.target) )
+(* a session route that runs under the request's deadline: its handler
+   takes the state, the call, the deadline and the session *)
+let timed k st c =
+  match c.deadline with
+  | Error e -> Errors.response Errors.Invalid_request e
+  | Ok deadline_s -> with_session st c.id (k st c deadline_s)
 
-let route st ~trace_id ~deadline (req : Http.request) =
+(* the GET and POST forms of a read decode their parameters, then share
+   one lane *)
+let read lane =
+  timed (fun st c deadline_s session ->
+      match read_params c.req with
+      | Error e -> Errors.response Errors.Parse_error e
+      | Ok param -> lane st ~trace_id:c.trace_id ~deadline_s session param)
+
+let routes =
+  let open Http in
+  [
+    route GET "/v1/health" Probe (fun st _ -> health st);
+    route GET "/v1/metrics" Probe (fun st c -> metrics_doc st c.req);
+    route GET "/v1/sessions" Session (fun st _ -> list_sessions st);
+    route POST "/v1/sessions" Session (fun st c -> create_session st c.req);
+    route DELETE "/v1/sessions/:id" Session (fun st c -> delete_session st c.id);
+    route GET "/v1/sessions/:id/explain" Session (read explain_lane);
+    route POST "/v1/sessions/:id/explain" Session (read explain_lane);
+    route POST "/v1/sessions/:id/explain:batch" Session (timed explain_batch);
+    route GET "/v1/sessions/:id/query" Session (read query_lane);
+    route POST "/v1/sessions/:id/query" Session (read query_lane);
+    route POST "/v1/sessions/:id/facts" Session (timed (update_facts `Add));
+    route DELETE "/v1/sessions/:id/facts" Session (timed (update_facts `Retract));
+    route GET "/v1/sessions/:id/fingerprint" Session (timed session_fingerprint);
+    route GET "/v1/sessions/:id/templates" Session
+      (fun st c -> with_session st c.id templates);
+    route GET "/v1/sessions/:id/trace" Session
+      (fun st c -> with_session st c.id session_trace);
+    route GET "/v1/debug/runtime" Debug (fun st _ -> debug_runtime st);
+    route GET "/v1/debug/sessions" Debug (fun st _ -> debug_sessions st);
+    route GET "/v1/debug/inflight" Debug (fun st _ -> debug_inflight st);
+    route GET "/v1/debug/slowlog" Debug (fun st _ -> debug_slowlog st);
+  ]
+
+let rec fits segs path =
+  match segs, path with
+  | [], [] -> true
+  | s :: segs, p :: path -> (String.equal s p || String.equal s ":id") && fits segs path
+  | _ -> false
+
+let rec id_of segs path =
+  match segs, path with
+  | ":id" :: _, p :: _ -> p
+  | _ :: segs, _ :: path -> id_of segs path
+  | _ -> ""
+
+let find meth path = List.find_opt (fun r -> fits r.segs path && r.meth = meth) routes
+
+(* A pre-/v1 path moved when it names the root segment of a probe or
+   session route, or lies below a root that has deeper routes:
+   [/health], [/metrics] and everything under [/sessions]. *)
+let legacy = function
+  | [] -> false
+  | first :: rest ->
+    List.exists
+      (fun r -> r.cls <> Debug && List.hd r.segs = first && (rest = [] || List.length r.segs > 1))
+      routes
+
+let classify (req : Http.request) =
+  let cls path = Option.map (fun r -> r.cls) (find req.meth path) in
   match req.path with
-  | "v1" :: rest -> route_v1 st ~trace_id ~deadline req rest
-  | [ "health" ] | [ "metrics" ] | "sessions" :: _ ->
-    (* pre-/v1 paths: permanent redirect, flagged deprecated *)
+  | "v1" :: path -> cls path
+  | path -> if legacy path then cls path else None
+
+let unmatched (req : Http.request) =
+  "(unmatched)", Errors.response Errors.Not_found ("no route for " ^ req.target)
+
+let dispatch st ~trace_id ~deadline (req : Http.request) =
+  match req.path with
+  | "v1" :: path -> (
+    match find req.meth path with
+    | Some r -> r.label, r.handler st { req; trace_id; deadline; id = id_of r.segs path }
+    | None -> (
+      match List.filter (fun r -> fits r.segs path) routes with
+      | [] -> unmatched req
+      | known ->
+        let meth = Http.meth_to_string req.meth in
+        ( meth ^ " (known path)",
+          Errors.response
+            ~headers:
+              [ "Allow", String.concat ", " (List.map (fun r -> Http.meth_to_string r.meth) known) ]
+            Errors.Method_not_allowed
+            ("method " ^ meth ^ " not allowed on " ^ req.target) )))
+  | path when legacy path ->
     let location = "/v1" ^ req.target in
     ( "(legacy-redirect)",
       Errors.response
@@ -972,157 +993,133 @@ let route st ~trace_id ~deadline (req : Http.request) =
         ~headers:[ "Location", location; "Deprecation", "true" ]
         Errors.Moved_permanently
         ("this endpoint moved to " ^ location) )
-  | _ ->
-    ( "(unmatched)",
-      Errors.response Errors.Not_found ("no route for " ^ req.target) )
+  | _ -> unmatched req
 
-(* The delay fault slows session traffic only: health and metrics must
-   stay responsive so probes observe the overload instead of joining it. *)
+(* The delay fault slows every path under a session route's root, with
+   or without /v1, matched or not: probes and the debug surface must
+   stay responsive so they observe the overload instead of joining it. *)
 let fault_delay st (req : Http.request) =
   match st.fault with
   | Fault.Delay d -> (
-    match req.path with
-    | "sessions" :: _ | "v1" :: "sessions" :: _ -> Unix.sleepf d
+    match (match req.path with "v1" :: path -> path | path -> path) with
+    | first :: _ when List.exists (fun r -> r.cls = Session && List.hd r.segs = first) routes ->
+      Unix.sleepf d
     | _ -> ())
   | _ -> ()
 
-(* --- the wide event ----------------------------------------------------------
+(* --- the one reply path ----------------------------------------------------------
 
-   One canonical JSONL record per request, carrying everything known
-   about it: identity (trace id, method, target, endpoint), outcome
-   (status, error code), where the time went (admission wait, total
-   duration), what the reasoning tier did (chase source and cost,
-   query-cache hits, snapshot scheduling — contributed through [Log.Ctx] by
-   the registry and handlers), and what the request cost the runtime
-   (GC deltas).  Every field below is present in every event, so log
-   consumers can rely on the schema; Ctx contributions override the
-   defaults. *)
+   Every reply — routed, shed, never parsed or timed out — counts once
+   under its label, emits one wide event and carries [X-Ekg-Trace-Id].
+   The event's scope opens with the admission wait and every other
+   field's default, so each field is present in every event and a
+   later put overrides it in place. *)
 
 let wide_defaults =
-  [
-    "session", Ekg_obs.Log.Str "";
-    "cache_hit", Ekg_obs.Log.Bool false;
-    "degraded", Ekg_obs.Log.Bool false;
-    "chase_source", Ekg_obs.Log.Str "none";
-    "chase_rounds", Ekg_obs.Log.Int 0;
-    "chase_facts", Ekg_obs.Log.Int 0;
-    "plan_reorders", Ekg_obs.Log.Int 0;
-    "snapshot_scheduled", Ekg_obs.Log.Bool false;
-    "shed", Ekg_obs.Log.Bool false;
-  ]
-
-(* stable wire code out of the error envelope, e.g. "deadline_exceeded" *)
-let error_code_of_body status body =
-  if status < 400 then None
-  else
-    match Json.parse body with
-    | Ok (Json.Obj _ as o) -> (
-      match Json.member "error" o with
-      | Some e -> Json.mem_str "code" e
-      | None -> None)
-    | _ -> None
-
-let emit_wide_event st ~trace_id ~meth ~target ~label ~status ~body
-    ~queue_wait_s ~dur_s ~(gc0 : Gc.stat) ~(gc1 : Gc.stat) ctx_fields =
-  let open Ekg_obs.Log in
-  let merged =
-    List.fold_left
-      (fun acc (k, v) ->
-        if List.mem_assoc k acc then
-          List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) acc
-        else acc @ [ (k, v) ])
-      wide_defaults ctx_fields
-  in
-  let fields =
+  Ekg_obs.Log.
     [
-      "trace_id", Str trace_id;
-      "method", Str meth;
-      "target", Str target;
-      "endpoint", Str label;
-      "status", Int status;
-      ( "error_code",
-        Str (Option.value (error_code_of_body status body) ~default:"") );
-      "queue_wait_ms", Float (queue_wait_s *. 1000.);
+      "session", Str "";
+      "cache_hit", Bool false;
+      "degraded", Bool false;
+      "chase_source", Str "none";
+      "chase_rounds", Int 0;
+      "chase_facts", Int 0;
+      "plan_reorders", Int 0;
+      "snapshot_scheduled", Bool false;
+      "shed", Bool false;
     ]
-    @ merged
-    @ [
-        "gc_minor_collections", Int (gc1.minor_collections - gc0.minor_collections);
-        "gc_major_collections", Int (gc1.major_collections - gc0.major_collections);
-        "gc_promoted_words", Float (gc1.promoted_words -. gc0.promoted_words);
-        "gc_minor_words", Float (gc1.minor_words -. gc0.minor_words);
-      ]
-  in
-  let level = if status >= 500 then Error else if status >= 400 then Warn else Info in
-  event st.log ~duration_ms:(dur_s *. 1000.) level "request" fields
 
-let handle ?(queue_wait_s = 0.) st req =
+let account ?(queue_wait_s = 0.) st ~meth ~target answer =
   let t0 = Unix.gettimeofday () in
   let trace_id = Ekg_obs.Trace.next_trace_id st.tracer in
-  let meth = Http.meth_to_string req.Http.meth in
+  let gc0 = Gc.quick_stat () in
+  let (label, resp), fields =
+    Ekg_obs.Log.(
+      Ctx.collect
+        ~init:
+          (("error_code", Str "") :: ("queue_wait_ms", Float (queue_wait_s *. 1000.))
+          :: wide_defaults)
+        (fun () -> answer trace_id))
+  in
+  let gc1 = Gc.quick_stat () in
+  let dur_s = Unix.gettimeofday () -. t0 in
+  let status = resp.Http.status in
+  (* one recording: both request series, both error series (adding 0
+     gives a new label its error series at 0) and the latency *)
+  let labels = [ "endpoint", label ] and error = if status >= 400 then 1. else 0. in
+  Ekg_obs.Metrics.record st.obs
+    [
+      Add (requests_metric, [], 1.);
+      Add (errors_metric, [], error);
+      Add (endpoint_requests_metric, labels, 1.);
+      Add (endpoint_errors_metric, labels, error);
+      Observe (duration_metric, labels, dur_s);
+    ];
+  let open Ekg_obs.Log in
+  let fields =
+    ("trace_id", Str trace_id) :: ("method", Str meth) :: ("target", Str target)
+    :: ("endpoint", Str label) :: ("status", Int status)
+    :: (fields
+       @ [
+           "gc_minor_collections", Int (gc1.minor_collections - gc0.minor_collections);
+           "gc_major_collections", Int (gc1.major_collections - gc0.major_collections);
+           "gc_promoted_words", Float (gc1.promoted_words -. gc0.promoted_words);
+           "gc_minor_words", Float (gc1.minor_words -. gc0.minor_words);
+         ])
+  in
+  let level = if status >= 500 then Error else if status >= 400 then Warn else Info in
+  event st.log ~duration_ms:(dur_s *. 1000.) level "request" fields;
+  { resp with Http.resp_headers = ("X-Ekg-Trace-Id", trace_id) :: resp.Http.resp_headers }
+
+let handle ?(queue_wait_s = 0.) st (req : Http.request) =
+  let meth = Http.meth_to_string req.meth in
+  account ~queue_wait_s st ~meth ~target:req.target @@ fun trace_id ->
   (* the deadline clock starts when handling does — before any injected
      delay — so a slow handler consumes the request's budget *)
   let deadline = request_deadline st req in
   let if_id = Atomic.fetch_and_add st.inflight_seq 1 in
-  Ekg_obs.Lock.with_lock st.inflight_lock (fun () ->
-      Hashtbl.replace st.inflight if_id
-        {
-          if_trace = trace_id;
-          if_meth = meth;
-          if_target = req.Http.target;
-          if_started = t0;
-        });
-  let gc0 = Gc.quick_stat () in
-  let (label, resp), ctx_fields =
-    Ekg_obs.Log.Ctx.collect (fun () ->
-        fault_delay st req;
-        try route st ~trace_id ~deadline req
-        with exn ->
-          ( "(handler-exception)",
-            Errors.response Errors.Internal_error
-              ("internal error: " ^ Printexc.to_string exn) ))
+  let entry =
+    { if_trace = trace_id; if_meth = meth; if_target = req.target; if_started = Unix.gettimeofday () }
   in
-  let gc1 = Gc.quick_stat () in
-  Ekg_obs.Lock.with_lock st.inflight_lock (fun () ->
-      Hashtbl.remove st.inflight if_id);
-  let dur_s = Unix.gettimeofday () -. t0 in
-  record_request st ~endpoint:label ~status:resp.Http.status ~seconds:dur_s;
-  emit_wide_event st ~trace_id ~meth ~target:req.Http.target ~label
-    ~status:resp.Http.status ~body:resp.Http.resp_body ~queue_wait_s ~dur_s ~gc0
-    ~gc1 ctx_fields;
-  { resp with
-    Http.resp_headers = ("X-Ekg-Trace-Id", trace_id) :: resp.Http.resp_headers }
+  Ekg_obs.Lock.with_lock st.inflight_lock (fun () -> Hashtbl.replace st.inflight if_id entry);
+  let answer =
+    try
+      fault_delay st req;
+      dispatch st ~trace_id ~deadline req
+    with exn ->
+      ( "(handler-exception)",
+        Errors.response Errors.Internal_error
+          ("internal error: " ^ Printexc.to_string exn) )
+  in
+  Ekg_obs.Lock.with_lock st.inflight_lock (fun () -> Hashtbl.remove st.inflight if_id);
+  answer
 
-let handle_overload st (req : Http.request) =
-  Ekg_obs.Metrics.incr st.obs shed_metric;
-  let resp =
-    Errors.response
-      ~headers:[ "Retry-After", "1" ]
-      Errors.Overloaded
-      ("admission queue past high-water mark; retry " ^ req.target ^ " later")
-  in
-  record_request st ~endpoint:"(shed)" ~status:resp.Http.status ~seconds:0.;
-  (* shed requests never reach [handle], so they emit their wide event
-     here — "every request emits exactly one" includes refusals *)
-  let gc = Gc.quick_stat () in
-  let trace_id = Ekg_obs.Trace.next_trace_id st.tracer in
-  emit_wide_event st ~trace_id
-    ~meth:(Http.meth_to_string req.Http.meth)
-    ~target:req.Http.target ~label:"(shed)" ~status:resp.Http.status
-    ~body:resp.Http.resp_body ~queue_wait_s:0. ~dur_s:0. ~gc0:gc ~gc1:gc
-    [ ("shed", Ekg_obs.Log.Bool true) ];
-  resp
+type refusal = Shed of Http.request | Unparsed of Http.error | Timed_out
+
+let refuse st = function
+  | Shed req ->
+    account st ~meth:(Http.meth_to_string req.meth) ~target:req.target @@ fun _ ->
+    Ekg_obs.Metrics.incr st.obs shed_metric;
+    Ekg_obs.Log.Ctx.put "shed" (Ekg_obs.Log.Bool true);
+    ( "(shed)",
+      Errors.response
+        ~headers:[ "Retry-After", "1" ]
+        Errors.Overloaded
+        ("admission queue past high-water mark; retry " ^ req.target ^ " later") )
+  | Unparsed err ->
+    account st ~meth:"" ~target:"" @@ fun _ ->
+    let code =
+      match err with
+      | Http.Bad_request _ | Http.Closed -> Errors.Parse_error
+      | Http.Length_required -> Errors.Length_required
+      | Http.Payload_too_large _ -> Errors.Payload_too_large
+      | Http.Headers_too_large _ -> Errors.Headers_too_large
+    in
+    "(parse-error)", Errors.response code (Http.error_message err)
+  | Timed_out ->
+    account st ~meth:"" ~target:"" @@ fun _ ->
+    ( "(request-timeout)",
+      Errors.response Errors.Request_timeout "the request was not complete by its read deadline" )
 
 let set_queue_depth st depth =
   Ekg_obs.Metrics.set st.obs queue_depth_metric (float_of_int depth)
-
-let handle_parse_error st err =
-  let code =
-    match err with
-    | Http.Bad_request _ | Http.Closed -> Errors.Parse_error
-    | Http.Length_required -> Errors.Length_required
-    | Http.Payload_too_large _ -> Errors.Payload_too_large
-    | Http.Headers_too_large _ -> Errors.Headers_too_large
-  in
-  record_request st ~endpoint:"(parse-error)" ~status:(Errors.status code)
-    ~seconds:0.;
-  Errors.response code (Http.error_message err)

@@ -3,17 +3,19 @@
     {v
     GET  /v1/health                      liveness + uptime
     GET  /v1/metrics                     counters and latency quantiles (JSON),
-                                         or Prometheus text exposition when the
-                                         request sends [Accept: text/plain] or
-                                         [?format=prometheus]
-    POST /v1/sessions                    load a program/glossary/EDB triple
+                                         or Prometheus text ([Accept: text/plain]
+                                         or [?format=prometheus])
     GET  /v1/sessions                    list sessions
+    POST /v1/sessions                    load a program/glossary/EDB triple
+    DELETE /v1/sessions/:id              unregister a session
     GET|POST /v1/sessions/:id/explain    explain the facts matching an atom query,
                                          paged; GET takes URL parameters, POST
                                          the same ones as JSON members
     POST /v1/sessions/:id/explain:batch  explain many queries over one chase
     GET|POST /v1/sessions/:id/query      answer a point query (magic-sets lane
                                          or a lookup on the materialization)
+    POST|DELETE /v1/sessions/:id/facts   add or retract EDB facts live
+    GET  /v1/sessions/:id/fingerprint    digest of the session's materialization
     GET  /v1/sessions/:id/templates      both template families of a session
     GET  /v1/sessions/:id/trace          span tree of the session's last explain
     GET  /v1/debug/runtime               live runtime gauges (GC, sampler sources)
@@ -22,9 +24,13 @@
     GET  /v1/debug/slowlog               the slow-request ring
     v}
 
-    The pre-/v1 paths ([/health], [/metrics], [/sessions…]) answer
-    [301 Moved Permanently] with a [Location] header pointing at the
-    [/v1] equivalent and a [Deprecation: true] header.
+    Each route is one entry of router.ml's table — method, path literal,
+    class ({!cls}), handler — and dispatch, the metric label, the [405]
+    with its [Allow] header, the probes ({!classify}), the legacy
+    redirects and the {!Fault.Delay} scope (paths under a session
+    route's root) are read off it.  Pre-/v1 paths under a probe or
+    session route's root ([/health], [/metrics], [/sessions…]) answer
+    [301] with [Location: /v1…] and [Deprecation: true].
 
     {2 Error envelope}
 
@@ -119,29 +125,42 @@ val fault : state -> Fault.t
     {!Fault.Slow_chase} are consumed inside the router/registry;
     {!Fault.Refuse_accept} must be honoured by the reader). *)
 
-val handle : ?queue_wait_s:float -> state -> Http.request -> Http.response
-(** Dispatch one request, recording latency and status against the
-    route label (path parameters collapsed to [:id]) in
-    [ekg_requests_total], [ekg_request_errors_total],
-    [ekg_endpoint_{requests,errors}_total] and the
-    [ekg_request_duration_ms] histogram, and stamping the
-    [X-Ekg-Trace-Id] header.  Also emits the request's {e wide event}
-    — one JSONL record carrying trace id, endpoint, status/error code,
-    [queue_wait_s] (the admission-queue wait the server measured),
-    per-request GC deltas, and whatever the handled tiers contributed
-    through {!Ekg_obs.Log.Ctx} (session, chase source and cost,
-    query-cache hits, snapshot scheduling) — and maintains the in-flight table
-    behind [GET /v1/debug/inflight]. *)
+type cls =
+  | Probe    (** answered by the server's reader, never queued *)
+  | Session  (** session traffic, slowed by {!Fault.Delay} *)
+  | Debug    (** the live debug surface *)
 
-val handle_overload : state -> Http.request -> Http.response
-(** The load-shedding response: [503] with the [overloaded] envelope
-    and [Retry-After: 1].  Bumps [ekg_server_shed_total] and records
-    the request under the ["(shed)"] endpoint label. *)
+val classify : Http.request -> cls option
+(** The class of the route the request dispatches to, or of the route
+    a legacy path redirects to ([GET /health] is a [Probe]); [None]
+    when no route takes the request's method and path. *)
+
+val handle : ?queue_wait_s:float -> state -> Http.request -> Http.response
+(** Dispatch one request through the table.  Like every reply on the
+    server's one reply path ({!refuse}'s too), it counts once under its
+    label in [ekg_requests_total], [ekg_request_errors_total],
+    [ekg_endpoint_{requests,errors}_total] and [ekg_request_duration_ms],
+    carries [X-Ekg-Trace-Id] and emits one {e wide event}: a JSONL record
+    of trace id, method, target, endpoint (the label), status,
+    [error_code] (put by {!Errors.response}; [""] below 400),
+    [queue_wait_ms], GC deltas, and what the tiers put through
+    {!Ekg_obs.Log.Ctx} (session, chase source and cost, cache hits).
+    The label is the route's, ["<METH> (known path)"] (405),
+    ["(unmatched)"], ["(legacy-redirect)"] or ["(handler-exception)"]
+    (500).  Also keeps the in-flight table behind
+    [GET /v1/debug/inflight]. *)
+
+type refusal =
+  | Shed of Http.request  (** 503 [overloaded], [Retry-After: 1]; label ["(shed)"] *)
+  | Unparsed of Http.error  (** the framing error's envelope; label ["(parse-error)"] *)
+  | Timed_out  (** 408 [request_timeout]; label ["(request-timeout)"] *)
+
+val refuse : state -> refusal -> Http.response
+(** The reply to a request the server's reader answers without routing
+    it, accounted as {!handle}'s are.  [Shed] also bumps
+    [ekg_server_shed_total] and sets the event's [shed]; [Unparsed] and
+    [Timed_out] leave its [method] and [target] empty. *)
 
 val set_queue_depth : state -> int -> unit
 (** Publish the admission-queue depth as the [ekg_server_queue_depth]
     gauge. *)
-
-val handle_parse_error : state -> Http.error -> Http.response
-(** The envelope response for a request that never parsed; also
-    recorded in the metrics under ["(parse-error)"]. *)

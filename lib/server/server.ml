@@ -26,9 +26,10 @@ type t = {
   bound_port : int;
   stop_requested : bool Atomic.t;
   reading_done : bool Atomic.t;
-  queue : (Unix.file_descr * Http.request * float) Queue.t;
-      (* admitted requests, with the admission timestamp so the
-         dequeuing worker can report the queue wait; guarded by [qlock] *)
+  queue : (unit -> unit) Queue.t;
+      (* the workers' jobs: handle an admitted request and write its reply,
+         or finish a reply the reader could not write whole; guarded by
+         [qlock] *)
   qlock : Mutex.t;
   qcond : Condition.t;      (* workers wait here *)
   worker_busy : float array;
@@ -40,8 +41,9 @@ type t = {
   joined : bool Atomic.t;
 }
 
-(* a request not complete this long after its accept is closed unanswered;
-   a reply's writes time out after as long *)
+(* a request not complete this long after its accept is answered 408, or
+   closed unanswered when nothing of it arrived; a worker's write of a
+   reply times out after as long *)
 let io_timeout_s = 10.
 
 let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -55,18 +57,23 @@ let rec write_all fd s off len =
     write_all fd s (off + n) (len - n)
   end
 
-(* Write the whole response and close.  The socket goes back to blocking
-   mode first, so a response larger than the socket buffer is written
-   whole, and a client that stops reading costs at most [io_timeout_s]. *)
-let reply fd resp =
+(* Write a reply from byte [off] and close, in blocking mode, so a reply
+   larger than the socket buffer is written whole, and a client that
+   stops reading costs at most [io_timeout_s]. *)
+let finish fd payload off =
   (try
      Unix.clear_nonblock fd;
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout_s;
-     let payload = Http.response_to_string resp in
-     write_all fd payload 0 (String.length payload);
+     write_all fd payload off (String.length payload - off);
      Unix.shutdown fd Unix.SHUTDOWN_SEND
    with Unix.Unix_error _ -> ());
   close fd
+
+(* called with [qlock] held *)
+let push t job =
+  Queue.push job t.queue;
+  Router.set_queue_depth t.state (Queue.length t.queue);
+  Condition.signal t.qcond
 
 (* --- the workers ------------------------------------------------------------ *)
 
@@ -89,10 +96,9 @@ let worker_loop t ~slot () =
     Mutex.unlock t.qlock;
     match job with
     | None -> ()
-    | Some (fd, req, admitted_at) ->
+    | Some job ->
       let t0 = Unix.gettimeofday () in
-      let queue_wait_s = Float.max 0. (t0 -. admitted_at) in
-      reply fd (Router.handle ~queue_wait_s t.state req);
+      job ();
       t.worker_busy.(slot) <-
         t.worker_busy.(slot) +. Float.max 0. (Unix.gettimeofday () -. t0);
       next ()
@@ -104,29 +110,41 @@ let worker_loop t ~slot () =
    One domain reads every request before admitting it: [Unix.select]
    over the listener and each connection whose request is still
    arriving, with non-blocking reads into a per-connection buffer.  A
-   complete request is answered here when it is a probe (liveness and
-   scrapes must observe load, not join it) or when the queue sits at
-   [queue_high_water]; anything else is queued for the workers. *)
+   complete request is answered here when the router classes it a
+   probe (liveness and scrapes must observe load, not join it) or when
+   the queue sits at [queue_high_water]; anything else is queued for
+   the workers.  The reader never blocks on a write: it queues the rest
+   of a reply the socket does not take at once, whatever the depth. *)
 
 type arriving = { fd : Unix.file_descr; buf : Buffer.t; deadline : float }
 
-let is_probe (req : Http.request) =
-  match req.meth, req.path with
-  | Http.GET, ([ "v1"; ("health" | "metrics") ] | [ ("health" | "metrics") ]) -> true
-  | _ -> false
+let answer t fd resp =
+  let payload = Http.response_to_string resp in
+  (* the socket is non-blocking: [write] returns where its buffer filled;
+     after an error, the worker's write meets the error again and closes *)
+  let off =
+    try Unix.write_substring fd payload 0 (String.length payload)
+    with Unix.Unix_error _ -> 0
+  in
+  if off = String.length payload then finish fd payload off
+  else begin
+    Mutex.lock t.qlock;
+    push t (fun () -> finish fd payload off);
+    Mutex.unlock t.qlock
+  end
 
 let admit t fd req =
-  if is_probe req then reply fd (Router.handle t.state req)
+  if Router.classify req = Some Router.Probe then answer t fd (Router.handle t.state req)
   else begin
     Mutex.lock t.qlock;
     let shed = Queue.length t.queue >= t.config.queue_high_water in
-    if not shed then begin
-      Queue.push (fd, req, Unix.gettimeofday ()) t.queue;
-      Router.set_queue_depth t.state (Queue.length t.queue);
-      Condition.signal t.qcond
-    end;
+    let admitted_at = Unix.gettimeofday () in
+    if not shed then
+      push t (fun () ->
+          let queue_wait_s = Float.max 0. (Unix.gettimeofday () -. admitted_at) in
+          finish fd (Http.response_to_string (Router.handle ~queue_wait_s t.state req)) 0);
     Mutex.unlock t.qlock;
-    if shed then reply fd (Router.handle_overload t.state req)
+    if shed then answer t fd (Router.refuse t.state (Router.Shed req))
   end
 
 (* Read what has arrived on [c]; [true] while its request is incomplete. *)
@@ -151,7 +169,7 @@ let advance t chunk c =
       close c.fd;
       false
     | Error err ->
-      reply c.fd (Router.handle_parse_error t.state err);
+      answer t c.fd (Router.refuse t.state (Router.Unparsed err));
       false)
 
 (* [Unix.select] rejects descriptors at or past FD_SETSIZE (1024), which
@@ -210,7 +228,11 @@ let reader_loop t () =
       in
       let now = Unix.gettimeofday () in
       let expired, arriving = List.partition (fun c -> c.deadline <= now) arriving in
-      List.iter (fun c -> close c.fd) expired;
+      List.iter
+        (fun c ->
+          if Buffer.length c.buf = 0 then close c.fd
+          else answer t c.fd (Router.refuse t.state Router.Timed_out))
+        expired;
       loop ~listening arriving
     end
   in

@@ -3,15 +3,18 @@
     multiplexes the listener and every connection whose request is
     still arriving with [Unix.select], reads without blocking, and
     parses each request before admitting it.  A complete request is
-    then answered by the reader itself when it is a probe
-    ([GET /v1/health], [GET /v1/metrics], and their legacy aliases), so
-    liveness and scrapes never wait behind work, or when the admission
-    queue sits at [queue_high_water] or above ([503] + [Retry-After] +
-    the [overloaded] envelope, {!Router.handle_overload}).  Anything
-    else is queued; a worker touches the socket only to write its
-    response.  A request not complete 10 s after its accept is closed
-    unanswered, and at most [backlog] connections are read at once —
-    later ones wait in the kernel's listen backlog.  Each connection
+    then answered by the reader itself when the router classes it a
+    probe ({!Router.classify}: [GET /v1/health], [GET /v1/metrics] and
+    their legacy aliases), so liveness and scrapes never wait behind
+    work, or when the admission queue sits at [queue_high_water] or
+    above ({!Router.refuse}: [503] [overloaded]).  Anything else is
+    queued; a worker touches the socket only to write its response.
+    The reader's writes never block: the rest of a reply the socket
+    does not take at once is queued for a worker, whatever the queue's
+    depth.  A request not complete 10 s after its accept is answered
+    [408 request_timeout], or closed unanswered when nothing of it
+    arrived; at most [backlog] connections are read at once — later
+    ones wait in the kernel's listen backlog.  Each connection
     carries exactly one HTTP request.  [stop] performs a graceful
     drain: close the listener, finish reading the requests already
     arriving, answer every queued one, then join all domains. *)

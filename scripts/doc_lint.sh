@@ -4,8 +4,9 @@
 # characters — so `dune build @doc` renders a synopsis for every module
 # and new interfaces cannot land undocumented — that every metric name
 # the prose docs mention exists in the code, that every code reference
-# they make is defined, and that every command-line flag they name is
-# defined (all three below).  Run from anywhere; exits non-zero listing
+# they make is defined, that every command-line flag they name is
+# defined, and that the routes they name are the route table's (all
+# four below).  Run from anywhere; exits non-zero listing
 # offenders.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -120,6 +121,41 @@ if [ -n "$stale_flags" ]; then
   fail=1
 fi
 
+# Every route the docs name — a backticked `METHOD[ | METHOD] /v1/…` in
+# the prose docs, or a line of the route list in router.mli's module
+# doc — must be declared in router.ml's route table (a `*` in a
+# documented path matches any segment text), and every declared route
+# must be named, exactly, somewhere in README.md.
+declared="$(sed -nE 's/^ *route (GET|POST|PUT|DELETE) "(\/v1\/[^"]*)".*/\1 \2/p' lib/server/router.ml)"
+readme_routes=""
+while IFS=: read -r doc line ref; do
+  ref="$(sed -E 's/`//g; s/^ +//; s/ *\| */|/g; s/ +/ /g' <<<"$ref")"
+  path="${ref#* }" methods="${ref%% *}"
+  path="${path%%\?*}"
+  for m in ${methods//|/ }; do
+    [ "$doc" = README.md ] && readme_routes+="$m $path"$'\n'
+    found=0
+    while read -r d; do
+      # shellcheck disable=SC2053 # the documented route is a glob
+      if [[ "$d" == $m\ $path ]]; then found=1; break; fi
+    done <<<"$declared"
+    if [ "$found" -eq 0 ]; then
+      echo "doc-lint: $doc:$line: \`$m $path\` — router.ml's route table declares no such route" >&2
+      fail=1
+    fi
+  done
+done < <(
+  grep -noE '`(GET|POST|PUT|DELETE)( ?\| ?(GET|POST|PUT|DELETE))* /v1/[^` ]*`' $docs /dev/null
+  awk '{print FILENAME ":" FNR ":" $0} /\*\)/ {exit}' lib/server/router.mli |
+    grep -oE '^[^:]+:[0-9]+: *(GET|POST|PUT|DELETE)(\|(GET|POST|PUT|DELETE))* +/v1/[^ ]+'
+)
+while read -r d; do
+  if ! grep -qxF "$d" <<<"$readme_routes"; then
+    echo "doc-lint: \`$d\` is declared in router.ml's route table but README.md never names it" >&2
+    fail=1
+  fi
+done <<<"$declared"
+
 refs=0
 for v in "${verdict[@]}"; do
   [ "$v" = skip ] || refs=$((refs + 1))
@@ -129,4 +165,4 @@ if [ "$fail" -ne 0 ]; then
   echo "doc-lint: failed" >&2
   exit 1
 fi
-echo "doc-lint: ok (${#interfaces[@]} interfaces documented, doc metric names defined, $refs code references defined, $(wc -l <<<"$flags" | tr -d ' ') flag names defined)"
+echo "doc-lint: ok (${#interfaces[@]} interfaces documented, doc metric names defined, $refs code references defined, $(wc -l <<<"$flags" | tr -d ' ') flag names defined, $(wc -l <<<"$declared" | tr -d ' ') routes documented)"

@@ -3379,6 +3379,298 @@ let test_server_unselectable_descriptor () =
     let status, _, _ = http_call ~port ~meth:"GET" ~path:"/v1/health" ~body:"" () in
     check int' "the reader still serves" 200 status
 
+(* --- the route table and the one reply path ------------------------------ *)
+
+(* the labels [ekg_endpoint_requests_total] records for one request per
+   declared route, an unmatched path, a wrong verb, a legacy path and a
+   shed, written out: dashboards and alerts key on them *)
+let pinned_labels =
+  [
+    "(legacy-redirect)"; "(shed)"; "(unmatched)"; "DELETE (known path)";
+    "DELETE /v1/sessions/:id"; "DELETE /v1/sessions/:id/facts";
+    "GET /v1/debug/inflight"; "GET /v1/debug/runtime"; "GET /v1/debug/sessions";
+    "GET /v1/debug/slowlog"; "GET /v1/health"; "GET /v1/metrics"; "GET /v1/sessions";
+    "GET /v1/sessions/:id/explain"; "GET /v1/sessions/:id/fingerprint";
+    "GET /v1/sessions/:id/query"; "GET /v1/sessions/:id/templates";
+    "GET /v1/sessions/:id/trace"; "POST /v1/sessions"; "POST /v1/sessions/:id/explain";
+    "POST /v1/sessions/:id/explain:batch"; "POST /v1/sessions/:id/facts";
+    "POST /v1/sessions/:id/query";
+  ]
+
+let test_router_labels_pinned () =
+  let st = Router.make_state () in
+  let send ?body ?query meth path = ignore (Router.handle st (request ?body ?query meth path)) in
+  let s1 = [ "v1"; "sessions"; "s1" ] in
+  let query = [ "query", {|control("A", "C")|} ] in
+  let body = {|{"query":"control(\"A\", \"C\")"}|} in
+  let facts = {|{"facts":["own(\"C\", \"D\", 0.9)"]}|} in
+  send ~body:(Json.to_string (Json.Obj [ "program", Json.str inline_program ])) Http.POST
+    [ "v1"; "sessions" ];
+  send Http.GET [ "v1"; "health" ];
+  send Http.GET [ "v1"; "metrics" ];
+  send Http.GET [ "v1"; "sessions" ];
+  send ~query Http.GET (s1 @ [ "explain" ]);
+  send ~body Http.POST (s1 @ [ "explain" ]);
+  send ~body:{|{"queries":["control(\"A\", \"C\")"]}|} Http.POST (s1 @ [ "explain:batch" ]);
+  send ~query Http.GET (s1 @ [ "query" ]);
+  send ~body Http.POST (s1 @ [ "query" ]);
+  send ~body:facts Http.POST (s1 @ [ "facts" ]);
+  send ~body:facts Http.DELETE (s1 @ [ "facts" ]);
+  List.iter (fun leaf -> send Http.GET (s1 @ [ leaf ])) [ "fingerprint"; "templates"; "trace" ];
+  List.iter
+    (fun leaf -> send Http.GET [ "v1"; "debug"; leaf ])
+    [ "runtime"; "sessions"; "inflight"; "slowlog" ];
+  send Http.DELETE s1;
+  send Http.GET [ "v1"; "nope" ];
+  send Http.DELETE [ "v1"; "health" ];
+  send Http.GET [ "health" ];
+  (* the shed: a server on the same state that sheds every non-probe *)
+  let config = { Server.default_config with port = 0; domains = 1; queue_high_water = 0 } in
+  let server = Server.start ~config st in
+  (Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+   let status, _, _ =
+     http_call ~port:(Server.port server) ~meth:"POST" ~path:"/v1/sessions" ~body:"{}" ()
+   in
+   check int' "shed" 503 status);
+  let labels =
+    match Json.member "endpoints" (json_of (Router.handle st (request Http.GET [ "v1"; "metrics" ]))) with
+    | Some (Json.Obj endpoints) -> List.sort String.compare (List.map fst endpoints)
+    | _ -> Alcotest.fail "no endpoints in the metrics document"
+  in
+  check Alcotest.(list string) "the label set" (List.sort String.compare pinned_labels) labels
+
+let test_router_405_allow () =
+  let st = Router.make_state () in
+  let allow meth path =
+    let r = Router.handle st (request meth path) in
+    let target = String.concat "/" path in
+    check int' (target ^ " is 405") 405 r.Http.status;
+    check bool' (target ^ " method_not_allowed") true
+      (envelope_code r = Some "method_not_allowed");
+    resp_header r "Allow"
+  in
+  let allows expected meth path =
+    check Alcotest.(option string) ("Allow on /" ^ String.concat "/" path) (Some expected)
+      (allow meth path)
+  in
+  allows "DELETE" Http.GET [ "v1"; "sessions"; "s1" ];
+  allows "GET" Http.DELETE [ "v1"; "health" ];
+  allows "GET, POST" Http.PUT [ "v1"; "sessions" ];
+  allows "GET, POST" Http.DELETE [ "v1"; "sessions"; "s1"; "explain" ];
+  allows "POST, DELETE" Http.GET [ "v1"; "sessions"; "s1"; "facts" ];
+  allows "POST" Http.GET [ "v1"; "sessions"; "s1"; "explain:batch" ];
+  allows "GET" Http.POST [ "v1"; "debug"; "runtime" ]
+
+let test_router_delay_scope () =
+  let st = Router.make_state ~fault:(Fault.Delay 0.3) () in
+  let took path =
+    let t0 = Unix.gettimeofday () in
+    let r = Router.handle st (request Http.GET path) in
+    check int' (String.concat "/" path ^ " answers") 200 r.Http.status;
+    Unix.gettimeofday () -. t0
+  in
+  List.iter
+    (fun path ->
+      let s = took path in
+      if s >= 0.1 then Alcotest.failf "/%s took %.3f s under the delay fault" (String.concat "/" path) s)
+    [ [ "v1"; "health" ]; [ "v1"; "debug"; "runtime" ] ];
+  let s = took [ "v1"; "sessions" ] in
+  if s < 0.3 then Alcotest.failf "GET /v1/sessions took %.3f s, under the 0.3 s delay" s
+
+(* a wide-event sink safe to call from the server's reader and workers *)
+let capture_events () =
+  let lines = ref [] and lock = Mutex.create () in
+  let log =
+    Ekg_obs.Log.create ~level:Ekg_obs.Log.Debug
+      ~sink:(fun l -> Mutex.protect lock (fun () -> lines := l :: !lines))
+      ()
+  in
+  ( log,
+    fun () ->
+      Mutex.protect lock (fun () -> List.rev !lines)
+      |> List.map (fun l ->
+             match Json.parse l with
+             | Ok j -> j
+             | Error e -> Alcotest.failf "wide event is not JSON (%s): %s" e l) )
+
+(* status, lowercased headers and body of a raw reply *)
+let parse_reply raw =
+  match Ekg_kernel.Textutil.split_on_string ~sep:"\r\n\r\n" raw with
+  | head :: rest ->
+    let headers =
+      List.filter_map
+        (fun line ->
+          match String.index_opt line ':' with
+          | Some i ->
+            Some
+              ( String.lowercase_ascii (String.sub line 0 i),
+                String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+          | None -> None)
+        (Ekg_kernel.Textutil.split_on_string ~sep:"\r\n" head)
+    in
+    int_of_string (String.sub raw 9 3), headers, String.concat "\r\n\r\n" rest
+  | [] -> Alcotest.failf "no reply in %S" raw
+
+let endpoint_count st label =
+  Option.value ~default:0.
+    (Ekg_obs.Metrics.value (Router.obs st) ~labels:[ "endpoint", label ]
+       "ekg_endpoint_requests_total")
+
+(* [reply]'s one wide event: its trace id is the reply's header, its
+   endpoint the label the reply was counted under, its error code the
+   envelope's *)
+let check_accounted events ~label (status, headers, body) =
+  let trace = List.assoc_opt "x-ekg-trace-id" headers in
+  check bool' (label ^ ": X-Ekg-Trace-Id") true (trace <> None);
+  match List.filter (fun j -> Json.mem_str "trace_id" j = trace) events with
+  | [ j ] ->
+    check Alcotest.(option string) (label ^ ": endpoint") (Some label) (Json.mem_str "endpoint" j);
+    check Alcotest.(option int) (label ^ ": status") (Some status) (Json.mem_int "status" j);
+    check Alcotest.(option string) (label ^ ": error_code")
+      (Some (if status >= 400 then Option.value ~default:"?" (wire_envelope_code body) else ""))
+      (Json.mem_str "error_code" j)
+  | l -> Alcotest.failf "%s: %d wide events carry the reply's trace id" label (List.length l)
+
+let test_server_every_reply_accounted () =
+  let log, events = capture_events () in
+  let st = Router.make_state ~log () in
+  let serve queue_high_water =
+    Server.start ~config:{ Server.default_config with port = 0; domains = 1; queue_high_water } st
+  in
+  let admitting = serve 64 and shedding = serve 0 in
+  Fun.protect ~finally:(fun () -> Server.stop admitting; Server.stop shedding) @@ fun () ->
+  let counted label call =
+    let before = endpoint_count st label in
+    let reply = call () in
+    check (Alcotest.float 0.) (label ^ " counted once") (before +. 1.) (endpoint_count st label);
+    label, reply
+  in
+  let call ?(server = admitting) meth path () =
+    http_call ~port:(Server.port server) ~meth ~path ~body:"" ()
+  in
+  let unframed () =
+    let fd = connect (Server.port admitting) in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    send fd "NOT A REQUEST\r\n\r\n";
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    match read_reply fd with
+    | Some raw -> parse_reply raw
+    | None -> Alcotest.fail "no reply to an unframed request"
+  in
+  let replies =
+    List.map
+      (fun (label, call) -> counted label call)
+      [
+        "GET /v1/health", call "GET" "/v1/health";
+        "GET /v1/sessions", call "GET" "/v1/sessions";
+        "(unmatched)", call "GET" "/v1/nope";
+        "DELETE (known path)", call "DELETE" "/v1/health";
+        "(legacy-redirect)", call "GET" "/health";
+        "(shed)", call ~server:shedding "POST" "/v1/sessions";
+        "(parse-error)", unframed;
+      ]
+  in
+  check Alcotest.(list int) "statuses" [ 200; 200; 404; 405; 301; 503; 400 ]
+    (List.map (fun (_, (status, _, _)) -> status) replies);
+  let events = events () in
+  check int' "one wide event per reply" (List.length replies) (List.length events);
+  List.iter (fun (label, reply) -> check_accounted events ~label reply) replies;
+  match List.find_opt (fun j -> Json.mem_str "endpoint" j = Some "(parse-error)") events with
+  | Some unparsed ->
+    check Alcotest.(option string) "a framing error has no method" (Some "")
+      (Json.mem_str "method" unparsed);
+    check Alcotest.(option string) "nor a target" (Some "") (Json.mem_str "target" unparsed)
+  | None -> Alcotest.fail "no wide event for the framing error"
+
+let test_server_inline_reply_never_stalls () =
+  (* a scraper that stops reading gets a reset when it closes, not the test *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let st = Router.make_state () in
+  (* about 9 MB of exposition: past a loopback socket's send buffer,
+     which autotunes to a few MB, and the scraper's small receive buffer *)
+  let filler = Ekg_obs.Metrics.counter ~help:"exposition filler" "ekg_test_filler_total" in
+  let pad = String.make 200 'x' in
+  for i = 1 to 40_000 do
+    Ekg_obs.Metrics.incr (Router.obs st) ~labels:[ "k", Printf.sprintf "%s%06d" pad i ] filler
+  done;
+  let server = Server.start ~config:{ Server.default_config with port = 0; domains = 1 } st in
+  let port = Server.port server in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let scraper = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close scraper) @@ fun () ->
+  Unix.setsockopt_int scraper Unix.SO_RCVBUF 4096;
+  Unix.connect scraper (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  send scraper "GET /v1/metrics?format=prometheus HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  (* the reader renders the exposition and writes what the socket takes *)
+  Unix.sleepf 0.5;
+  let t0 = Unix.gettimeofday () in
+  let status, _, _ = http_call ~port ~meth:"GET" ~path:"/v1/health" ~body:"" () in
+  let took = Unix.gettimeofday () -. t0 in
+  check int' "health answers" 200 status;
+  if took > 1. then Alcotest.failf "health took %.2f s behind a scraper that stops reading" took
+
+let test_server_read_deadline_408 () =
+  (* the one test that waits out the 10 s read deadline *)
+  let log, events = capture_events () in
+  let st = Router.make_state ~log () in
+  let server = Server.start ~config:{ Server.default_config with port = 0; domains = 1 } st in
+  let port = Server.port server in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let partial = connect port and silent = connect port in
+  Fun.protect ~finally:(fun () -> Unix.close partial; Unix.close silent) @@ fun () ->
+  send partial "POST /v1/sessions HTTP/1.1\r\nHost: localhost\r\n";
+  let reply =
+    match read_reply ~timeout:15. partial with
+    | Some raw when raw <> "" -> parse_reply raw
+    | _ -> Alcotest.fail "no answer to a request cut short"
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  if took < 9. || took > 13. then Alcotest.failf "answered after %.2f s, not at the 10 s deadline" took;
+  let status, _, body = reply in
+  check int' "408" 408 status;
+  check Alcotest.(option string) "request_timeout" (Some "request_timeout") (wire_envelope_code body);
+  check Alcotest.(option string) "silent connection closed unanswered" (Some "")
+    (read_reply ~timeout:5. silent);
+  check (Alcotest.float 0.) "counted under its own label" 1. (endpoint_count st "(request-timeout)");
+  check_accounted (events ()) ~label:"(request-timeout)" reply;
+  check int' "the silent connection emits nothing" 1 (List.length (events ()))
+
+let test_query_update_clears_every_answer () =
+  (* [g] does not depend on [e] or [path], yet a committed update of [e]
+     clears its cached answer too: one invalidation, no predicate filter *)
+  let program =
+    {|
+e(X, Y) -> path(X, Y).
+path(X, Z), e(Z, Y) -> path(X, Y).
+f(X) -> g(X).
+@goal(path).
+e("a", "b"). e("b", "c").
+f("x").
+|}
+  in
+  let st = Router.make_state () in
+  check int' "created" 201
+    (Router.handle st
+       (request ~body:(Json.to_string (Json.Obj [ "program", Json.str program ])) Http.POST
+          [ "v1"; "sessions" ]))
+      .Http.status;
+  let ask () = json_of (query_get st "s1" [ "query", {|g(X)|} ]) in
+  ignore (ask ());
+  check Alcotest.(option bool) "cached before the update" (Some true) (Json.mem_bool "cached" (ask ()));
+  let added =
+    Router.handle st
+      (request ~body:{|{"facts":["e(\"c\", \"d\")"]}|} Http.POST [ "v1"; "sessions"; "s1"; "facts" ])
+  in
+  check int' "edge added" 200 added.Http.status;
+  check bool' "g is not among the changed predicates" false
+    (contains added.Http.resp_body {|"g"|});
+  let after = ask () in
+  check Alcotest.(option bool) "recomputed after the update" (Some false) (Json.mem_bool "cached" after);
+  check Alcotest.(option int) "same answer" (Some 1) (Json.mem_int "total" after);
+  check Alcotest.(option (float 0.)) "the cleared answer is counted" (Some 1.)
+    (Ekg_obs.Metrics.value (Router.obs st) "ekg_query_cache_invalidations_total")
+
 (* --------------------------------------------------------------------------- *)
 
 let () =
@@ -3433,6 +3725,9 @@ let () =
           Alcotest.test_case "degraded explain" `Quick test_router_degraded_explain;
           Alcotest.test_case "batch explain" `Quick test_router_batch_explain;
           Alcotest.test_case "chase domains only 1" `Quick test_chase_domains_shim;
+          Alcotest.test_case "one label per route" `Quick test_router_labels_pinned;
+          Alcotest.test_case "405 lists Allow" `Quick test_router_405_allow;
+          Alcotest.test_case "delay scope" `Quick test_router_delay_scope;
         ] );
       ( "facts-updates",
         [
@@ -3465,6 +3760,8 @@ let () =
           Alcotest.test_case "pagination" `Quick test_query_pagination;
           Alcotest.test_case "invalid atoms" `Quick test_query_invalid_atoms;
           Alcotest.test_case "cache semantics" `Quick test_query_cache_semantics;
+          Alcotest.test_case "an update clears every answer" `Quick
+            test_query_update_clears_every_answer;
           Alcotest.test_case "dormant stays dormant" `Quick
             test_query_dormant_stays_dormant;
           Alcotest.test_case "explain modes" `Quick test_query_explain_modes;
@@ -3541,5 +3838,11 @@ let () =
           Alcotest.test_case "refused accept" `Quick test_server_refuse_accept;
           Alcotest.test_case "descriptor past select's limit" `Quick
             test_server_unselectable_descriptor;
+          Alcotest.test_case "every reply accounted once" `Quick
+            test_server_every_reply_accounted;
+          Alcotest.test_case "inline replies never stall" `Quick
+            test_server_inline_reply_never_stalls;
+          Alcotest.test_case "408 at the read deadline" `Quick
+            test_server_read_deadline_408;
         ] );
     ]
