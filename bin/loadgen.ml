@@ -263,15 +263,7 @@ let parse_url url =
 
 let start_embedded ~data ~domains ~queue_high_water =
   let state = Router.make_state ~root:data () in
-  let config =
-    {
-      Server.default_config with
-      host = "127.0.0.1";
-      port = 0;
-      domains;
-      queue_high_water;
-    }
-  in
+  let config = { Server.host = "127.0.0.1"; port = 0; domains; queue_high_water } in
   let server = Server.start ~config state in
   {
     sh_host = "127.0.0.1";

@@ -88,9 +88,7 @@ let run host port domains chase_domains root preload fault queue_high_water
     Fmt.epr "error: %s@." e;
     1
   | [] ->
-    let config =
-      { Server.default_config with host; port; domains; queue_high_water }
-    in
+    let config = { Server.host; port; domains; queue_high_water } in
     (match Server.start ~config state with
     | exception Unix.Unix_error (err, _, _) ->
       Fmt.epr "error: cannot bind %s:%d: %s@." host port (Unix.error_message err);

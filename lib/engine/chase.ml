@@ -1148,9 +1148,17 @@ let ground_tuple (a : Atom.t) =
             (function Term.Cst c -> c | Term.Var _ -> assert false)
             a.Atom.args))
 
+let unknown_fact (program : Program.t) (a : Atom.t) =
+  Unknown_fact
+    ("fact not in the extensional database: " ^ Atom.to_string a
+    ^
+    if Program.is_intensional program a.Atom.pred then
+      "; the rules derive " ^ a.Atom.pred ^ ", and only extensional facts can be retracted"
+    else "")
+
 (* Resolve retraction requests to fact ids, before any mutation: every
    named fact must be active extensional data. *)
-let resolve_retractions (res : result) atoms =
+let resolve_retractions program (res : result) atoms =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (a : Atom.t) :: rest -> (
@@ -1158,15 +1166,10 @@ let resolve_retractions (res : result) atoms =
       | Error _ as e -> e
       | Ok tuple -> (
         match Database.find_exact res.db a.Atom.pred tuple with
-        | Some f when Database.is_active res.db f.Fact.id ->
-          if Provenance.is_edb res.prov f.Fact.id then go (f.Fact.id :: acc) rest
-          else
-            Error
-              (Invalid_edb
-                 ("cannot retract derived fact " ^ Atom.to_string a
-                ^ "; only extensional facts may be retracted"))
-        | Some _ | None ->
-          Error (Unknown_fact ("fact not in the extensional database: " ^ Atom.to_string a))))
+        | Some f
+          when Database.is_active res.db f.Fact.id && Provenance.is_edb res.prov f.Fact.id ->
+          go (f.Fact.id :: acc) rest
+        | Some _ | None -> Error (unknown_fact program a)))
   in
   go [] atoms
 
@@ -1460,7 +1463,7 @@ let apply_update ?max_rounds ?budget program res ~adds ~retracts =
   match tuples [] adds with
   | Error e -> Error e
   | Ok add_tuples -> (
-    match resolve_retractions res retracts with
+    match resolve_retractions program res retracts with
     | Error e -> Error e
     | Ok retract_ids -> (
       if not (incrementable program) then

@@ -160,9 +160,7 @@ type error =
   | Unstratifiable of string
       (** Recursion through negation. *)
   | Invalid_edb of string
-      (** Non-ground or otherwise ill-formed extensional facts; also a
-          {!retract_facts} request naming a {e derived} fact, which only
-          the rules — not a client — may remove. *)
+      (** Non-ground or otherwise ill-formed extensional facts. *)
   | Divergent of divergence
       (** [max_rounds] exceeded; carries per-stratum round counts so
           the diagnostic can name the stratum that failed to
@@ -170,8 +168,8 @@ type error =
   | Inconsistent of string
       (** A negative constraint φ → ⊥ fired; carries the diagnostic. *)
   | Unknown_fact of string
-      (** A {!retract_facts} request named a fact that is not in the
-          active extensional database. *)
+      (** A {!retract_facts} request named a fact that is not active
+          extensional data: absent, or derived ({!unknown_fact}). *)
   | Budget_exceeded of exhausted * partial
       (** The {!budget} tripped; names the exhausted resource and
           preserves partial progress. *)
@@ -421,6 +419,12 @@ val affected_preds : Program.t -> string list -> string list
     dependency graph: every predicate whose content could change when
     facts of a seed predicate change.  Sorted; includes the seeds. *)
 
+val unknown_fact : Program.t -> Atom.t -> error
+(** The {!Unknown_fact} error of a retraction naming an atom that is
+    not active extensional data.  Its message depends on the atom and
+    the program only: when a rule derives the atom's predicate, it
+    says that only extensional facts can be retracted. *)
+
 val edb_atoms : result -> Atom.t list
 (** The active extensional facts as ground atoms, in insertion order —
     the fact base a cold re-chase of this result would start from. *)
@@ -463,8 +467,9 @@ val retract_facts :
 (** [retract_facts program res facts] removes the ground extensional
     [facts] and every consequence that no longer has a derivation.
     Fails with {!Unknown_fact} when a named fact is not active
-    extensional data, and with {!Invalid_edb} when it is a derived
-    fact; validation completes before any mutation, so a request
+    extensional data, derived facts included (see {!unknown_fact}),
+    and with {!Invalid_edb} when it is not ground; validation completes
+    before any mutation, so a request
     failing validation leaves [res] untouched.  A retraction can still
     fail {e after} mutation: under stratified negation a deletion may
     enable a later-stratum negative constraint, surfacing as

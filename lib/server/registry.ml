@@ -3,21 +3,20 @@ open Ekg_datalog
 open Ekg_engine
 open Ekg_apps
 
-(* one concrete query's cached answers; a committed update clears them
-   all.  [ca_result] never holds its scoped instance ([q_scoped =
-   None]): that instance's database copies the whole EDB *)
+(* one concrete query's cached answers on one version of a session.
+   [ca_result] never holds its scoped instance ([q_scoped = None]):
+   that instance's database copies the whole EDB *)
 type cached_answers = {
   ca_result : Pipeline.query_result;
   mutable ca_used : float;
 }
 
 (* one query {e shape} (predicate + bound/free mask): the magic-sets
-   specialization — pure in the immutable program, so it survives fact
-   updates — plus an LRU of recently answered concrete queries *)
+   specialization, pure in the immutable program, so every version of
+   the session shares it *)
 type query_entry = {
   qe_spec : Pipeline.specialization;
   mutable qe_used : float;
-  qe_answers : (string, cached_answers) Hashtbl.t;
 }
 
 type spec = Ekg_store.Codec.spec =
@@ -25,24 +24,45 @@ type spec = Ekg_store.Codec.spec =
   | Files of { program : string; glossary : string option; facts_dir : string option }
   | Inline of { program : string; glossary : string option }
 
+(* A session value is one immutable version: the session's identity and
+   this version's EDB, materialization, update generation and cached
+   answers.  What every version shares sits in [shared]. *)
 type session = {
   id : string;
   name : string;
   spec : spec;
   pipeline : Pipeline.t;
   program_hash : string;
-  mutable edb : Atom.t list;
   created_at : float;
-  lock : Mutex.t;
-  mutable chase : Chase.result option;
-  query_cache : (string, query_entry) Hashtbl.t;  (* keyed pred ^ "/" ^ mask *)
-  mutable update_gen : int;
-  mutable explain_count : int;
-  mutable query_count : int;
-  mutable last_trace : Ekg_obs.Trace.span option;
-  mutable last_used : float;
-  mutable deleted : bool;
+  edb : Atom.t list;
+  chase : Chase.result option;
+  update_gen : int;
+  answers : (string, (string, cached_answers) Hashtbl.t) Hashtbl.t;
+      (* shape key -> canonical atom text -> answers *)
+  shared : shared;
 }
+
+and shared = {
+  current : session Atomic.t Lazy.t;
+      (* the version every operation acts on; lazy only so that the
+         first version and this record can point at each other, and
+         forced before the session is registered *)
+  writer : Mutex.t;
+      (* held by the operations that publish a version: a
+         materialization that misses, a fact update, an eviction *)
+  shapes_lock : Mutex.t;
+      (* guards [shapes] and every version's [answers]; never held
+         across a chase *)
+  shapes : (string, query_entry) Hashtbl.t;  (* keyed pred ^ "/" ^ mask *)
+  explain_count : int Atomic.t;
+  query_count : int Atomic.t;
+  last_trace : Ekg_obs.Trace.span option Atomic.t;
+  last_used : float Atomic.t;
+  deleted : bool Atomic.t;
+}
+
+let latest (sh : shared) = Atomic.get (Lazy.force sh.current)
+let publish (version : session) = Atomic.set (Lazy.force version.shared.current) version
 
 type persist = {
   store : Ekg_store.Store.t;
@@ -60,7 +80,7 @@ type t = {
          one process-wide mutex every request crosses, so its
          contention profile is the first thing to look at when
          latency climbs with concurrency *)
-  mutable sessions : session list;  (* newest first *)
+  mutable sessions : (string * shared) list;  (* by id, newest first *)
   mutable next_id : int;
 }
 
@@ -139,8 +159,6 @@ let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?
     next_id = 1;
   }
 
-let store t = Option.map (fun p -> p.store) t.persist
-
 let stop_persistence t =
   Option.iter (fun p -> Ekg_store.Snapshotter.stop p.snapshotter) t.persist
 
@@ -149,18 +167,16 @@ let with_lock lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 (* The registry-wide lock goes through the instrumented wrapper; the
-   per-session mutexes stay plain — they are unbounded in number, and
-   per-label histogram series must not be. *)
+   sessions' writer and shape locks stay plain — they are unbounded in
+   number, and per-label histogram series must not be. *)
 let with_reg_lock t f = Ekg_obs.Lock.with_lock t.lock f
 
 (* --- persistence ------------------------------------------------------------ *)
 
-(* Build the snapshot value with [session.lock] held.  Cheap: the EDB
-   mirror and a published chase result are both immutable under the
-   copy-on-write update discipline, so this grabs pointers — the
-   encode runs later, off the lock, wherever the caller (snapshotter
+(* A version is immutable, so its snapshot value is a handful of
+   pointers; the encode runs later, wherever the caller (snapshotter
    domain, eviction) wants it. *)
-let snapshot_of_locked (session : session) =
+let snapshot_of (session : session) =
   {
     Ekg_store.Codec.id = session.id;
     name = session.name;
@@ -173,12 +189,8 @@ let snapshot_of_locked (session : session) =
   }
 
 let capture (session : session) () =
-  with_lock session.lock (fun () ->
-      if session.deleted then None else Some (snapshot_of_locked session))
+  if Atomic.get session.shared.deleted then None else Some (snapshot_of (latest session.shared))
 
-(* Must be called with no session lock held: in [Sync] mode the
-   snapshotter runs the capture inline, and the session mutex is not
-   reentrant. *)
 let schedule_snapshot t (session : session) =
   match t.persist with
   | None -> ()
@@ -246,24 +258,18 @@ let load t = function
       Apps_util.with_facts_dir loaded dir)
 
 let make_session ~id ~name ~spec ~pipeline ~edb ~created_at ~update_gen =
-  {
-    id;
-    name;
-    spec;
-    pipeline;
-    program_hash = Pipeline.identity pipeline;
-    edb;
-    created_at;
-    lock = Mutex.create ();
-    chase = None;
-    query_cache = Hashtbl.create 8;
-    update_gen;
-    explain_count = 0;
-    query_count = 0;
-    last_trace = None;
-    last_used = Unix.gettimeofday ();
-    deleted = false;
-  }
+  let program_hash = Pipeline.identity pipeline in
+  let rec first =
+    { id; name; spec; pipeline; program_hash; created_at; edb; chase = None; update_gen;
+      answers = Hashtbl.create 8; shared }
+  and shared =
+    { current = lazy (Atomic.make first); writer = Mutex.create (); shapes_lock = Mutex.create ();
+      shapes = Hashtbl.create 8; explain_count = Atomic.make 0; query_count = Atomic.make 0;
+      last_trace = Atomic.make None; last_used = Atomic.make (Unix.gettimeofday ());
+      deleted = Atomic.make false }
+  in
+  ignore (Lazy.force shared.current);
+  first
 
 let add t ?name spec =
   match load t spec with
@@ -280,7 +286,7 @@ let add t ?name spec =
               ~created_at:(Unix.gettimeofday ())
               ~update_gen:0
           in
-          t.sessions <- session :: t.sessions;
+          t.sessions <- (id, session.shared) :: t.sessions;
           session)
     in
     (* persist the session's existence right away, so a crash before
@@ -289,10 +295,9 @@ let add t ?name spec =
     Ok session
 
 let find t id =
-  with_reg_lock t (fun () ->
-      List.find_opt (fun s -> s.id = id) t.sessions)
+  with_reg_lock t (fun () -> Option.map latest (List.assoc_opt id t.sessions))
 
-let list t = with_reg_lock t (fun () -> List.rev t.sessions)
+let list t = with_reg_lock t (fun () -> List.rev_map (fun (_, sh) -> latest sh) t.sessions)
 let count t = with_reg_lock t (fun () -> List.length t.sessions)
 
 (* Slow-chase fault: sleep the configured wall-clock before the real
@@ -336,56 +341,60 @@ let try_warm_restore t (session : session) =
         None
       end)
 
-(* Demote the least-recently-used hot sessions until at most
-   [max_hot] remain materialized.  A victim's materialization is
-   synchronously persisted before its pointer is dropped, so the demotion
-   is lossless; the pending write-behind entry is discarded first so a
-   post-eviction capture cannot overwrite that snapshot with a
-   meta-only one. *)
+(* Demote a hot session to its snapshot: the materialization is
+   synchronously persisted before a dormant version is published, so
+   the demotion is lossless, and the victim's readers keep the hot
+   version meanwhile.  The pending write-behind entry is discarded
+   first so a post-eviction capture cannot overwrite that snapshot with
+   a meta-only one. *)
 let evict t p (victim : session) =
+  let sh = victim.shared in
   Ekg_store.Snapshotter.discard p.snapshotter ~sid:victim.id;
-  with_lock victim.lock (fun () ->
-      match victim.chase with
+  with_lock sh.writer (fun () ->
+      let v = latest sh in
+      match v.chase with
       | None -> ()
-      | Some _ when victim.deleted -> victim.chase <- None
       | Some _ ->
-        (match Ekg_store.Store.save p.store (snapshot_of_locked victim) with
-        | Ok _ -> ()
-        | Error e ->
-          Logs.warn (fun m ->
-              m
-                "ekg-store: eviction snapshot of %s failed (%s); session will \
-                 re-chase on next use"
-                victim.id e));
-        victim.chase <- None;
-        Ekg_obs.Metrics.incr t.obs evictions_metric)
+        if not (Atomic.get sh.deleted) then begin
+          (match Ekg_store.Store.save p.store (snapshot_of v) with
+          | Ok _ -> ()
+          | Error e ->
+            Logs.warn (fun m ->
+                m
+                  "ekg-store: eviction snapshot of %s failed (%s); session will \
+                   re-chase on next use"
+                  v.id e));
+          (* [remove] takes no writer lock: if it flagged the session
+             during the save, its delete may have run first *)
+          if Atomic.get sh.deleted then Ekg_store.Store.delete p.store v.id;
+          Ekg_obs.Metrics.incr t.obs evictions_metric
+        end;
+        publish { v with chase = None })
 
-let hot_count t =
-  with_reg_lock t (fun () ->
-      List.length
-        (List.filter
-           (fun s -> (not s.deleted) && Option.is_some s.chase)
-           t.sessions))
+let hot_locked t =
+  List.filter_map
+    (fun (_, sh) ->
+      let v = latest sh in
+      if (not (Atomic.get sh.deleted)) && Option.is_some v.chase then Some v else None)
+    t.sessions
 
+let hot_count t = with_reg_lock t (fun () -> List.length (hot_locked t))
+
+(* Demote the least-recently-used hot sessions until at most [max_hot]
+   remain materialized.  A stale candidate only mis-ranks: [evict]
+   re-reads the victim's current version under its writer lock. *)
 let maybe_evict t ~keep =
   match t.persist with
   | None -> ()
   | Some p when p.max_hot <= 0 -> ()
   | Some p ->
     let rec go () =
-      let hot =
-        with_reg_lock t (fun () ->
-            (* [chase]/[last_used] are read without the session lock: a
-               stale read only mis-ranks a candidate, and [evict]
-               re-checks under the victim's lock *)
-            List.filter
-              (fun s -> (not s.deleted) && Option.is_some s.chase)
-              t.sessions)
-      in
+      let hot = with_reg_lock t (fun () -> hot_locked t) in
       if List.length hot > p.max_hot then
         match
           List.filter (fun (s : session) -> s.id <> keep) hot
-          |> List.sort (fun a b -> Float.compare a.last_used b.last_used)
+          |> List.sort (fun (a : session) b ->
+                 Float.compare (Atomic.get a.shared.last_used) (Atomic.get b.shared.last_used))
         with
         | [] -> ()
         | victim :: _ ->
@@ -394,31 +403,42 @@ let maybe_evict t ~keep =
     in
     go ()
 
+(* A hit reads the current version and takes no lock.  A miss takes the
+   writer lock, so concurrent misses chase once, and publishes the
+   materialized version; readers keep the dormant one meanwhile. *)
 let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
     (session : session) =
+  let sh = session.shared in
+  Atomic.set sh.last_used (Unix.gettimeofday ());
+  let hit result =
+    Ekg_obs.Metrics.incr t.obs session_cache_hits_metric;
+    Ok (result, `Hot)
+  in
   let outcome =
-    with_lock session.lock (fun () ->
-        session.last_used <- Unix.gettimeofday ();
-        match session.chase with
-        | Some result ->
-          Ekg_obs.Metrics.incr t.obs session_cache_hits_metric;
-          Ok (result, `Hot)
-        | None -> (
-          Ekg_obs.Metrics.incr t.obs session_cache_misses_metric;
-          match try_warm_restore t session with
-          | Some result ->
-            session.chase <- Some result;
-            Ok (result, `Restored)
-          | None -> (
-            fault_slow_chase t budget;
-            match
-              Chase.run_checked ~stats:t.obs ~budget ?obs:tracer ?parent
-                session.pipeline.Pipeline.program session.edb
-            with
-            | Ok result ->
-              session.chase <- Some result;
-              Ok (result, `Chased)
-            | Error _ as e -> e)))
+    match (latest sh).chase with
+    | Some result -> hit result
+    | None ->
+      with_lock sh.writer (fun () ->
+          (* the writer this one waited for may have materialized *)
+          let v = latest sh in
+          match v.chase with
+          | Some result -> hit result
+          | None ->
+            Ekg_obs.Metrics.incr t.obs session_cache_misses_metric;
+            let built =
+              match try_warm_restore t v with
+              | Some result -> Ok (result, `Restored)
+              | None -> (
+                fault_slow_chase t budget;
+                match
+                  Chase.run_checked ~stats:t.obs ~budget ?obs:tracer ?parent
+                    v.pipeline.Pipeline.program v.edb
+                with
+                | Ok result -> Ok (result, `Chased)
+                | Error _ as e -> e)
+            in
+            Result.iter (fun (result, _) -> publish { v with chase = Some result }) built;
+            built)
   in
   match outcome with
   | Error _ as e -> e
@@ -449,17 +469,9 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
 
 (* --- live fact updates ------------------------------------------------------ *)
 
-(* A committed update clears every cached query answer; the
-   specializations survive — they depend only on the immutable program.
-   Returns the number of answers dropped; called with the session lock
-   held. *)
-let clear_answers_locked (session : session) =
-  Hashtbl.fold
-    (fun _ (entry : query_entry) dropped ->
-      let n = Hashtbl.length entry.qe_answers in
-      if n > 0 then Hashtbl.reset entry.qe_answers;
-      dropped + n)
-    session.query_cache 0
+(* the cached answers a version holds; called with [shapes_lock] held *)
+let count_answers (version : session) =
+  Hashtbl.fold (fun _ answers n -> n + Hashtbl.length answers) version.answers 0
 
 let record_update t (upd : Chase.update) =
   Ekg_obs.Metrics.record t.obs
@@ -483,13 +495,13 @@ module AtomTbl = Hashtbl.Make (struct
       (Hashtbl.hash a.Atom.pred) a.Atom.args
 end)
 
-(* update the dormant EDB mirror only — nothing is materialized yet, so
-   there is nothing to maintain; the next materialization sees the new
-   base.  Validation mirrors the engine's: ground additions, known
+(* the dormant EDB mirror's next value — nothing is materialized yet,
+   so there is nothing to maintain; the next materialization sees the
+   new base.  Validation mirrors the engine's: ground additions, known
    extensional retractions.  One pass over the mirror against a table
    of the request's atoms. *)
-let update_edb_only (session : session) op atoms =
-  let program = session.pipeline.Pipeline.program in
+let update_edb_only (version : session) op atoms =
+  let program = version.pipeline.Pipeline.program in
   match
     List.find_opt (fun (a : Atom.t) -> not (Atom.is_ground a)) atoms
   with
@@ -522,7 +534,7 @@ let update_edb_only (session : session) op atoms =
       (* dedupe against the mirror and within the request itself — a
          repeated atom must not enter the base twice; fresh atoms are
          appended in request order *)
-      List.iter (fun e -> if AtomTbl.mem held e then AtomTbl.replace held e true) session.edb;
+      List.iter (fun e -> if AtomTbl.mem held e then AtomTbl.replace held e true) version.edb;
       let fresh =
         List.filter
           (fun a ->
@@ -533,8 +545,7 @@ let update_edb_only (session : session) op atoms =
             end)
           atoms
       in
-      session.edb <- session.edb @ fresh;
-      Ok (upd ~added:(List.length fresh) ~retracted:0)
+      Ok (version.edb @ fresh, upd ~added:(List.length fresh) ~retracted:0)
     | `Retract -> (
       let removed = ref 0 in
       let kept =
@@ -546,31 +557,30 @@ let update_edb_only (session : session) op atoms =
               false
             end
             else true)
-          session.edb
+          version.edb
       in
       match List.find_opt (fun a -> not (AtomTbl.find held a)) atoms with
-      | Some missing ->
-        Error
-          (Chase.Unknown_fact
-             ("fact not in the extensional database: " ^ Atom.to_string missing))
-      | None ->
-        session.edb <- kept;
-        Ok (upd ~added:0 ~retracted:!removed)))
+      | Some missing -> Error (Chase.unknown_fact program missing)
+      | None -> Ok (kept, upd ~added:0 ~retracted:!removed)))
 
 (* Each committed update logs its phases next to its counts: the
    copy-on-write copy, the engine's pass, and the EDB mirror rebuild
-   (or, dormant, the mirror edit that is the whole update). *)
+   (or, dormant, the mirror edit that is the whole update).  The writer
+   lock serializes the session's updates; readers keep the version
+   before this one until it publishes the next. *)
 let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
   let clock_ms () = Ekg_obs.Clock.now_s () *. 1000. in
+  let sh = session.shared in
   let committed =
-    with_lock session.lock (fun () ->
-      session.last_used <- Unix.gettimeofday ();
+    with_lock sh.writer (fun () ->
+      Atomic.set sh.last_used (Unix.gettimeofday ());
+      let v = latest sh in
       let outcome =
-        match session.chase with
+        match v.chase with
         | None -> (
           let t0 = clock_ms () in
-          match update_edb_only session op atoms with
-          | Ok upd -> Ok (upd, "dormant", 0., 0., clock_ms () -. t0)
+          match update_edb_only v op atoms with
+          | Ok (edb, upd) -> Ok (edb, None, upd, "dormant", 0., 0., clock_ms () -. t0)
           | Error e -> Error e)
         | Some res -> (
           let apply =
@@ -578,39 +588,38 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
             | `Add -> Pipeline.add_facts
             | `Retract -> Pipeline.retract_facts
           in
-          (* Copy-on-write: explain handlers read the published result
-             lock-free once [materialize] returns, and the incremental
-             engine mutates in place — including on failures it only
-             detects after mutating (Inconsistent, budget trips).  So
-             the update runs against a private copy and is published by
-             pointer swap on success; every error path discards the
-             copy, leaving the served snapshot and the EDB mirror
-             exactly as they were.  The non-incrementable fallback
+          (* Copy-on-write: readers keep the published result, and the
+             incremental engine mutates in place — including on
+             failures it only detects after mutating (Inconsistent,
+             budget trips).  So the update runs against a private copy
+             and is published in the next version on success; every
+             error path discards the copy, leaving the current version
+             exactly as it was.  The non-incrementable fallback
              re-chases without touching its input, so it needs no
              copy. *)
           let t0 = clock_ms () in
           let target =
-            if Pipeline.incrementable session.pipeline then
+            if Pipeline.incrementable v.pipeline then
               Chase.copy_result res
             else res
           in
           let t1 = clock_ms () in
           match
-            apply ~budget session.pipeline target atoms
+            apply ~budget v.pipeline target atoms
           with
           | Ok (res', upd) ->
             let t2 = clock_ms () in
-            session.chase <- Some res';
             (* the engine's view of the base is now authoritative *)
-            session.edb <- Chase.edb_atoms res';
+            let edb = Chase.edb_atoms res' in
             let path = if upd.Chase.upd_incremental then "incremental" else "rechase" in
-            Ok (upd, path, t1 -. t0, t2 -. t1, clock_ms () -. t2)
+            Ok (edb, Some res', upd, path, t1 -. t0, t2 -. t1, clock_ms () -. t2)
           | Error e -> Error e)
       in
       match outcome with
-      | Ok (upd, path, copy_ms, apply_ms, mirror_ms) ->
-        session.update_gen <- session.update_gen + 1;
-        let dropped = clear_answers_locked session in
+      | Ok (edb, chase, upd, path, copy_ms, apply_ms, mirror_ms) ->
+        publish
+          { v with edb; chase; update_gen = v.update_gen + 1; answers = Hashtbl.create 8 };
+        let dropped = with_lock sh.shapes_lock (fun () -> count_answers v) in
         if dropped > 0 then
           Ekg_obs.Metrics.add t.obs query_invalidations_metric
             (float_of_int dropped);
@@ -631,23 +640,24 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
         Ok upd
       | Error _ as e -> e)
   in
-  (* persist committed updates after the commit, off the session lock;
+  (* persist committed updates after the commit, off the writer lock;
      bursts coalesce in the snapshotter *)
   (match committed with Ok _ -> schedule_snapshot t session | Error _ -> ());
   committed
 
 (* --- the query lane ----------------------------------------------------------
 
-   A hot session answers a point query with one lookup on its served
-   materialization.  A published result is immutable (updates swap in
-   a copy-on-write copy) and the lookup reads only the indexes every
-   insertion maintains and the activation bitmap, never a join index
-   the planner builds, so it runs off the lock, as explanations do.  A
-   dormant session never builds or waits on a materialization: the
-   program is magic-sets-specialized per query shape (cached in an LRU
-   keyed predicate + mask), a private scoped chase runs over a snapshot
-   of the EDB mirror, and concrete answers are cached until the next
-   committed update clears them. *)
+   A hot session answers a point query with one lookup on its current
+   version's materialization.  A published result is immutable (updates
+   publish a copy-on-write copy in a new version) and the lookup reads
+   only the indexes every insertion maintains and the activation
+   bitmap, never a join index the planner builds, so it takes no lock,
+   as explanations do.  A dormant session never builds or waits on a
+   materialization: the program is magic-sets-specialized per query
+   shape (an LRU keyed predicate + mask, shared by every version), a
+   private scoped chase runs over the version's EDB, and the concrete
+   answers are cached in that version, so a committed update, whose
+   version starts with none, leaves them behind. *)
 
 let max_query_shapes = 64
 let max_answers_per_shape = 8
@@ -658,8 +668,8 @@ type query_outcome = {
   qo_answer_cached : bool;   (* the concrete answer set was *)
 }
 
-(* called with the session lock held *)
-let lru_trim tbl cap used =
+(* called with [shapes_lock] held *)
+let lru_trim ?(evicted = ignore) tbl cap used =
   while Hashtbl.length tbl > cap do
     let victim =
       Hashtbl.fold
@@ -669,7 +679,11 @@ let lru_trim tbl cap used =
           | _ -> Some (k, v))
         tbl None
     in
-    match victim with Some (k, _) -> Hashtbl.remove tbl k | None -> ()
+    match victim with
+    | Some (k, _) ->
+      Hashtbl.remove tbl k;
+      evicted k
+    | None -> ()
   done
 
 let note_query_event (result : Pipeline.query_result) ~cache_hit =
@@ -693,128 +707,121 @@ let query ?(budget = Chase.unlimited) ?(explain = false) ?tracer ?parent t
     Ekg_obs.Metrics.add t.obs query_seconds_metric (Ekg_obs.Clock.now_s () -. t0)
   in
   count query_requests_metric;
-  let prelim =
-    with_lock session.lock (fun () ->
-        let now = Unix.gettimeofday () in
-        session.last_used <- now;
-        session.query_count <- session.query_count + 1;
-        match session.chase with
-        | Some res -> `Materialized res
-        | None -> (
-          let gen = session.update_gen in
-          let edb = session.edb in
-          match Hashtbl.find_opt session.query_cache shape_key with
-          | Some entry -> (
-            entry.qe_used <- now;
-            match Hashtbl.find_opt entry.qe_answers answer_key with
-            | Some c when not explain ->
-              c.ca_used <- now;
-              `Hit c.ca_result
-            | Some _ | None ->
-              (* explanations need the scoped instance, which the cache
-                 does not keep: re-run *)
-              `Run (entry.qe_spec, true, gen, edb))
-          | None -> (
-            match Pipeline.specialize session.pipeline ~pred ~mask with
-            | Error e -> `Unknown e
-            | Ok spec ->
-              Hashtbl.replace session.query_cache shape_key
-                {
-                  qe_spec = spec;
-                  qe_used = now;
-                  qe_answers = Hashtbl.create 4;
-                };
-              lru_trim session.query_cache max_query_shapes (fun e ->
-                  e.qe_used);
-              `Run (spec, false, gen, edb))))
-  in
-  match prelim with
-  | `Unknown e -> Error (`Unknown_pred e)
-  | `Materialized res -> (
-    match Pipeline.query_materialized session.pipeline res atom with
+  let sh = session.shared in
+  let now = Unix.gettimeofday () in
+  Atomic.set sh.last_used now;
+  Atomic.incr sh.query_count;
+  let v = latest sh in
+  match v.chase with
+  | Some res -> (
+    match Pipeline.query_materialized v.pipeline res atom with
     | Error e -> Error (`Unknown_pred e)
     | Ok result ->
       count query_materialized_metric;
       note_query_event result ~cache_hit:false;
       finish ();
       Ok { qo_result = result; qo_rewrite_cached = false; qo_answer_cached = false })
-  | `Hit result ->
-    count query_rewrite_hits_metric;
-    count query_answer_hits_metric;
-    note_query_event result ~cache_hit:true;
-    finish ();
-    Ok { qo_result = result; qo_rewrite_cached = true; qo_answer_cached = true }
-  | `Run (spec, rewrite_cached, gen, edb) -> (
-    count
-      (if rewrite_cached then query_rewrite_hits_metric
-       else query_rewrite_misses_metric);
-    count query_answer_misses_metric;
-    fault_slow_chase t budget;
-    match
-      Pipeline.query ~stats:t.obs ~budget ?obs:tracer ?parent session.pipeline spec
-        edb atom
-    with
-    | Error err ->
+  | None -> (
+    let prelim =
+      with_lock sh.shapes_lock (fun () ->
+          match Hashtbl.find_opt sh.shapes shape_key with
+          | Some entry -> (
+            entry.qe_used <- now;
+            match
+              Option.bind (Hashtbl.find_opt v.answers shape_key) (fun answers ->
+                  Hashtbl.find_opt answers answer_key)
+            with
+            | Some c when not explain ->
+              c.ca_used <- now;
+              `Hit c.ca_result
+            | Some _ | None ->
+              (* explanations need the scoped instance, which the cache
+                 does not keep: re-run *)
+              `Run (entry.qe_spec, true))
+          | None -> (
+            match Pipeline.specialize v.pipeline ~pred ~mask with
+            | Error e -> `Unknown e
+            | Ok spec ->
+              Hashtbl.replace sh.shapes shape_key { qe_spec = spec; qe_used = now };
+              (* an evicted shape takes this version's answers with it *)
+              lru_trim ~evicted:(Hashtbl.remove v.answers) sh.shapes max_query_shapes
+                (fun e -> e.qe_used);
+              `Run (spec, false)))
+    in
+    match prelim with
+    | `Unknown e -> Error (`Unknown_pred e)
+    | `Hit result ->
+      count query_rewrite_hits_metric;
+      count query_answer_hits_metric;
+      note_query_event result ~cache_hit:true;
       finish ();
-      Error (`Chase err)
-    | Ok result ->
-      with_lock session.lock (fun () ->
-          (* a fact update committed while the chase ran: it already
-             cleared the cache, so storing now would serve an answer of
-             the older base — drop instead *)
-          if session.update_gen = gen then
-            match Hashtbl.find_opt session.query_cache shape_key with
-            | Some entry ->
-              Hashtbl.replace entry.qe_answers answer_key
+      Ok { qo_result = result; qo_rewrite_cached = true; qo_answer_cached = true }
+    | `Run (spec, rewrite_cached) -> (
+      count
+        (if rewrite_cached then query_rewrite_hits_metric
+         else query_rewrite_misses_metric);
+      count query_answer_misses_metric;
+      fault_slow_chase t budget;
+      match
+        Pipeline.query ~stats:t.obs ~budget ?obs:tracer ?parent v.pipeline spec
+          v.edb atom
+      with
+      | Error err ->
+        finish ();
+        Error (`Chase err)
+      | Ok result ->
+        with_lock sh.shapes_lock (fun () ->
+            if Hashtbl.mem sh.shapes shape_key then begin
+              let answers =
+                match Hashtbl.find_opt v.answers shape_key with
+                | Some answers -> answers
+                | None ->
+                  let answers = Hashtbl.create 4 in
+                  Hashtbl.replace v.answers shape_key answers;
+                  answers
+              in
+              Hashtbl.replace answers answer_key
                 {
                   ca_result = { result with Pipeline.q_scoped = None };
                   ca_used = Unix.gettimeofday ();
                 };
-              lru_trim entry.qe_answers max_answers_per_shape (fun c -> c.ca_used)
-            | None -> ());
-      note_query_event result ~cache_hit:false;
-      finish ();
-      Ok
-        {
-          qo_result = result;
-          qo_rewrite_cached = rewrite_cached;
-          qo_answer_cached = false;
-        })
+              lru_trim answers max_answers_per_shape (fun c -> c.ca_used)
+            end);
+        note_query_event result ~cache_hit:false;
+        finish ();
+        Ok
+          {
+            qo_result = result;
+            qo_rewrite_cached = rewrite_cached;
+            qo_answer_cached = false;
+          }))
 
-let note_explain (session : session) =
-  with_lock session.lock (fun () ->
-      session.explain_count <- session.explain_count + 1)
-
-let set_trace (session : session) span =
-  with_lock session.lock (fun () -> session.last_trace <- Some span)
-
-let last_trace (session : session) =
-  with_lock session.lock (fun () -> session.last_trace)
+let note_explain (session : session) = Atomic.incr session.shared.explain_count
+let set_trace (session : session) span = Atomic.set session.shared.last_trace (Some span)
+let last_trace (session : session) = Atomic.get session.shared.last_trace
 
 (* --- deletion and startup recovery ------------------------------------------ *)
 
 let remove t id =
   let found =
     with_reg_lock t (fun () ->
-        match List.find_opt (fun s -> s.id = id) t.sessions with
-        | None -> None
-        | Some s ->
-          t.sessions <- List.filter (fun s' -> s'.id <> id) t.sessions;
-          Some s)
+        let found = List.assoc_opt id t.sessions in
+        if Option.is_some found then t.sessions <- List.remove_assoc id t.sessions;
+        found)
   in
   match found with
   | None -> None
-  | Some session ->
+  | Some sh ->
     (* flag first so an already-captured closure answers [None], then
        wait out any in-flight save before removing the file — the
        deletion must not race a concurrent re-write *)
-    with_lock session.lock (fun () -> session.deleted <- true);
+    Atomic.set sh.deleted true;
     (match t.persist with
     | None -> ()
     | Some p ->
       Ekg_store.Snapshotter.discard p.snapshotter ~sid:id;
       Ekg_store.Store.delete p.store id);
-    Some session
+    Some (latest sh)
 
 (* registry ids are ["s<n>"]; recovery must keep allocating above them *)
 let numeric_suffix id =
@@ -829,10 +836,7 @@ let recover t =
     let recovered, failed =
       List.fold_left
         (fun (ok, failed) id ->
-          if
-            with_reg_lock t (fun () ->
-                List.exists (fun s -> s.id = id) t.sessions)
-          then (ok, failed)
+          if with_reg_lock t (fun () -> List.mem_assoc id t.sessions) then (ok, failed)
           else
             match Ekg_store.Store.load_meta p.store id with
             | Error e -> (ok, (id, e) :: failed)
@@ -860,7 +864,7 @@ let recover t =
                          snapshot; it will re-chase on first use"
                         id);
                 with_reg_lock t (fun () ->
-                    t.sessions <- session :: t.sessions;
+                    t.sessions <- (id, session.shared) :: t.sessions;
                     match numeric_suffix id with
                     | Some n when n >= t.next_id -> t.next_id <- n + 1
                     | _ -> ());
@@ -874,46 +878,29 @@ let recover t =
 let snapshotter t = Option.map (fun p -> p.snapshotter) t.persist
 
 let session_json (session : session) =
-  let ( cached,
-        explained,
-        traced,
-        edb_facts,
-        update_gen,
-        last_used,
-        queried,
-        cached_queries ) =
-    with_lock session.lock (fun () ->
-        ( Option.is_some session.chase,
-          session.explain_count,
-          Option.is_some session.last_trace,
-          List.length session.edb,
-          session.update_gen,
-          session.last_used,
-          session.query_count,
-          Hashtbl.fold
-            (fun _ (e : query_entry) n -> n + Hashtbl.length e.qe_answers)
-            session.query_cache 0 ))
-  in
+  let sh = session.shared in
+  let v = latest sh in
+  let cached = Option.is_some v.chase in
   Json.Obj
     [
-      "id", Json.str session.id;
-      "name", Json.str session.name;
-      "goal", Json.str session.pipeline.Pipeline.program.Program.goal;
-      "rules", Json.int (List.length session.pipeline.Pipeline.program.Program.rules);
-      "edb_facts", Json.int edb_facts;
+      "id", Json.str v.id;
+      "name", Json.str v.name;
+      "goal", Json.str v.pipeline.Pipeline.program.Program.goal;
+      "rules", Json.int (List.length v.pipeline.Pipeline.program.Program.rules);
+      "edb_facts", Json.int (List.length v.edb);
       ( "templates",
         Json.Obj
           [
-            "deterministic", Json.int (List.length session.pipeline.Pipeline.deterministic);
-            "enhanced", Json.int (List.length session.pipeline.Pipeline.enhanced);
+            "deterministic", Json.int (List.length v.pipeline.Pipeline.deterministic);
+            "enhanced", Json.int (List.length v.pipeline.Pipeline.enhanced);
           ] );
       "chase_cached", Json.bool cached;
       "tier", Json.str (if cached then "hot" else "dormant");
-      "update_gen", Json.int update_gen;
-      "explain_requests", Json.int explained;
-      "cached_queries", Json.int cached_queries;
-      "query_requests", Json.int queried;
-      "traced", Json.bool traced;
-      "created_at", Json.num session.created_at;
-      "last_used_unix_s", Json.num last_used;
+      "update_gen", Json.int v.update_gen;
+      "explain_requests", Json.int (Atomic.get sh.explain_count);
+      "cached_queries", Json.int (with_lock sh.shapes_lock (fun () -> count_answers v));
+      "query_requests", Json.int (Atomic.get sh.query_count);
+      "traced", Json.bool (Option.is_some (Atomic.get sh.last_trace));
+      "created_at", Json.num v.created_at;
+      "last_used_unix_s", Json.num (Atomic.get sh.last_used);
     ]

@@ -4,8 +4,19 @@
     chase materialization is computed on the first explanation request
     and kept, so every later request over the same knowledge graph
     skips program analysis {i and} reasoning, and an explanation is
-    only the templates' instantiation along a proof.  All entry points
-    are safe to call from concurrent domains. *)
+    only the templates' instantiation along a proof.
+
+    {b Concurrency.}  All entry points are safe to call from concurrent
+    domains.  A {!session} value is an immutable {e version}, so a
+    held value is a snapshot; given any version, an operation reads —
+    and a writer replaces — its session's current version, one
+    [Atomic.get] away.  Readers (hot explanations and queries, the
+    dormant query lane, listings, snapshot captures, traces) take no
+    session-wide lock, so no read waits on a chase or an update.  Only
+    a materialization that misses, a fact update and an eviction take
+    the session's writer lock; they serialize, and each ends by
+    publishing one new version.  The query lane's shape cache has a
+    short lock of its own, never held across a chase. *)
 
 open Ekg_core
 open Ekg_datalog
@@ -17,20 +28,8 @@ type cached_answers = {
           a scoped instance's database copies the whole EDB *)
   mutable ca_used : float;  (** answer-LRU clock *)
 }
-(** One concrete query's cached answers on a dormant session.  A
-    committed fact update clears every cached answer of the session,
-    whatever predicates it changed. *)
-
-type query_entry = {
-  qe_spec : Pipeline.specialization;
-  mutable qe_used : float;  (** shape-LRU clock *)
-  qe_answers : (string, cached_answers) Hashtbl.t;
-      (** concrete answers keyed by canonical atom text *)
-}
-(** One query {e shape} (predicate + bound/free mask): the magic-sets
-    specialization — pure in the immutable program, so it survives
-    fact updates — plus an LRU of recently answered concrete
-    queries. *)
+(** One concrete query's cached answers on a dormant version (see
+    [answers] in {!session}). *)
 
 type spec = Ekg_store.Codec.spec =
   | App of string
@@ -40,6 +39,13 @@ type spec = Ekg_store.Codec.spec =
           ["programs/company_control.vada"] *)
   | Inline of { program : string; glossary : string option }
       (** program (and optional glossary) texts shipped in the request *)
+
+type shared
+(** What every version of a session shares: its current version, the
+    writer lock, the shape cache (each query shape's magic-sets
+    specialization, pure in the program) and its short lock, the
+    request counters, the LRU clock, the last trace and the deleted
+    flag. *)
 
 type session = {
   id : string;                 (** registry-assigned, ["s1"], ["s2"], … *)
@@ -51,37 +57,26 @@ type session = {
       (** {!Pipeline.identity} of [pipeline], computed once; snapshots
           are stamped with it and a warm restore refuses a snapshot of
           a different program *)
-  mutable edb : Atom.t list;   (** current extensional base (live-updated) *)
   created_at : float;
-  lock : Mutex.t;              (** guards every mutable field *)
-  mutable chase : Chase.result option;
-      (** cached materialization.  Published results are immutable:
-          {!update_facts} mutates a private {!Chase.copy_result} copy
-          and swaps this pointer on success, so readers that obtained
-          the result via {!materialize}, or read this field under the
-          lock as {!query} does, may keep using it without the session
-          lock. *)
-  query_cache : (string, query_entry) Hashtbl.t;
-      (** the query lane's per-session LRU, keyed [pred ^ "/" ^ mask];
-          specializations survive fact updates, a committed update
-          clears every cached answer *)
-  mutable update_gen : int;
-      (** bumped by every committed fact update; a snapshot records it,
-          so a warm restore refuses a materialization of an older base,
-          and the query lane refuses to cache an answer computed under
-          an older one *)
-  mutable explain_count : int;
-  mutable query_count : int;
-  mutable last_trace : Ekg_obs.Trace.span option;
-      (** the finished root span of the session's most recent explain
-          request — the [GET /sessions/:id/trace] document *)
-  mutable last_used : float;
-      (** touched by {!materialize} and {!update_facts}; the LRU clock
-          that picks eviction victims *)
-  mutable deleted : bool;
-      (** set by {!remove}; a captured-but-unsaved snapshot of a
-          deleted session is dropped instead of written *)
+  edb : Atom.t list;           (** this version's extensional base *)
+  chase : Chase.result option;
+      (** this version's materialization.  A published result is never
+          mutated ({!update_facts} maintains a private
+          {!Chase.copy_result} copy), so a reader may keep one. *)
+  update_gen : int;
+      (** the count of committed fact updates before this version; a
+          snapshot records it, so a warm restore refuses a
+          materialization of an older base *)
+  answers : (string, (string, cached_answers) Hashtbl.t) Hashtbl.t;
+      (** the dormant query lane's answers on this version, by shape
+          (["pred/mask"]), then by atom text; under the shape lock *)
+  shared : shared;
 }
+(** One immutable version of a session: its identity, and this
+    version's EDB, materialization, update generation and cached
+    answers.  A materialization and an eviction publish a version with
+    the same base and answers; a fact update publishes one with the new
+    base, the next generation and no answers. *)
 
 type t
 
@@ -138,9 +133,6 @@ val create :
     many sessions may hold a materialization in memory; beyond it the
     least-recently-used ones are demoted to their snapshot. *)
 
-val store : t -> Ekg_store.Store.t option
-(** The persistence store, when one was configured. *)
-
 val snapshotter : t -> Ekg_store.Snapshotter.t option
 (** The write-behind snapshotter, when persistence is on — the router
     registers its queue-depth/stall gauges as a runtime-sampler
@@ -155,12 +147,15 @@ val spec_of_json : Json.t -> (spec * string option, string) result
     ["name"]. *)
 
 val add : t -> ?name:string -> spec -> (session, string) result
-(** Compile and register a session.  The error is a client error
-    (unknown app, unreadable/escaping path, parse failure). *)
+(** Compile and register a session; returns its first version.  The
+    error is a client error (unknown app, unreadable/escaping path,
+    parse failure). *)
 
 val find : t -> string -> session option
+(** The session's current version. *)
+
 val list : t -> session list
-(** In creation order. *)
+(** Every session's current version, in creation order. *)
 
 val count : t -> int
 
@@ -168,8 +163,9 @@ val remove : t -> string -> session option
 (** Unregister a session and delete its snapshot — the
     [DELETE /v1/sessions/:id] handler.  Waits out an in-flight
     write-behind save of the session first, so the file cannot
-    reappear; [None] if the id is unknown.  Idempotent from the
-    caller's perspective: a second call answers [None]. *)
+    reappear; answers the current version, or [None] if the id is
+    unknown.  Idempotent from the caller's perspective: a second call
+    answers [None]. *)
 
 val recover : t -> session list * (string * string) list
 (** Scan the store directory and re-register every snapshotted session
@@ -191,7 +187,11 @@ val materialize :
   t ->
   session ->
   (Chase.result, Chase.error) result
-(** The cached chase result, computing it on first use.  Counts a
+(** The session's materialization, computing it on first use.  A hit
+    reads the current version's and takes no lock.  A miss takes the
+    writer lock, re-reads the current version (a writer it waited for
+    may have materialized it: a hit), and publishes a version holding
+    the result; readers keep the dormant version meanwhile.  Counts a
     cache hit or miss ({!session_cache_hits_metric},
     {!session_cache_misses_metric}) on [obs]; a miss runs the chase
     with the registry's [obs] sink, so [result.stats] carries per-rule
@@ -212,8 +212,9 @@ val materialize :
     or fingerprint mismatch, stale generation) silently falls back to
     the cold chase.  A fresh materialization schedules a snapshot, and
     both outcomes then enforce the [max_hot_sessions] bound by
-    demoting least-recently-used sessions (synchronously persisting
-    each victim before dropping its materialization). *)
+    demoting least-recently-used sessions: each victim's snapshot is
+    saved under its writer lock alone, then a dormant version is
+    published. *)
 
 val update_facts :
   ?budget:Chase.budget ->
@@ -222,30 +223,31 @@ val update_facts :
   [ `Add | `Retract ] ->
   Atom.t list ->
   (Chase.update, Chase.error) result
-(** Mutate the session's fact base — the
-    [POST|DELETE /v1/sessions/:id/facts] handler.  With a cached
+(** Change the session's fact base — the
+    [POST|DELETE /v1/sessions/:id/facts] handler.  Runs under the
+    session's writer lock, so one session's updates serialize, and
+    commits by publishing one new version: readers, explanations and
+    queries included, keep the version before it until then.  With a
     materialization the engine maintains a private
     {!Chase.copy_result} copy incrementally ({!Pipeline.add_facts} /
-    {!Pipeline.retract_facts}) and publishes it by pointer swap, so
-    concurrent explanation requests keep reading the previous,
-    immutable snapshot throughout; without one only the dormant EDB
-    mirror changes and the next materialization picks up the new base
-    (added atoms are deduplicated against the mirror and within the
-    request).  The query lane's cached answers on the update's
-    [upd_changed_preds] are dropped; its specializations survive, as do
-    the session's compiled templates.
+    {!Pipeline.retract_facts}) and the new version holds it; without
+    one only the EDB changes (retractions filtered out, additions
+    appended, deduplicated against the base and within the request)
+    and the next materialization picks up the new base.  The new
+    version starts with no cached query answers; the shape cache's
+    specializations survive, as do the session's compiled templates.
 
-    {e Every} error leaves the session exactly as it was — the served
-    materialization and the EDB mirror both predate the failed
-    request.  That covers validation errors
-    (non-ground addition, unknown or intensional retraction), budget
+    {e Every} error leaves the current version exactly as it was — its
+    materialization and its EDB both predate the failed request.  That
+    covers validation errors (non-ground atom,
+    {!Chase.unknown_fact} retraction), budget
     trips mid-propagation, and {!Chase.Inconsistent} (409): the engine
     detects a constraint violation only after mutating, but it mutated
     the discarded private copy, never the published snapshot.
     Advances the {!incremental_rounds_metric} and
-    {!retracted_facts_metric} series and the session's [update_gen] on
-    success, and clears every cached query answer of the session,
-    counting them in [ekg_query_cache_invalidations_total]. *)
+    {!retracted_facts_metric} series on success, and counts the cached
+    answers the replaced version held in
+    [ekg_query_cache_invalidations_total]. *)
 
 type query_outcome = {
   qo_result : Pipeline.query_result;
@@ -265,23 +267,25 @@ val query :
   Atom.t ->
   (query_outcome, [ `Unknown_pred of string | `Chase of Chase.error ]) result
 (** Answer a point query — the [GET|POST /v1/sessions/:id/query]
-    handler.  The path is picked from the session's state, read under
-    its lock:
+    handler.  The path is picked from the session's current version,
+    read without a lock:
 
-    - {b Hot} (a published materialization): one lookup on it
+    - {b Hot} (a materialization): one lookup on it
       ({!Pipeline.query_materialized}), [`Materialized] mode, 0 rounds
       and 0 derived facts.  It relies on the published result being
-      immutable (see [chase]), so it runs off the lock, as explanations
+      immutable (see [chase]), so it takes no lock, as explanations
       do.  No chase runs, so neither [budget] nor the
       {!Fault.Slow_chase} fault applies, and the rewrite and answer
       caches are neither read nor filled.
     - {b Dormant}: the session's program is magic-sets-specialized for
       the query's bound/free shape ({!Pipeline.specialize}, cached in a
-      per-session LRU), a private scoped chase runs over a snapshot of
-      the EDB mirror, and the concrete answers are cached until the
-      next committed fact update, unless an update committed while the
-      scoped chase ran.  A query never builds or waits
-      on a materialization, so a dormant session stays dormant.
+      per-session LRU that every version shares), a private scoped
+      chase runs over the version's EDB, and the concrete answers are
+      cached in that version ([answers]), so the next committed fact
+      update leaves them behind.  The shape cache's short lock covers
+      the lookup and the store, never the chase.  A query never builds
+      or waits on a materialization, and never waits on an update, so
+      a dormant session stays dormant.
       [budget] bounds the scoped chase exactly as in {!materialize}
       (deadline trips surface as [`Chase (Budget_exceeded _)] with
       partial progress); the {!Fault.Slow_chase} fault applies here
@@ -306,6 +310,7 @@ val set_trace : session -> Ekg_obs.Trace.span -> unit
 val last_trace : session -> Ekg_obs.Trace.span option
 
 val session_json : session -> Json.t
-(** Summary document: id, name, goal, rule/fact counts, cache state,
-    tier (hot/dormant), update generation, LRU clock — also the
-    per-session record of [GET /v1/debug/sessions]. *)
+(** Summary document of the session's current version: id, name,
+    goal, rule/fact counts, cache state, tier (hot/dormant), update
+    generation, LRU clock — also the per-session record of
+    [GET /v1/debug/sessions].  It waits on no writer. *)

@@ -576,29 +576,33 @@ let query_lane st ~trace_id ~deadline_s (session : Registry.session) param =
 (* --- live fact updates ------------------------------------------------------ *)
 
 (* Body: {"facts": ["own(\"A\", \"B\", 0.5)", ...]} — ground atoms in
-   program syntax.  Every atom must parse before anything is applied. *)
+   program syntax.  Every atom must parse, and name constants only,
+   before anything is applied: a variable is the caller's error on
+   either tier, answered before the registry. *)
 let facts_of_body body =
+  let invalid e = Error (Errors.Invalid_request, e) in
   match Json.member "facts" body with
-  | None -> Error "missing \"facts\" array"
-  | Some (Json.Arr []) -> Error "empty \"facts\" array"
+  | None -> invalid "missing \"facts\" array"
+  | Some (Json.Arr []) -> invalid "empty \"facts\" array"
   | Some (Json.Arr items) ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | Json.Str text :: rest -> (
         match Ekg_datalog.Parser.parse_atom text with
-        | Ok atom -> go (atom :: acc) rest
-        | Error e -> Error ("fact " ^ text ^ ": " ^ e))
-      | _ -> Error "every fact must be an atom string"
+        | Ok atom when Ekg_datalog.Atom.is_ground atom -> go (atom :: acc) rest
+        | Ok _ -> Error (Errors.Invalid_atom, "fact " ^ text ^ ": not ground")
+        | Error e -> invalid ("fact " ^ text ^ ": " ^ e))
+      | _ -> invalid "every fact must be an atom string"
     in
     go [] items
-  | Some _ -> Error "\"facts\" must be an array of atom strings"
+  | Some _ -> invalid "\"facts\" must be an array of atom strings"
 
 let update_facts op st { req; _ } deadline_s (session : Registry.session) =
   match Json.parse req.body with
   | Error e -> Errors.response Errors.Parse_error e
   | Ok body -> (
     match facts_of_body body with
-    | Error e -> Errors.response Errors.Invalid_request e
+    | Error (code, e) -> Errors.response code e
     | Ok atoms -> (
       match
         Registry.update_facts ~budget:(deadline_budget deadline_s) st.registry

@@ -2,22 +2,16 @@ type config = {
   host : string;
   port : int;
   domains : int;
-  backlog : int;
-  max_body_bytes : int;
-  max_header_bytes : int;
   queue_high_water : int;
 }
 
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 8080;
-    domains = 4;
-    backlog = 64;
-    max_body_bytes = 4 * 1024 * 1024;
-    max_header_bytes = 16 * 1024;
-    queue_high_water = 64;
-  }
+let default_config = { host = "127.0.0.1"; port = 8080; domains = 4; queue_high_water = 64 }
+
+(* the listen backlog, and the most connections whose requests are read
+   at once *)
+let backlog = 64
+let max_body_bytes = 4 * 1024 * 1024
+let max_header_bytes = 16 * 1024
 
 type t = {
   config : config;
@@ -43,30 +37,37 @@ type t = {
 
 (* a request not complete this long after its accept is answered 408, or
    closed unanswered when nothing of it arrived; a worker's write of a
-   reply times out after as long *)
+   reply ends as long after it began *)
 let io_timeout_s = 10.
 
 let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let rec write_all fd s off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write_substring fd s off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd s (off + n) (len - n)
-  end
-
 (* Write a reply from byte [off] and close, in blocking mode, so a reply
-   larger than the socket buffer is written whole, and a client that
-   stops reading costs at most [io_timeout_s]. *)
+   larger than the socket buffer is written whole.  One clock bounds the
+   whole write: each [write(2)] may block for what is left of
+   [io_timeout_s], and the reply is dropped once it runs out, so a
+   client that reads slowly or not at all holds a worker that long at
+   most. *)
 let finish fd payload off =
+  let len = String.length payload in
+  let deadline = Unix.gettimeofday () +. io_timeout_s in
+  let rec write_from off =
+    if off < len then begin
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then raise Exit;
+      (* a zero timeout would mean none *)
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO (Float.max left 0.001);
+      write_from
+        (off
+        + try Unix.single_write_substring fd payload off (len - off)
+          with Unix.Unix_error (Unix.EINTR, _, _) -> 0)
+    end
+  in
   (try
      Unix.clear_nonblock fd;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout_s;
-     write_all fd payload off (String.length payload - off);
+     write_from off;
      Unix.shutdown fd Unix.SHUTDOWN_SEND
-   with Unix.Unix_error _ -> ());
+   with Unix.Unix_error _ | Exit -> ());
   close fd
 
 (* called with [qlock] held *)
@@ -158,8 +159,7 @@ let advance t chunk c =
   | n -> (
     Buffer.add_subbytes c.buf chunk 0 n;
     match
-      Http.parse_prefix ~max_header_bytes:t.config.max_header_bytes
-        ~max_body_bytes:t.config.max_body_bytes ~eof:(n = 0) c.buf
+      Http.parse_prefix ~max_header_bytes ~max_body_bytes ~eof:(n = 0) c.buf
     with
     | Ok None -> true
     | Ok (Some req) ->
@@ -208,7 +208,7 @@ let reader_loop t () =
     if listening || arriving <> [] then begin
       let accepting =
         listening
-        && List.length arriving < t.config.backlog
+        && List.length arriving < backlog
         && (match Router.fault t.state with
             | Fault.Refuse_accept -> false (* connections wait in the listen backlog *)
             | _ -> true)
@@ -262,7 +262,7 @@ let start ?(config = default_config) state =
      Unix.setsockopt listener Unix.SO_REUSEADDR true;
      Unix.bind listener
        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listener config.backlog;
+     Unix.listen listener backlog;
      Unix.set_nonblock listener
    with e ->
      close listener;

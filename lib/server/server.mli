@@ -13,8 +13,11 @@
     does not take at once is queued for a worker, whatever the queue's
     depth.  A request not complete 10 s after its accept is answered
     [408 request_timeout], or closed unanswered when nothing of it
-    arrived; at most [backlog] connections are read at once — later
-    ones wait in the kernel's listen backlog.  Each connection
+    arrived; at most 64 connections are read at once — later ones wait
+    in the kernel's listen backlog, which holds 64 too.  A request's
+    head may take 16 KiB and its body 4 MiB.  A worker's write of a
+    reply ends 10 s after it began, whatever the client reads: the
+    reply is dropped then.  Each connection
     carries exactly one HTTP request.  [stop] performs a graceful
     drain: close the listener, finish reading the requests already
     arriving, answer every queued one, then join all domains. *)
@@ -23,11 +26,6 @@ type config = {
   host : string;           (** bind address, default ["127.0.0.1"] *)
   port : int;              (** [0] picks an ephemeral port *)
   domains : int;           (** worker domains, default 4 *)
-  backlog : int;
-      (** the listen backlog, and the most connections whose requests
-          are read at once (default 64) *)
-  max_body_bytes : int;
-  max_header_bytes : int;
   queue_high_water : int;
       (** admission-queue depth at or above which new requests are
           shed (default 64); [0] sheds every non-probe request — useful

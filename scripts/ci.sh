@@ -15,7 +15,9 @@
 # query lane vs full chase, snapshot/restore vs cold chase; fails if
 # incremental, query-lane or restored state ever diverges), the
 # engine's property suite (engine = reference evaluator, incremental =
-# cold chase) under three more random seeds, and the documentation gate
+# cold chase) and the server's `readers see whole generations` property
+# (readers racing a writer over Router.handle only ever see a committed
+# generation) under three more random seeds, and the documentation gate
 # (doc-comment lint always; `dune build @doc` + HTML artifact when
 # odoc is installed). Run from anywhere.
 set -euo pipefail
@@ -35,6 +37,7 @@ dune exec bench/main.exe -- chase-smoke
 # the bundled apps run there too
 for seed in 11 23 37; do
   QCHECK_SEED="$seed" dune exec test/test_engine.exe -- test properties
+  QCHECK_SEED="$seed" dune exec test/test_server.exe -- test "session versions"
 done
 
 # documentation: lint is unconditional; rendering needs odoc, which
